@@ -9,6 +9,7 @@ error, 3 runtime error. SAGINFL_OUTPUT_ROOT overrides the output root.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import traceback
@@ -126,24 +127,26 @@ def _cmd_sweep(args) -> int:
                     "status": f"error: {exc}",
                 })
 
-    rows.sort(key=lambda r: (str(r["value"]), r["seed"]))
-    runs_lines = [",".join(RUNS_COLUMNS)]
-    runs_lines += [",".join(_fmt(r[c]) for c in RUNS_COLUMNS) for r in rows]
-    (out / "runs.csv").write_text("\n".join(runs_lines) + "\n")
+    # one axis has one value type, so the native order is total
+    rows.sort(key=lambda r: (r["value"], r["seed"]))
+    with open(out / "runs.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RUNS_COLUMNS)
+        writer.writerows([_fmt(r[c]) for c in RUNS_COLUMNS] for r in rows)
 
-    agg_lines = [",".join(AGG_COLUMNS)]
-    for value in sorted({r["value"] for r in rows}, key=str):
-        cell = [r for r in rows if r["value"] == value and r["status"] == "ok"]
-        if not cell:
-            agg_lines.append(f"{args.axis},{value},0,,,,")
-            continue
-        accs = np.array([r["final_accuracy"] for r in cell], dtype=float)
-        times = np.array([r["total_time_s"] for r in cell], dtype=float)
-        agg_lines.append(
-            f"{args.axis},{value},{len(cell)},{_fmt(float(accs.mean()))},"
-            f"{_fmt(float(accs.std()))},{_fmt(float(times.mean()))},"
-            f"{_fmt(float(times.std()))}")
-    (out / "summary.csv").write_text("\n".join(agg_lines) + "\n")
+    with open(out / "summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(AGG_COLUMNS)
+        for value in sorted({r["value"] for r in rows}):
+            cell = [r for r in rows if r["value"] == value and r["status"] == "ok"]
+            if not cell:
+                writer.writerow([args.axis, value, 0, "", "", "", ""])
+                continue
+            accs = np.array([r["final_accuracy"] for r in cell], dtype=float)
+            times = np.array([r["total_time_s"] for r in cell], dtype=float)
+            writer.writerow([args.axis, value, len(cell)] + [
+                _fmt(float(v)) for v in (accs.mean(), accs.std(),
+                                         times.mean(), times.std())])
     print(f"wrote {out / 'runs.csv'} and {out / 'summary.csv'} "
           f"({len(rows)} runs)")
     return 0

@@ -180,6 +180,17 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigurationError("[training] tau1 and tau2 must be >= 1")
     if tr.global_rounds < 1:
         raise ConfigurationError("[training] global_rounds must be >= 1")
+    if not tr.learning_rate > 0:
+        raise ConfigurationError(
+            f"[training] learning_rate must be > 0, got {tr.learning_rate}")
+    if not tr.l2 >= 0:
+        raise ConfigurationError(f"[training] l2 must be >= 0, got {tr.l2}")
+    if tr.hidden_dim < 1:
+        raise ConfigurationError(
+            f"[training] hidden_dim must be >= 1, got {tr.hidden_dim}")
+    if d.test_samples < 1:
+        raise ConfigurationError(
+            f"[data] test_samples must be >= 1, got {d.test_samples}")
     if not 1 <= d.classes_per_device <= d.n_classes:
         raise ConfigurationError(
             f"[data] classes_per_device must be in [1, {d.n_classes}], "

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TopologyError
 from .topology import (
     NetworkTopology,
     air_unit_positions,
@@ -24,12 +25,20 @@ class CoverageMap:
     cell_members: dict[int, tuple[int, ...]]   # satellite id -> air node ids
 
     def validate(self, topology: NetworkTopology) -> None:
-        assert set(self.access) == {a.id for a in topology.air_nodes}
+        """Raise TopologyError unless every air node has exactly one access
+        satellite and the cell member lists invert the access map."""
+        mismatch = {a.id for a in topology.air_nodes} ^ set(self.access)
+        if mismatch:
+            raise TopologyError(
+                f"access map and air nodes differ on {sorted(mismatch)}")
         inverse: dict[int, list[int]] = {}
         for air, sat in self.access.items():
             inverse.setdefault(sat, []).append(air)
         for sat, members in self.cell_members.items():
-            assert sorted(inverse.get(sat, [])) == sorted(members)
+            if sorted(inverse.get(sat, [])) != sorted(members):
+                raise TopologyError(
+                    f"cell of satellite {sat} lists {sorted(members)}, "
+                    f"access map gives {sorted(inverse.get(sat, []))}")
 
 
 def subsatellite_points(topology: NetworkTopology, epoch_s: float = 0.0) -> np.ndarray:

@@ -9,12 +9,15 @@ pairs and inflated by a safety margin before entering the bound.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InputError
-from .learner import augment, one_hot
+from .learner import Samples
 from .simulation import TrainingTrace
 
 SAFETY_MARGIN = 1.5
@@ -24,13 +27,12 @@ _MIN_PAIR_DIST = 1e-12
 
 @dataclass
 class GradContext:
-    """Batched loss/gradient evaluation over the run's device datasets."""
+    """Loss/gradient evaluation over the run's device datasets."""
 
     learner: object
-    features_aug: np.ndarray     # (D, n, f)
-    onehots: np.ndarray          # (D, n, C)
+    samples: Samples
     device_frac: np.ndarray      # |D_i| / |D|
-    sat_weight: np.ndarray       # (N_S, D), rows sum to 1 on nonempty sats
+    sat_weight: csr_matrix       # (N_S, D), rows sum to 1 on nonempty sats
     sat_frac: np.ndarray         # |D_k| / |D|
     sat_of_device: np.ndarray
     nonempty: np.ndarray
@@ -38,23 +40,21 @@ class GradContext:
     @classmethod
     def from_trace(cls, trace: TrainingTrace) -> "GradContext":
         datasets = trace.datasets
-        n_classes = trace.config.data.n_classes
-        features_aug = np.stack([augment(ds.features) for ds in datasets])
-        onehots = np.stack([one_hot(ds.labels, n_classes) for ds in datasets])
+        samples = Samples.stack([ds.features for ds in datasets],
+                                [ds.labels for ds in datasets],
+                                trace.config.data.n_classes)
         sizes = trace.device_sizes
         n_sats = trace.topology.n_satellites
-        n_dev = len(datasets)
-        sat_weight = np.zeros((n_sats, n_dev))
-        totals = np.zeros(n_sats)
-        np.add.at(totals, trace.sat_of_device, sizes)
-        for dev in range(n_dev):
-            sat_weight[trace.sat_of_device[dev], dev] = sizes[dev]
+        totals = np.bincount(trace.sat_of_device, weights=sizes,
+                             minlength=n_sats)
         nonempty = totals > 0
-        sat_weight[nonempty] /= totals[nonempty, None]
+        devices = np.arange(len(datasets))
+        share = sizes / np.where(nonempty, totals, 1.0)[trace.sat_of_device]
+        sat_weight = csr_matrix((share, (trace.sat_of_device, devices)),
+                                shape=(n_sats, len(datasets)))
         return cls(
             learner=trace.learner,
-            features_aug=features_aug,
-            onehots=onehots,
+            samples=samples,
             device_frac=sizes / sizes.sum(),
             sat_weight=sat_weight,
             sat_frac=totals / sizes.sum(),
@@ -62,26 +62,19 @@ class GradContext:
             nonempty=nonempty,
         )
 
-    def _stack(self, w: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(w, (self.features_aug.shape[0], w.shape[0]))
-
     def device_grads(self, w: np.ndarray) -> np.ndarray:
-        return self.learner.grad(self._stack(w), self.features_aug, self.onehots)
-
-    def device_losses(self, w: np.ndarray) -> np.ndarray:
-        return self.learner.loss(self._stack(w), self.features_aug, self.onehots)
+        """Every device's gradient at one shared model, ``(D, P)``."""
+        return self.learner.grad(w, self.samples)
 
     def global_loss(self, w: np.ndarray) -> float:
-        return float(self.device_frac @ self.device_losses(w))
+        return float(self.device_frac @ self.learner.loss(w, self.samples))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         return self.device_frac @ self.device_grads(w)
 
-    def satellite_grads(self, w: np.ndarray) -> np.ndarray:
-        return self.sat_weight @ self.device_grads(w)
-
-    def satellite_grad(self, k: int, w: np.ndarray) -> np.ndarray:
-        return self.sat_weight[k] @ self.device_grads(w)
+    def satellite_sum(self, dev_g: np.ndarray) -> np.ndarray:
+        """Data-weighted per-satellite sums of device rows, ``(N_S, P)``."""
+        return self.sat_weight @ dev_g
 
 
 @dataclass(frozen=True)
@@ -94,24 +87,28 @@ class DivergenceEstimate:
 
 def measure_divergence(trace: TrainingTrace,
                        probe_points: list[np.ndarray] | None = None,
-                       ctx: GradContext | None = None) -> DivergenceEstimate:
+                       ctx: GradContext | None = None,
+                       device_grads: Iterable[np.ndarray] | None = None,
+                       ) -> DivergenceEstimate:
     """Gradient divergence maxima over the probe models.
 
-    Defaults to the recorded global models as probes. Satellites without
-    devices carry zero divergence (their data weight is zero anyway).
+    Defaults to the recorded global models as probes. ``device_grads``, when
+    the caller already has some of them, yields the probes'
+    ``ctx.device_grads`` in order; it is read once, one probe at a time.
+    Satellites without devices carry zero divergence (their data weight is
+    zero anyway).
     """
     ctx = ctx or GradContext.from_trace(trace)
     if probe_points is None:
         probe_points = [gm for _, gm in trace.global_models]
     if not probe_points:
         raise InputError("need at least one probe model")
-    n_dev = ctx.features_aug.shape[0]
-    n_sats = ctx.sat_weight.shape[0]
-    delta_dev = np.zeros(n_dev)
-    delta_sat = np.zeros(n_sats)
-    for w in probe_points:
-        dev_g = ctx.device_grads(w)
-        sat_g = ctx.sat_weight @ dev_g
+    if device_grads is None:
+        device_grads = map(ctx.device_grads, probe_points)
+    delta_dev = np.zeros(len(ctx.device_frac))
+    delta_sat = np.zeros(len(ctx.sat_frac))
+    for dev_g in device_grads:
+        sat_g = ctx.satellite_sum(dev_g)
         glob_g = ctx.sat_frac @ sat_g
         dev_gap = np.linalg.norm(dev_g - sat_g[ctx.sat_of_device], axis=1)
         sat_gap = np.linalg.norm(sat_g - glob_g, axis=1)
@@ -156,7 +153,7 @@ def virtual_trajectories(trace: TrainingTrace,
     sat_models = dict(trace.satellite_models)
     glob_models = dict(trace.global_models)
     satellite_ends = []
-    n_sats = ctx.sat_weight.shape[0]
+    n_sats = len(ctx.sat_frac)
     for s, (t_end, _) in enumerate(trace.satellite_models, start=1):
         t_start = t_end - tau1
         if t_start in glob_models:
@@ -166,9 +163,8 @@ def virtual_trajectories(trace: TrainingTrace,
         v = starts.copy()
         for _ in range(tau1):
             # one batched pass: device i's gradient at its satellite's point
-            dev_g = ctx.learner.grad(v[ctx.sat_of_device], ctx.features_aug,
-                                     ctx.onehots)
-            sat_g = ctx.sat_weight @ dev_g
+            dev_g = ctx.learner.grad(v[ctx.sat_of_device], ctx.samples)
+            sat_g = ctx.satellite_sum(dev_g)
             v = np.where(ctx.nonempty[:, None], v - eta * sat_g, v)
         satellite_ends.append((s, t_end, v))
     return VirtualTrajectories(global_paths=global_paths,
@@ -190,13 +186,19 @@ def theorem_bound(delta: float, Delta: float, rho: float, beta: float,
     return (rho / beta) * (delta * h(tau1) + Delta * h(tau1 * tau2))
 
 
-def estimate_rho_beta(models: list[np.ndarray],
-                      ctx: GradContext) -> tuple[float, float]:
-    """Max loss-difference and gradient-difference ratios over model pairs."""
+def estimate_rho_beta(models: list[np.ndarray], ctx: GradContext,
+                      grads: list[np.ndarray] | None = None,
+                      ) -> tuple[float, float]:
+    """Max loss-difference and gradient-difference ratios over model pairs.
+
+    ``grads``, when the caller already has them, are the models'
+    ``ctx.global_grad``.
+    """
     rho = 0.0
     beta = 0.0
     losses = [ctx.global_loss(w) for w in models]
-    grads = [ctx.global_grad(w) for w in models]
+    if grads is None:
+        grads = [ctx.global_grad(w) for w in models]
     for i in range(len(models)):
         for j in range(i + 1, len(models)):
             dist = float(np.linalg.norm(models[i] - models[j]))
@@ -256,19 +258,27 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     checks = []
     rho_all = 0.0
     beta_all = 0.0
+    start_grads = ctx.device_grads(trace.global_models[0][1])
     for (g, t0, path), (t_end, w_end) in zip(virt.global_paths,
                                              trace.global_models[1:]):
         v_end = path[-1]
         w_start = path[0]
+        end_grads = ctx.device_grads(w_end)
+        shared = [start_grads, end_grads, ctx.device_grads(v_end)]
         probes = [w_start, w_end, v_end]
         if t_end in sat_models:
             probes.extend(sat_models[t_end][k]
                           for k in np.flatnonzero(ctx.nonempty))
-        div = measure_divergence(trace, probe_points=probes, ctx=ctx)
+        div = measure_divergence(
+            trace, probe_points=probes, ctx=ctx,
+            device_grads=chain(shared, map(ctx.device_grads, probes[3:])))
         pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
-        rho, beta = estimate_rho_beta(pair_models, ctx)
+        pair_grads = [ctx.device_frac @ dev_g for dev_g in shared]
+        pair_grads.append(ctx.global_grad(pair_models[-1]))
+        rho, beta = estimate_rho_beta(pair_models, ctx, grads=pair_grads)
         rho_all = max(rho_all, rho)
         beta_all = max(beta_all, beta)
+        start_grads = end_grads
         bound = theorem_bound(div.delta_hat, div.Delta_hat,
                               SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
                               eta, tau1, tau2)

@@ -2,9 +2,10 @@
 
 The softmax learner is convex, Lipschitz and smooth on the bounded iterate
 region, so the convergence diagnostics apply to it. Parameters travel as flat
-vectors; each learner knows how to reshape them. Batched variants step every
-device at once on stacked arrays, which is where the simulation spends its
-time.
+vectors; each learner knows how to reshape them. Every kernel steps all
+devices at once with stacked ``@``, taking either per-device parameters
+``(D, P)`` or one shared model ``(P,)``; the shared softmax model runs as a
+single GEMM over the pooled samples.
 """
 from __future__ import annotations
 
@@ -12,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, TrainingError
-
-
-@dataclass(frozen=True)
-class LearnerState:
-    weights: np.ndarray        # (d+1, C), bias row last
-    eta: float
-    l2: float
+from .errors import ConfigurationError
 
 
 def augment(features: np.ndarray) -> np.ndarray:
@@ -29,15 +23,54 @@ def augment(features: np.ndarray) -> np.ndarray:
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    """Indicator rows along a new last axis, for labels of any shape."""
+    return (labels[..., None] == np.arange(n_classes)).astype(float)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+@dataclass(frozen=True)
+class Samples:
+    """Every device's samples in the layout the kernels read.
+
+    Column j of device i is its sample j: ``x`` is ``(d+1, D, n)`` augmented
+    features, ``y`` is ``(C, D, n)`` one-hot targets. Device i's matrices are
+    ``x[:, i]`` and ``y[:, i]``, and reshaping to ``(., D*n)`` pools all
+    samples without a copy, so the class axis is made of whole rows.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def stack(cls, features, labels, n_classes: int) -> "Samples":
+        """From per-device ``(n, d)`` features and ``(n,)`` labels."""
+        x = augment(np.stack(features)).transpose(2, 0, 1)
+        y = one_hot(np.stack(labels), n_classes).transpose(2, 0, 1)
+        return cls(x=np.ascontiguousarray(x), y=np.ascontiguousarray(y))
+
+    @property
+    def n_devices(self) -> int:
+        return self.x.shape[1]
+
+    def select(self, idx: np.ndarray) -> "Samples":
+        """Per-device sample subsets; ``idx`` is ``(D, b)`` column indices."""
+        return Samples(x=np.take_along_axis(self.x, idx[None], axis=2),
+                       y=np.take_along_axis(self.y, idx[None], axis=2))
+
+
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax over the class axis, in place."""
+    z -= z.max(axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=axis, keepdims=True)
+    return z
+
+
+def _nll(z: np.ndarray, targets: np.ndarray, axis: int) -> np.ndarray:
+    """Per-sample cross-entropy of logits ``z`` (overwritten) against one-hots."""
+    z -= z.max(axis=axis, keepdims=True)
+    target_logit = (targets * z).sum(axis=axis)
+    np.exp(z, out=z)
+    return np.log(z.sum(axis=axis)) - target_logit
 
 
 def _l2_mask(weights: np.ndarray) -> np.ndarray:
@@ -47,34 +80,9 @@ def _l2_mask(weights: np.ndarray) -> np.ndarray:
     return mask * weights
 
 
-def softmax_loss(weights: np.ndarray, features_aug: np.ndarray,
-                 labels: np.ndarray, l2: float) -> float:
-    """Mean cross-entropy plus (l2/2)*||W||^2 over the non-bias rows."""
-    logits = features_aug @ weights
-    z = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    nll = -log_probs[np.arange(labels.shape[0]), labels].mean()
-    reg = 0.5 * l2 * float(np.sum(weights[:-1] ** 2))
-    return float(nll) + reg
-
-
-def softmax_grad(weights: np.ndarray, features_aug: np.ndarray,
-                 labels: np.ndarray, l2: float) -> np.ndarray:
-    probs = _softmax(features_aug @ weights)
-    probs[np.arange(labels.shape[0]), labels] -= 1.0
-    grad = features_aug.T @ probs / labels.shape[0]
-    return grad + l2 * _l2_mask(weights)
-
-
-def local_step(state: LearnerState, features: np.ndarray,
-               labels: np.ndarray, eta: float | None = None) -> LearnerState:
-    """One full-batch gradient step on the device's data."""
-    eta = state.eta if eta is None else eta
-    grad = softmax_grad(state.weights, augment(features), labels, state.l2)
-    weights = state.weights - eta * grad
-    if not np.all(np.isfinite(weights)):
-        raise TrainingError("weights overflowed during local step")
-    return LearnerState(weights=weights, eta=state.eta, l2=state.l2)
+def _l2_penalty(weights: np.ndarray) -> np.ndarray:
+    """(1/2)*||W||^2 over the non-bias rows, per leading index."""
+    return 0.5 * np.sum(weights[..., :-1, :] ** 2, axis=(-2, -1))
 
 
 def softmax_accuracy(weights: np.ndarray, features: np.ndarray,
@@ -83,28 +91,8 @@ def softmax_accuracy(weights: np.ndarray, features: np.ndarray,
     return float(np.mean(pred == labels))
 
 
-def batched_softmax_grad(weights: np.ndarray, features_aug: np.ndarray,
-                         onehots: np.ndarray, l2: float) -> np.ndarray:
-    """Gradients for a stack of devices: (D, d+1, C) from (D, n, d+1) data."""
-    probs = _softmax(np.einsum("dnf,dfc->dnc", features_aug, weights))
-    diff = probs - onehots
-    grads = np.einsum("dnf,dnc->dfc", features_aug, diff) / features_aug.shape[1]
-    return grads + l2 * _l2_mask(weights)
-
-
-def batched_softmax_loss(weights: np.ndarray, features_aug: np.ndarray,
-                         onehots: np.ndarray, l2: float) -> np.ndarray:
-    """Per-device losses for a stack of devices."""
-    logits = np.einsum("dnf,dfc->dnc", features_aug, weights)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    nll = -(onehots * log_probs).sum(axis=-1).mean(axis=-1)
-    reg = 0.5 * l2 * np.sum(weights[:, :-1, :] ** 2, axis=(1, 2))
-    return nll + reg
-
-
 class SoftmaxLearner:
-    """Flat-vector adapter around the softmax regression functions."""
+    """Softmax regression on flat ``(d+1)*C`` vectors, bias row last."""
 
     name = "softmax"
     convex = True
@@ -125,16 +113,37 @@ class SoftmaxLearner:
     def _shape(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(flat.shape[:-1] + (self.d + 1, self.n_classes))
 
-    def grad(self, flat: np.ndarray, features_aug: np.ndarray,
-             onehots: np.ndarray) -> np.ndarray:
-        g = batched_softmax_grad(self._shape(flat), features_aug, onehots,
-                                 self.l2)
-        return g.reshape(flat.shape)
+    def _logits(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Class-major logits ``(C, D, n)``.
 
-    def loss(self, flat: np.ndarray, features_aug: np.ndarray,
-             onehots: np.ndarray) -> np.ndarray:
-        return batched_softmax_loss(self._shape(flat), features_aug, onehots,
-                                    self.l2)
+        Per-device weights write each device's block straight into the
+        pooled layout, so the softmax reduces over whole class rows either
+        way.
+        """
+        f, n_dev, n = x.shape
+        if weights.ndim == 2:
+            return (weights.T @ x.reshape(f, -1)).reshape(-1, n_dev, n)
+        z = np.empty((self.n_classes, n_dev, n))
+        np.matmul(weights.transpose(0, 2, 1), x.transpose(1, 0, 2),
+                  out=z.transpose(1, 0, 2))
+        return z
+
+    def grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+        """Per-device gradients ``(D, P)`` of the mean loss plus L2."""
+        weights = self._shape(flat)
+        x = samples.x
+        resid = _softmax(self._logits(weights, x), axis=0)
+        resid -= samples.y
+        grads = x.transpose(1, 0, 2) @ resid.transpose(1, 2, 0)
+        grads /= x.shape[2]
+        grads += self.l2 * _l2_mask(weights)
+        return grads.reshape(samples.n_devices, -1)
+
+    def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+        """Per-device mean cross-entropy plus (l2/2)*||W||^2, shape ``(D,)``."""
+        weights = self._shape(flat)
+        nll = _nll(self._logits(weights, samples.x), samples.y, axis=0)
+        return nll.mean(axis=1) + self.l2 * _l2_penalty(weights)
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray) -> float:
@@ -166,42 +175,40 @@ class MlpLearner:
         w2 = flat[..., self.n_w1:].reshape(lead + (self.hidden + 1, self.n_classes))
         return w1, w2
 
-    def _forward(self, flat, features_aug):
+    def _forward(self, flat, x):
+        """Per-device activations ``(D, hidden, n)`` and logits ``(D, C, n)``."""
         w1, w2 = self._split(flat)
-        h = np.tanh(np.einsum("dnf,dfh->dnh", features_aug, w1))
-        h_aug = np.concatenate([h, np.ones(h.shape[:-1] + (1,))], axis=-1)
-        logits = np.einsum("dnh,dhc->dnc", h_aug, w2)
+        h = np.tanh(np.swapaxes(w1, -1, -2) @ x.transpose(1, 0, 2))
+        h_aug = np.concatenate([h, np.ones((h.shape[0], 1, h.shape[2]))], axis=1)
+        logits = np.swapaxes(w2, -1, -2) @ h_aug
         return w1, w2, h, h_aug, logits
 
-    def grad(self, flat: np.ndarray, features_aug: np.ndarray,
-             onehots: np.ndarray) -> np.ndarray:
-        w1, w2, h, h_aug, logits = self._forward(flat, features_aug)
-        n = features_aug.shape[1]
-        diff = _softmax(logits) - onehots
-        g2 = np.einsum("dnh,dnc->dhc", h_aug, diff) / n
-        back = np.einsum("dnc,dhc->dnh", diff, w2[..., :-1, :]) * (1 - h ** 2)
-        g1 = np.einsum("dnf,dnh->dfh", features_aug, back) / n
-        g1 = g1 + self.l2 * _l2_mask(w1)
-        g2 = g2 + self.l2 * _l2_mask(w2)
-        lead = flat.shape[:-1]
-        return np.concatenate([g1.reshape(lead + (-1,)),
-                               g2.reshape(lead + (-1,))], axis=-1)
+    def grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+        """Per-device gradients ``(D, P)`` of the mean loss plus L2."""
+        w1, w2, h, h_aug, logits = self._forward(flat, samples.x)
+        n = samples.x.shape[2]
+        diff = _softmax(logits, axis=1)
+        diff -= samples.y.transpose(1, 0, 2)
+        g2 = h_aug @ diff.transpose(0, 2, 1) / n
+        back = (w2[..., :-1, :] @ diff) * (1 - h ** 2)
+        g1 = samples.x.transpose(1, 0, 2) @ back.transpose(0, 2, 1) / n
+        g1 += self.l2 * _l2_mask(w1)
+        g2 += self.l2 * _l2_mask(w2)
+        n_dev = samples.n_devices
+        return np.concatenate([g1.reshape(n_dev, -1), g2.reshape(n_dev, -1)],
+                              axis=1)
 
-    def loss(self, flat: np.ndarray, features_aug: np.ndarray,
-             onehots: np.ndarray) -> np.ndarray:
-        w1, w2, _, _, logits = self._forward(flat, features_aug)
-        z = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        nll = -(onehots * log_probs).sum(axis=-1).mean(axis=-1)
-        reg = 0.5 * self.l2 * (np.sum(w1[..., :-1, :] ** 2, axis=(-2, -1))
-                               + np.sum(w2[..., :-1, :] ** 2, axis=(-2, -1)))
-        return nll + reg
+    def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+        """Per-device mean cross-entropy plus L2, shape ``(D,)``."""
+        w1, w2, _, _, logits = self._forward(flat, samples.x)
+        nll = _nll(logits, samples.y.transpose(1, 0, 2), axis=1)
+        return nll.mean(axis=1) + self.l2 * (_l2_penalty(w1) + _l2_penalty(w2))
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray) -> float:
-        aug = augment(features)[None, :, :]
-        _, _, _, _, logits = self._forward(flat[None, :], aug)
-        pred = np.argmax(logits[0], axis=-1)
+        x = augment(features).T[:, None, :]
+        _, _, _, _, logits = self._forward(flat, x)
+        pred = np.argmax(logits[0], axis=0)
         return float(np.mean(pred == labels))
 
 

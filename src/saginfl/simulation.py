@@ -20,8 +20,8 @@ from .assignment import AssignmentMap, ClassDistribution, cdo, cnasa, gdo
 from .config import ExperimentConfig, validate_config
 from .coverage import CoverageMap, compute_coverage
 from .data import DeviceDataset, generate_data
-from .errors import InputError, TrainingError
-from .learner import augment, make_learner, one_hot
+from .errors import InputError, TopologyError, TrainingError
+from .learner import Samples, make_learner
 from .partition import PartitionSet, arc_partition, graph_partition, with_air_parts
 from .timecost import (
     TimeBreakdown,
@@ -217,9 +217,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     assignment, pset = select_assignment(
         cfg, topology, graph, hops, coverage, device_dists, time_params,
         policy_rng, partition_rng)
-    if cfg.policy.name == "cnasa":
+    relay_hops = assignment.relay_hops()
+    if cfg.policy.name == "cnasa" and relay_hops >= cfg.policy.n_geo:
         # assignment must stay inside its diameter-bounded partition
-        assert assignment.relay_hops() < cfg.policy.n_geo
+        raise TopologyError(
+            f"CNASA relay hops {relay_hops} not below n_geo {cfg.policy.n_geo}")
 
     trace = TrainingTrace(config=cfg)
     trace.topology = topology
@@ -271,9 +273,8 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
 
     global_weights = sat_totals / device_sizes.sum()
 
-    features_aug = np.stack([augment(ds.features) for ds in datasets])
-    onehots = np.stack([one_hot(ds.labels, cfg.data.n_classes)
-                        for ds in datasets])
+    samples = Samples.stack([ds.features for ds in datasets],
+                            [ds.labels for ds in datasets], cfg.data.n_classes)
 
     w0 = learner.init_params(learner_rng)
     device_params = np.tile(w0, (n_devices, 1))
@@ -299,19 +300,17 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
                                            time_params.model_bits)
 
     batch_size = cfg.training.batch_size
-    n_samples = features_aug.shape[1]
+    n_samples = samples.x.shape[2]
     for t in range(1, total_steps + 1):
         if 0 < batch_size < n_samples:
             # per-device sample without replacement (mini-batch mode)
             idx = np.argsort(batch_rng.random((n_devices, n_samples)),
                              axis=1)[:, :batch_size]
-            x_step = np.take_along_axis(
-                features_aug, idx[:, :, None], axis=1)
-            y_step = np.take_along_axis(onehots, idx[:, :, None], axis=1)
+            step_samples = samples.select(idx)
         else:
-            x_step, y_step = features_aug, onehots
+            step_samples = samples
         with np.errstate(over="ignore", invalid="ignore"):
-            grads = learner.grad(device_params, x_step, y_step)
+            grads = learner.grad(device_params, step_samples)
             device_params = device_params - eta * grads
         if not np.all(np.isfinite(device_params)):
             raise TrainingError(f"non-finite device parameters at local round {t}")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import ConfigurationError, TopologyError
 
@@ -388,21 +389,10 @@ def derive_isl_graph(topology: NetworkTopology, snapshot_epoch: float = 0.0) -> 
 
 
 def _hop_matrix(adj: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts by synchronous level expansion; -1 if unreachable."""
-    n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    adj_u8 = adj.astype(np.uint8)
-    d = 0
-    while frontier.any():
-        nxt = (frontier.astype(np.uint8) @ adj_u8 > 0) & ~reached
-        d += 1
-        dist[nxt] = d
-        reached |= nxt
-        frontier = nxt
-    return dist
+    """All-pairs hop counts by breadth-first search; -1 if unreachable."""
+    dist = shortest_path(adj, unweighted=True)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def connected_components(adj: np.ndarray) -> list[list[int]]:

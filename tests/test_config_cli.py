@@ -1,9 +1,16 @@
 """Configuration parsing and the command-line runner."""
+import csv
+import hashlib
 import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import saginfl
+from saginfl import cli
 from saginfl.cli import main
 from saginfl.config import apply_axis, load_config, parse_config_text
 from saginfl.errors import ConfigurationError
@@ -82,6 +89,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="n_geo"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("section,old,new", [
+        ("training", "tau1 = 2", "tau1 = 2\nlearning_rate = 0"),
+        ("training", "tau1 = 2", "tau1 = 2\nlearning_rate = -0.5"),
+        ("training", "tau1 = 2", "tau1 = 2\nl2 = -1e-3"),
+        ("training", "tau1 = 2", "tau1 = 2\nhidden_dim = 0"),
+        ("data", "test_samples = 300", "test_samples = 0"),
+    ], ids=["learning_rate_zero", "learning_rate_negative", "l2_negative",
+            "hidden_dim_zero", "test_samples_zero"])
+    def test_out_of_domain_value_names_field(self, section, old, new):
+        field = new.split("\n")[-1].split(" = ")[0]
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\] {field}"):
+            parse_config_text(SMALL_CONFIG.replace(old, new))
+
     def test_apply_axis_variants(self):
         cfg = parse_config_text(SMALL_CONFIG)
         assert apply_axis(cfg, "n_geo", 4).policy.n_geo == 4
@@ -145,6 +165,22 @@ class TestCliRun:
         trace2 = next((output_root / "out").glob("*.trace.txt")).read_bytes()
         assert trace1 == trace2
 
+    def test_trace_independent_of_blas_threads(self, config_file, tmp_path):
+        src = Path(saginfl.__file__).resolve().parents[1]
+        digests = set()
+        for threads in ("1", "2"):
+            root = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, SAGINFL_OUTPUT_ROOT=str(root),
+                       PYTHONPATH=os.pathsep.join(
+                           [str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "saginfl.cli", "run",
+                            str(config_file)], env=env, check=True,
+                           capture_output=True)
+            trace = next((root / "out").glob("*.trace.txt"))
+            digests.add(hashlib.sha256(trace.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
     def test_validate_ok(self, config_file, capsys):
         assert main(["validate", str(config_file)]) == 0
         assert "OK" in capsys.readouterr().out
@@ -172,6 +208,38 @@ class TestCliSweep:
         assert cells == [("2", "1"), ("2", "3"), ("4", "1"), ("4", "3")]
         summary = (sweep_dir / "summary.csv").read_text().strip().split("\n")
         assert len(summary) == 3
+
+    def test_numeric_order_and_quoted_error_status(self, tmp_path,
+                                                   output_root, monkeypatch):
+        config = tmp_path / "ten.ini"
+        config.write_text(SMALL_CONFIG.replace("n_sats = 4", "n_sats = 10")
+                          .replace("n_air = 8", "n_air = 10")
+                          .replace("devices_per_air = 2", "devices_per_air = 1")
+                          .replace("global_rounds = 3", "global_rounds = 1"))
+        real_run = cli.execute_run
+
+        def failing_cell(cfg, out):
+            if cfg.policy.n_geo == 5:
+                raise RuntimeError("cell failed, on purpose")
+            return real_run(cfg, out)
+
+        monkeypatch.setattr(cli, "execute_run", failing_cell)
+        rc = main(["sweep", str(config), "--axis", "n_geo",
+                   "--values", "2,5,10", "--seeds", "1"])
+        assert rc == 0
+        sweep_dir = output_root / "out" / "sweep_n_geo"
+        with open(sweep_dir / "runs.csv", newline="") as fh:
+            runs = list(csv.reader(fh))
+        assert runs[0] == list(cli.RUNS_COLUMNS)
+        assert all(len(r) == len(cli.RUNS_COLUMNS) for r in runs)
+        assert [r[1] for r in runs[1:]] == ["2", "5", "10"]
+        assert [r[-1] for r in runs[1:]] == [
+            "ok", "error: cell failed, on purpose", "ok"]
+        with open(sweep_dir / "summary.csv", newline="") as fh:
+            summary = list(csv.reader(fh))
+        assert all(len(r) == len(cli.AGG_COLUMNS) for r in summary)
+        assert [(r[1], r[2]) for r in summary[1:]] == [
+            ("2", "1"), ("5", "0"), ("10", "1")]
 
     def test_bad_axis_exit_two(self, config_file):
         assert main(["sweep", str(config_file), "--axis", "n_geo",

@@ -1,7 +1,11 @@
 """Access-satellite determination via nearest sub-satellite point."""
+import dataclasses
+
 import numpy as np
+import pytest
 
 from saginfl.coverage import compute_coverage, subsatellite_points
+from saginfl.errors import TopologyError
 from saginfl.topology import (
     air_unit_positions,
     build_single_orbit,
@@ -87,6 +91,22 @@ class TestComputeCoverage:
         all_members = [a for members in cov.cell_members.values()
                        for a in members]
         assert sorted(all_members) == list(range(23))
+
+    def test_validate_rejects_unmapped_air_node(self):
+        topo = build_single_orbit(4, 330.0, 8, 1)
+        cov = compute_coverage(topo)
+        access = {air: sat for air, sat in cov.access.items() if air != 3}
+        with pytest.raises(TopologyError, match=r"differ on \[3\]"):
+            dataclasses.replace(cov, access=access).validate(topo)
+
+    def test_validate_rejects_inconsistent_cells(self):
+        topo = build_single_orbit(4, 330.0, 8, 1)
+        cov = compute_coverage(topo)
+        sat = cov.access[0]
+        members = dict(cov.cell_members)
+        members[sat] = tuple(a for a in members[sat] if a != 0)
+        with pytest.raises(TopologyError, match=f"cell of satellite {sat}"):
+            dataclasses.replace(cov, cell_members=members).validate(topo)
 
     def test_single_orbit_cells_contiguous_in_longitude(self):
         topo = build_single_orbit(10, 330.0, 40, 1)

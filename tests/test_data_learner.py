@@ -1,21 +1,55 @@
 """Synthetic data generation and the local learners."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from saginfl.data import class_scales, device_classes, generate_data
 from saginfl.errors import ConfigurationError
 from saginfl.learner import (
-    LearnerState,
     MlpLearner,
+    Samples,
     SoftmaxLearner,
     augment,
-    local_step,
     make_learner,
-    one_hot,
-    softmax_grad,
-    softmax_loss,
 )
 from saginfl.simulation import satellite_aggregate
+
+
+# Naive single-device softmax regression, sample-major, as a reference for
+# the stacked kernels.
+
+@dataclass(frozen=True)
+class LearnerState:
+    weights: np.ndarray        # (d+1, C), bias row last
+    eta: float
+    l2: float
+
+
+def softmax_loss(weights, features_aug, labels, l2):
+    """Mean cross-entropy plus (l2/2)*||W||^2 over the non-bias rows."""
+    logits = features_aug @ weights
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    nll = -log_probs[np.arange(labels.shape[0]), labels].mean()
+    return float(nll) + 0.5 * l2 * float(np.sum(weights[:-1] ** 2))
+
+
+def softmax_grad(weights, features_aug, labels, l2):
+    logits = features_aug @ weights
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = z / z.sum(axis=-1, keepdims=True)
+    probs[np.arange(labels.shape[0]), labels] -= 1.0
+    reg = weights.copy()
+    reg[-1] = 0.0
+    return features_aug.T @ probs / labels.shape[0] + l2 * reg
+
+
+def local_step(state, features, labels):
+    """One full-batch gradient step on one device's data."""
+    grad = softmax_grad(state.weights, augment(features), labels, state.l2)
+    return LearnerState(weights=state.weights - state.eta * grad,
+                        eta=state.eta, l2=state.l2)
 
 
 def finite_difference_grad(weights, features_aug, labels, l2, eps=1e-6):
@@ -87,33 +121,40 @@ class TestGenerateData:
 class TestSoftmaxLearner:
     def test_zero_eta_no_change(self):
         rng = np.random.default_rng(1)
-        state = LearnerState(weights=rng.standard_normal((4, 3)), eta=0.0,
-                             l2=0.01)
+        learner = SoftmaxLearner(d=3, n_classes=3, l2=0.01)
+        flat = rng.standard_normal(learner.n_params)
         X = rng.standard_normal((5, 3))
         y = np.array([0, 1, 2, 1, 0])
-        out = local_step(state, X, y)
-        assert (out.weights == state.weights).all()
+        out = flat - 0.0 * learner.grad(flat[None], Samples.stack([X], [y], 3))[0]
+        assert (out == flat).all()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
+        learner = SoftmaxLearner(d=2, n_classes=3, l2=0.05)
         X = rng.standard_normal((3, 2))
         y = np.array([0, 2, 1])
-        X_aug = augment(X)
         W = rng.standard_normal((3, 3)) * 0.5
-        analytic = softmax_grad(W, X_aug, y, l2=0.05)
-        numeric = finite_difference_grad(W, X_aug, y, l2=0.05)
+        samples = Samples.stack([X], [y], 3)
+        analytic = learner.grad(W.ravel()[None], samples)[0].reshape(3, 3)
+        numeric = finite_difference_grad(W, augment(X), y, l2=0.05)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() < 1e-5
 
     def test_loss_non_increasing_small_eta(self):
         rng = np.random.default_rng(3)
+        learner = SoftmaxLearner(d=4, n_classes=3, l2=0.01)
         X = rng.standard_normal((20, 4))
         y = rng.integers(0, 3, size=20)
+        samples = Samples.stack([X], [y], 3)
         state = LearnerState(weights=np.zeros((5, 3)), eta=0.05, l2=0.01)
+        flat = np.zeros(learner.n_params)
         losses = []
         for _ in range(30):
             losses.append(softmax_loss(state.weights, augment(X), y, 0.01))
+            assert abs(learner.loss(flat[None], samples)[0] - losses[-1]) < 1e-12
             state = local_step(state, X, y)
+            flat = flat - 0.05 * learner.grad(flat[None], samples)[0]
+            assert np.abs(flat - state.weights.ravel()).max() < 1e-12
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_batched_matches_single(self):
@@ -121,14 +162,15 @@ class TestSoftmaxLearner:
         learner = SoftmaxLearner(d=4, n_classes=3, l2=0.02)
         X = rng.standard_normal((2, 6, 4))
         y = rng.integers(0, 3, size=(2, 6))
-        X_aug = np.stack([augment(X[i]) for i in range(2)])
-        onehots = np.stack([one_hot(y[i], 3) for i in range(2)])
         flat = rng.standard_normal((2, learner.n_params))
-        grads = learner.grad(flat, X_aug, onehots)
+        samples = Samples.stack(X, y, 3)
+        grads = learner.grad(flat, samples)
+        losses = learner.loss(flat, samples)
         for i in range(2):
             W = flat[i].reshape(5, 3)
-            single = softmax_grad(W, X_aug[i], y[i], 0.02)
+            single = softmax_grad(W, augment(X[i]), y[i], 0.02)
             assert np.allclose(grads[i].reshape(5, 3), single)
+            assert np.isclose(losses[i], softmax_loss(W, augment(X[i]), y[i], 0.02))
 
     def test_accuracy_on_separable_toy(self):
         rng = np.random.default_rng(5)
@@ -137,11 +179,27 @@ class TestSoftmaxLearner:
                        rng.standard_normal((30, 2)) - [4, 0]])
         y = np.array([0] * 30 + [1] * 30)
         flat = learner.init_params(rng)
-        X_aug = augment(X)[None]
-        onehots = one_hot(y, 2)[None]
+        samples = Samples.stack([X], [y], 2)
         for _ in range(50):
-            flat = flat - 0.5 * learner.grad(flat[None], X_aug, onehots)[0]
+            flat = flat - 0.5 * learner.grad(flat[None], samples)[0]
         assert learner.accuracy(flat, X, y) > 0.95
+
+
+@pytest.mark.parametrize("learner", [
+    SoftmaxLearner(d=5, n_classes=4, l2=0.03),
+    MlpLearner(d=5, n_classes=4, l2=0.03, hidden=6),
+], ids=["softmax", "mlp"])
+def test_shared_model_equals_broadcast_stack(learner):
+    rng = np.random.default_rng(10)
+    X = rng.standard_normal((7, 9, 5))
+    y = rng.integers(0, 4, size=(7, 9))
+    samples = Samples.stack(X, y, 4)
+    flat = learner.init_params(rng)
+    stack = np.broadcast_to(flat, (7, learner.n_params))
+    assert np.abs(learner.grad(flat, samples)
+                  - learner.grad(stack, samples)).max() < 1e-12
+    assert np.abs(learner.loss(flat, samples)
+                  - learner.loss(stack, samples)).max() < 1e-12
 
 
 class TestMlpLearner:
@@ -150,16 +208,15 @@ class TestMlpLearner:
         learner = MlpLearner(d=3, n_classes=3, l2=0.01, hidden=4)
         X = rng.standard_normal((4, 3))
         y = np.array([0, 1, 2, 1])
-        X_aug = augment(X)[None]
-        onehots = one_hot(y, 3)[None]
+        samples = Samples.stack([X], [y], 3)
         flat = learner.init_params(rng) * 0.7
-        analytic = learner.grad(flat[None], X_aug, onehots)[0]
+        analytic = learner.grad(flat[None], samples)[0]
         eps = 1e-6
         for idx in range(0, learner.n_params, 7):
             up = flat.copy(); up[idx] += eps
             down = flat.copy(); down[idx] -= eps
-            num = (learner.loss(up[None], X_aug, onehots)[0]
-                   - learner.loss(down[None], X_aug, onehots)[0]) / (2 * eps)
+            num = (learner.loss(up[None], samples)[0]
+                   - learner.loss(down[None], samples)[0]) / (2 * eps)
             assert abs(analytic[idx] - num) < 1e-5
 
     def test_make_learner_dispatch(self):

@@ -21,8 +21,19 @@ from saginfl.diagnostics import (
     virtual_trajectories,
 )
 from saginfl.errors import InputError
-from saginfl.learner import augment, one_hot, softmax_grad
+from saginfl.learner import augment
 from saginfl.simulation import run_obl
+
+
+def naive_softmax_grad(weights, features_aug, labels, l2):
+    """One device's softmax-regression gradient, sample-major."""
+    logits = features_aug @ weights
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = z / z.sum(axis=-1, keepdims=True)
+    probs[np.arange(labels.shape[0]), labels] -= 1.0
+    reg = weights.copy()
+    reg[-1] = 0.0
+    return features_aug.T @ probs / labels.shape[0] + l2 * reg
 
 
 def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,
@@ -93,7 +104,7 @@ class TestMeasureDivergence:
         l2 = cfg.training.l2
         grads = []
         for ds in trace.datasets:
-            grads.append(softmax_grad(W, augment(ds.features), ds.labels, l2))
+            grads.append(naive_softmax_grad(W, augment(ds.features), ds.labels, l2))
         sat = 0.5 * grads[0] + 0.5 * grads[1]
         expect_dev0 = np.linalg.norm(grads[0] - sat)
         div = measure_divergence(trace, probe_points=[w_flat])
@@ -107,6 +118,22 @@ class TestMeasureDivergence:
         div = measure_divergence(trace, ctx=ctx)
         manual_delta = float(ctx.device_frac @ div.delta_per_device)
         assert abs(div.delta_hat - manual_delta) < 1e-15
+
+
+class TestGradContext:
+    def test_global_grad_is_data_weighted_device_sum(self):
+        trace = run_obl(small_config(seed=4))
+        ctx = GradContext.from_trace(trace)
+        n_classes = trace.config.data.n_classes
+        l2 = trace.config.training.l2
+        for _, w in trace.global_models[::2]:
+            W = w.reshape(-1, n_classes)
+            device_grads = np.stack([
+                naive_softmax_grad(W, augment(ds.features), ds.labels, l2).ravel()
+                for ds in trace.datasets])
+            expected = ctx.device_frac @ device_grads
+            assert np.abs(ctx.global_grad(w) - expected).max() < 1e-12
+            assert np.abs(ctx.device_grads(w) - device_grads).max() < 1e-12
 
 
 class TestVirtualTrajectories:
@@ -158,7 +185,7 @@ class TestVirtualTrajectories:
         for k in range(2):
             vk = start.copy()
             for _ in range(2):
-                vk = vk - 0.2 * ctx.satellite_grad(k, vk)
+                vk = vk - 0.2 * ctx.satellite_sum(ctx.device_grads(vk))[k]
             assert np.abs(v_sats[k] - vk).max() < 1e-12
 
 

@@ -12,9 +12,10 @@ from saginfl.config import (
     TopologyConfig,
     TrainingConfig,
 )
+from saginfl import simulation
 from saginfl.diagnostics import GradContext
-from saginfl.errors import ConfigurationError
-from saginfl.learner import augment, one_hot
+from saginfl.errors import ConfigurationError, TopologyError
+from saginfl.learner import Samples
 from saginfl.simulation import run_obl
 from saginfl.trace import render_trace
 
@@ -45,11 +46,10 @@ class TestDegenerate:
         trace = run_obl(cfg)
         ds = trace.datasets[0]
         learner = trace.learner
-        X_aug = augment(ds.features)[None]
-        onehots = one_hot(ds.labels, 4)[None]
+        samples = Samples.stack([ds.features], [ds.labels], 4)
         w = trace.global_models[0][1].copy()
         for _ in range(6):
-            w = w - 0.1 * learner.grad(w[None], X_aug, onehots)[0]
+            w = w - 0.1 * learner.grad(w[None], samples)[0]
         assert np.allclose(trace.global_models[-1][1], w, atol=1e-12)
 
     def test_every_record_kind_matches_cadence(self):
@@ -200,6 +200,18 @@ class TestTimeAccounting:
         assert np.allclose(ring.global_models[-1][1],
                            gossip.global_models[-1][1])
         assert gossip.breakdowns[0].t_sync > ring.breakdowns[0].t_sync
+
+    def test_relay_hops_at_n_geo_raise_topology_error(self, monkeypatch):
+        real_cnasa = simulation.cnasa
+
+        def overlong(*args):
+            assignment = real_cnasa(*args)
+            return dataclasses.replace(
+                assignment, hops={air: 2 for air in assignment.hops})
+
+        monkeypatch.setattr(simulation, "cnasa", overlong)
+        with pytest.raises(TopologyError, match="relay hops 2"):
+            run_obl(make_config(policy="cnasa", n_geo=2))
 
     def test_policy_inconsistency_rejected(self):
         cfg = make_config(policy="cnasa", n_geo=9)  # only 4 satellites
