@@ -5,60 +5,61 @@ to satellites (geographic, class-diversity, or the partitioned
 cluster-and-match policy), trains a convex learner on synthetic non-IID data,
 synchronizes satellite models by chunked Ring Allreduce, and accounts
 end-to-end time per round.
+
+The package root exports the public API: running one configuration, deriving
+sweep cells, the convergence diagnostics, the configuration types and
+loaders, and the errors. The ``saginfl`` command (``saginfl.cli``) runs,
+sweeps and validates configuration files. Building blocks live in their
+modules.
 """
-from .allreduce import (
-    CommLog,
-    ModelVector,
-    chunk_model,
-    gossip_traffic,
-    multi_orbit_sync,
-    ring_allreduce,
-    ring_traffic_per_node,
-    traffic_per_node,
+from .config import (
+    AXES,
+    DataConfig,
+    ExperimentConfig,
+    PolicyConfig,
+    RunConfig,
+    TopologyConfig,
+    TrainingConfig,
+    apply_axis,
+    load_config,
+    parse_config_text,
+    validate_config,
+    with_seed,
 )
-from .assignment import (
-    AssignmentMap,
-    ClassDistribution,
-    ClusterSet,
-    air_class_distribution,
-    build_clusters,
-    cdo,
-    cnasa,
-    gdo,
-    kmeans,
-    min_cost_matching,
-)
-from .config import ExperimentConfig, load_config, parse_config_text, validate_config
-from .coverage import CoverageMap, compute_coverage, subsatellite_points
-from .data import DeviceDataset, generate_data
 from .diagnostics import (
+    BoundReport,
     check_convergence_bound,
     measure_divergence,
     theorem_bound,
     virtual_trajectories,
 )
 from .errors import ConfigurationError, InputError, TopologyError, TrainingError
-from .partition import PartitionSet, air_nodes_to_parts, arc_partition, graph_partition
-from .simulation import TrainingTrace, run_obl, satellite_aggregate
-from .timecost import (
-    TimeBreakdown,
-    TimeParams,
-    comm_time,
-    comp_time,
-    end_to_end,
-    relay_hops,
-    sync_time,
-    total_time,
-    trans_delay,
-)
-from .topology import (
-    IslGraph,
-    LinkParams,
-    NetworkTopology,
-    build_single_orbit,
-    build_walker,
-    derive_isl_graph,
-    hop_distances,
-)
+from .simulation import TrainingTrace, run_obl
+
+__all__ = [
+    "AXES",
+    "BoundReport",
+    "ConfigurationError",
+    "DataConfig",
+    "ExperimentConfig",
+    "InputError",
+    "PolicyConfig",
+    "RunConfig",
+    "TopologyConfig",
+    "TopologyError",
+    "TrainingConfig",
+    "TrainingError",
+    "TrainingTrace",
+    "apply_axis",
+    "check_convergence_bound",
+    "load_config",
+    "measure_divergence",
+    "parse_config_text",
+    "run_obl",
+    "theorem_bound",
+    "validate_config",
+    "virtual_trajectories",
+    "with_seed",
+]
 
 __version__ = "0.1.0"

@@ -38,31 +38,21 @@ class ModelVector:
 class CommLog:
     """Exact communication accounting for one synchronization."""
 
-    chunks_sent: dict[int, int] = field(default_factory=dict)
-    chunks_received: dict[int, int] = field(default_factory=dict)
     params_sent: dict[int, int] = field(default_factory=dict)
     params_received: dict[int, int] = field(default_factory=dict)
     steps: dict[str, int] = field(default_factory=dict)
     transfers: list[tuple[str, int, int, int, int]] = field(default_factory=list)
-    record_transfers: bool = True
-
-    def note(self, phase: str, step: int, src: int, dst: int, n_params: int) -> None:
-        self.chunks_sent[src] = self.chunks_sent.get(src, 0) + 1
-        self.chunks_received[dst] = self.chunks_received.get(dst, 0) + 1
-        self.params_sent[src] = self.params_sent.get(src, 0) + n_params
-        self.params_received[dst] = self.params_received.get(dst, 0) + n_params
-        if self.record_transfers:
-            self.transfers.append((phase, step, src, dst, n_params))
 
     def note_ring_step(self, phase: str, step: int, ids: list[int],
                        chunk_params: int) -> None:
         """One synchronous ring step: every participant sends one chunk."""
         n = len(ids)
         for k in range(n):
-            self.note(phase, step, ids[k], ids[(k + 1) % n], chunk_params)
-        self.bump_phase(phase)
-
-    def bump_phase(self, phase: str) -> None:
+            src, dst = ids[k], ids[(k + 1) % n]
+            self.params_sent[src] = self.params_sent.get(src, 0) + chunk_params
+            self.params_received[dst] = (self.params_received.get(dst, 0)
+                                         + chunk_params)
+            self.transfers.append((phase, step, src, dst, chunk_params))
         self.steps[phase] = self.steps.get(phase, 0) + 1
 
     def total_sent(self) -> int:
@@ -72,8 +62,8 @@ class CommLog:
         return sum(self.params_received.values())
 
 
-def chunk_model(params: np.ndarray, n: int) -> list[np.ndarray]:
-    """Split into n chunks of ceil(M/n) entries, zero-padding the last."""
+def chunk_model(params: np.ndarray, n: int) -> np.ndarray:
+    """Split into n chunks (rows) of ceil(M/n) entries, zero-padding the last."""
     if n < 1:
         raise InputError(f"chunk count must be >= 1, got {n}")
     params = np.asarray(params, dtype=float)
@@ -81,10 +71,10 @@ def chunk_model(params: np.ndarray, n: int) -> list[np.ndarray]:
     size = max(1, math.ceil(m / n))
     padded = np.zeros(size * n, dtype=float)
     padded[:m] = params
-    return [padded[i * size:(i + 1) * size].copy() for i in range(n)]
+    return padded.reshape(n, size)
 
 
-def stitch_chunks(chunks: list[np.ndarray], m: int) -> np.ndarray:
+def stitch_chunks(chunks: np.ndarray, m: int) -> np.ndarray:
     """Inverse of chunk_model: concatenate and drop padding."""
     return np.concatenate(chunks)[:m]
 
@@ -102,10 +92,8 @@ def _ring_reduce_sum(vectors: list[np.ndarray], ids: list[int], log: CommLog,
     m = vectors[0].shape[0]
     if n == 1:
         return [vectors[0].copy()]
-    size = max(1, math.ceil(m / n))
-    chunks = np.zeros((n, n, size))
-    for k, v in enumerate(vectors):
-        chunks[k].reshape(-1)[:m] = v
+    chunks = np.stack([chunk_model(v, n) for v in vectors])   # (n, n, size)
+    size = chunks.shape[2]
 
     ks = np.arange(n)
     dst = (ks + 1) % n
@@ -121,7 +109,7 @@ def _ring_reduce_sum(vectors: list[np.ndarray], ids: list[int], log: CommLog,
         payload = chunks[ks, idx, :].copy()
         chunks[dst, idx, :] = payload
         log.note_ring_step(gather, step, ids, size)
-    return [chunks[k].reshape(-1)[:m].copy() for k in range(n)]
+    return [stitch_chunks(chunks[k], m) for k in range(n)]
 
 
 def _check_models(models: list[ModelVector]) -> int:
@@ -139,30 +127,18 @@ def _check_models(models: list[ModelVector]) -> int:
 
 
 def ring_allreduce_states(models: list[ModelVector], ids: list[int] | None = None,
-                          record_transfers: bool = True,
                           ) -> tuple[list[np.ndarray], CommLog]:
-    """Run the collective and return every participant's final vector."""
-    m = _check_models(models)
-    n = len(models)
-    ids = list(range(n)) if ids is None else list(ids)
-    log = CommLog(record_transfers=record_transfers)
-    if n == 1:
-        return [models[0].params * models[0].weight], log
-    scaled = [mv.params * mv.weight for mv in models]
-    states = _ring_reduce_sum(scaled, ids, log)
-    return states, log
-
-
-def ring_allreduce(models: list[ModelVector], ids: list[int] | None = None,
-                   record_transfers: bool = True) -> tuple[ModelVector, CommLog]:
     """Weighted-average synchronization over one ring.
 
     Each participant's vector is pre-scaled by its weight, so the chunked
-    sum-reduce yields the weighted average in a single pass. All participants
-    finish with bit-identical copies; the returned model carries weight 1.
+    sum-reduce yields the weighted average in a single pass. Returns every
+    participant's final vector; all are bit-identical.
     """
-    states, log = ring_allreduce_states(models, ids, record_transfers)
-    return ModelVector(params=states[0], weight=1.0), log
+    _check_models(models)
+    ids = list(range(len(models))) if ids is None else list(ids)
+    log = CommLog()
+    states = _ring_reduce_sum([mv.params * mv.weight for mv in models], ids, log)
+    return states, log
 
 
 def _orbit_representatives(graph: IslGraph) -> list[int]:
@@ -182,7 +158,6 @@ def _orbit_representatives(graph: IslGraph) -> list[int]:
 
 
 def multi_orbit_sync_states(orbit_models: list[list[ModelVector]], graph: IslGraph,
-                            record_transfers: bool = True,
                             ) -> tuple[dict[int, np.ndarray], CommLog]:
     """Three-phase synchronization; returns each satellite's final vector.
 
@@ -194,8 +169,7 @@ def multi_orbit_sync_states(orbit_models: list[list[ModelVector]], graph: IslGra
     """
     if len(orbit_models) != len(graph.orbits):
         raise InputError("one model list per orbit is required")
-    flat = [mv for orbit in orbit_models for mv in orbit]
-    m = _check_models(flat)
+    _check_models([mv for orbit in orbit_models for mv in orbit])
     for j, orbit in enumerate(orbit_models):
         if not orbit:
             raise InputError(f"orbit {j} has no participants")
@@ -203,38 +177,30 @@ def multi_orbit_sync_states(orbit_models: list[list[ModelVector]], graph: IslGra
             raise InputError(f"orbit {j}: {len(orbit)} models for "
                              f"{len(graph.orbits[j])} satellites")
 
-    log = CommLog(record_transfers=record_transfers)
     if len(orbit_models) == 1:
         ids = list(graph.orbits[0])
-        scaled = [mv.params * mv.weight for mv in orbit_models[0]]
-        if len(scaled) == 1:
-            return {ids[0]: scaled[0]}, log
-        states = _ring_reduce_sum(scaled, ids, log)
+        states, log = ring_allreduce_states(orbit_models[0], ids)
         return dict(zip(ids, states)), log
 
+    log = CommLog()
     # phase 1: per-orbit partial sums of globally weighted vectors
     orbit_sums: list[np.ndarray] = []
     for j, orbit in enumerate(orbit_models):
         ids = list(graph.orbits[j])
         scaled = [mv.params * mv.weight for mv in orbit]
-        states = _ring_reduce_sum(scaled, ids, log, phase_prefix="phase1-") \
-            if len(scaled) > 1 else [scaled[0].copy()]
+        states = _ring_reduce_sum(scaled, ids, log, phase_prefix="phase1-")
         orbit_sums.append(states[0])
 
     # phase 2: ring over representatives, one per orbit
     reps = _orbit_representatives(graph)
-    rep_states = _ring_reduce_sum(orbit_sums, reps, log, phase_prefix="phase2-") \
-        if len(reps) > 1 else [orbit_sums[0]]
-    global_vec = rep_states[0]
+    global_vec = _ring_reduce_sum(orbit_sums, reps, log,
+                                  phase_prefix="phase2-")[0]
 
     # phase 3: intra-orbit distribution; non-representatives hold zeros so the
     # reduce degenerates to chunk replacement
     result: dict[int, np.ndarray] = {}
     for j, orbit in enumerate(graph.orbits):
         ids = list(orbit)
-        if len(ids) == 1:
-            result[ids[0]] = global_vec.copy()
-            continue
         rep = reps[j]
         vectors = [global_vec.copy() if s == rep else np.zeros_like(global_vec)
                    for s in ids]
@@ -242,14 +208,6 @@ def multi_orbit_sync_states(orbit_models: list[list[ModelVector]], graph: IslGra
         for s, vec in zip(ids, states):
             result[s] = vec
     return result, log
-
-
-def multi_orbit_sync(orbit_models: list[list[ModelVector]], graph: IslGraph,
-                     record_transfers: bool = True) -> tuple[ModelVector, CommLog]:
-    """Weighted-average synchronization across a multi-orbit constellation."""
-    states, log = multi_orbit_sync_states(orbit_models, graph, record_transfers)
-    first = states[min(states)]
-    return ModelVector(params=first, weight=1.0), log
 
 
 def traffic_per_node(log: CommLog, m: int, n: int) -> int:

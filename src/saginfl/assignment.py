@@ -4,12 +4,12 @@ CNASA works per partition: average device class distributions up to air
 nodes, k-means them into homogeneous groups, round-robin one member of every
 group into each cluster, then match clusters to satellites by minimum total
 model delivery time. GDO keeps every air node on its access satellite; CDO is
-CNASA run on a single global partition.
+CNASA run on the whole-constellation partition (``whole_partition``).
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -57,11 +57,6 @@ class AssignmentMap:
 
     def relay_hops(self) -> int:
         return max(self.hops.values(), default=0)
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    clusters: tuple[tuple[int, ...], ...]
 
 
 def air_class_distribution(device_dists: list[ClassDistribution]) -> ClassDistribution:
@@ -131,7 +126,7 @@ def kmeans(vectors: list[ClassDistribution] | np.ndarray, k: int,
 
 
 def build_clusters(groups: list[list[int]], n_geo: int,
-                   rng: np.random.Generator) -> ClusterSet:
+                   rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
     """Round-robin draw: every cluster takes one member of every group.
 
     Draws are uniform without replacement. An exhausted group is backfilled
@@ -162,7 +157,7 @@ def build_clusters(groups: list[list[int]], n_geo: int,
     while any(pools):
         target = min(clusters, key=len)
         target.append(draw(largest_pool()))
-    return ClusterSet(clusters=tuple(tuple(c) for c in clusters))
+    return tuple(tuple(c) for c in clusters)
 
 
 def _matching_total(cost: np.ndarray) -> float:
@@ -240,8 +235,7 @@ def gdo(coverage: CoverageMap) -> AssignmentMap:
 
 
 def cnasa(topology: NetworkTopology, coverage: CoverageMap,
-          partition_set: PartitionSet,
-          device_dists: list[ClassDistribution], n_geo: int,
+          partition_set: PartitionSet, device_dists: list[ClassDistribution],
           rng: np.random.Generator, timecost_model) -> AssignmentMap:
     """Partition-wise cluster-and-match assignment.
 
@@ -251,11 +245,7 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
     """
     if len(partition_set.parts) != len(partition_set.air_parts):
         raise ConfigurationError("partition set lacks air parts; "
-                                 "run air_nodes_to_parts first")
-    if partition_set.n_geo != n_geo:
-        raise ConfigurationError(
-            f"partition set was built with n_geo={partition_set.n_geo}, "
-            f"assignment requested n_geo={n_geo}")
+                                 "run with_air_parts first")
     air_devices: dict[int, list[int]] = {a.id: list(a.device_ids)
                                          for a in topology.air_nodes}
     f: dict[int, int] = {}
@@ -279,7 +269,7 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
         labels = kmeans(air_dists, k, part_rng)
         groups = [[airs[i] for i in range(len(airs)) if labels[i] == g]
                   for g in range(k)]
-        clusters = build_clusters(groups, n_clusters, part_rng).clusters
+        clusters = build_clusters(groups, n_clusters, part_rng)
         cost = np.zeros((n_clusters, n_clusters))
         for ci, cluster in enumerate(clusters):
             for si, sat in enumerate(sats):
@@ -294,15 +284,3 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
     max_access, max_assigned = _assignment_stats(f, coverage)
     return AssignmentMap(f=f, hops=hops, max_access_cell=max_access,
                          max_assigned=max_assigned, warnings=tuple(warnings))
-
-
-def cdo(topology: NetworkTopology, coverage: CoverageMap,
-        device_dists: list[ClassDistribution], rng: np.random.Generator,
-        timecost_model) -> AssignmentMap:
-    """Class-distribution-only baseline: CNASA over one global partition."""
-    all_sats = tuple(s.id for s in topology.satellites)
-    all_airs = tuple(a.id for a in topology.air_nodes)
-    pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,),
-                        n_geo=topology.n_satellites)
-    return cnasa(topology, coverage, pset, device_dists,
-                 topology.n_satellites, rng, timecost_model)

@@ -93,9 +93,7 @@ class PolicyConfig:
 class RunConfig:
     seed: int = -1                     # mandatory; -1 marks "unset"
     output_dir: str = "out"
-    gamma: float = 0.5                 # trade-off weight, reported only
     sync_algo: str = "ring"            # ring | gossip (gossip: time model only)
-    aggregate_via_air: bool = False
     label: str = "run"
 
 
@@ -125,21 +123,15 @@ _SECTION_TYPES = {
     "run": RunConfig,
 }
 
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False,
-                 "yes": True, "no": False}
-
-
 def _coerce(section: str, name: str, raw: str, target_type):
     raw = raw.strip()
     try:
-        if target_type is bool:
-            return _BOOL_STRINGS[raw.lower()]
         if target_type is int:
             return int(raw)
         if target_type is float:
             return float(raw)
         return raw
-    except (ValueError, KeyError):
+    except ValueError:
         raise ConfigurationError(
             f"[{section}] {name}: cannot parse {raw!r} as {target_type.__name__}")
 
@@ -149,7 +141,7 @@ def _parse_section(parser: configparser.ConfigParser, section: str):
     if section not in parser:
         raise ConfigurationError(f"missing config section [{section}]")
     known = {f.name: f.type for f in fields(cls)}
-    type_map = {"int": int, "float": float, "str": str, "bool": bool}
+    type_map = {"int": int, "float": float, "str": str}
     kwargs = {}
     for name, raw in parser[section].items():
         if name not in known:
@@ -202,8 +194,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if d.feature_dim < d.n_classes:
         raise ConfigurationError(
             f"[data] feature_dim must be >= n_classes, got {d.feature_dim}")
-    if not 0.0 <= r.gamma <= 1.0:
-        raise ConfigurationError(f"[run] gamma must be in [0, 1], got {r.gamma}")
     return cfg
 
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import InputError
 from .learner import Samples
-from .simulation import TrainingTrace
+from .simulation import AggregationWeights, TrainingTrace
 
 SAFETY_MARGIN = 1.5
 BOUND_TOLERANCE = 1.05
@@ -27,54 +26,27 @@ _MIN_PAIR_DIST = 1e-12
 
 @dataclass
 class GradContext:
-    """Loss/gradient evaluation over the run's device datasets."""
+    """Loss/gradient evaluation over the run's device samples."""
 
     learner: object
     samples: Samples
-    device_frac: np.ndarray      # |D_i| / |D|
-    sat_weight: csr_matrix       # (N_S, D), rows sum to 1 on nonempty sats
-    sat_frac: np.ndarray         # |D_k| / |D|
-    sat_of_device: np.ndarray
-    nonempty: np.ndarray
+    weights: AggregationWeights
 
     @classmethod
     def from_trace(cls, trace: TrainingTrace) -> "GradContext":
-        datasets = trace.datasets
-        samples = Samples.stack([ds.features for ds in datasets],
-                                [ds.labels for ds in datasets],
-                                trace.config.data.n_classes)
-        sizes = trace.device_sizes
-        n_sats = trace.topology.n_satellites
-        totals = np.bincount(trace.sat_of_device, weights=sizes,
-                             minlength=n_sats)
-        nonempty = totals > 0
-        devices = np.arange(len(datasets))
-        share = sizes / np.where(nonempty, totals, 1.0)[trace.sat_of_device]
-        sat_weight = csr_matrix((share, (trace.sat_of_device, devices)),
-                                shape=(n_sats, len(datasets)))
-        return cls(
-            learner=trace.learner,
-            samples=samples,
-            device_frac=sizes / sizes.sum(),
-            sat_weight=sat_weight,
-            sat_frac=totals / sizes.sum(),
-            sat_of_device=trace.sat_of_device,
-            nonempty=nonempty,
-        )
+        return cls(learner=trace.learner, samples=trace.samples,
+                   weights=trace.aggregation)
 
     def device_grads(self, w: np.ndarray) -> np.ndarray:
         """Every device's gradient at one shared model, ``(D, P)``."""
         return self.learner.grad(w, self.samples)
 
     def global_loss(self, w: np.ndarray) -> float:
-        return float(self.device_frac @ self.learner.loss(w, self.samples))
+        return float(self.weights.device_frac
+                     @ self.learner.loss(w, self.samples))
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
-        return self.device_frac @ self.device_grads(w)
-
-    def satellite_sum(self, dev_g: np.ndarray) -> np.ndarray:
-        """Data-weighted per-satellite sums of device rows, ``(N_S, P)``."""
-        return self.sat_weight @ dev_g
+        return self.weights.device_frac @ self.device_grads(w)
 
 
 @dataclass(frozen=True)
@@ -105,19 +77,20 @@ def measure_divergence(trace: TrainingTrace,
         raise InputError("need at least one probe model")
     if device_grads is None:
         device_grads = map(ctx.device_grads, probe_points)
-    delta_dev = np.zeros(len(ctx.device_frac))
-    delta_sat = np.zeros(len(ctx.sat_frac))
+    weights = ctx.weights
+    delta_dev = np.zeros(len(weights.device_frac))
+    delta_sat = np.zeros(len(weights.sat_frac))
     for dev_g in device_grads:
-        sat_g = ctx.satellite_sum(dev_g)
-        glob_g = ctx.sat_frac @ sat_g
-        dev_gap = np.linalg.norm(dev_g - sat_g[ctx.sat_of_device], axis=1)
+        sat_g = weights.satellite_average(dev_g)
+        glob_g = weights.sat_frac @ sat_g
+        dev_gap = np.linalg.norm(dev_g - sat_g[weights.sat_of_device], axis=1)
         sat_gap = np.linalg.norm(sat_g - glob_g, axis=1)
-        sat_gap[~ctx.nonempty] = 0.0
+        sat_gap[~weights.nonempty] = 0.0
         delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
     return DivergenceEstimate(
-        delta_hat=float(ctx.device_frac @ delta_dev),
-        Delta_hat=float(ctx.sat_frac @ delta_sat),
+        delta_hat=float(weights.device_frac @ delta_dev),
+        Delta_hat=float(weights.sat_frac @ delta_sat),
         delta_per_device=delta_dev,
         Delta_per_satellite=delta_sat,
     )
@@ -153,7 +126,8 @@ def virtual_trajectories(trace: TrainingTrace,
     sat_models = dict(trace.satellite_models)
     glob_models = dict(trace.global_models)
     satellite_ends = []
-    n_sats = len(ctx.sat_frac)
+    weights = ctx.weights
+    n_sats = len(weights.sat_frac)
     for s, (t_end, _) in enumerate(trace.satellite_models, start=1):
         t_start = t_end - tau1
         if t_start in glob_models:
@@ -163,9 +137,9 @@ def virtual_trajectories(trace: TrainingTrace,
         v = starts.copy()
         for _ in range(tau1):
             # one batched pass: device i's gradient at its satellite's point
-            dev_g = ctx.learner.grad(v[ctx.sat_of_device], ctx.samples)
-            sat_g = ctx.satellite_sum(dev_g)
-            v = np.where(ctx.nonempty[:, None], v - eta * sat_g, v)
+            dev_g = ctx.learner.grad(v[weights.sat_of_device], ctx.samples)
+            sat_g = weights.satellite_average(dev_g)
+            v = np.where(weights.nonempty[:, None], v - eta * sat_g, v)
         satellite_ends.append((s, t_end, v))
     return VirtualTrajectories(global_paths=global_paths,
                                satellite_ends=satellite_ends)
@@ -268,12 +242,12 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
         probes = [w_start, w_end, v_end]
         if t_end in sat_models:
             probes.extend(sat_models[t_end][k]
-                          for k in np.flatnonzero(ctx.nonempty))
+                          for k in np.flatnonzero(ctx.weights.nonempty))
         div = measure_divergence(
             trace, probe_points=probes, ctx=ctx,
             device_grads=chain(shared, map(ctx.device_grads, probes[3:])))
         pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
-        pair_grads = [ctx.device_frac @ dev_g for dev_g in shared]
+        pair_grads = [ctx.weights.device_frac @ dev_g for dev_g in shared]
         pair_grads.append(ctx.global_grad(pair_models[-1]))
         rho, beta = estimate_rho_beta(pair_models, ctx, grads=pair_grads)
         rho_all = max(rho_all, rho)

@@ -6,7 +6,9 @@ all-pairs hop distances on the residual graph, seeds a sub-graph from a
 randomly picked satellite, and grows it breadth-first. A candidate joins only
 if its distance to every current member stays below n_geo both on the
 residual graph and within the induced sub-graph, so every emitted part
-certifies induced-sub-graph diameter < n_geo.
+certifies induced-sub-graph diameter < n_geo. The CDO baseline uses one
+whole-constellation part. Air nodes are attached to parts afterwards, by
+with_air_parts, from the coverage map.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coverage import CoverageMap, compute_coverage
+from .coverage import CoverageMap
 from .errors import ConfigurationError
 from .topology import IslGraph, NetworkTopology, _hop_matrix
 
@@ -24,7 +26,6 @@ from .topology import IslGraph, NetworkTopology, _hop_matrix
 class PartitionSet:
     parts: tuple[tuple[int, ...], ...]        # satellite ids per part
     air_parts: tuple[tuple[int, ...], ...]    # air node ids, parallel to parts
-    n_geo: int
 
     def part_of(self) -> dict[int, int]:
         out = {}
@@ -34,12 +35,17 @@ class PartitionSet:
         return out
 
 
-def arc_partition(topology: NetworkTopology, n_geo: int,
-                  coverage: CoverageMap | None = None) -> PartitionSet:
+def whole_partition(topology: NetworkTopology) -> PartitionSet:
+    """One part holding every satellite and air node (n_geo = N_S)."""
+    return PartitionSet(parts=(tuple(s.id for s in topology.satellites),),
+                        air_parts=(tuple(a.id for a in topology.air_nodes),))
+
+
+def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
     """Cut a single orbit into ceil(N_S/n_geo) arcs of consecutive slots.
 
     Arcs start at slot 0; the last arc is short when N_S mod n_geo != 0. Air
-    nodes follow their access satellite into its arc.
+    parts are left empty; attach them with with_air_parts.
     """
     if topology.n_planes != 1:
         raise ConfigurationError("arc_partition requires a single-orbit topology")
@@ -52,10 +58,7 @@ def arc_partition(topology: NetworkTopology, n_geo: int,
     parts = tuple(
         tuple(ids[i:i + n_geo]) for i in range(0, n_sats, n_geo)
     )
-    if coverage is None:
-        coverage = compute_coverage(topology)
-    air_parts = air_nodes_to_parts(coverage, parts)
-    return PartitionSet(parts=parts, air_parts=air_parts, n_geo=n_geo)
+    return PartitionSet(parts=parts, air_parts=())
 
 
 def _induced_distance_ok(candidate: int, members: set[int],
@@ -81,7 +84,7 @@ def graph_partition(graph: IslGraph, n_geo: int,
     """Greedy diameter-bounded partition of the ISL graph.
 
     Deterministic for a fixed rng seed. Air parts are left empty; attach them
-    with air_nodes_to_parts once a coverage map exists.
+    with with_air_parts once a coverage map exists.
     """
     if n_geo < 1:
         raise ConfigurationError(f"n_geo must be >= 1, got {n_geo}")
@@ -115,37 +118,28 @@ def graph_partition(graph: IslGraph, n_geo: int,
             i += 1
         parts.append(tuple(sorted(member_set)))
         alive[list(member_set)] = False
-    return PartitionSet(parts=tuple(parts), air_parts=(), n_geo=n_geo)
+    return PartitionSet(parts=tuple(parts), air_parts=())
 
 
-def air_nodes_to_parts(coverage: CoverageMap,
-                       parts: tuple[tuple[int, ...], ...],
+def air_nodes_to_parts(coverage: CoverageMap, pset: PartitionSet,
                        ) -> tuple[tuple[int, ...], ...]:
     """Each air node joins the part holding its access satellite."""
-    part_of: dict[int, int] = {}
-    for idx, part in enumerate(parts):
-        for sat in part:
-            part_of[sat] = idx
-    air_parts: list[list[int]] = [[] for _ in parts]
+    part_of = pset.part_of()
+    air_parts: list[list[int]] = [[] for _ in pset.parts]
     for air_id in sorted(coverage.access):
         air_parts[part_of[coverage.access[air_id]]].append(air_id)
     return tuple(tuple(ap) for ap in air_parts)
 
 
 def with_air_parts(pset: PartitionSet, coverage: CoverageMap) -> PartitionSet:
-    return replace(pset, air_parts=air_nodes_to_parts(coverage, pset.parts))
+    """The partition with each air node in its access satellite's part."""
+    return replace(pset, air_parts=air_nodes_to_parts(coverage, pset))
 
 
 def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
     """Hop diameter of the sub-graph induced by ``part`` (-1 if disconnected)."""
-    idx = {sat: i for i, sat in enumerate(part)}
-    k = len(part)
-    adj = np.zeros((k, k), dtype=bool)
-    for a, b in graph.edges:
-        if a in idx and b in idx:
-            adj[idx[a], idx[b]] = True
-            adj[idx[b], idx[a]] = True
-    dist = _hop_matrix(adj)
+    ids = list(part)
+    dist = _hop_matrix(graph.adjacency()[np.ix_(ids, ids)])
     if (dist < 0).any():
         return -1
     return int(dist.max())

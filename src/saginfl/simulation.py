@@ -2,27 +2,35 @@
 inter-satellite synchronization, with per-round time accounting.
 
 Every local round all devices take one full-batch gradient step. Each tau1
-rounds, satellites aggregate their devices' models (flat or via the air
-layer, identical results) and broadcast back. Each tau1*tau2 rounds the
-satellite models are synchronized by ring allreduce (single orbit) or the
-three-phase multi-orbit variant, and the global model is broadcast to
-everyone. Devices step in ascending id order, so the trace is
-schedule-independent and fully determined by the seed.
+rounds, satellites take the data-weighted average of their devices' models
+(one operator, ``AggregationWeights``, which the diagnostics share) and
+broadcast back. Each tau1*tau2 rounds the satellite models are synchronized
+by ring allreduce (single orbit) or the three-phase multi-orbit variant, and
+the global model is broadcast to everyone. Devices step in ascending id
+order, so the trace is schedule-independent and fully determined by the seed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .allreduce import ModelVector, multi_orbit_sync_states, ring_allreduce_states
-from .assignment import AssignmentMap, ClassDistribution, cdo, cnasa, gdo
+from .assignment import AssignmentMap, ClassDistribution, cnasa, gdo
 from .config import ExperimentConfig, validate_config
 from .coverage import CoverageMap, compute_coverage
 from .data import DeviceDataset, generate_data
-from .errors import InputError, TopologyError, TrainingError
+from .errors import TopologyError, TrainingError
 from .learner import Samples, make_learner
-from .partition import PartitionSet, arc_partition, graph_partition, with_air_parts
+from .partition import (
+    PartitionSet,
+    arc_partition,
+    graph_partition,
+    whole_partition,
+    with_air_parts,
+)
 from .timecost import (
     TimeBreakdown,
     TimeParams,
@@ -31,7 +39,6 @@ from .timecost import (
     gossip_sync_time,
     make_delivery_model,
     sync_time,
-    sync_time_multi_orbit,
 )
 from .topology import (
     IslGraph,
@@ -43,34 +50,41 @@ from .topology import (
 )
 
 
-def satellite_aggregate(models: list[tuple[np.ndarray, int]],
-                        via_air: list[list[int]] | None = None) -> np.ndarray:
-    """Data-size-weighted average of device models, flat or air-first.
+@dataclass(frozen=True)
+class AggregationWeights:
+    """Data-size weights of the device -> satellite -> global averages.
 
-    ``via_air`` groups model indices by air node; the two-level path averages
-    within each air node first, then across air nodes. Both paths agree by
-    the distributive law.
+    Row k of ``sat_weight`` holds |D_i| / |D_k| for every device i reporting
+    to satellite k, so it sums to 1 on satellites that hold data. Averaging
+    within each air node first and then across the air nodes of a satellite
+    re-associates the same sum, so this one operator also serves the air
+    layer; the acceptance suite checks the two-level equality.
     """
-    if not models:
-        raise InputError("satellite_aggregate needs at least one model")
-    total = sum(size for _, size in models)
-    if total == 0:
-        raise InputError("zero total data size")
-    if via_air is None:
-        acc = np.zeros_like(models[0][0])
-        for params, size in models:
-            acc += (size / total) * params
-        return acc
-    acc = np.zeros_like(models[0][0])
-    for group in via_air:
-        group_size = sum(models[i][1] for i in group)
-        if group_size == 0:
-            continue
-        partial = np.zeros_like(models[0][0])
-        for i in group:
-            partial += (models[i][1] / group_size) * models[i][0]
-        acc += (group_size / total) * partial
-    return acc
+
+    sat_of_device: np.ndarray
+    sat_weight: csr_matrix       # (N_S, D)
+    device_frac: np.ndarray      # |D_i| / |D|
+    sat_frac: np.ndarray         # |D_k| / |D|
+    nonempty: np.ndarray         # satellites holding data
+
+    @classmethod
+    def build(cls, sat_of_device: np.ndarray, device_sizes: np.ndarray,
+              n_satellites: int) -> "AggregationWeights":
+        totals = np.bincount(sat_of_device, weights=device_sizes,
+                             minlength=n_satellites)
+        nonempty = totals > 0
+        share = device_sizes / np.where(nonempty, totals, 1.0)[sat_of_device]
+        n_devices = len(device_sizes)
+        sat_weight = csr_matrix((share, (sat_of_device, np.arange(n_devices))),
+                                shape=(n_satellites, n_devices))
+        total = device_sizes.sum()
+        return cls(sat_of_device=sat_of_device, sat_weight=sat_weight,
+                   device_frac=device_sizes / total, sat_frac=totals / total,
+                   nonempty=nonempty)
+
+    def satellite_average(self, rows: np.ndarray) -> np.ndarray:
+        """Data-weighted per-satellite averages of device rows, ``(N_S, P)``."""
+        return self.sat_weight @ rows
 
 
 @dataclass
@@ -94,6 +108,7 @@ class TrainingTrace:
     coverage: CoverageMap | None = None
     assignment: AssignmentMap | None = None
     datasets: list[DeviceDataset] = field(default_factory=list)
+    samples: Samples | None = None
     test_features: np.ndarray | None = None
     test_labels: np.ndarray | None = None
     learner: object | None = None
@@ -108,16 +123,15 @@ class TrainingTrace:
     def total_time(self) -> float:
         return sum(b.t_total for b in self.breakdowns)
 
-    def device_weights(self) -> np.ndarray:
-        """|D_i| / |D| per device."""
-        return self.device_sizes / self.device_sizes.sum()
+    @cached_property
+    def aggregation(self) -> AggregationWeights:
+        """The run's aggregation weights, built once."""
+        return AggregationWeights.build(self.sat_of_device, self.device_sizes,
+                                        self.topology.n_satellites)
 
     def satellite_weights(self) -> np.ndarray:
         """|D_k| / |D| per satellite."""
-        n_sats = self.topology.n_satellites
-        w = np.zeros(n_sats)
-        np.add.at(w, self.sat_of_device, self.device_sizes)
-        return w / self.device_sizes.sum()
+        return self.aggregation.sat_frac
 
 
 def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
@@ -139,7 +153,6 @@ def make_time_params(cfg: ExperimentConfig, model_params: int) -> TimeParams:
         flops_air=tr.flops_air,
         flops_satellite=tr.flops_satellite,
         samples_per_epoch=cfg.data.samples_per_device,
-        epochs_per_local_round=1,
         model_bits=model_params * tr.bits_per_param,
         model_params=model_params,
         tau1=tr.tau1,
@@ -155,25 +168,22 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
                       policy_rng: np.random.Generator,
                       partition_rng: np.random.Generator,
                       ) -> tuple[AssignmentMap, PartitionSet | None]:
-    delivery = make_delivery_model(hops, coverage, time_params,
-                                   time_params.model_bits)
+    """GDO keeps the access map; CDO is CNASA over one whole-constellation
+    partition; CNASA works on arcs (one orbit) or graph parts (Walker)."""
+    delivery = make_delivery_model(hops, coverage, time_params)
     name = cfg.policy.name
     if name == "gdo":
         return gdo(coverage), None
     if name == "cdo":
-        assignment = cdo(topology, coverage, device_dists, policy_rng, delivery)
-        all_sats = tuple(s.id for s in topology.satellites)
-        all_airs = tuple(a.id for a in topology.air_nodes)
-        pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,),
-                            n_geo=topology.n_satellites)
-        return assignment, pset
-    if topology.kind == "single":
-        pset = arc_partition(topology, cfg.policy.n_geo, coverage)
+        pset = whole_partition(topology)
+    elif topology.kind == "single":
+        pset = with_air_parts(arc_partition(topology, cfg.policy.n_geo),
+                              coverage)
     else:
         pset = with_air_parts(graph_partition(graph, cfg.policy.n_geo,
                                               partition_rng), coverage)
-    assignment = cnasa(topology, coverage, pset, device_dists,
-                       cfg.policy.n_geo, policy_rng, delivery)
+    assignment = cnasa(topology, coverage, pset, device_dists, policy_rng,
+                       delivery)
     return assignment, pset
 
 
@@ -229,10 +239,17 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     trace.coverage = coverage
     trace.assignment = assignment
     trace.datasets = datasets
+    trace.samples = samples = Samples.stack(
+        [ds.features for ds in datasets], [ds.labels for ds in datasets],
+        cfg.data.n_classes)
     trace.test_features = test_x
     trace.test_labels = test_y
     trace.learner = learner
     trace.warnings = assignment.warnings
+    if cfg.run.sync_algo == "gossip":
+        trace.warnings += (
+            "sync_algo=gossip: t_sync is the analytic gossip cost; [commlog] "
+            "lists the ring allreduce that produced the model values",)
     if pset is not None:
         part_of = pset.part_of()
         trace.partition_rows = sorted(part_of.items())
@@ -242,39 +259,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     ]
 
     n_sats = topology.n_satellites
-    sat_of_device = np.array([assignment.f[air_of_device[dev]]
-                              for dev in range(n_devices)])
-    device_sizes = np.array([ds.class_dist.sample_count for ds in datasets],
-                            dtype=float)
-    trace.sat_of_device = sat_of_device
-    trace.device_sizes = device_sizes
-
-    # aggregation operators: satellites x devices and the air-first pair
-    sat_weight = np.zeros((n_sats, n_devices))
-    sat_totals = np.zeros(n_sats)
-    np.add.at(sat_totals, sat_of_device, device_sizes)
-    for dev in range(n_devices):
-        sat_weight[sat_of_device[dev], dev] = device_sizes[dev]
-    nonempty = sat_totals > 0
-    sat_weight[nonempty] /= sat_totals[nonempty, None]
-
-    n_air = topology.n_air_nodes
-    air_weight = np.zeros((n_air, n_devices))
-    air_totals = np.zeros(n_air)
-    for dev in range(n_devices):
-        air_weight[air_of_device[dev], dev] = device_sizes[dev]
-        air_totals[air_of_device[dev]] += device_sizes[dev]
-    air_weight[air_totals > 0] /= air_totals[air_totals > 0, None]
-    sat_air_weight = np.zeros((n_sats, n_air))
-    for air in range(n_air):
-        sat = assignment.f[air]
-        if sat_totals[sat] > 0:
-            sat_air_weight[sat, air] = air_totals[air] / sat_totals[sat]
-
-    global_weights = sat_totals / device_sizes.sum()
-
-    samples = Samples.stack([ds.features for ds in datasets],
-                            [ds.labels for ds in datasets], cfg.data.n_classes)
+    trace.sat_of_device = np.array([assignment.f[air_of_device[dev]]
+                                    for dev in range(n_devices)])
+    trace.device_sizes = np.array(
+        [ds.class_dist.sample_count for ds in datasets], dtype=float)
+    weights = trace.aggregation
 
     w0 = learner.init_params(learner_rng)
     device_params = np.tile(w0, (n_devices, 1))
@@ -287,17 +276,12 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     total_steps = cfg.training.global_rounds * tau1 * tau2
     single_orbit = topology.n_planes == 1
 
-    orbit_sizes = [len(o) for o in graph.orbits]
-    round_comm = comm_time(assignment, time_params, time_params.model_bits)
+    round_comm = comm_time(assignment, time_params)
     round_comp = comp_time(time_params, assignment.max_assigned)
     if cfg.run.sync_algo == "gossip":
-        round_sync = gossip_sync_time(n_sats, time_params,
-                                      time_params.model_bits) if n_sats > 1 else 0.0
-    elif single_orbit:
-        round_sync = sync_time(n_sats, time_params, time_params.model_bits)
+        round_sync = gossip_sync_time(n_sats, time_params) if n_sats > 1 else 0.0
     else:
-        round_sync = sync_time_multi_orbit(orbit_sizes, time_params,
-                                           time_params.model_bits)
+        round_sync = sync_time([len(o) for o in graph.orbits], time_params)
 
     batch_size = cfg.training.batch_size
     n_samples = samples.x.shape[2]
@@ -319,22 +303,19 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             trace.records.append((t, "local"))
             continue
 
-        if cfg.run.aggregate_via_air:
-            air_models = air_weight @ device_params
-            aggregated = sat_air_weight @ air_models
-        else:
-            aggregated = sat_weight @ device_params
-        sat_params = np.where(nonempty[:, None], aggregated, sat_params)
+        sat_params = np.where(weights.nonempty[:, None],
+                              weights.satellite_average(device_params),
+                              sat_params)
         trace.satellite_models.append((t, sat_params.copy()))
 
         if t % (tau1 * tau2) != 0:
             trace.records.append((t, "satellite"))
-            device_params = sat_params[sat_of_device]
+            device_params = sat_params[weights.sat_of_device]
             continue
 
         trace.records.append((t, "global"))
         g_round = t // (tau1 * tau2)
-        models = [ModelVector(params=sat_params[k], weight=global_weights[k])
+        models = [ModelVector(params=sat_params[k], weight=weights.sat_frac[k])
                   for k in range(n_sats)]
         if single_orbit:
             ids = [s.id for s in topology.satellites]

@@ -29,7 +29,6 @@ class TimeParams:
     flops_air: float
     flops_satellite: float
     samples_per_epoch: int
-    epochs_per_local_round: int
     model_bits: int
     model_params: int
     tau1: int
@@ -44,8 +43,8 @@ class TimeParams:
                      "flops_satellite"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0")
-        for name in ("samples_per_epoch", "epochs_per_local_round",
-                     "model_bits", "model_params", "devices_per_air"):
+        for name in ("samples_per_epoch", "model_bits", "model_params",
+                     "devices_per_air"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.tau1 < 1 or self.tau2 < 1:
@@ -98,26 +97,20 @@ def _shared(link: LinkParams, n_users: int) -> LinkParams:
     return replace(link, bandwidth_hz=link.bandwidth_hz / n_users)
 
 
-def relay_hops(assignment: AssignmentMap) -> int:
-    """Worst-case model forwarding count over relay satellites."""
-    return assignment.relay_hops()
-
-
-def comm_time(assignment: AssignmentMap, params: TimeParams,
-              model_bits: int) -> float:
+def comm_time(assignment: AssignmentMap, params: TimeParams) -> float:
     """Communication time of one global round.
 
     tau2 * (T_SG + T_GA + T_AS + N_SS * T_SS) with worst-case per-class
     delays: the device and air uplinks see their bandwidth equal-split among
     the busiest cell's transmitters.
     """
-    t_sg = end_to_end(model_bits, params.links["SG"])
-    t_ga = end_to_end(model_bits, _shared(params.links["GA"],
-                                          params.devices_per_air))
-    t_as = end_to_end(model_bits, _shared(params.links["AS"],
-                                          assignment.max_access_cell))
-    t_ss = end_to_end(model_bits, params.links["SS"])
-    n_ss = relay_hops(assignment)
+    bits = params.model_bits
+    t_sg = end_to_end(bits, params.links["SG"])
+    t_ga = end_to_end(bits, _shared(params.links["GA"], params.devices_per_air))
+    t_as = end_to_end(bits, _shared(params.links["AS"],
+                                    assignment.max_access_cell))
+    t_ss = end_to_end(bits, params.links["SS"])
+    n_ss = assignment.relay_hops()
     return params.tau2 * (t_sg + t_ga + t_as + n_ss * t_ss)
 
 
@@ -125,57 +118,47 @@ def comp_time(params: TimeParams, airs_per_satellite: int) -> float:
     """Computation time of one global round.
 
     tau2 * (tau1 * T_train + T_agg_air + T_agg_satellite); training cost is
-    FLOPs * samples * epochs / device FLOPS, aggregation cost is
-    params * received models / aggregator FLOPS.
+    FLOPs * samples / device FLOPS (one epoch per local round), aggregation
+    cost is params * received models / aggregator FLOPS.
     """
-    t_train = (params.flops_model * params.samples_per_epoch
-               * params.epochs_per_local_round) / params.flops_device
+    t_train = params.flops_model * params.samples_per_epoch / params.flops_device
     t_agg_air = params.model_params * params.devices_per_air / params.flops_air
     t_agg_sat = params.model_params * airs_per_satellite / params.flops_satellite
     return params.tau2 * (params.tau1 * t_train + t_agg_air + t_agg_sat)
 
 
-def _ring_sync_time(n: int, params: TimeParams, model_bits: int) -> float:
-    if n <= 1:
-        return 0.0
-    ss = params.links["SS"]
-    t_trans = trans_delay(model_bits, ss)
-    return 2.0 * (n - 1) * (t_trans / n + ss.prop_delay_s
-                            + params.model_params / (n * params.flops_satellite))
+def sync_time(orbit_sizes: list[int], params: TimeParams) -> float:
+    """Ring allreduce synchronization time over the orbits' rings.
 
-
-def sync_time(n_sats: int, params: TimeParams, model_bits: int) -> float:
-    """Ring allreduce synchronization time: 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS))."""
-    if n_sats < 1:
-        raise InputError(f"n_sats must be >= 1, got {n_sats}")
-    return _ring_sync_time(n_sats, params, model_bits)
-
-
-def sync_time_multi_orbit(orbit_sizes: list[int], params: TimeParams,
-                          model_bits: int) -> float:
-    """Three sequential phases; intra-orbit phases run in parallel across orbits."""
+    One ring of N satellites takes 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS)).
+    A single orbit is one ring. Several orbits run three sequential phases:
+    intra-orbit reduce (orbits in parallel), a ring over one representative
+    per orbit, and intra-orbit distribution.
+    """
     if not orbit_sizes or any(n < 1 for n in orbit_sizes):
         raise InputError(f"invalid orbit sizes {orbit_sizes}")
+    ss = params.links["SS"]
+    t_trans = trans_delay(params.model_bits, ss)
+
+    def ring(n: int) -> float:
+        return 2.0 * (n - 1) * (t_trans / n + ss.prop_delay_s
+                                + params.model_params / (n * params.flops_satellite))
+
     if len(orbit_sizes) == 1:
-        return _ring_sync_time(orbit_sizes[0], params, model_bits)
-    intra = max(_ring_sync_time(n, params, model_bits) for n in orbit_sizes)
-    inter = _ring_sync_time(len(orbit_sizes), params, model_bits)
-    return intra + inter + intra
+        return ring(orbit_sizes[0])
+    intra = max(ring(n) for n in orbit_sizes)
+    return intra + ring(len(orbit_sizes)) + intra
 
 
-def gossip_sync_time(n_sats: int, params: TimeParams, model_bits: int) -> float:
+def gossip_sync_time(n_sats: int, params: TimeParams) -> float:
     """Analytic gossip cost: N*log2(N) full-model deliveries per satellite."""
     if n_sats < 2:
         raise InputError(f"gossip needs n_sats >= 2, got {n_sats}")
     ss = params.links["SS"]
     cycles = n_sats * math.log2(n_sats)
-    per_cycle = (trans_delay(model_bits, ss) + ss.prop_delay_s
+    per_cycle = (trans_delay(params.model_bits, ss) + ss.prop_delay_s
                  + params.model_params / params.flops_satellite)
     return cycles * per_cycle
-
-
-def total_time(breakdowns: list[TimeBreakdown]) -> float:
-    return sum(b.t_total for b in breakdowns)
 
 
 @dataclass(frozen=True)
@@ -197,10 +180,10 @@ class DeliveryTimeModel:
 
 
 def make_delivery_model(hops: np.ndarray, coverage: CoverageMap,
-                        params: TimeParams, model_bits: int) -> DeliveryTimeModel:
+                        params: TimeParams) -> DeliveryTimeModel:
     return DeliveryTimeModel(
         hops=hops,
         access=dict(coverage.access),
-        t_as_s=end_to_end(model_bits, params.links["AS"]),
-        t_ss_s=end_to_end(model_bits, params.links["SS"]),
+        t_as_s=end_to_end(params.model_bits, params.links["AS"]),
+        t_ss_s=end_to_end(params.model_bits, params.links["SS"]),
     )

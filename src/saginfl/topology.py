@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, TopologyError
 
@@ -94,15 +94,6 @@ class IslGraph:
             adj[a, b] = True
             adj[b, a] = True
         return adj
-
-    def neighbors(self, node: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -390,22 +381,15 @@ def derive_isl_graph(topology: NetworkTopology, snapshot_epoch: float = 0.0) -> 
 
 def _hop_matrix(adj: np.ndarray) -> np.ndarray:
     """All-pairs hop counts by breadth-first search; -1 if unreachable."""
-    dist = shortest_path(adj, unweighted=True)
+    dist = csgraph.shortest_path(adj, unweighted=True)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int64)
 
 
 def connected_components(adj: np.ndarray) -> list[list[int]]:
-    dist = _hop_matrix(adj)
-    seen: set[int] = set()
-    comps = []
-    for i in range(adj.shape[0]):
-        if i in seen:
-            continue
-        comp = sorted(int(j) for j in np.flatnonzero(dist[i] >= 0))
-        seen.update(comp)
-        comps.append(comp)
-    return comps
+    """Sorted member lists, ordered by their lowest id."""
+    n_comps, labels = csgraph.connected_components(adj, directed=False)
+    return sorted(np.flatnonzero(labels == k).tolist() for k in range(n_comps))
 
 
 def hop_distances(graph: IslGraph) -> np.ndarray:

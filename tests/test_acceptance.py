@@ -32,7 +32,7 @@ from saginfl.config import (
 )
 from saginfl.diagnostics import check_convergence_bound, measure_divergence
 from saginfl.partition import graph_partition, induced_diameter
-from saginfl.simulation import run_obl, satellite_aggregate
+from saginfl.simulation import run_obl
 from saginfl.topology import IslGraph, build_walker, derive_isl_graph
 from saginfl.trace import render_trace
 
@@ -88,7 +88,7 @@ def test_criterion_1_allreduce_correctness():
         scale = np.maximum(np.abs(expected), 1e-30)
 
         if case % 2 == 0 or n < 4:
-            states, _ = ring_allreduce_states(models, record_transfers=False)
+            states, _ = ring_allreduce_states(models)
         else:
             n_orbits = int(rng.integers(2, min(n, 6) + 1))
             sizes = [n // n_orbits + (1 if j < n % n_orbits else 0)
@@ -122,8 +122,7 @@ def test_criterion_1_allreduce_correctness():
             for s in sizes:
                 orbit_models.append(flat[k:k + s])
                 k += s
-            state_map, _ = multi_orbit_sync_states(orbit_models, graph,
-                                                   record_transfers=False)
+            state_map, _ = multi_orbit_sync_states(orbit_models, graph)
             states = [state_map[i] for i in range(n)]
         assert len({s.tobytes() for s in states}) == 1
         worst = max(worst, float((np.abs(states[0] - expected) / scale).max()))
@@ -142,7 +141,7 @@ def test_criterion_2_traffic_claim():
         weights /= weights.sum()
         models = [ModelVector(params=rng.standard_normal(m), weight=float(w))
                   for w in weights]
-        _, log = ring_allreduce_states(models, record_transfers=False)
+        _, log = ring_allreduce_states(models)
         ok &= traffic_per_node(log, m, n) == ring_traffic_per_node(n, m) \
             == 2 * (n - 1) * math.ceil(m / n)
     gossip_beats = all(
@@ -291,7 +290,7 @@ def test_criterion_11_degenerate_equivalences():
     trace = run_obl(cfg)
     gdo_like = trace.assignment.f == trace.coverage.access
 
-    # single-orbit multi_orbit_sync equals ring_allreduce bit for bit
+    # one-orbit multi_orbit_sync_states equals ring_allreduce_states bitwise
     rng = np.random.default_rng(3)
     weights = rng.random(6)
     weights /= weights.sum()
@@ -305,12 +304,19 @@ def test_criterion_11_degenerate_equivalences():
     flat, _ = ring_allreduce_states(models)
     sync_same = all((multi[i] == flat[i]).all() for i in range(6))
 
-    # air-first aggregation equals flat aggregation
+    # air-first aggregation equals the run's flat aggregation operator
     rng = np.random.default_rng(4)
-    models2 = [(rng.standard_normal(12), int(rng.integers(1, 20)))
-               for _ in range(8)]
-    flat_agg = satellite_aggregate(models2)
-    air_agg = satellite_aggregate(models2,
-                                  via_air=[[0, 1, 2], [3], [4, 5], [6, 7]])
+    sizes = trace.device_sizes
+    params = rng.standard_normal((len(sizes), 12))
+    f = trace.assignment.f
+    sat_size = np.zeros(trace.topology.n_satellites)
+    for air in trace.topology.air_nodes:
+        sat_size[f[air.id]] += sizes[list(air.device_ids)].sum()
+    air_agg = np.zeros((trace.topology.n_satellites, 12))
+    for air in trace.topology.air_nodes:
+        devs = list(air.device_ids)
+        air_model = sizes[devs] @ params[devs] / sizes[devs].sum()
+        air_agg[f[air.id]] += sizes[devs].sum() / sat_size[f[air.id]] * air_model
+    flat_agg = trace.aggregation.satellite_average(params)
     agg_same = float(np.abs(flat_agg - air_agg).max()) < 1e-12
     _report(11, "degenerate equivalences", gdo_like and sync_same and agg_same)

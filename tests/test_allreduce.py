@@ -10,9 +10,7 @@ from saginfl.allreduce import (
     ModelVector,
     chunk_model,
     gossip_traffic,
-    multi_orbit_sync,
     multi_orbit_sync_states,
-    ring_allreduce,
     ring_allreduce_states,
     ring_traffic_analytic,
     ring_traffic_per_node,
@@ -57,21 +55,21 @@ class TestRingAllreduce:
     def test_four_scalars(self):
         models = [ModelVector(params=np.array([float(v)]), weight=0.25)
                   for v in (1, 2, 3, 4)]
-        out, log = ring_allreduce(models)
-        assert abs(out.params[0] - 2.5) < 1e-12
-        assert out.weight == 1.0
+        states, log = ring_allreduce_states(models)
+        assert all(abs(s[0] - 2.5) < 1e-12 for s in states)
 
     def test_single_participant_zero_traffic(self):
-        out, log = ring_allreduce([ModelVector(np.array([3.0, 4.0]), 1.0)])
-        assert (out.params == [3.0, 4.0]).all()
+        states, log = ring_allreduce_states(
+            [ModelVector(np.array([3.0, 4.0]), 1.0)])
+        assert (states[0] == [3.0, 4.0]).all()
         assert log.total_sent() == 0
 
     def test_five_random_vectors(self):
         rng = np.random.default_rng(1)
         models = random_models(rng, 5, 64)
-        out, _ = ring_allreduce(models)
+        states, _ = ring_allreduce_states(models)
         expected = direct_average(models)
-        rel = np.abs(out.params - expected) / np.maximum(np.abs(expected), 1e-30)
+        rel = np.abs(states[0] - expected) / np.maximum(np.abs(expected), 1e-30)
         assert rel.max() < 1e-9
 
     def test_consensus_bit_identical(self):
@@ -84,16 +82,16 @@ class TestRingAllreduce:
     def test_length_mismatch_rejected(self):
         models = [ModelVector(np.zeros(3), 0.5), ModelVector(np.zeros(4), 0.5)]
         with pytest.raises(InputError):
-            ring_allreduce(models)
+            ring_allreduce_states(models)
 
     def test_weights_must_sum_to_one(self):
         models = [ModelVector(np.zeros(3), 0.5), ModelVector(np.zeros(3), 0.2)]
         with pytest.raises(InputError):
-            ring_allreduce(models)
+            ring_allreduce_states(models)
 
     def test_phase_step_counts(self):
         models = random_models(np.random.default_rng(3), 6, 10)
-        _, log = ring_allreduce(models)
+        _, log = ring_allreduce_states(models)
         assert log.steps["scatter"] == 5
         assert log.steps["gather"] == 5
 
@@ -101,7 +99,7 @@ class TestRingAllreduce:
 class TestTraffic:
     def test_measured_equals_closed_form(self):
         models = random_models(np.random.default_rng(4), 4, 8)
-        _, log = ring_allreduce(models)
+        _, log = ring_allreduce_states(models)
         assert traffic_per_node(log, 8, 4) == 12
         assert ring_traffic_per_node(4, 8) == 12
 
@@ -117,12 +115,12 @@ class TestTraffic:
             n = int(rng.integers(2, 20))
             m = int(rng.integers(1, 300))
             models = random_models(rng, n, m)
-            _, log = ring_allreduce(models, record_transfers=False)
+            _, log = ring_allreduce_states(models)
             assert traffic_per_node(log, m, n) == ring_traffic_per_node(n, m)
 
     def test_conservation(self):
         models = random_models(np.random.default_rng(6), 9, 41)
-        _, log = ring_allreduce(models)
+        _, log = ring_allreduce_states(models)
         assert log.total_sent() == log.total_received()
 
 
@@ -198,9 +196,8 @@ class TestMultiOrbitSync:
         orbit_models = [list(flat[i * 5:(i + 1) * 5]) for i in range(4)]
         states, _ = multi_orbit_sync_states(orbit_models, graph)
         assert len({v.tobytes() for v in states.values()}) == 1
-        ring_out, _ = ring_allreduce(flat)
-        rel = np.abs(states[0] - ring_out.params) / np.maximum(
-            np.abs(ring_out.params), 1e-30)
+        ring_out = ring_allreduce_states(flat)[0][0]
+        rel = np.abs(states[0] - ring_out) / np.maximum(np.abs(ring_out), 1e-30)
         assert rel.max() < 1e-9
 
     def test_orbit_without_inter_edge_rejected(self):
@@ -209,13 +206,16 @@ class TestMultiOrbitSync:
                          kinds=("intra", "intra"), orbits=((0, 1), (2, 3)))
         models = [[ModelVector(np.ones(2), 0.25)] * 2 for _ in range(2)]
         with pytest.raises(TopologyError):
-            multi_orbit_sync(models, graph)
+            multi_orbit_sync_states(models, graph)
 
     def test_model_weight_one_on_result(self):
+        # every satellite ends with the full weighted average (total weight 1)
         graph = self._graph(2, 3)
         flat = random_models(np.random.default_rng(11), 6, 5)
-        out, _ = multi_orbit_sync([flat[:3], flat[3:]], graph)
-        assert out.weight == 1.0
+        states, _ = multi_orbit_sync_states([flat[:3], flat[3:]], graph)
+        assert sorted(states) == list(range(6))
+        for vec in states.values():
+            assert np.allclose(vec, direct_average(flat), rtol=1e-9, atol=1e-12)
 
 
 @given(st.integers(1, 16), st.integers(1, 128), st.integers(0, 10_000))
@@ -223,8 +223,8 @@ class TestMultiOrbitSync:
 def test_allreduce_value_property(n, m, seed):
     rng = np.random.default_rng(seed)
     models = random_models(rng, n, m)
-    out, log = ring_allreduce(models, record_transfers=False)
+    states, log = ring_allreduce_states(models)
     expected = direct_average(models)
-    assert np.allclose(out.params, expected, rtol=1e-9, atol=1e-12)
+    assert all(np.allclose(s, expected, rtol=1e-9, atol=1e-12) for s in states)
     if n > 1:
         assert traffic_per_node(log, m, n) == ring_traffic_per_node(n, m)

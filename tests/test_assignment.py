@@ -9,16 +9,22 @@ from saginfl.assignment import (
     air_class_distribution,
     brute_force_matching,
     build_clusters,
-    cdo,
     cnasa,
     gdo,
     kmeans,
     min_cost_matching,
 )
+from saginfl.config import ExperimentConfig, PolicyConfig
 from saginfl.coverage import compute_coverage
 from saginfl.errors import ConfigurationError, InputError
-from saginfl.partition import PartitionSet, arc_partition
-from saginfl.timecost import DeliveryTimeModel
+from saginfl.partition import (
+    PartitionSet,
+    arc_partition,
+    whole_partition,
+    with_air_parts,
+)
+from saginfl.simulation import make_time_params, select_assignment
+from saginfl.timecost import DeliveryTimeModel, make_delivery_model
 from saginfl.topology import build_single_orbit, derive_isl_graph, hop_distances
 
 
@@ -120,7 +126,7 @@ class TestBuildClusters:
     def test_one_member_per_group(self):
         groups = [[0, 1], [2, 3]]
         out = build_clusters(groups, 2, np.random.default_rng(0))
-        for cluster in out.clusters:
+        for cluster in out:
             assert len(cluster) == 2
             assert len({0, 1} & set(cluster)) == 1
             assert len({2, 3} & set(cluster)) == 1
@@ -128,7 +134,7 @@ class TestBuildClusters:
     def test_covers_all_members_exactly_once(self):
         groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         out = build_clusters(groups, 3, np.random.default_rng(2))
-        seen = sorted(a for c in out.clusters for a in c)
+        seen = sorted(a for c in out for a in c)
         assert seen == list(range(9))
 
     def test_backfill_from_largest_group(self):
@@ -136,7 +142,7 @@ class TestBuildClusters:
         # group 1 empty and backfills from group 0
         groups = [[10, 11, 12], [20]]
         out = build_clusters(groups, 2, np.random.default_rng(0))
-        c0, c1 = out.clusters
+        c0, c1 = out
         assert 20 in c0
         assert set(c1) <= {10, 11, 12}
         assert len(c1) == 2
@@ -155,9 +161,9 @@ class TestBuildClusters:
             groups = [members[a:b] for a, b in
                       zip([0] + cuts, cuts + [total])]
             out = build_clusters(groups, n_geo, rng)
-            lens = [len(c) for c in out.clusters]
+            lens = [len(c) for c in out]
             assert max(lens) - min(lens) <= 1
-            assert sorted(a for c in out.clusters for a in c) == list(range(total))
+            assert sorted(a for c in out for a in c) == list(range(total))
 
 
 class TestMinCostMatching:
@@ -198,6 +204,12 @@ class TestMinCostMatching:
             min_cost_matching(np.array([[1.0, np.nan], [1.0, 2.0]]))
 
 
+def cdo(topology, coverage, device_dists, rng, model):
+    """The CDO baseline: CNASA over the whole-constellation partition."""
+    return cnasa(topology, coverage, whole_partition(topology), device_dists,
+                 rng, model)
+
+
 def _toy_scenario(n_sats=2, n_air=4, devices_per_air=1):
     topology = build_single_orbit(n_sats, 330.0, n_air, devices_per_air)
     coverage = compute_coverage(topology)
@@ -217,9 +229,9 @@ class TestCnasa:
     def test_n_geo_one_equals_gdo(self):
         topology, coverage = _toy_scenario(4, 8)
         device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
-        pset = arc_partition(topology, 1, coverage)
+        pset = with_air_parts(arc_partition(topology, 1), coverage)
         model = delivery_model(topology, coverage)
-        out = cnasa(topology, coverage, pset, device_dists, 1,
+        out = cnasa(topology, coverage, pset, device_dists,
                     np.random.default_rng(0), model)
         assert out.f == coverage.access
         assert all(h == 0 for h in out.hops.values())
@@ -227,13 +239,20 @@ class TestCnasa:
     def test_single_global_part_matches_cdo(self):
         topology, coverage = _toy_scenario(4, 8)
         device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
-        model = delivery_model(topology, coverage)
+        graph = derive_isl_graph(topology)
+        hops = hop_distances(graph)
+        cfg = ExperimentConfig(policy=PolicyConfig(name="cdo"))
+        time_params = make_time_params(cfg, 110)
         all_sats = tuple(s.id for s in topology.satellites)
         all_airs = tuple(a.id for a in topology.air_nodes)
-        pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,), n_geo=4)
-        a = cnasa(topology, coverage, pset, device_dists, 4,
-                  np.random.default_rng(7), model)
-        b = cdo(topology, coverage, device_dists, np.random.default_rng(7), model)
+        pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,))
+        a = cnasa(topology, coverage, pset, device_dists,
+                  np.random.default_rng(7),
+                  make_delivery_model(hops, coverage, time_params))
+        b, b_pset = select_assignment(
+            cfg, topology, graph, hops, coverage, device_dists, time_params,
+            np.random.default_rng(7), np.random.default_rng(0))
+        assert b_pset == pset
         assert a.f == b.f
 
     def test_toy_matches_exhaustive_balanced_search(self):
@@ -242,8 +261,8 @@ class TestCnasa:
         topology, coverage = _toy_scenario(2, 4)
         device_dists = _one_hot_dists([0, 1, 0, 1], 2)
         model = delivery_model(topology, coverage, t_as=1.0, t_ss=5.0)
-        pset = arc_partition(topology, 2, coverage)
-        out = cnasa(topology, coverage, pset, device_dists, 2,
+        pset = with_air_parts(arc_partition(topology, 2), coverage)
+        out = cnasa(topology, coverage, pset, device_dists,
                     np.random.default_rng(0), model)
 
         def total_time(f):
@@ -266,9 +285,9 @@ class TestCnasa:
         rng = np.random.default_rng(0)
         device_dists = _one_hot_dists(
             [int(rng.integers(0, 10)) for _ in range(200)], 10)
-        pset = arc_partition(topology, 4, coverage)
+        pset = with_air_parts(arc_partition(topology, 4), coverage)
         model = delivery_model(topology, coverage)
-        out = cnasa(topology, coverage, pset, device_dists, 4, rng, model)
+        out = cnasa(topology, coverage, pset, device_dists, rng, model)
         assert sorted(out.f) == list(range(100))
         assert max(out.hops.values()) < 4
         part_of = pset.part_of()
@@ -281,8 +300,8 @@ class TestCnasa:
         rng = np.random.default_rng(3)
         device_dists = _one_hot_dists(
             [int(rng.integers(0, 5)) for _ in range(100)], 5)
-        pset = arc_partition(topology, 5, coverage)
-        out = cnasa(topology, coverage, pset, device_dists, 5, rng,
+        pset = with_air_parts(arc_partition(topology, 5), coverage)
+        out = cnasa(topology, coverage, pset, device_dists, rng,
                     delivery_model(topology, coverage))
         loads = {}
         for air, sat in out.f.items():
@@ -339,7 +358,7 @@ class TestClusterQuality:
         coverage = compute_coverage(topology)
         labels = [a.id % 4 for a in topology.air_nodes]
         device_dists = _one_hot_dists(labels, 4)
-        pset = arc_partition(topology, 4, coverage)
+        pset = with_air_parts(arc_partition(topology, 4), coverage)
         part_airs = pset.air_parts[0]
         pooled = np.mean([device_dists[a].probs for a in part_airs], axis=0)
 
@@ -356,7 +375,7 @@ class TestClusterQuality:
         rand = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            out = cnasa(topology, coverage, pset, device_dists, 4, rng,
+            out = cnasa(topology, coverage, pset, device_dists, rng,
                         delivery_model(topology, coverage))
             clusters = {}
             for air, sat in out.f.items():
@@ -378,11 +397,11 @@ def test_cnasa_cost_growth_trend():
     for topo in (topology_small, topology_big):
         coverage = compute_coverage(topo)
         dists = _one_hot_dists([a.id % 10 for a in topo.air_nodes], 10)
-        pset = arc_partition(topo, 2, coverage)
+        pset = with_air_parts(arc_partition(topo, 2), coverage)
         model = delivery_model(topo, coverage)
         t0 = time.perf_counter()
         for seed in range(3):
-            cnasa(topo, coverage, pset, dists, 2,
-                  np.random.default_rng(seed), model)
+            cnasa(topo, coverage, pset, dists, np.random.default_rng(seed),
+                  model)
         times.append(time.perf_counter() - t0)
     assert times[1] < times[0] * 16

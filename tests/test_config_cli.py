@@ -283,3 +283,9 @@ class TestTraceContent:
         assert main(["run", str(p)]) == 0
         csv = next((output_root / "out").glob("*.summary.csv")).read_text()
         assert "nan" in csv.split("\n")[1]
+
+
+def test_package_all_resolves():
+    assert len(set(saginfl.__all__)) == len(saginfl.__all__)
+    for name in saginfl.__all__:
+        assert hasattr(saginfl, name), name

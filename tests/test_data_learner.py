@@ -13,7 +13,7 @@ from saginfl.learner import (
     augment,
     make_learner,
 )
-from saginfl.simulation import satellite_aggregate
+from saginfl.simulation import AggregationWeights
 
 
 # Naive single-device softmax regression, sample-major, as a reference for
@@ -226,11 +226,35 @@ class TestMlpLearner:
             make_learner("tree", 4, 3, 0.0)
 
 
+def satellite_average(models, sat_of_device=None, n_sats=1):
+    """The run's aggregation operator applied to ``[(params, size), ...]``."""
+    params = np.stack([m for m, _ in models])
+    sizes = np.array([size for _, size in models], dtype=float)
+    if sat_of_device is None:
+        sat_of_device = np.zeros(len(models), dtype=int)
+    weights = AggregationWeights.build(np.asarray(sat_of_device), sizes, n_sats)
+    return weights.satellite_average(params)
+
+
+def air_first_average(models, air_groups, sat_of_air, n_sats):
+    """Two-level average: within each air node, then across a satellite's
+    air nodes, each level weighted by data size."""
+    sat_size = np.zeros(n_sats)
+    for air, group in enumerate(air_groups):
+        sat_size[sat_of_air[air]] += sum(models[i][1] for i in group)
+    out = np.zeros((n_sats, models[0][0].shape[0]))
+    for air, group in enumerate(air_groups):
+        air_size = sum(models[i][1] for i in group)
+        air_model = sum((models[i][1] / air_size) * models[i][0] for i in group)
+        out[sat_of_air[air]] += (air_size / sat_size[sat_of_air[air]]) * air_model
+    return out
+
+
 class TestSatelliteAggregate:
     def test_equal_sizes_plain_mean(self):
         rng = np.random.default_rng(7)
         models = [(rng.standard_normal(6), 10) for _ in range(4)]
-        out = satellite_aggregate(models)
+        out = satellite_average(models)[0]
         expected = np.mean([m for m, _ in models], axis=0)
         assert np.allclose(out, expected)
 
@@ -238,15 +262,19 @@ class TestSatelliteAggregate:
         rng = np.random.default_rng(8)
         models = [(rng.standard_normal(9), int(rng.integers(1, 30)))
                   for _ in range(6)]
-        flat = satellite_aggregate(models)
-        via_air = satellite_aggregate(models, via_air=[[0, 1], [2, 3, 4], [5]])
+        air_groups = [[0, 1], [2, 3, 4], [5]]
+        sat_of_air = [1, 0, 1]
+        sat_of_device = [sat_of_air[air] for air, group in enumerate(air_groups)
+                         for _ in group]
+        flat = satellite_average(models, sat_of_device, n_sats=2)
+        via_air = air_first_average(models, air_groups, sat_of_air, n_sats=2)
         assert np.abs(flat - via_air).max() < 1e-12
 
     def test_single_model_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert (satellite_aggregate([(v, 5)]) == v).all()
+        assert (satellite_average([(v, 5)])[0] == v).all()
 
     def test_weighted_by_sizes(self):
         a = (np.array([1.0]), 3)
         b = (np.array([5.0]), 1)
-        assert np.isclose(satellite_aggregate([a, b])[0], 2.0)
+        assert np.isclose(satellite_average([a, b])[0, 0], 2.0)

@@ -1,5 +1,4 @@
 """Divergence estimation, virtual trajectories, and the convergence bound."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from saginfl.diagnostics import (
     virtual_trajectories,
 )
 from saginfl.errors import InputError
-from saginfl.learner import augment
+from saginfl.learner import Samples, augment
 from saginfl.simulation import run_obl
 
 
@@ -82,9 +81,10 @@ class TestMeasureDivergence:
         cfg = small_config(cpd=8)
         trace = run_obl(cfg)
         shared = trace.datasets[0]
-        identical = [dataclasses.replace(shared, owner=ds.owner)
-                     for ds in trace.datasets]
-        trace.datasets = identical
+        n_devices = len(trace.datasets)
+        trace.samples = Samples.stack([shared.features] * n_devices,
+                                      [shared.labels] * n_devices,
+                                      cfg.data.n_classes)
         div = measure_divergence(trace)
         assert div.delta_hat < 1e-12
         assert div.Delta_hat < 1e-12
@@ -116,7 +116,7 @@ class TestMeasureDivergence:
         trace = run_obl(small_config(seed=2))
         ctx = GradContext.from_trace(trace)
         div = measure_divergence(trace, ctx=ctx)
-        manual_delta = float(ctx.device_frac @ div.delta_per_device)
+        manual_delta = float(ctx.weights.device_frac @ div.delta_per_device)
         assert abs(div.delta_hat - manual_delta) < 1e-15
 
 
@@ -131,7 +131,7 @@ class TestGradContext:
             device_grads = np.stack([
                 naive_softmax_grad(W, augment(ds.features), ds.labels, l2).ravel()
                 for ds in trace.datasets])
-            expected = ctx.device_frac @ device_grads
+            expected = ctx.weights.device_frac @ device_grads
             assert np.abs(ctx.global_grad(w) - expected).max() < 1e-12
             assert np.abs(ctx.device_grads(w) - device_grads).max() < 1e-12
 
@@ -185,7 +185,8 @@ class TestVirtualTrajectories:
         for k in range(2):
             vk = start.copy()
             for _ in range(2):
-                vk = vk - 0.2 * ctx.satellite_sum(ctx.device_grads(vk))[k]
+                sat_g = ctx.weights.satellite_average(ctx.device_grads(vk))
+                vk = vk - 0.2 * sat_g[k]
             assert np.abs(v_sats[k] - vk).max() < 1e-12
 
 

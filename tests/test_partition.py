@@ -7,6 +7,7 @@ import pytest
 from saginfl.coverage import compute_coverage
 from saginfl.errors import ConfigurationError
 from saginfl.partition import (
+    PartitionSet,
     air_nodes_to_parts,
     arc_partition,
     graph_partition,
@@ -38,7 +39,7 @@ class TestArcPartition:
 
     def test_air_counts_per_part(self):
         topo = build_single_orbit(20, 330.0, 100, 2)
-        pset = arc_partition(topo, 4)
+        pset = with_air_parts(arc_partition(topo, 4), compute_coverage(topo))
         assert len(pset.parts) == 5
         assert [len(ap) for ap in pset.air_parts] == [20] * 5
 
@@ -105,7 +106,8 @@ class TestAirNodesToParts:
         topo = build_single_orbit(2, 330.0, 2, 1)
         cov = compute_coverage(topo)
         parts = ((0,), (1,))
-        air_parts = air_nodes_to_parts(cov, parts)
+        air_parts = air_nodes_to_parts(
+            cov, PartitionSet(parts=parts, air_parts=()))
         for idx, ap in enumerate(air_parts):
             for air in ap:
                 assert cov.access[air] == parts[idx][0]
@@ -113,7 +115,7 @@ class TestAirNodesToParts:
     def test_empty_cell_satellites_allowed(self):
         # more satellites than air nodes: some parts end up with no air nodes
         topo = build_single_orbit(8, 330.0, 2, 1)
-        pset = arc_partition(topo, 2)
+        pset = with_air_parts(arc_partition(topo, 2), compute_coverage(topo))
         sizes = [len(ap) for ap in pset.air_parts]
         assert sum(sizes) == 2
         assert 0 in sizes

@@ -89,14 +89,26 @@ class TestAggregationConservation:
             assert rel.max() < 1e-9
 
     def test_air_first_equals_flat_run(self):
-        flat_cfg = make_config(seed=3)
-        air_cfg = dataclasses.replace(
-            flat_cfg, run=RunConfig(seed=3, aggregate_via_air=True))
-        flat = run_obl(flat_cfg)
-        via_air = run_obl(air_cfg)
-        for (t1, a), (t2, b) in zip(flat.global_models, via_air.global_models):
-            assert t1 == t2
-            assert np.abs(a - b).max() < 1e-12
+        # the run's one operator equals averaging per air node first, then
+        # across each satellite's air nodes
+        trace = run_obl(make_config(policy="cnasa", n_geo=2, seed=3))
+        sizes = trace.device_sizes
+        params = np.random.default_rng(3).standard_normal(
+            (len(sizes), trace.learner.n_params))
+        n_sats = trace.topology.n_satellites
+        sat_size = np.zeros(n_sats)
+        air_models = {}
+        for air in trace.topology.air_nodes:
+            devs = list(air.device_ids)
+            air_models[air.id] = (sizes[devs] @ params[devs] / sizes[devs].sum(),
+                                  sizes[devs].sum())
+            sat_size[trace.assignment.f[air.id]] += sizes[devs].sum()
+        via_air = np.zeros((n_sats, params.shape[1]))
+        for air, (model, size) in air_models.items():
+            sat = trace.assignment.f[air]
+            via_air[sat] += (size / sat_size[sat]) * model
+        flat = trace.aggregation.satellite_average(params)
+        assert np.abs(flat - via_air).max() < 1e-12
 
 
 class TestIidCloseToCentralized:
@@ -200,6 +212,23 @@ class TestTimeAccounting:
         assert np.allclose(ring.global_models[-1][1],
                            gossip.global_models[-1][1])
         assert gossip.breakdowns[0].t_sync > ring.breakdowns[0].t_sync
+
+    def test_gossip_trace_says_what_was_costed(self):
+        ring_cfg = make_config(seed=5, training=TrainingConfig(global_rounds=1))
+        gossip_cfg = dataclasses.replace(
+            ring_cfg, run=RunConfig(seed=5, sync_algo="gossip"))
+
+        def warning_lines(cfg):
+            lines = render_trace(run_obl(cfg), None).splitlines()
+            if "[warnings]" not in lines:
+                return []
+            start = lines.index("[warnings]") + 1
+            return lines[start:lines.index("", start)]
+
+        assert warning_lines(ring_cfg) == []
+        [line] = warning_lines(gossip_cfg)
+        assert "t_sync is the analytic gossip cost" in line
+        assert "[commlog] lists the ring allreduce" in line
 
     def test_relay_hops_at_n_geo_raise_topology_error(self, monkeypatch):
         real_cnasa = simulation.cnasa

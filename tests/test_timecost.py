@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from saginfl.assignment import AssignmentMap
+from saginfl.config import ExperimentConfig
 from saginfl.errors import ConfigurationError, InputError
+from saginfl.simulation import TrainingTrace
 from saginfl.timecost import (
     TimeBreakdown,
     TimeParams,
@@ -13,10 +15,7 @@ from saginfl.timecost import (
     comp_time,
     end_to_end,
     gossip_sync_time,
-    relay_hops,
     sync_time,
-    sync_time_multi_orbit,
-    total_time,
     trans_delay,
 )
 from saginfl.topology import LinkParams
@@ -37,7 +36,7 @@ def params(tau1=2, tau2=2, model_params=110, devices_per_air=2):
     return TimeParams(
         links=table_links(), flops_model=1e6, flops_device=TFLOPS,
         flops_air=TFLOPS, flops_satellite=TFLOPS, samples_per_epoch=100,
-        epochs_per_local_round=1, model_bits=model_params * 32,
+        model_bits=model_params * 32,
         model_params=model_params, tau1=tau1, tau2=tau2,
         devices_per_air=devices_per_air)
 
@@ -100,13 +99,13 @@ class TestEndToEnd:
 
 class TestRelayHops:
     def test_gdo_zero(self):
-        assert relay_hops(assignment({0: 0, 1: 0, 2: 0})) == 0
+        assert assignment({0: 0, 1: 0, 2: 0}).relay_hops() == 0
 
     def test_single_max(self):
-        assert relay_hops(assignment({0: 0, 1: 3, 2: 1})) == 3
+        assert assignment({0: 0, 1: 3, 2: 1}).relay_hops() == 3
 
     def test_empty_assignment(self):
-        assert relay_hops(AssignmentMap(f={}, hops={})) == 0
+        assert AssignmentMap(f={}, hops={}).relay_hops() == 0
 
 
 class TestCommTime:
@@ -117,20 +116,20 @@ class TestCommTime:
         expected = (end_to_end(bits, p.links["SG"])
                     + bits / (32e9 / 2) + 0.005
                     + bits / (6000e6 / 5) + 0.005)
-        assert abs(comm_time(a, p, bits) - expected) < 1e-12
+        assert abs(comm_time(a, p) - expected) < 1e-12
 
     def test_linear_in_tau2(self):
         a = assignment({0: 2})
-        one = comm_time(a, params(tau2=1), 3520)
-        two = comm_time(a, params(tau2=2), 3520)
+        one = comm_time(a, params(tau2=1))
+        two = comm_time(a, params(tau2=2))
         assert abs(two - 2 * one) < 1e-12
 
     def test_monotone_in_hops_and_bits(self):
         p = params()
-        low = comm_time(assignment({0: 1}), p, 3520)
-        high = comm_time(assignment({0: 5}), p, 3520)
+        low = comm_time(assignment({0: 1}), p)
+        high = comm_time(assignment({0: 5}), p)
         assert high > low
-        bigger = comm_time(assignment({0: 1}), p, 35200)
+        bigger = comm_time(assignment({0: 1}), params(model_params=1100))
         assert bigger > low
 
 
@@ -147,7 +146,7 @@ class TestCompTime:
         p = TimeParams(links=table_links(), flops_model=1e6,
                        flops_device=TFLOPS, flops_air=1e30,
                        flops_satellite=1e30, samples_per_epoch=100,
-                       epochs_per_local_round=1, model_bits=3520,
+                       model_bits=3520,
                        model_params=110, tau1=1, tau2=3, devices_per_air=2)
         t_train = 1e6 * 100 / TFLOPS
         assert abs(comp_time(p, 5) - 3 * t_train) < 1e-12
@@ -163,28 +162,37 @@ class TestCompTime:
 class TestSyncTime:
     def test_twenty_satellites_prop_dominated(self):
         p = params(model_params=1)
-        value = sync_time(20, p, 32)
+        value = sync_time([20], p)
         assert abs(value - 2 * 19 * 0.020) < 1e-3
 
     def test_single_satellite_zero(self):
-        assert sync_time(1, params(), 3520) == 0.0
+        assert sync_time([1], params()) == 0.0
 
     def test_gossip_slower_than_ring(self):
         p = params(model_params=21840)
-        ring = sync_time(20, p, 21840 * 32)
-        gossip = gossip_sync_time(20, p, 21840 * 32)
+        ring = sync_time([20], p)
+        gossip = gossip_sync_time(20, p)
         assert gossip > ring
 
     def test_multi_orbit_three_phases(self):
         p = params()
-        value = sync_time_multi_orbit([4, 4, 4], p, 3520)
-        intra = sync_time(4, p, 3520)
-        inter = sync_time(3, p, 3520)
+        value = sync_time([4, 4, 4], p)
+        intra = sync_time([4], p)
+        inter = sync_time([3], p)
         assert abs(value - (intra + inter + intra)) < 1e-12
 
     def test_multi_orbit_single_orbit_matches_ring(self):
+        # one orbit is one ring: 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS))
         p = params()
-        assert sync_time_multi_orbit([6], p, 3520) == sync_time(6, p, 3520)
+        ss = p.links["SS"]
+        ring = 2 * 5 * (trans_delay(p.model_bits, ss) / 6 + ss.prop_delay_s
+                        + p.model_params / (6 * p.flops_satellite))
+        assert abs(sync_time([6], p) - ring) < 1e-15
+
+
+def total_time(breakdowns):
+    return TrainingTrace(config=ExperimentConfig(),
+                         breakdowns=list(breakdowns)).total_time
 
 
 class TestTotalTime:
@@ -207,7 +215,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             TimeParams(links=links, flops_model=1e6, flops_device=1.0,
                        flops_air=1.0, flops_satellite=1.0,
-                       samples_per_epoch=1, epochs_per_local_round=1,
+                       samples_per_epoch=1,
                        model_bits=1, model_params=1, tau1=1, tau2=1,
                        devices_per_air=1)
 

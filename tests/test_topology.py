@@ -211,6 +211,15 @@ class TestHopDistances:
         with pytest.raises(TopologyError, match=r"\[0, 1\]"):
             hop_distances(graph)
 
+    def test_components_sorted_by_lowest_member(self):
+        graph = IslGraph(nodes=(0, 1, 2, 3, 4, 5),
+                         edges=((1, 5), (0, 4), (3, 4)),
+                         kinds=("intra",) * 3, orbits=((0, 1, 2, 3, 4, 5),))
+        with pytest.raises(TopologyError) as exc:
+            hop_distances(graph)
+        assert str(exc.value) == ("ISL graph is disconnected; components: "
+                                  "[[0, 3, 4], [1, 5], [2]]")
+
 
 class TestGeometry:
     def test_equatorial_positions_on_equator(self):
