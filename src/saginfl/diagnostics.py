@@ -6,12 +6,23 @@ approximated by maxima over probe models taken from the recorded trajectory;
 results are estimates, never asserted as true suprema. Loss-Lipschitz and
 gradient-smoothness constants are estimated from ratios over sampled model
 pairs and inflated by a safety margin before entering the bound.
+
+``check_convergence_bound`` checks each global interval as one task that
+reads only models already recorded in the trace. The tasks run concurrently
+on a thread pool of up to the CPUs available to the process (numpy and BLAS
+release the GIL). Results are collected and folded in interval order, and
+the only cross-interval steps are maxima, so every output is bit-identical
+whatever the worker count. The check computes only what it reports: the
+virtual satellite trajectories (``satellite_ends``) are computed by
+``virtual_trajectories`` alone.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
 
 import numpy as np
 
@@ -88,12 +99,26 @@ def measure_divergence(trace: TrainingTrace,
         sat_gap[~weights.nonempty] = 0.0
         delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
+    return _weighted_divergence(delta_dev, delta_sat, weights)
+
+
+def _weighted_divergence(delta_dev: np.ndarray, delta_sat: np.ndarray,
+                         weights: AggregationWeights) -> DivergenceEstimate:
     return DivergenceEstimate(
         delta_hat=float(weights.device_frac @ delta_dev),
         Delta_hat=float(weights.sat_frac @ delta_sat),
         delta_per_device=delta_dev,
         Delta_per_satellite=delta_sat,
     )
+
+
+def _union_divergence(estimates: Iterable[DivergenceEstimate],
+                      weights: AggregationWeights) -> DivergenceEstimate:
+    """The estimate over the union of the estimates' probe models."""
+    return _weighted_divergence(
+        np.maximum.reduce([e.delta_per_device for e in estimates]),
+        np.maximum.reduce([e.Delta_per_satellite for e in estimates]),
+        weights)
 
 
 @dataclass(frozen=True)
@@ -106,6 +131,22 @@ class VirtualTrajectories:
     satellite_ends: list[tuple[int, int, np.ndarray]]
 
 
+def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
+                 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Centralized gradient descent from ``w0``.
+
+    Returns the ``steps + 1`` models, the global gradient at each model but
+    the last, and the device gradients at ``w0``.
+    """
+    start_grads = ctx.device_grads(w0)
+    grads = [ctx.weights.device_frac @ start_grads]
+    path = [w0.copy(), w0 - eta * grads[0]]
+    for _ in range(steps - 1):
+        grads.append(ctx.global_grad(path[-1]))
+        path.append(path[-1] - eta * grads[-1])
+    return np.stack(path), grads, start_grads
+
+
 def virtual_trajectories(trace: TrainingTrace,
                          ctx: GradContext | None = None) -> VirtualTrajectories:
     ctx = ctx or GradContext.from_trace(trace)
@@ -113,14 +154,9 @@ def virtual_trajectories(trace: TrainingTrace,
     tau1, tau2 = cfg.training.tau1, cfg.training.tau2
     eta = cfg.training.learning_rate
 
-    global_paths = []
-    for g, (t0, w0) in enumerate(trace.global_models[:-1], start=1):
-        path = [w0.copy()]
-        v = w0.copy()
-        for _ in range(tau1 * tau2):
-            v = v - eta * ctx.global_grad(v)
-            path.append(v.copy())
-        global_paths.append((g, t0, np.stack(path)))
+    global_paths = [
+        (g, t0, _global_path(ctx, w0, tau1 * tau2, eta)[0])
+        for g, (t0, w0) in enumerate(trace.global_models[:-1], start=1)]
 
     # satellite interval [s] starts from the post-broadcast model at (s-1)*tau1
     sat_models = dict(trace.satellite_models)
@@ -213,6 +249,63 @@ class BoundReport:
         return all(c.holds for c in self.intervals)
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_interval(trace: TrainingTrace, ctx: GradContext,
+                    sat_models: dict[int, np.ndarray], g: int,
+                    ) -> tuple[IntervalCheck, float, float, DivergenceEstimate]:
+    """Global interval ``g``'s check, its rho and beta, and the divergence
+    at its two recorded global models."""
+    training = trace.config.training
+    tau1, tau2 = training.tau1, training.tau2
+    eta = training.learning_rate
+    weights = ctx.weights
+    t_end, w_end = trace.global_models[g]
+    path, path_grads, start_grads = _global_path(
+        ctx, trace.global_models[g - 1][1], tau1 * tau2, eta)
+    w_start, v_end = path[0], path[-1]
+
+    # Each probe's device gradients are folded into the estimates as soon as
+    # they exist and then dropped: concurrent tasks keep little memory.
+    end_grads = ctx.device_grads(w_end)
+    endpoints = measure_divergence(
+        trace, probe_points=[w_start, w_end], ctx=ctx,
+        device_grads=(start_grads, end_grads))
+    end_grad = weights.device_frac @ end_grads
+    del start_grads, end_grads
+    v_end_grads = ctx.device_grads(v_end)
+    at_v_end = measure_divergence(trace, probe_points=[v_end], ctx=ctx,
+                                  device_grads=[v_end_grads])
+    path_grads.append(weights.device_frac @ v_end_grads)
+    del v_end_grads
+    satellites = [sat_models[t_end][k]
+                  for k in np.flatnonzero(weights.nonempty)]
+    div = _union_divergence(
+        [endpoints, at_v_end,
+         measure_divergence(trace, probe_points=satellites, ctx=ctx)],
+        weights)
+
+    mid = len(path) // 2
+    rho, beta = estimate_rho_beta(
+        [w_start, w_end, v_end, path[mid]], ctx,
+        grads=[path_grads[0], end_grad, path_grads[-1], path_grads[mid]])
+    bound = theorem_bound(div.delta_hat, div.Delta_hat,
+                          SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
+                          eta, tau1, tau2)
+    gap = abs(ctx.global_loss(w_end) - ctx.global_loss(v_end))
+    if bound > 0:
+        margin = gap / bound
+    else:
+        margin = 0.0 if gap <= 1e-12 else float("inf")
+    check = IntervalCheck(interval=g, t_end=t_end, gap=gap, bound=bound,
+                          margin=margin, holds=margin <= BOUND_TOLERANCE)
+    return check, rho, beta, endpoints
+
+
 def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     """Per-global-interval check of the convergence bound.
 
@@ -220,52 +313,17 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     virtual endpoint, and the satellite aggregates recorded inside it), then
     the Lipschitz/smoothness constants are inflated by the safety margin.
     A margin of at most 1.05 counts as holding; beyond that the interval is
-    flagged as a violation.
+    flagged as a violation. Intervals are checked concurrently and folded in
+    interval order; the overall divergence is over the recorded global
+    models.
     """
     ctx = GradContext.from_trace(trace)
-    virt = virtual_trajectories(trace, ctx)
-    cfg = trace.config
-    tau1, tau2 = cfg.training.tau1, cfg.training.tau2
-    eta = cfg.training.learning_rate
-
-    sat_models = dict(trace.satellite_models)
-    checks = []
-    rho_all = 0.0
-    beta_all = 0.0
-    start_grads = ctx.device_grads(trace.global_models[0][1])
-    for (g, t0, path), (t_end, w_end) in zip(virt.global_paths,
-                                             trace.global_models[1:]):
-        v_end = path[-1]
-        w_start = path[0]
-        end_grads = ctx.device_grads(w_end)
-        shared = [start_grads, end_grads, ctx.device_grads(v_end)]
-        probes = [w_start, w_end, v_end]
-        if t_end in sat_models:
-            probes.extend(sat_models[t_end][k]
-                          for k in np.flatnonzero(ctx.weights.nonempty))
-        div = measure_divergence(
-            trace, probe_points=probes, ctx=ctx,
-            device_grads=chain(shared, map(ctx.device_grads, probes[3:])))
-        pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
-        pair_grads = [ctx.weights.device_frac @ dev_g for dev_g in shared]
-        pair_grads.append(ctx.global_grad(pair_models[-1]))
-        rho, beta = estimate_rho_beta(pair_models, ctx, grads=pair_grads)
-        rho_all = max(rho_all, rho)
-        beta_all = max(beta_all, beta)
-        start_grads = end_grads
-        bound = theorem_bound(div.delta_hat, div.Delta_hat,
-                              SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
-                              eta, tau1, tau2)
-        gap = abs(ctx.global_loss(w_end) - ctx.global_loss(v_end))
-        if bound > 0:
-            margin = gap / bound
-        else:
-            margin = 0.0 if gap <= 1e-12 else float("inf")
-        checks.append(IntervalCheck(
-            interval=g, t_end=t_end, gap=gap, bound=bound, margin=margin,
-            holds=margin <= BOUND_TOLERANCE,
-        ))
-    overall = measure_divergence(trace, ctx=ctx)
-    return BoundReport(intervals=checks, delta_hat=overall.delta_hat,
-                       Delta_hat=overall.Delta_hat, rho_hat=rho_all,
-                       beta_hat=beta_all)
+    task = partial(_check_interval, trace, ctx, dict(trace.satellite_models))
+    intervals = range(1, len(trace.global_models))
+    workers = min(_available_cpus(), len(intervals))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        checks, rhos, betas, endpoints = zip(*pool.map(task, intervals))
+    overall = _union_divergence(endpoints, ctx.weights)
+    return BoundReport(intervals=list(checks), delta_hat=overall.delta_hat,
+                       Delta_hat=overall.Delta_hat, rho_hat=max(0.0, *rhos),
+                       beta_hat=max(0.0, *betas))

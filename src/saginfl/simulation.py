@@ -21,7 +21,7 @@ from .allreduce import ModelVector, multi_orbit_sync_states, ring_allreduce_stat
 from .assignment import AssignmentMap, ClassDistribution, cnasa, gdo
 from .config import ExperimentConfig, validate_config
 from .coverage import CoverageMap, compute_coverage
-from .data import DeviceDataset, generate_data
+from .data import generate_data
 from .errors import TopologyError, TrainingError
 from .learner import Samples, make_learner
 from .partition import (
@@ -107,7 +107,6 @@ class TrainingTrace:
     graph: IslGraph | None = None
     coverage: CoverageMap | None = None
     assignment: AssignmentMap | None = None
-    datasets: list[DeviceDataset] = field(default_factory=list)
     samples: Samples | None = None
     test_features: np.ndarray | None = None
     test_labels: np.ndarray | None = None
@@ -238,7 +237,6 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     trace.graph = graph
     trace.coverage = coverage
     trace.assignment = assignment
-    trace.datasets = datasets
     trace.samples = samples = Samples.stack(
         [ds.features for ds in datasets], [ds.labels for ds in datasets],
         cfg.data.n_classes)

@@ -146,6 +146,11 @@ def great_circle_angle(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
 
 
+def great_circle_angles(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Central angles (radians) between each row of ``points`` and ``v``."""
+    return np.arctan2(np.linalg.norm(np.cross(points, v), axis=1), points @ v)
+
+
 def orbital_period_s(altitude_km: float) -> float:
     a = EARTH_RADIUS_KM + altitude_km
     return 2.0 * math.pi * math.sqrt(a ** 3 / EARTH_MU_KM3_S2)
@@ -295,13 +300,10 @@ def _intra_orbit_edges(topology: NetworkTopology) -> list[tuple[int, int]]:
 
 
 def _nearest_sat(ids: list[int], positions: np.ndarray, point: np.ndarray) -> int:
-    best = ids[0]
-    best_ang = great_circle_angle(positions[best], point)
-    for i in ids[1:]:
-        ang = great_circle_angle(positions[i], point)
-        if ang < best_ang - 1e-12 or (abs(ang - best_ang) <= 1e-12 and i < best):
-            best, best_ang = i, ang
-    return best
+    """The satellite nearest ``point``; within 1e-12 rad the lowest id wins."""
+    ids = np.asarray(ids)
+    angles = great_circle_angles(positions[ids], point)
+    return int(ids[angles <= angles.min() + 1e-12].min())
 
 
 def _inter_orbit_edges(topology: NetworkTopology,

@@ -7,6 +7,7 @@ repr so reruns of the same configuration are byte-identical.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 from .diagnostics import BoundReport
@@ -22,66 +23,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_trace(trace: TrainingTrace, report: BoundReport | None) -> str:
+def trace_lines(trace: TrainingTrace, report: BoundReport | None,
+                ) -> Iterator[str]:
+    """The trace file's lines, without line ends.
+
+    A generator, so that writing a long communication log never holds the
+    whole text in memory.
+    """
     cfg = trace.config
-    lines = ["# saginfl trace v1", "", "[config]"]
-    lines.append(cfg.canonical_text().rstrip("\n"))
+    yield from ("# saginfl trace v1", "", "[config]")
+    yield cfg.canonical_text().rstrip("\n")
     if trace.warnings:
-        lines.append("")
-        lines.append("[warnings]")
-        lines.extend(trace.warnings)
+        yield ""
+        yield "[warnings]"
+        yield from trace.warnings
 
-    lines.append("")
-    lines.append("[accuracy]")
-    lines.append("round,t,accuracy")
+    yield ""
+    yield "[accuracy]"
+    yield "round,t,accuracy"
     for rnd, t, acc in trace.accuracy:
-        lines.append(f"{rnd},{t},{_fmt(acc)}")
+        yield f"{rnd},{t},{_fmt(acc)}"
 
-    lines.append("")
-    lines.append("[time]")
-    lines.append("round,t_comm,t_comp,t_sync,t_total,n_ss")
+    yield ""
+    yield "[time]"
+    yield "round,t_comm,t_comp,t_sync,t_total,n_ss"
     for rnd, b in enumerate(trace.breakdowns, start=1):
-        lines.append(f"{rnd},{_fmt(b.t_comm)},{_fmt(b.t_comp)},"
-                     f"{_fmt(b.t_sync)},{_fmt(b.t_total)},{b.n_ss}")
+        yield (f"{rnd},{_fmt(b.t_comm)},{_fmt(b.t_comp)},"
+               f"{_fmt(b.t_sync)},{_fmt(b.t_total)},{b.n_ss}")
 
-    lines.append("")
-    lines.append("[partition]")
-    lines.append("satellite,part")
+    yield ""
+    yield "[partition]"
+    yield "satellite,part"
     for sat, part in trace.partition_rows:
-        lines.append(f"{sat},{part}")
+        yield f"{sat},{part}"
 
-    lines.append("")
-    lines.append("[assignment]")
-    lines.append("air,satellite,hops")
+    yield ""
+    yield "[assignment]"
+    yield "air,satellite,hops"
     for air, sat, hops in trace.assignment_rows:
-        lines.append(f"{air},{sat},{hops}")
+        yield f"{air},{sat},{hops}"
 
-    lines.append("")
-    lines.append("[divergence]")
-    lines.append("delta_hat,Delta_hat,rho_hat,beta_hat")
+    yield ""
+    yield "[divergence]"
+    yield "delta_hat,Delta_hat,rho_hat,beta_hat"
     if report is not None:
-        lines.append(f"{_fmt(report.delta_hat)},{_fmt(report.Delta_hat)},"
-                     f"{_fmt(report.rho_hat)},{_fmt(report.beta_hat)}")
+        yield (f"{_fmt(report.delta_hat)},{_fmt(report.Delta_hat)},"
+               f"{_fmt(report.rho_hat)},{_fmt(report.beta_hat)}")
 
-    lines.append("")
-    lines.append("[bound]")
-    lines.append("interval,t,gap,bound,margin,holds")
+    yield ""
+    yield "[bound]"
+    yield "interval,t,gap,bound,margin,holds"
     if report is not None:
         for c in report.intervals:
-            lines.append(f"{c.interval},{c.t_end},{_fmt(c.gap)},"
-                         f"{_fmt(c.bound)},{_fmt(c.margin)},{int(c.holds)}")
+            yield (f"{c.interval},{c.t_end},{_fmt(c.gap)},"
+                   f"{_fmt(c.bound)},{_fmt(c.margin)},{int(c.holds)}")
 
-    lines.append("")
-    lines.append("[commlog]")
-    lines.append("round,phase,step,src,dst,params")
+    yield ""
+    yield "[commlog]"
+    yield "round,phase,step,src,dst,params"
     for rnd, phase, step, src, dst, params in trace.comm_rows:
-        lines.append(f"{rnd},{phase},{step},{src},{dst},{params}")
-    return "\n".join(lines) + "\n"
+        yield f"{rnd},{phase},{step},{src},{dst},{params}"
 
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,
                 path: Path) -> None:
-    path.write_text(render_trace(trace, report))
+    with path.open("w") as fh:
+        fh.writelines(f"{line}\n" for line in trace_lines(trace, report))
 
 
 def summary_row(trace: TrainingTrace, report: BoundReport | None) -> dict:

@@ -34,7 +34,7 @@ from saginfl.diagnostics import check_convergence_bound, measure_divergence
 from saginfl.partition import graph_partition, induced_diameter
 from saginfl.simulation import run_obl
 from saginfl.topology import IslGraph, build_walker, derive_isl_graph
-from saginfl.trace import render_trace
+from saginfl.trace import trace_lines
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -279,8 +279,8 @@ def test_criterion_9_theorem_bound():
 
 def test_criterion_10_determinism():
     cfg = table_scenario("cnasa", 4, 123, train_global_rounds=3)
-    a = render_trace(run_obl(cfg), None)
-    b = render_trace(run_obl(cfg), None)
+    a = "\n".join(trace_lines(run_obl(cfg), None))
+    b = "\n".join(trace_lines(run_obl(cfg), None))
     _report(10, "byte-identical reruns", a.encode() == b.encode())
 
 

@@ -181,6 +181,29 @@ class TestCliRun:
             digests.add(hashlib.sha256(trace.read_bytes()).hexdigest())
         assert len(digests) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two CPUs")
+    def test_output_independent_of_worker_count(self, config_file, tmp_path):
+        # the bound check sizes its thread pool from the CPUs available
+        src = Path(saginfl.__file__).resolve().parents[1]
+        cpu = min(os.sched_getaffinity(0))
+        digests = set()
+        for pin in ("", f"os.sched_setaffinity(0, {{{cpu}}})"):
+            root = tmp_path / ("one_cpu" if pin else "default")
+            script = (f"import os, sys\n{pin}\nfrom saginfl import cli\n"
+                      f"sys.exit(cli.main(['run', {str(config_file)!r}]))")
+            env = dict(os.environ, SAGINFL_OUTPUT_ROOT=str(root),
+                       PYTHONPATH=os.pathsep.join(
+                           [str(src), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", script], env=env,
+                           check=True, capture_output=True)
+            digests.add(tuple(
+                hashlib.sha256(next((root / "out").glob(pattern))
+                               .read_bytes()).hexdigest()
+                for pattern in ("*.trace.txt", "*.summary.csv")))
+        assert len(digests) == 1
+
     def test_validate_ok(self, config_file, capsys):
         assert main(["validate", str(config_file)]) == 0
         assert "OK" in capsys.readouterr().out

@@ -1,8 +1,12 @@
 """Divergence estimation, virtual trajectories, and the convergence bound."""
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from saginfl import diagnostics
 from saginfl.config import (
     DataConfig,
     ExperimentConfig,
@@ -12,7 +16,11 @@ from saginfl.config import (
     TrainingConfig,
 )
 from saginfl.diagnostics import (
+    BOUND_TOLERANCE,
+    SAFETY_MARGIN,
+    BoundReport,
     GradContext,
+    IntervalCheck,
     check_convergence_bound,
     estimate_rho_beta,
     measure_divergence,
@@ -35,6 +43,12 @@ def naive_softmax_grad(weights, features_aug, labels, l2):
     return features_aug.T @ probs / labels.shape[0] + l2 * reg
 
 
+def device_data(samples):
+    """Each device's raw features ``(n, d)`` and labels ``(n,)``, in id order."""
+    for i in range(samples.n_devices):
+        yield samples.x[:-1, i].T, samples.y[:, i].argmax(0)
+
+
 def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,
                  rounds=4, eta=0.1):
     return ExperimentConfig(
@@ -46,6 +60,42 @@ def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,
         policy=PolicyConfig(name=policy, n_geo=n_geo),
         run=RunConfig(seed=seed),
     )
+
+
+def serial_bound_check(trace):
+    """The bound check composed serially from the public pieces."""
+    ctx = GradContext.from_trace(trace)
+    training = trace.config.training
+    sat_models = dict(trace.satellite_models)
+    nonempty = np.flatnonzero(ctx.weights.nonempty)
+    virt = virtual_trajectories(trace, ctx)
+    checks, rho_all, beta_all = [], 0.0, 0.0
+    for (g, _, path), (t_end, w_end) in zip(virt.global_paths,
+                                            trace.global_models[1:]):
+        w_start, v_end = path[0], path[-1]
+        probes = [w_start, w_end, v_end]
+        if t_end in sat_models:
+            probes += [sat_models[t_end][k] for k in nonempty]
+        div = measure_divergence(trace, probe_points=probes, ctx=ctx)
+        rho, beta = estimate_rho_beta(
+            [w_start, w_end, v_end, path[len(path) // 2]], ctx)
+        rho_all, beta_all = max(rho_all, rho), max(beta_all, beta)
+        bound = theorem_bound(div.delta_hat, div.Delta_hat,
+                              SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
+                              training.learning_rate, training.tau1,
+                              training.tau2)
+        gap = abs(ctx.global_loss(w_end) - ctx.global_loss(v_end))
+        if bound > 0:
+            margin = gap / bound
+        else:
+            margin = 0.0 if gap <= 1e-12 else float("inf")
+        checks.append(IntervalCheck(interval=g, t_end=t_end, gap=gap,
+                                    bound=bound, margin=margin,
+                                    holds=margin <= BOUND_TOLERANCE))
+    overall = measure_divergence(trace, ctx=ctx)
+    return BoundReport(intervals=checks, delta_hat=overall.delta_hat,
+                       Delta_hat=overall.Delta_hat, rho_hat=rho_all,
+                       beta_hat=beta_all)
 
 
 class TestTheoremBound:
@@ -80,10 +130,10 @@ class TestMeasureDivergence:
         # sampling, so build truly identical data by hand
         cfg = small_config(cpd=8)
         trace = run_obl(cfg)
-        shared = trace.datasets[0]
-        n_devices = len(trace.datasets)
-        trace.samples = Samples.stack([shared.features] * n_devices,
-                                      [shared.labels] * n_devices,
+        features, labels = next(device_data(trace.samples))
+        n_devices = trace.samples.n_devices
+        trace.samples = Samples.stack([features] * n_devices,
+                                      [labels] * n_devices,
                                       cfg.data.n_classes)
         div = measure_divergence(trace)
         assert div.delta_hat < 1e-12
@@ -103,8 +153,8 @@ class TestMeasureDivergence:
         W = w_flat.reshape(5, 4)
         l2 = cfg.training.l2
         grads = []
-        for ds in trace.datasets:
-            grads.append(naive_softmax_grad(W, augment(ds.features), ds.labels, l2))
+        for features, labels in device_data(trace.samples):
+            grads.append(naive_softmax_grad(W, augment(features), labels, l2))
         sat = 0.5 * grads[0] + 0.5 * grads[1]
         expect_dev0 = np.linalg.norm(grads[0] - sat)
         div = measure_divergence(trace, probe_points=[w_flat])
@@ -129,8 +179,8 @@ class TestGradContext:
         for _, w in trace.global_models[::2]:
             W = w.reshape(-1, n_classes)
             device_grads = np.stack([
-                naive_softmax_grad(W, augment(ds.features), ds.labels, l2).ravel()
-                for ds in trace.datasets])
+                naive_softmax_grad(W, augment(features), labels, l2).ravel()
+                for features, labels in device_data(trace.samples)])
             expected = ctx.weights.device_frac @ device_grads
             assert np.abs(ctx.global_grad(w) - expected).max() < 1e-12
             assert np.abs(ctx.device_grads(w) - device_grads).max() < 1e-12
@@ -219,6 +269,37 @@ class TestBoundCheck:
         assert report.holds
         assert all(c.bound >= 0 for c in report.intervals)
         assert len(report.intervals) == 6
+
+    @pytest.mark.parametrize("topology", [
+        TopologyConfig(n_sats=4, n_air=8, devices_per_air=2),
+        TopologyConfig(kind="walker", n_planes=3, sats_per_plane=4,
+                       air_per_cell=1, devices_per_air=2),
+    ], ids=["single", "walker"])
+    def test_equals_serial_composition(self, topology):
+        # at this seed the virtual endpoint sets one interval's maximum
+        cfg = small_config(policy="cnasa", n_geo=2, rounds=5, seed=1, cpd=1)
+        trace = run_obl(replace(cfg, topology=topology))
+        report = check_convergence_bound(trace)
+        expected = serial_bound_check(trace)
+        assert len(report.intervals) == 5
+        for got, want in zip(report.intervals, expected.intervals):
+            for name in ("interval", "t_end", "gap", "bound", "margin",
+                         "holds"):
+                assert getattr(got, name) == getattr(want, name), name
+        for name in ("delta_hat", "Delta_hat", "rho_hat", "beta_hat"):
+            assert getattr(report, name) == getattr(expected, name), name
+
+    def test_more_workers_than_cores_same_report(self, monkeypatch):
+        trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=6))
+        expected = check_convergence_bound(trace)
+        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = check_convergence_bound(trace)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == expected
 
     def test_cnasa_reduces_satellite_divergence(self):
         gaps = []

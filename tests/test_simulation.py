@@ -15,9 +15,8 @@ from saginfl.config import (
 from saginfl import simulation
 from saginfl.diagnostics import GradContext
 from saginfl.errors import ConfigurationError, TopologyError
-from saginfl.learner import Samples
 from saginfl.simulation import run_obl
-from saginfl.trace import render_trace
+from saginfl.trace import trace_lines
 
 
 def make_config(policy="gdo", n_geo=1, seed=0, topology=None, data=None,
@@ -44,12 +43,10 @@ class TestDegenerate:
                                     learning_rate=0.1),
         )
         trace = run_obl(cfg)
-        ds = trace.datasets[0]
         learner = trace.learner
-        samples = Samples.stack([ds.features], [ds.labels], 4)
         w = trace.global_models[0][1].copy()
         for _ in range(6):
-            w = w - 0.1 * learner.grad(w[None], samples)[0]
+            w = w - 0.1 * learner.grad(w[None], trace.samples)[0]
         assert np.allclose(trace.global_models[-1][1], w, atol=1e-12)
 
     def test_every_record_kind_matches_cadence(self):
@@ -135,8 +132,8 @@ class TestIidCloseToCentralized:
 class TestDeterminism:
     def test_repeated_run_bit_identical_trace(self):
         cfg = make_config(policy="cnasa", n_geo=2, seed=11)
-        a = render_trace(run_obl(cfg), None)
-        b = render_trace(run_obl(cfg), None)
+        a = list(trace_lines(run_obl(cfg), None))
+        b = list(trace_lines(run_obl(cfg), None))
         assert a == b
 
     def test_different_seed_differs(self):
@@ -219,7 +216,7 @@ class TestTimeAccounting:
             ring_cfg, run=RunConfig(seed=5, sync_algo="gossip"))
 
         def warning_lines(cfg):
-            lines = render_trace(run_obl(cfg), None).splitlines()
+            lines = list(trace_lines(run_obl(cfg), None))
             if "[warnings]" not in lines:
                 return []
             start = lines.index("[warnings]") + 1

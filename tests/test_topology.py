@@ -8,10 +8,13 @@ import pytest
 from saginfl.errors import ConfigurationError, TopologyError
 from saginfl.topology import (
     IslGraph,
+    _nearest_sat,
+    _plane_normal,
     build_single_orbit,
     build_walker,
     derive_isl_graph,
     great_circle_angle,
+    great_circle_angles,
     hop_distances,
     satellite_unit_positions,
     write_topology_table,
@@ -233,6 +236,41 @@ class TestGeometry:
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
         assert math.isclose(great_circle_angle(a, b), math.pi / 2)
+
+    def test_vectorized_angles_match_one_pair_rule_on_plane_pair(self):
+        topo = build_walker(15, 16, 85.0, 330.0, 1, 1)
+        pos = satellite_unit_positions(topo)
+        planes = [[s.id for s in topo.satellites if s.orbit_index == p]
+                  for p in (0, 1)]
+        normals = [_plane_normal(topo.satellites[ids[0]].raan_deg,
+                                 topo.satellites[ids[0]].inclination_deg)
+                   for ids in planes]
+        cross = np.cross(*normals)
+        cross /= np.linalg.norm(cross)
+        for region in (cross, -cross):
+            for ids in planes:
+                one_pair = [great_circle_angle(pos[i], region) for i in ids]
+                assert np.allclose(great_circle_angles(pos[ids], region),
+                                   one_pair, rtol=0.0, atol=1e-15)
+                # the sequential scan the vectorized pick replaced
+                best, best_ang = ids[0], one_pair[0]
+                for i, ang in zip(ids[1:], one_pair[1:]):
+                    if ang < best_ang - 1e-12 or (
+                            abs(ang - best_ang) <= 1e-12 and i < best):
+                        best, best_ang = i, ang
+                assert _nearest_sat(ids, pos, region) == best
+
+    def test_nearest_sat_tie_within_tolerance_picks_lowest_id(self):
+        point = np.array([1.0, 0.0, 0.0])
+        tilt = 0.1
+        pos = np.zeros((8, 3))
+        pos[[5, 2, 7]] = [[np.cos(tilt), np.sin(tilt), 0.0],
+                          [np.cos(tilt), -np.sin(tilt), 0.0],
+                          [np.cos(tilt), 0.0, np.sin(tilt)]]
+        pos[3] = [np.cos(2 * tilt), np.sin(2 * tilt), 0.0]
+        assert _nearest_sat([5, 3, 7, 2], pos, point) == 2
+        pos[7] = [np.cos(tilt / 2), 0.0, np.sin(tilt / 2)]
+        assert _nearest_sat([5, 3, 7, 2], pos, point) == 7
 
     def test_topology_table_row_count(self, tmp_path):
         topo = build_single_orbit(4, 330.0, 6, 2)
