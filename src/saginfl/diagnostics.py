@@ -198,15 +198,17 @@ def theorem_bound(delta: float, Delta: float, rho: float, beta: float,
 
 def estimate_rho_beta(models: list[np.ndarray], ctx: GradContext,
                       grads: list[np.ndarray] | None = None,
+                      losses: list[float] | None = None,
                       ) -> tuple[float, float]:
     """Max loss-difference and gradient-difference ratios over model pairs.
 
-    ``grads``, when the caller already has them, are the models'
-    ``ctx.global_grad``.
+    ``grads`` and ``losses``, when the caller already has them, are the
+    models' ``ctx.global_grad`` and ``ctx.global_loss``.
     """
     rho = 0.0
     beta = 0.0
-    losses = [ctx.global_loss(w) for w in models]
+    if losses is None:
+        losses = [ctx.global_loss(w) for w in models]
     if grads is None:
         grads = [ctx.global_grad(w) for w in models]
     for i in range(len(models)):
@@ -290,13 +292,15 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
         weights)
 
     mid = len(path) // 2
+    pair_models = [w_start, w_end, v_end, path[mid]]
+    losses = [ctx.global_loss(w) for w in pair_models]
     rho, beta = estimate_rho_beta(
-        [w_start, w_end, v_end, path[mid]], ctx,
+        pair_models, ctx, losses=losses,
         grads=[path_grads[0], end_grad, path_grads[-1], path_grads[mid]])
     bound = theorem_bound(div.delta_hat, div.Delta_hat,
                           SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
                           eta, tau1, tau2)
-    gap = abs(ctx.global_loss(w_end) - ctx.global_loss(v_end))
+    gap = abs(losses[1] - losses[2])
     if bound > 0:
         margin = gap / bound
     else:

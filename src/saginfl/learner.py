@@ -10,6 +10,7 @@ single GEMM over the pooled samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class Samples:
     x: np.ndarray
     y: np.ndarray
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Class indices ``(D, n)`` of the one-hot targets."""
+        return self.y.argmax(axis=0)
+
     @classmethod
     def stack(cls, features, labels, n_classes: int) -> "Samples":
         """From per-device ``(n, d)`` features and ``(n,)`` labels."""
@@ -65,10 +71,12 @@ def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
     return z
 
 
-def _nll(z: np.ndarray, targets: np.ndarray, axis: int) -> np.ndarray:
-    """Per-sample cross-entropy of logits ``z`` (overwritten) against one-hots."""
+def _nll(z: np.ndarray, labels: np.ndarray, axis: int) -> np.ndarray:
+    """Per-sample cross-entropy of logits ``z`` (overwritten) against class
+    indices ``labels``, which have ``z``'s shape without ``axis``."""
     z -= z.max(axis=axis, keepdims=True)
-    target_logit = (targets * z).sum(axis=axis)
+    target_logit = np.take_along_axis(
+        z, np.expand_dims(labels, axis), axis=axis).squeeze(axis)
     np.exp(z, out=z)
     return np.log(z.sum(axis=axis)) - target_logit
 
@@ -142,7 +150,7 @@ class SoftmaxLearner:
     def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
         """Per-device mean cross-entropy plus (l2/2)*||W||^2, shape ``(D,)``."""
         weights = self._shape(flat)
-        nll = _nll(self._logits(weights, samples.x), samples.y, axis=0)
+        nll = _nll(self._logits(weights, samples.x), samples.labels, axis=0)
         return nll.mean(axis=1) + self.l2 * _l2_penalty(weights)
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,
@@ -201,7 +209,7 @@ class MlpLearner:
     def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
         """Per-device mean cross-entropy plus L2, shape ``(D,)``."""
         w1, w2, _, _, logits = self._forward(flat, samples.x)
-        nll = _nll(logits, samples.y.transpose(1, 0, 2), axis=1)
+        nll = _nll(logits, samples.labels, axis=1)
         return nll.mean(axis=1) + self.l2 * (_l2_penalty(w1) + _l2_penalty(w2))
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,

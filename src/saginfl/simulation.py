@@ -6,7 +6,8 @@ rounds, satellites take the data-weighted average of their devices' models
 (one operator, ``AggregationWeights``, which the diagnostics share) and
 broadcast back. Each tau1*tau2 rounds the satellite models are synchronized
 by ring allreduce (single orbit) or the three-phase multi-orbit variant, and
-the global model is broadcast to everyone. Devices step in ascending id
+the global model is broadcast to everyone; the synchronization's rings and
+transfers are fixed by the topology, so they are planned once per run. Devices step in ascending id
 order, so the trace is schedule-independent and fully determined by the seed.
 """
 from __future__ import annotations
@@ -17,7 +18,14 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .allreduce import ModelVector, multi_orbit_sync_states, ring_allreduce_states
+from .allreduce import (
+    CommLog,
+    ModelVector,
+    multi_orbit_sync_states,
+    plan_multi_orbit,
+    plan_ring,
+    ring_allreduce_states,
+)
 from .assignment import AssignmentMap, ClassDistribution, cnasa, gdo
 from .config import ExperimentConfig, validate_config
 from .coverage import CoverageMap, compute_coverage
@@ -97,7 +105,10 @@ class TrainingTrace:
     global_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     accuracy: list[tuple[int, int, float]] = field(default_factory=list)
     breakdowns: list[TimeBreakdown] = field(default_factory=list)
-    comm_rows: list[tuple[int, str, int, int, int, int]] = field(default_factory=list)
+    # one synchronization's transfers, the same every global round, and the
+    # global rounds that ran it
+    sync_log: CommLog | None = None
+    sync_rounds: list[int] = field(default_factory=list)
     partition_rows: list[tuple[int, int]] = field(default_factory=list)
     assignment_rows: list[tuple[int, int, int]] = field(default_factory=list)
     warnings: tuple[str, ...] = ()
@@ -273,6 +284,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     eta = cfg.training.learning_rate
     total_steps = cfg.training.global_rounds * tau1 * tau2
     single_orbit = topology.n_planes == 1
+    if single_orbit:
+        plan = plan_ring([s.id for s in topology.satellites], learner.n_params)
+    else:
+        plan = plan_multi_orbit(graph, learner.n_params)
+    trace.sync_log = plan.log
 
     round_comm = comm_time(assignment, time_params)
     round_comp = comp_time(time_params, assignment.max_assigned)
@@ -316,15 +332,13 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
         models = [ModelVector(params=sat_params[k], weight=weights.sat_frac[k])
                   for k in range(n_sats)]
         if single_orbit:
-            ids = [s.id for s in topology.satellites]
-            states, log = ring_allreduce_states(models, ids)
+            states, _ = ring_allreduce_states(models, plan)
             global_params = states[0]
         else:
             orbit_models = [[models[s] for s in orbit] for orbit in graph.orbits]
-            state_map, log = multi_orbit_sync_states(orbit_models, graph)
+            state_map, _ = multi_orbit_sync_states(orbit_models, graph, plan)
             global_params = state_map[min(state_map)]
-        for phase, step, src, dst, n_params in log.transfers:
-            trace.comm_rows.append((g_round, phase, step, src, dst, n_params))
+        trace.sync_rounds.append(g_round)
         sat_params = np.tile(global_params, (n_sats, 1))
         device_params = np.tile(global_params, (n_devices, 1))
         trace.global_models.append((t, global_params.copy()))

@@ -2,8 +2,9 @@
 
 One plain-text trace file per run: the resolved configuration header followed
 by CSV sections for accuracy, time, partition, assignment, divergence, the
-per-interval bound checks, and the communication log. Floats are written with
-repr so reruns of the same configuration are byte-identical.
+per-interval bound checks, and the communication log (one synchronization's
+transfers, the same every global round, listed once per round). Floats are
+written with repr so reruns of the same configuration are byte-identical.
 """
 from __future__ import annotations
 
@@ -81,8 +82,12 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
     yield ""
     yield "[commlog]"
     yield "round,phase,step,src,dst,params"
-    for rnd, phase, step, src, dst, params in trace.comm_rows:
-        yield f"{rnd},{phase},{step},{src},{dst},{params}"
+    if trace.sync_log is not None:
+        # one schedule, formatted once, repeated for every global round
+        rows = [f",{phase},{step},{src},{dst},{params}" for phase, step, src,
+                dst, params in trace.sync_log.transfers.tolist()]
+        for rnd in trace.sync_rounds:
+            yield from map(str(rnd).__add__, rows)
 
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,

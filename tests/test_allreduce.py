@@ -11,6 +11,8 @@ from saginfl.allreduce import (
     chunk_model,
     gossip_traffic,
     multi_orbit_sync_states,
+    plan_multi_orbit,
+    plan_ring,
     ring_allreduce_states,
     ring_traffic_analytic,
     ring_traffic_per_node,
@@ -30,6 +32,56 @@ def random_models(rng, n, m):
 
 def direct_average(models):
     return sum(mv.params * mv.weight for mv in models)
+
+
+def naive_ring(vectors, ids, prefix, transfers):
+    """One ring's chunked allreduce, step by step with per-node chunk lists.
+
+    Every send of a step is read before any lands. Appends the ring's
+    transfers as ``(phase, step, src, dst, params)``.
+    """
+    n, m = len(vectors), len(vectors[0])
+    if n == 1:
+        return [vectors[0].copy()]
+    size = math.ceil(m / n)
+    chunks = []
+    for v in vectors:
+        padded = np.concatenate([v, np.zeros(size * n - m)])
+        chunks.append([padded[c * size:(c + 1) * size].copy()
+                       for c in range(n)])
+    for half in ("scatter", "gather"):
+        for step in range(n - 1):
+            sends = []
+            for k in range(n):
+                c = (k - step) % n if half == "scatter" else (k + 1 - step) % n
+                sends.append(((k + 1) % n, c, chunks[k][c].copy()))
+                transfers.append((prefix + half, step, ids[k],
+                                  ids[(k + 1) % n], size))
+            for dst, c, payload in sends:
+                if half == "scatter":
+                    chunks[dst][c] = chunks[dst][c] + payload
+                else:
+                    chunks[dst][c] = payload
+    return [np.concatenate(row)[:m] for row in chunks]
+
+
+def naive_three_phase(orbit_models, graph):
+    """Orbit by orbit, then the representatives, then orbit by orbit."""
+    incident = {s for edge, kind in zip(graph.edges, graph.kinds)
+                if kind == "inter" for s in edge}
+    reps = [min(s for s in orbit if s in incident) for orbit in graph.orbits]
+    transfers = []
+    sums = [naive_ring([mv.params * mv.weight for mv in models], orbit,
+                       "phase1-", transfers)[0]
+            for models, orbit in zip(orbit_models, graph.orbits)]
+    global_vec = naive_ring(sums, reps, "phase2-", transfers)[0]
+    states = {}
+    for orbit, rep in zip(graph.orbits, reps):
+        vectors = [global_vec.copy() if s == rep else np.zeros_like(global_vec)
+                   for s in orbit]
+        states.update(zip(orbit, naive_ring(vectors, orbit, "phase3-",
+                                            transfers)))
+    return states, transfers, reps
 
 
 class TestChunkModel:
@@ -175,7 +227,8 @@ class TestMultiOrbitSync:
                         kinds=("intra",) * 4, orbits=((0, 1, 2, 3),))
         models = random_models(np.random.default_rng(8), 4, 9)
         multi_states, multi_log = multi_orbit_sync_states([models], ring)
-        flat_states, flat_log = ring_allreduce_states(models, ids=[0, 1, 2, 3])
+        flat_states, flat_log = ring_allreduce_states(
+            models, plan_ring([0, 1, 2, 3], 9))
         for sat in range(4):
             assert (multi_states[sat] == flat_states[sat]).all()
         assert multi_log.steps == flat_log.steps
@@ -216,6 +269,98 @@ class TestMultiOrbitSync:
         assert sorted(states) == list(range(6))
         for vec in states.values():
             assert np.allclose(vec, direct_average(flat), rtol=1e-9, atol=1e-12)
+
+
+class TestStackedRings:
+    """The stacked phases against the per-ring, per-step reference."""
+
+    @staticmethod
+    def split(flat, graph):
+        out, k = [], 0
+        for orbit in graph.orbits:
+            out.append(flat[k:k + len(orbit)])
+            k += len(orbit)
+        return out
+
+    def assert_matches_reference(self, graph, m, seed):
+        flat = random_models(np.random.default_rng(seed), len(graph.nodes), m)
+        orbit_models = self.split(flat, graph)
+        states, log = multi_orbit_sync_states(orbit_models, graph)
+        want, transfers, reps = naive_three_phase(orbit_models, graph)
+        assert sorted(states) == sorted(want)
+        for s, vec in want.items():
+            assert states[s].tobytes() == vec.tobytes(), s
+        assert log.transfers.tolist() == transfers
+        # per node: phases 1 and 3 on its orbit, phase 2 on the
+        # representatives' ring
+        expected = {}
+        for orbit in graph.orbits:
+            for s in orbit:
+                expected[s] = 2 * ring_traffic_per_node(len(orbit), m)
+                if s in reps:
+                    expected[s] += ring_traffic_per_node(len(reps), m)
+        assert log.params_sent == {s: v for s, v in expected.items() if v}
+        return log
+
+    def test_walker_phase_two_ring_smaller_than_orbits(self):
+        graph = derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1, 1))
+        log = self.assert_matches_reference(graph, 37, seed=12)
+        assert log.steps["phase2-scatter"] == 2
+        assert log.steps["phase1-scatter"] == 3 * 3
+
+    def test_walker_phase_two_ring_larger_than_orbits(self):
+        graph = derive_isl_graph(build_walker(5, 3, 85.0, 330.0, 1, 1))
+        self.assert_matches_reference(graph, 23, seed=13)
+
+    def test_unequal_orbits_with_a_one_satellite_ring(self):
+        graph = IslGraph(
+            nodes=tuple(range(6)),
+            edges=((1, 2), (2, 3), (1, 3), (4, 5), (0, 1), (3, 4)),
+            kinds=("intra",) * 4 + ("inter",) * 2,
+            orbits=((0,), (1, 2, 3), (4, 5)))
+        log = self.assert_matches_reference(graph, 10, seed=14)
+        # the lone satellite of orbit 0 sends only on the representatives' ring
+        sent_in = set(log.transfers["phase"][log.transfers["src"] == 0].tolist())
+        assert sent_in == {"phase2-scatter", "phase2-gather"}
+
+    def test_one_satellite_ring(self):
+        models = random_models(np.random.default_rng(15), 1, 5)
+        states, log = ring_allreduce_states(models, plan_ring([7], 5))
+        assert states[0].tobytes() == naive_ring(
+            [models[0].params * models[0].weight], [7], "", [])[0].tobytes()
+        assert len(log.transfers) == 0 and log.params_sent == {}
+
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_single_ring_matches_reference(self, n, m, seed):
+        models = random_models(np.random.default_rng(seed), n, m)
+        ids = list(range(10, 10 + n))
+        states, log = ring_allreduce_states(models, plan_ring(ids, m))
+        transfers = []
+        want = naive_ring([mv.params * mv.weight for mv in models], ids, "",
+                          transfers)
+        assert [s.tobytes() for s in states] == [w.tobytes() for w in want]
+        assert log.transfers.tolist() == transfers
+
+    def test_plan_reused_across_syncs(self):
+        graph = derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1, 1))
+        plan = plan_multi_orbit(graph, 9)
+        rng = np.random.default_rng(16)
+        for _ in range(2):
+            orbit_models = self.split(random_models(rng, 12, 9), graph)
+            fresh, _ = multi_orbit_sync_states(orbit_models, graph)
+            planned, log = multi_orbit_sync_states(orbit_models, graph, plan)
+            assert log is plan.log
+            assert all(planned[s].tobytes() == fresh[s].tobytes()
+                       for s in fresh)
+
+    def test_plan_for_another_model_size_rejected(self):
+        graph = derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1, 1))
+        orbit_models = self.split(
+            random_models(np.random.default_rng(17), 12, 9), graph)
+        with pytest.raises(InputError):
+            multi_orbit_sync_states(orbit_models, graph,
+                                    plan_multi_orbit(graph, 8))
 
 
 @given(st.integers(1, 16), st.integers(1, 128), st.integers(0, 10_000))

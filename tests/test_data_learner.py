@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from saginfl import learner as learner_module
 from saginfl.data import class_scales, device_classes, generate_data
 from saginfl.errors import ConfigurationError
 from saginfl.learner import (
@@ -200,6 +201,35 @@ def test_shared_model_equals_broadcast_stack(learner):
                   - learner.grad(stack, samples)).max() < 1e-12
     assert np.abs(learner.loss(flat, samples)
                   - learner.loss(stack, samples)).max() < 1e-12
+
+
+def one_hot_nll(z, labels, axis):
+    """The former cross-entropy: the target logit as the class-axis sum of
+    the full one-hot * logits product."""
+    targets = np.moveaxis(labels[..., None] == np.arange(z.shape[axis]),
+                          -1, axis).astype(float)
+    z -= z.max(axis=axis, keepdims=True)
+    target_logit = (targets * z).sum(axis=axis)
+    np.exp(z, out=z)
+    return np.log(z.sum(axis=axis)) - target_logit
+
+
+@pytest.mark.parametrize("learner", [
+    SoftmaxLearner(d=10, n_classes=10, l2=1e-3),
+    MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8),
+], ids=["softmax", "mlp"])
+def test_loss_equals_one_hot_formula(learner, monkeypatch):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((48, 30, 10))
+    y = rng.integers(0, 10, size=(48, 30))
+    samples = Samples.stack(X, y, 10)
+    flat = learner.init_params(rng)
+    models = (flat, flat + 0.1 * rng.standard_normal((48, learner.n_params)))
+    got = [learner.loss(w, samples) for w in models]
+    monkeypatch.setattr(learner_module, "_nll", one_hot_nll)
+    want = [learner.loss(w, samples) for w in models]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 class TestMlpLearner:

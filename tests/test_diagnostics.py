@@ -28,7 +28,7 @@ from saginfl.diagnostics import (
     virtual_trajectories,
 )
 from saginfl.errors import InputError
-from saginfl.learner import Samples, augment
+from saginfl.learner import Samples, SoftmaxLearner, augment
 from saginfl.simulation import run_obl
 
 
@@ -300,6 +300,22 @@ class TestBoundCheck:
         finally:
             sys.setswitchinterval(interval)
         assert report == expected
+
+    def test_four_loss_passes_per_interval(self, monkeypatch):
+        # the gap reuses the losses the rho estimate takes at the interval's
+        # end and virtual-end models
+        trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
+        calls = []
+        loss = SoftmaxLearner.loss
+
+        def counted(self, flat, samples):
+            calls.append(flat.shape)
+            return loss(self, flat, samples)
+
+        monkeypatch.setattr(SoftmaxLearner, "loss", counted)
+        report = check_convergence_bound(trace)
+        assert len(report.intervals) == 3
+        assert len(calls) == 4 * 3
 
     def test_cnasa_reduces_satellite_divergence(self):
         gaps = []

@@ -157,7 +157,7 @@ class TestWalkerRuns:
         trace = run_obl(cfg)
         assert trace.topology.n_satellites == 12
         assert len(trace.accuracy) == 2
-        phases = {row[1] for row in trace.comm_rows}
+        phases = set(trace.sync_log.transfers["phase"].tolist())
         assert any(p.startswith("phase2") for p in phases)
         assert trace.assignment.relay_hops() < 2
 
@@ -176,6 +176,35 @@ class TestWalkerRuns:
         t, g = trace.global_models[-1]
         expected = sat_w @ dict(trace.satellite_models)[t]
         assert np.abs(g - expected).max() < 1e-9
+
+
+class TestCommLog:
+    @pytest.mark.parametrize("topology", [
+        TopologyConfig(n_sats=4, n_air=8, devices_per_air=2),
+        TopologyConfig(kind="walker", n_planes=3, sats_per_plane=4,
+                       inclination_deg=85.0, air_per_cell=1,
+                       devices_per_air=1),
+    ], ids=["single", "walker"])
+    def test_written_log_is_the_per_round_logs(self, topology, monkeypatch):
+        logs = []
+        for name in ("ring_allreduce_states", "multi_orbit_sync_states"):
+            def recorded(*args, _sync=getattr(simulation, name), **kwargs):
+                out = _sync(*args, **kwargs)
+                logs.append(out[1])
+                return out
+            monkeypatch.setattr(simulation, name, recorded)
+        cfg = make_config(
+            policy="cnasa", n_geo=2, topology=topology,
+            data=DataConfig(n_classes=6, feature_dim=6, classes_per_device=2,
+                            samples_per_device=15, test_samples=300),
+            training=TrainingConfig(tau1=2, tau2=2, global_rounds=3))
+        lines = list(trace_lines(run_obl(cfg), None))
+        written = lines[lines.index("[commlog]") + 2:]
+        assert len(logs) == 3
+        expected = [f"{rnd},{phase},{step},{src},{dst},{params}"
+                    for rnd, log in enumerate(logs, start=1)
+                    for phase, step, src, dst, params in log.transfers.tolist()]
+        assert written == expected and len(expected) > 0
 
 
 class TestTimeAccounting:
