@@ -29,27 +29,6 @@ from .topology import IslGraph
 WEIGHT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ModelVector:
-    """Flat parameter vector plus its share of the global data."""
-
-    params: np.ndarray
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.params)):
-            raise InputError("model parameters must be finite")
-        if self.weight < 0:
-            raise InputError(f"model weight must be >= 0, got {self.weight}")
-
-
-def _per_node(nodes: np.ndarray, params: np.ndarray) -> dict[int, int]:
-    ids, where = np.unique(nodes, return_inverse=True)
-    totals = np.zeros(len(ids), dtype=np.int64)
-    np.add.at(totals, where, params)
-    return dict(zip(ids.tolist(), totals.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class CommLog:
     """Exact communication accounting for one synchronization.
@@ -66,17 +45,11 @@ class CommLog:
 
     @cached_property
     def params_sent(self) -> dict[int, int]:
-        return _per_node(self.transfers["src"], self.transfers["params"])
-
-    @cached_property
-    def params_received(self) -> dict[int, int]:
-        return _per_node(self.transfers["dst"], self.transfers["params"])
-
-    def total_sent(self) -> int:
-        return sum(self.params_sent.values())
-
-    def total_received(self) -> int:
-        return sum(self.params_received.values())
+        """Parameters each satellite sends, summed over its transfers."""
+        ids, where = np.unique(self.transfers["src"], return_inverse=True)
+        totals = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(totals, where, self.transfers["params"])
+        return dict(zip(ids.tolist(), totals.tolist()))
 
 
 def _chunk_size(m: int, n: int) -> int:
@@ -204,116 +177,81 @@ def _ring_reduce_sum(vectors: np.ndarray) -> np.ndarray:
     return stitch_chunks(chunks, m)
 
 
-def _reduce_rings(rings: list[np.ndarray]) -> list[np.ndarray]:
-    """``_ring_reduce_sum`` of rings given as ``(n_r, M)`` arrays, one
-    stacked call per ring size; results in input order."""
-    out: list[np.ndarray] = [np.empty(0)] * len(rings)
-    by_size: dict[int, list[int]] = {}
-    for r, vectors in enumerate(rings):
-        by_size.setdefault(len(vectors), []).append(r)
-    for members in by_size.values():
-        summed = _ring_reduce_sum(np.stack([rings[r] for r in members]))
-        for r, states in zip(members, summed):
-            out[r] = states
+def _reduce_phase(vectors: np.ndarray, rings) -> np.ndarray:
+    """One phase: every ring reduced over its members' rows of ``vectors``
+    (row k is satellite k), equal-size rings stacked into one call. The
+    rings cover every row."""
+    out = np.empty_like(vectors)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for ring in rings:
+        by_size.setdefault(len(ring), []).append(ring)
+    for same in by_size.values():
+        idx = np.array(same)                  # (rings, n)
+        out[idx] = _ring_reduce_sum(vectors[idx])
     return out
 
 
-def _check_models(models: list[ModelVector]) -> int:
-    if not models:
-        raise InputError("need at least one participant")
-    m = models[0].params.shape[0]
-    for mv in models:
-        if mv.params.shape != (m,):
-            raise InputError(
-                f"model length mismatch: {mv.params.shape} vs ({m},)")
-    total = sum(mv.weight for mv in models)
+def _weighted(params: np.ndarray, weights: np.ndarray,
+              plan: SyncPlan) -> np.ndarray:
+    """``weights[k] * params[k]`` per satellite, once the models, weights
+    and plan are checked against each other."""
+    params = np.asarray(params, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if params.ndim != 2 or not len(params) or weights.shape != params.shape[:1]:
+        raise InputError(f"need (N, M) models with N >= 1 and N weights, got "
+                         f"{params.shape} and {weights.shape}")
+    if not np.all(np.isfinite(params)):
+        raise InputError("model parameters must be finite")
+    if (weights < 0).any():
+        raise InputError(f"model weights must be >= 0, got {weights.min()}")
+    total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_TOL:
         raise InputError(f"participant weights must sum to 1, got {total!r}")
-    return m
+    planned = sorted(s for ring in plan.phases[0] for s in ring)
+    if plan.m != params.shape[1] or planned != list(range(len(params))):
+        raise InputError(f"sync plan over satellites {planned} of {plan.m} "
+                         f"params does not fit models {params.shape}")
+    return params * weights[:, None]
 
 
-def _check_plan(plan: SyncPlan, m: int, ring_sizes: list[int]) -> None:
-    planned = [len(ring) for ring in plan.phases[0]]
-    if plan.m != m or planned != ring_sizes:
-        raise InputError(f"sync plan for rings {planned} of {plan.m} params "
-                         f"does not fit rings {ring_sizes} of {m}")
-
-
-def _scaled(models: list[ModelVector]) -> np.ndarray:
-    return np.stack([mv.params * mv.weight for mv in models])
-
-
-def ring_allreduce_states(models: list[ModelVector], plan: SyncPlan | None = None,
-                          ) -> tuple[list[np.ndarray], CommLog]:
+def ring_allreduce_states(params: np.ndarray, weights: np.ndarray,
+                          plan: SyncPlan) -> tuple[np.ndarray, CommLog]:
     """Weighted-average synchronization over one ring.
 
-    Each participant's vector is pre-scaled by its weight, so the chunked
-    sum-reduce yields the weighted average in a single pass. Returns every
-    participant's final vector; all are bit-identical. ``plan`` is
-    ``plan_ring(ids, M)``; without it the ring is ``0..n-1``.
+    Row k of ``params`` ``(N, M)`` is satellite k's model and ``weights[k]``
+    its share of the data; ``plan`` is ``plan_ring`` over ids 0..N-1. Each
+    vector is pre-scaled by its weight, so the chunked sum-reduce yields the
+    weighted average in a single pass. Returns every satellite's final
+    vector as ``(N, M)``, all rows bit-identical, and the plan's log.
     """
-    m = _check_models(models)
-    if plan is None:
-        plan = plan_ring(range(len(models)), m)
-    _check_plan(plan, m, [len(models)])
-    states = _ring_reduce_sum(_scaled(models)[None])[0]
-    return list(states), plan.log
+    scaled = _weighted(params, weights, plan)
+    if len(plan.phases) != 1 or len(plan.phases[0]) != 1:
+        raise InputError(f"ring_allreduce_states runs one ring, the plan has "
+                         f"{[len(rings) for rings in plan.phases]} per phase")
+    return _reduce_phase(scaled, plan.phases[0]), plan.log
 
 
-def multi_orbit_sync_states(orbit_models: list[list[ModelVector]], graph: IslGraph,
-                            plan: SyncPlan | None = None,
-                            ) -> tuple[dict[int, np.ndarray], CommLog]:
-    """Three-phase synchronization; returns each satellite's final vector.
+def multi_orbit_sync_states(params: np.ndarray, weights: np.ndarray,
+                            plan: SyncPlan) -> tuple[np.ndarray, CommLog]:
+    """Three-phase synchronization; inputs and outputs as for
+    ``ring_allreduce_states``, with ``plan`` from ``plan_multi_orbit``.
 
     Phase 1 reduces within every orbit (weights pre-scaled globally), phase 2
     rings over one representative per orbit, and phase 3 redistributes
     within each orbit as a ring allreduce in which non-representatives
     contribute zero vectors, i.e. they only ever replace received chunks.
-    ``plan`` is ``plan_multi_orbit(graph, M)``, built here when not given.
+    A one-orbit plan is its single ring.
     """
-    if len(orbit_models) != len(graph.orbits):
-        raise InputError("one model list per orbit is required")
-    m = _check_models([mv for orbit in orbit_models for mv in orbit])
-    for j, orbit in enumerate(orbit_models):
-        if not orbit:
-            raise InputError(f"orbit {j} has no participants")
-        if len(orbit) != len(graph.orbits[j]):
-            raise InputError(f"orbit {j}: {len(orbit)} models for "
-                             f"{len(graph.orbits[j])} satellites")
-    if plan is None:
-        plan = plan_multi_orbit(graph, m)
-
-    if len(orbit_models) == 1:
-        states, log = ring_allreduce_states(orbit_models[0], plan)
-        return dict(zip(graph.orbits[0], states)), log
-
-    _check_plan(plan, m, [len(orbit) for orbit in orbit_models])
+    scaled = _weighted(params, weights, plan)
+    if len(plan.phases) == 1:
+        return _reduce_phase(scaled, plan.phases[0]), plan.log
     orbits, (reps,), _ = plan.phases
-    # phase 1: per-orbit partial sums of globally weighted vectors
-    orbit_sums = [states[0] for states
-                  in _reduce_rings([_scaled(orbit) for orbit in orbit_models])]
-    # phase 2: ring over representatives, one per orbit
-    global_vec = _ring_reduce_sum(np.stack(orbit_sums)[None])[0, 0]
-    # phase 3: intra-orbit distribution; non-representatives hold zeros so the
-    # reduce degenerates to chunk replacement
-    held = []
-    for orbit, rep in zip(orbits, reps):
-        vectors = np.zeros((len(orbit), m))
-        vectors[orbit.index(rep)] = global_vec
-        held.append(vectors)
-    result = {s: vec for orbit, states in zip(orbits, _reduce_rings(held))
-              for s, vec in zip(orbit, states)}
-    return result, plan.log
-
-
-def traffic_per_node(log: CommLog, m: int, n: int) -> int:
-    """Measured parameters sent per satellite; uniform across the ring."""
-    if n == 1 or not log.params_sent:
-        return 0
-    values = set(log.params_sent.values())
-    if len(values) != 1:
-        raise InputError(f"non-uniform per-node traffic: {sorted(values)}")
-    return values.pop()
+    reps = list(reps)
+    orbit_sums = _reduce_phase(scaled, orbits)
+    global_vec = _ring_reduce_sum(orbit_sums[reps][None])[0, 0]
+    held = np.zeros_like(orbit_sums)
+    held[reps] = global_vec
+    return _reduce_phase(held, orbits), plan.log
 
 
 def ring_traffic_per_node(n: int, m: int) -> int:
@@ -323,19 +261,3 @@ def ring_traffic_per_node(n: int, m: int) -> int:
     if n == 1:
         return 0
     return 2 * (n - 1) * math.ceil(m / n)
-
-
-def ring_traffic_analytic(n: int, m: float) -> float:
-    """Idealized (unpadded) ring traffic per node: 2(n-1)*m/n."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 0.0
-    return 2.0 * (n - 1) * m / n
-
-
-def gossip_traffic(n: int, m: float) -> float:
-    """Per-node gossip traffic n*log2(n)*m; the protocol is costed, not simulated."""
-    if n < 2:
-        raise InputError(f"gossip needs n >= 2, got {n}")
-    return n * math.log2(n) * m

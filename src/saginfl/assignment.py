@@ -8,7 +8,6 @@ CNASA run on the whole-constellation partition (``whole_partition``).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +84,9 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return points[centers].copy()
 
 
-def kmeans(vectors: list[ClassDistribution] | np.ndarray, k: int,
-           rng: np.random.Generator, max_iter: int = 100,
-           tol: float = 1e-6) -> np.ndarray:
-    """Lloyd's iteration on the probability vectors; returns group labels."""
-    if isinstance(vectors, np.ndarray):
-        points = np.asarray(vectors, dtype=float)
-    else:
-        points = np.array([v.probs for v in vectors], dtype=float)
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
+           max_iter: int = 100, tol: float = 1e-6) -> np.ndarray:
+    """Lloyd's iteration on the rows of ``points``; returns group labels."""
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ConfigurationError(f"k must be in [1, {n}], got {k}")
@@ -198,21 +192,6 @@ def min_cost_matching(cost: np.ndarray) -> tuple[int, ...]:
     return tuple(perm)
 
 
-_PERM_CACHE: dict[int, np.ndarray] = {}
-
-
-def brute_force_matching(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive oracle over all n! permutations; usable for n <= 8."""
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))))
-    perms = _PERM_CACHE[n]
-    totals = cost[np.arange(n)[None, :], perms].sum(axis=1)
-    best = int(np.argmin(totals))
-    return float(totals[best]), tuple(int(c) for c in perms[best])
-
-
 def _assignment_stats(f: dict[int, int], coverage: CoverageMap) -> tuple[int, int]:
     access_counts: dict[int, int] = {}
     for sat in coverage.access.values():
@@ -260,13 +239,13 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
         if not airs:
             warnings.append(f"partition {part_idx} has no air nodes; skipped")
             continue
-        air_dists = [
-            air_class_distribution([device_dists[d] for d in air_devices[a]])
+        air_probs = np.array([
+            air_class_distribution([device_dists[d] for d in air_devices[a]]).probs
             for a in airs
-        ]
+        ])
         n_clusters = len(sats)
         k = max(1, len(airs) // n_clusters)
-        labels = kmeans(air_dists, k, part_rng)
+        labels = kmeans(air_probs, k, part_rng)
         groups = [[airs[i] for i in range(len(airs)) if labels[i] == g]
                   for g in range(k)]
         clusters = build_clusters(groups, n_clusters, part_rng)

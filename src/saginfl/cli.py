@@ -24,7 +24,7 @@ from .config import (
     load_config,
     with_seed,
 )
-from .diagnostics import check_convergence_bound
+from .diagnostics import bound_inapplicable, check_convergence_bound
 from .errors import ConfigurationError
 from .simulation import run_obl
 from .topology import write_topology_table
@@ -51,12 +51,12 @@ def run_stem(cfg: ExperimentConfig) -> str:
 def execute_run(cfg: ExperimentConfig, out: Path) -> dict:
     """Run one configuration; write trace, summary, and topology files.
 
-    The convergence diagnostics require the convex learner on full-batch
-    gradients; mini-batch or MLP runs skip the bound report.
+    Runs outside the convergence bound's scope (mini-batch or MLP) skip the
+    bound report.
     """
     trace = run_obl(cfg)
-    diagnosable = trace.learner.convex and cfg.training.batch_size == 0
-    report = check_convergence_bound(trace) if diagnosable else None
+    report = (None if bound_inapplicable(trace)
+              else check_convergence_bound(trace))
     out.mkdir(parents=True, exist_ok=True)
     stem = run_stem(cfg)
     write_trace(trace, report, out / f"{stem}.trace.txt")

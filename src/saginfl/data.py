@@ -22,7 +22,6 @@ from .errors import ConfigurationError
 class DeviceDataset:
     features: np.ndarray       # (n, d)
     labels: np.ndarray         # (n,) ints in [0, C)
-    owner: int                 # device id
     class_dist: ClassDistribution
 
 
@@ -102,7 +101,7 @@ def generate_data(n_devices: int, classes_per_device: int,
         features = _sample_blob(means, scales, labels, rng)
         hist = np.bincount(labels, minlength=n_classes).astype(float)
         datasets.append(DeviceDataset(
-            features=features, labels=labels, owner=dev,
+            features=features, labels=labels,
             class_dist=ClassDistribution(probs=hist / labels.shape[0],
                                          sample_count=int(labels.shape[0])),
         ))

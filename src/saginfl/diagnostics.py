@@ -196,21 +196,12 @@ def theorem_bound(delta: float, Delta: float, rho: float, beta: float,
     return (rho / beta) * (delta * h(tau1) + Delta * h(tau1 * tau2))
 
 
-def estimate_rho_beta(models: list[np.ndarray], ctx: GradContext,
-                      grads: list[np.ndarray] | None = None,
-                      losses: list[float] | None = None,
-                      ) -> tuple[float, float]:
-    """Max loss-difference and gradient-difference ratios over model pairs.
-
-    ``grads`` and ``losses``, when the caller already has them, are the
-    models' ``ctx.global_grad`` and ``ctx.global_loss``.
-    """
+def estimate_rho_beta(models: list[np.ndarray], grads: list[np.ndarray],
+                      losses: list[float]) -> tuple[float, float]:
+    """Max loss-difference and gradient-difference ratios over model pairs,
+    given the models' global gradients and losses."""
     rho = 0.0
     beta = 0.0
-    if losses is None:
-        losses = [ctx.global_loss(w) for w in models]
-    if grads is None:
-        grads = [ctx.global_grad(w) for w in models]
     for i in range(len(models)):
         for j in range(i + 1, len(models)):
             dist = float(np.linalg.norm(models[i] - models[j]))
@@ -295,8 +286,8 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
     pair_models = [w_start, w_end, v_end, path[mid]]
     losses = [ctx.global_loss(w) for w in pair_models]
     rho, beta = estimate_rho_beta(
-        pair_models, ctx, losses=losses,
-        grads=[path_grads[0], end_grad, path_grads[-1], path_grads[mid]])
+        pair_models,
+        [path_grads[0], end_grad, path_grads[-1], path_grads[mid]], losses)
     bound = theorem_bound(div.delta_hat, div.Delta_hat,
                           SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
                           eta, tau1, tau2)
@@ -310,6 +301,22 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
     return check, rho, beta, endpoints
 
 
+def bound_inapplicable(trace: TrainingTrace) -> str | None:
+    """Why the convergence bound does not cover the run, or None if it does.
+
+    The bound, in the ``(eta*beta+1)^t - 1`` form of Wang et al. (JSAC
+    2019), holds for a convex loss and full-batch local steps only.
+    """
+    if not trace.learner.convex:
+        return (f"[training] learner = {trace.learner.name!r} is not convex; "
+                f"the bound needs a convex loss")
+    batch = trace.config.training.batch_size
+    if 0 < batch < trace.samples.x.shape[2]:
+        return (f"[training] batch_size = {batch} takes mini-batch steps; "
+                f"the bound covers full-batch local steps only")
+    return None
+
+
 def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     """Per-global-interval check of the convergence bound.
 
@@ -319,8 +326,12 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     A margin of at most 1.05 counts as holding; beyond that the interval is
     flagged as a violation. Intervals are checked concurrently and folded in
     interval order; the overall divergence is over the recorded global
-    models.
+    models. Raises InputError, naming the setting, for a run outside the
+    bound's scope (``bound_inapplicable``).
     """
+    reason = bound_inapplicable(trace)
+    if reason is not None:
+        raise InputError(reason)
     ctx = GradContext.from_trace(trace)
     task = partial(_check_interval, trace, ctx, dict(trace.satellite_models))
     intervals = range(1, len(trace.global_models))

@@ -93,12 +93,6 @@ def _l2_penalty(weights: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(weights[..., :-1, :] ** 2, axis=(-2, -1))
 
 
-def softmax_accuracy(weights: np.ndarray, features: np.ndarray,
-                     labels: np.ndarray) -> float:
-    pred = np.argmax(augment(features) @ weights, axis=-1)
-    return float(np.mean(pred == labels))
-
-
 class SoftmaxLearner:
     """Softmax regression on flat ``(d+1)*C`` vectors, bias row last."""
 
@@ -155,7 +149,8 @@ class SoftmaxLearner:
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray) -> float:
-        return softmax_accuracy(self._shape(flat), features, labels)
+        pred = np.argmax(augment(features) @ self._shape(flat), axis=-1)
+        return float(np.mean(pred == labels))
 
 
 class MlpLearner:

@@ -134,12 +134,3 @@ def air_nodes_to_parts(coverage: CoverageMap, pset: PartitionSet,
 def with_air_parts(pset: PartitionSet, coverage: CoverageMap) -> PartitionSet:
     """The partition with each air node in its access satellite's part."""
     return replace(pset, air_parts=air_nodes_to_parts(coverage, pset))
-
-
-def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
-    """Hop diameter of the sub-graph induced by ``part`` (-1 if disconnected)."""
-    ids = list(part)
-    dist = _hop_matrix(graph.adjacency()[np.ix_(ids, ids)])
-    if (dist < 0).any():
-        return -1
-    return int(dist.max())

@@ -20,7 +20,6 @@ from scipy.sparse import csr_matrix
 
 from .allreduce import (
     CommLog,
-    ModelVector,
     multi_orbit_sync_states,
     plan_multi_orbit,
     plan_ring,
@@ -109,8 +108,6 @@ class TrainingTrace:
     # global rounds that ran it
     sync_log: CommLog | None = None
     sync_rounds: list[int] = field(default_factory=list)
-    partition_rows: list[tuple[int, int]] = field(default_factory=list)
-    assignment_rows: list[tuple[int, int, int]] = field(default_factory=list)
     warnings: tuple[str, ...] = ()
 
     # run context, populated by run_obl
@@ -118,6 +115,7 @@ class TrainingTrace:
     graph: IslGraph | None = None
     coverage: CoverageMap | None = None
     assignment: AssignmentMap | None = None
+    partition: PartitionSet | None = None     # None under GDO
     samples: Samples | None = None
     test_features: np.ndarray | None = None
     test_labels: np.ndarray | None = None
@@ -248,6 +246,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     trace.graph = graph
     trace.coverage = coverage
     trace.assignment = assignment
+    trace.partition = pset
     trace.samples = samples = Samples.stack(
         [ds.features for ds in datasets], [ds.labels for ds in datasets],
         cfg.data.n_classes)
@@ -259,14 +258,6 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
         trace.warnings += (
             "sync_algo=gossip: t_sync is the analytic gossip cost; [commlog] "
             "lists the ring allreduce that produced the model values",)
-    if pset is not None:
-        part_of = pset.part_of()
-        trace.partition_rows = sorted(part_of.items())
-    trace.assignment_rows = [
-        (air, assignment.f[air], assignment.hops[air])
-        for air in sorted(assignment.f)
-    ]
-
     n_sats = topology.n_satellites
     trace.sat_of_device = np.array([assignment.f[air_of_device[dev]]
                                     for dev in range(n_devices)])
@@ -283,10 +274,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     tau1, tau2 = cfg.training.tau1, cfg.training.tau2
     eta = cfg.training.learning_rate
     total_steps = cfg.training.global_rounds * tau1 * tau2
-    single_orbit = topology.n_planes == 1
-    if single_orbit:
+    if topology.n_planes == 1:
+        sync = ring_allreduce_states
         plan = plan_ring([s.id for s in topology.satellites], learner.n_params)
     else:
+        sync = multi_orbit_sync_states
         plan = plan_multi_orbit(graph, learner.n_params)
     trace.sync_log = plan.log
 
@@ -329,22 +321,15 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
 
         trace.records.append((t, "global"))
         g_round = t // (tau1 * tau2)
-        models = [ModelVector(params=sat_params[k], weight=weights.sat_frac[k])
-                  for k in range(n_sats)]
-        if single_orbit:
-            states, _ = ring_allreduce_states(models, plan)
-            global_params = states[0]
-        else:
-            orbit_models = [[models[s] for s in orbit] for orbit in graph.orbits]
-            state_map, _ = multi_orbit_sync_states(orbit_models, graph, plan)
-            global_params = state_map[min(state_map)]
+        sat_params, _ = sync(sat_params, weights.sat_frac, plan)
+        global_params = sat_params[0]
         trace.sync_rounds.append(g_round)
-        sat_params = np.tile(global_params, (n_sats, 1))
         device_params = np.tile(global_params, (n_devices, 1))
         trace.global_models.append((t, global_params.copy()))
 
         acc = learner.accuracy(global_params, test_x, test_y)
         trace.accuracy.append((g_round, t, acc))
-        trace.breakdowns.append(TimeBreakdown.build(
-            round_comm, round_comp, round_sync, assignment.relay_hops()))
+        trace.breakdowns.append(TimeBreakdown(
+            t_comm=round_comm, t_comp=round_comp, t_sync=round_sync,
+            n_ss=relay_hops))
     return trace

@@ -56,14 +56,11 @@ class TimeBreakdown:
     t_comm: float
     t_comp: float
     t_sync: float
-    t_total: float
     n_ss: int
 
-    @classmethod
-    def build(cls, t_comm: float, t_comp: float, t_sync: float,
-              n_ss: int) -> "TimeBreakdown":
-        return cls(t_comm=t_comm, t_comp=t_comp, t_sync=t_sync,
-                   t_total=t_comm + t_comp + t_sync, n_ss=n_ss)
+    @property
+    def t_total(self) -> float:
+        return self.t_comm + self.t_comp + self.t_sync
 
 
 def trans_delay(bits: float, link: LinkParams) -> float:

@@ -16,10 +16,6 @@ from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, TopologyError
 
-EARTH_RADIUS_KM = 6371.0
-# standard gravitational parameter of Earth, km^3/s^2
-EARTH_MU_KM3_S2 = 398600.4418
-
 AIR_ALTITUDE_M = 100.0
 
 LINK_CLASSES = ("SG", "GA", "AS", "SS")
@@ -103,15 +99,10 @@ class NetworkTopology:
     air_nodes: tuple[AirNodeSpec, ...]
     links: dict[str, LinkParams] = field(default_factory=dict)
     n_planes: int = 1
-    sats_per_plane: int = 0
 
     @property
     def n_satellites(self) -> int:
         return len(self.satellites)
-
-    @property
-    def n_air_nodes(self) -> int:
-        return len(self.air_nodes)
 
     @property
     def n_devices(self) -> int:
@@ -151,11 +142,6 @@ def great_circle_angles(points: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.arctan2(np.linalg.norm(np.cross(points, v), axis=1), points @ v)
 
 
-def orbital_period_s(altitude_km: float) -> float:
-    a = EARTH_RADIUS_KM + altitude_km
-    return 2.0 * math.pi * math.sqrt(a ** 3 / EARTH_MU_KM3_S2)
-
-
 def _plane_normal(raan_deg: float, inclination_deg: float) -> np.ndarray:
     raan = math.radians(raan_deg)
     inc = math.radians(inclination_deg)
@@ -166,10 +152,9 @@ def _plane_normal(raan_deg: float, inclination_deg: float) -> np.ndarray:
     ])
 
 
-def satellite_unit_position(sat: SatelliteSpec, epoch_s: float = 0.0) -> np.ndarray:
-    """Unit position vector of a satellite at the snapshot epoch."""
-    period = orbital_period_s(sat.altitude_km)
-    u = math.radians(sat.phase_deg + 360.0 * (epoch_s / period))
+def satellite_unit_position(sat: SatelliteSpec) -> np.ndarray:
+    """Unit position vector of a satellite at the snapshot."""
+    u = math.radians(sat.phase_deg)
     raan = math.radians(sat.raan_deg)
     inc = math.radians(sat.inclination_deg)
     x = math.cos(raan) * math.cos(u) - math.sin(raan) * math.sin(u) * math.cos(inc)
@@ -178,8 +163,8 @@ def satellite_unit_position(sat: SatelliteSpec, epoch_s: float = 0.0) -> np.ndar
     return np.array([x, y, z])
 
 
-def satellite_unit_positions(topology: NetworkTopology, epoch_s: float = 0.0) -> np.ndarray:
-    return np.array([satellite_unit_position(s, epoch_s) for s in topology.satellites])
+def satellite_unit_positions(topology: NetworkTopology) -> np.ndarray:
+    return np.array([satellite_unit_position(s) for s in topology.satellites])
 
 
 def air_unit_positions(topology: NetworkTopology) -> np.ndarray:
@@ -188,7 +173,7 @@ def air_unit_positions(topology: NetworkTopology) -> np.ndarray:
     ])
 
 
-def _make_air_nodes(positions: list[tuple[float, float]], altitude_m: float,
+def _make_air_nodes(positions: list[tuple[float, float]],
                     devices_per_air: int) -> tuple[AirNodeSpec, ...]:
     airs = []
     next_dev = 0
@@ -197,7 +182,7 @@ def _make_air_nodes(positions: list[tuple[float, float]], altitude_m: float,
         next_dev += devices_per_air
         airs.append(AirNodeSpec(
             id=i, latitude_deg=lat, longitude_deg=lon,
-            altitude_m=altitude_m, device_ids=ids,
+            altitude_m=AIR_ALTITUDE_M, device_ids=ids,
         ))
     return tuple(airs)
 
@@ -205,7 +190,7 @@ def _make_air_nodes(positions: list[tuple[float, float]], altitude_m: float,
 def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
                        devices_per_air: int,
                        link_params: dict[str, LinkParams] | None = None,
-                       air_altitude_m: float = AIR_ALTITUDE_M) -> NetworkTopology:
+                       ) -> NetworkTopology:
     """Equatorial ring of satellites with evenly spaced air nodes below.
 
     Satellites occupy phases k*360/n_sats on the equatorial orbit; air nodes
@@ -226,16 +211,16 @@ def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
         for k in range(n_sats)
     )
     air_pos = [(0.0, k * 360.0 / n_air) for k in range(n_air)]
-    airs = _make_air_nodes(air_pos, air_altitude_m, devices_per_air)
+    airs = _make_air_nodes(air_pos, devices_per_air)
     return NetworkTopology(kind="single", satellites=sats, air_nodes=airs,
                            links=dict(link_params or {}),
-                           n_planes=1, sats_per_plane=n_sats)
+                           n_planes=1)
 
 
 def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
                  altitude_km: float, air_per_cell: int, devices_per_air: int,
                  link_params: dict[str, LinkParams] | None = None,
-                 air_altitude_m: float = AIR_ALTITUDE_M) -> NetworkTopology:
+                 ) -> NetworkTopology:
     """Walker constellation with air nodes at the snapshot sub-satellite points.
 
     Planes are spread evenly in right ascension over 360 degrees with zero
@@ -276,47 +261,28 @@ def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
             # sub-satellite point so air positions are distinct
             offset = (a - (air_per_cell - 1) / 2.0) * 0.5
             air_pos.append((lat, (lon + offset) % 360.0))
-    airs = _make_air_nodes(air_pos, air_altitude_m, devices_per_air)
+    airs = _make_air_nodes(air_pos, devices_per_air)
     return NetworkTopology(kind="walker", satellites=tuple(sats), air_nodes=airs,
                            links=dict(link_params or {}),
-                           n_planes=n_planes, sats_per_plane=sats_per_plane)
+                           n_planes=n_planes)
 
 
-def _intra_orbit_edges(topology: NetworkTopology) -> list[tuple[int, int]]:
-    edges = []
-    for p in range(topology.n_planes):
-        ring = [s.id for s in topology.satellites if s.orbit_index == p]
-        ring.sort(key=lambda i: topology.satellites[i].slot_index)
-        n = len(ring)
-        if n < 2:
-            continue
-        if n == 2:
-            edges.append(tuple(sorted((ring[0], ring[1]))))
-            continue
-        for k in range(n):
-            a, b = ring[k], ring[(k + 1) % n]
-            edges.append(tuple(sorted((a, b))))
-    return edges
-
-
-def _nearest_sat(ids: list[int], positions: np.ndarray, point: np.ndarray) -> int:
-    """The satellite nearest ``point``; within 1e-12 rad the lowest id wins."""
+def nearest_satellite(ids: np.ndarray | list[int], positions: np.ndarray,
+                      point: np.ndarray) -> int:
+    """The satellite among ``ids`` nearest ``point`` by central angle, with
+    ``positions`` indexed by satellite id; within 1e-12 rad the lowest id
+    wins."""
     ids = np.asarray(ids)
     angles = great_circle_angles(positions[ids], point)
     return int(ids[angles <= angles.min() + 1e-12].min())
 
 
-def _inter_orbit_edges(topology: NetworkTopology,
+def _inter_orbit_edges(topology: NetworkTopology, orbits: list[list[int]],
                        positions: np.ndarray) -> list[tuple[int, int]]:
-    by_plane: dict[int, list[int]] = {}
-    for s in topology.satellites:
-        by_plane.setdefault(s.orbit_index, []).append(s.id)
-    planes = sorted(by_plane)
     edges: set[tuple[int, int]] = set()
-    for pi in range(len(planes)):
-        for pj in range(pi + 1, len(planes)):
-            ids_i = by_plane[planes[pi]]
-            ids_j = by_plane[planes[pj]]
+    for pi in range(len(orbits)):
+        for pj in range(pi + 1, len(orbits)):
+            ids_i, ids_j = orbits[pi], orbits[pj]
             rep_i = topology.satellites[ids_i[0]]
             rep_j = topology.satellites[ids_j[0]]
             n_i = _plane_normal(rep_i.raan_deg, rep_i.inclination_deg)
@@ -338,46 +304,36 @@ def _inter_orbit_edges(topology: NetworkTopology,
                 mid = _unit(positions[best[1]] + positions[best[2]])
                 regions = [mid, -mid]
             for region in regions:
-                a = _nearest_sat(ids_i, positions, region)
-                b = _nearest_sat(ids_j, positions, region)
+                a = nearest_satellite(ids_i, positions, region)
+                b = nearest_satellite(ids_j, positions, region)
                 edges.add(tuple(sorted((a, b))))
     return sorted(edges)
 
 
-def derive_isl_graph(topology: NetworkTopology, snapshot_epoch: float = 0.0) -> IslGraph:
-    """Freeze the ISL graph at one epoch.
+def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
+    """Freeze the ISL graph at the snapshot.
 
-    Intra-orbit edges form one cycle per plane. For every plane pair, one
-    inter-orbit edge is placed per orbit-intersection region (two regions per
-    pair), joining the satellites nearest that region; ties break to the
-    lowest satellite id.
+    Intra-orbit edges form one cycle per plane (one edge for two
+    satellites). For every plane pair, one inter-orbit edge is placed per
+    orbit-intersection region (two regions per pair), joining the
+    satellites nearest that region; ties break to the lowest satellite id.
+    Edges of different planes never coincide, so no edge repeats.
     """
-    positions = satellite_unit_positions(topology, snapshot_epoch)
-    intra = _intra_orbit_edges(topology)
-    inter = _inter_orbit_edges(topology, positions) if topology.n_planes > 1 else []
-    edges = []
-    kinds = []
-    seen = set()
-    for e in intra:
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
-            kinds.append("intra")
-    for e in inter:
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
-            kinds.append("inter")
-    orbits = []
-    for p in range(topology.n_planes):
-        ring = sorted((s.id for s in topology.satellites if s.orbit_index == p),
-                      key=lambda i: topology.satellites[i].slot_index)
-        orbits.append(tuple(ring))
+    orbits: list[list[int]] = [[] for _ in range(topology.n_planes)]
+    for sat in sorted(topology.satellites, key=lambda s: s.slot_index):
+        orbits[sat.orbit_index].append(sat.id)
+    intra = []
+    for ring in orbits:
+        n = len(ring)
+        intra += [tuple(sorted((ring[k], ring[(k + 1) % n])))
+                  for k in range(n if n > 2 else n - 1)]
+    inter = _inter_orbit_edges(topology, orbits,
+                               satellite_unit_positions(topology))
     return IslGraph(
         nodes=tuple(s.id for s in topology.satellites),
-        edges=tuple(edges),
-        kinds=tuple(kinds),
-        orbits=tuple(orbits),
+        edges=tuple(intra + inter),
+        kinds=("intra",) * len(intra) + ("inter",) * len(inter),
+        orbits=tuple(tuple(ring) for ring in orbits),
     )
 
 

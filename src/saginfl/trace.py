@@ -55,14 +55,16 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
     yield ""
     yield "[partition]"
     yield "satellite,part"
-    for sat, part in trace.partition_rows:
-        yield f"{sat},{part}"
+    if trace.partition is not None:
+        for sat, part in sorted(trace.partition.part_of().items()):
+            yield f"{sat},{part}"
 
     yield ""
     yield "[assignment]"
     yield "air,satellite,hops"
-    for air, sat, hops in trace.assignment_rows:
-        yield f"{air},{sat},{hops}"
+    assignment = trace.assignment
+    for air in sorted(assignment.f):
+        yield f"{air},{assignment.f[air]},{assignment.hops[air]}"
 
     yield ""
     yield "[divergence]"

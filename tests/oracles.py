@@ -1,0 +1,180 @@
+"""Reference implementations the tests compare the package against.
+
+Each one is the slow, direct form of something the package computes another
+way (exhaustive matching, per-step ring transfers, inverted access maps), or
+a closed-form quantity only the tests need. None of them runs in a
+simulation.
+"""
+import itertools
+import math
+
+import numpy as np
+
+from saginfl.allreduce import CommLog
+from saginfl.errors import InputError, TopologyError
+from saginfl.topology import (
+    IslGraph,
+    NetworkTopology,
+    _hop_matrix,
+    satellite_unit_positions,
+)
+
+_PERM_CACHE: dict[int, np.ndarray] = {}
+
+
+def brute_force_matching(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Exhaustive oracle over all n! permutations; usable for n <= 8."""
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    if n not in _PERM_CACHE:
+        _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))))
+    perms = _PERM_CACHE[n]
+    totals = cost[np.arange(n)[None, :], perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    return float(totals[best]), tuple(int(c) for c in perms[best])
+
+
+def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
+    """Hop diameter of the sub-graph induced by ``part`` (-1 if disconnected)."""
+    ids = list(part)
+    dist = _hop_matrix(graph.adjacency()[np.ix_(ids, ids)])
+    if (dist < 0).any():
+        return -1
+    return int(dist.max())
+
+
+def ring_traffic_analytic(n: int, m: float) -> float:
+    """Idealized (unpadded) ring traffic per node: 2(n-1)*m/n."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    if n == 1:
+        return 0.0
+    return 2.0 * (n - 1) * m / n
+
+
+def gossip_traffic(n: int, m: float) -> float:
+    """Per-node gossip traffic n*log2(n)*m; the protocol is costed, not simulated."""
+    if n < 2:
+        raise InputError(f"gossip needs n >= 2, got {n}")
+    return n * math.log2(n) * m
+
+
+def traffic_per_node(log: CommLog, n: int) -> int:
+    """Measured parameters sent per satellite; uniform across the ring."""
+    if n == 1 or not log.params_sent:
+        return 0
+    values = set(log.params_sent.values())
+    if len(values) != 1:
+        raise InputError(f"non-uniform per-node traffic: {sorted(values)}")
+    return values.pop()
+
+
+def params_received(log: CommLog) -> dict[int, int]:
+    """Parameters each satellite receives, summed over its transfers."""
+    received: dict[int, int] = {}
+    for dst, params in zip(log.transfers["dst"].tolist(),
+                           log.transfers["params"].tolist()):
+        received[dst] = received.get(dst, 0) + params
+    return received
+
+
+def total_sent(log: CommLog) -> int:
+    return sum(log.params_sent.values())
+
+
+def total_received(log: CommLog) -> int:
+    return sum(params_received(log).values())
+
+
+def subsatellite_points(topology: NetworkTopology) -> np.ndarray:
+    """Per-satellite (lat_deg, lon_deg) of the radial projection onto the surface."""
+    units = satellite_unit_positions(topology)
+    lat = np.degrees(np.arcsin(np.clip(units[:, 2], -1.0, 1.0)))
+    lon = np.degrees(np.arctan2(units[:, 1], units[:, 0]))
+    return np.stack([lat, lon], axis=1)
+
+
+def n_air_nodes(topology: NetworkTopology) -> int:
+    return len(topology.air_nodes)
+
+
+def cell_members(access: dict[int, int], topology: NetworkTopology,
+                 ) -> dict[int, tuple[int, ...]]:
+    """Satellite id -> the air nodes it serves, in id order."""
+    members: dict[int, list[int]] = {s.id: [] for s in topology.satellites}
+    for air_id in sorted(access):
+        members[access[air_id]].append(air_id)
+    return {sat: tuple(ids) for sat, ids in members.items()}
+
+
+def validate_coverage(access: dict[int, int],
+                      members: dict[int, tuple[int, ...]],
+                      topology: NetworkTopology) -> None:
+    """Raise TopologyError unless every air node has exactly one access
+    satellite and the cell member lists invert the access map."""
+    mismatch = {a.id for a in topology.air_nodes} ^ set(access)
+    if mismatch:
+        raise TopologyError(
+            f"access map and air nodes differ on {sorted(mismatch)}")
+    inverse: dict[int, list[int]] = {}
+    for air, sat in access.items():
+        inverse.setdefault(sat, []).append(air)
+    for sat, cell in members.items():
+        if sorted(inverse.get(sat, [])) != sorted(cell):
+            raise TopologyError(
+                f"cell of satellite {sat} lists {sorted(cell)}, "
+                f"access map gives {sorted(inverse.get(sat, []))}")
+
+
+def naive_ring(vectors, ids, prefix, transfers):
+    """One ring's chunked allreduce, step by step with per-node chunk lists.
+
+    Every send of a step is read before any lands. Appends the ring's
+    transfers as ``(phase, step, src, dst, params)``.
+    """
+    n, m = len(vectors), len(vectors[0])
+    if n == 1:
+        return [vectors[0].copy()]
+    size = math.ceil(m / n)
+    chunks = []
+    for v in vectors:
+        padded = np.concatenate([v, np.zeros(size * n - m)])
+        chunks.append([padded[c * size:(c + 1) * size].copy()
+                       for c in range(n)])
+    for half in ("scatter", "gather"):
+        for step in range(n - 1):
+            sends = []
+            for k in range(n):
+                c = (k - step) % n if half == "scatter" else (k + 1 - step) % n
+                sends.append(((k + 1) % n, c, chunks[k][c].copy()))
+                transfers.append((prefix + half, step, ids[k],
+                                  ids[(k + 1) % n], size))
+            for dst, c, payload in sends:
+                if half == "scatter":
+                    chunks[dst][c] = chunks[dst][c] + payload
+                else:
+                    chunks[dst][c] = payload
+    return [np.concatenate(row)[:m] for row in chunks]
+
+
+def naive_three_phase(params, weights, graph):
+    """Orbit by orbit, then the representatives, then orbit by orbit.
+
+    Row k of ``params`` is satellite k's model. Returns the final vectors
+    by satellite id, the transfers and the representatives.
+    """
+    incident = {s for edge, kind in zip(graph.edges, graph.kinds)
+                if kind == "inter" for s in edge}
+    reps = [min(s for s in orbit if s in incident) for orbit in graph.orbits]
+    transfers = []
+    sums = [naive_ring([params[s] * weights[s] for s in orbit], orbit,
+                       "phase1-", transfers)[0]
+            for orbit in graph.orbits]
+    global_vec = naive_ring(sums, reps, "phase2-", transfers)[0]
+    states = {}
+    for orbit, rep in zip(graph.orbits, reps):
+        vectors = [global_vec.copy() if s == rep else np.zeros_like(global_vec)
+                   for s in orbit]
+        states.update(zip(orbit, naive_ring(vectors, orbit, "phase3-",
+                                            transfers)))
+    return states, transfers, reps

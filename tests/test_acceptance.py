@@ -11,17 +11,23 @@ import time
 
 import numpy as np
 import pytest
-
-from saginfl.allreduce import (
-    ModelVector,
+from oracles import (
+    brute_force_matching,
     gossip_traffic,
-    multi_orbit_sync_states,
-    ring_allreduce_states,
+    induced_diameter,
+    naive_ring,
     ring_traffic_analytic,
-    ring_traffic_per_node,
     traffic_per_node,
 )
-from saginfl.assignment import brute_force_matching, min_cost_matching
+
+from saginfl.allreduce import (
+    multi_orbit_sync_states,
+    plan_multi_orbit,
+    plan_ring,
+    ring_allreduce_states,
+    ring_traffic_per_node,
+)
+from saginfl.assignment import min_cost_matching
 from saginfl.config import (
     DataConfig,
     ExperimentConfig,
@@ -31,7 +37,7 @@ from saginfl.config import (
     TrainingConfig,
 )
 from saginfl.diagnostics import check_convergence_bound, measure_divergence
-from saginfl.partition import graph_partition, induced_diameter
+from saginfl.partition import graph_partition
 from saginfl.simulation import run_obl
 from saginfl.topology import IslGraph, build_walker, derive_isl_graph
 from saginfl.trace import trace_lines
@@ -82,13 +88,13 @@ def test_criterion_1_allreduce_correctness():
         m = int(rng.integers(1, 4097))
         weights = rng.random(n) + 0.05
         weights /= weights.sum()
-        models = [ModelVector(params=rng.standard_normal(m), weight=float(w))
-                  for w in weights]
-        expected = sum(mv.params * mv.weight for mv in models)
+        params = rng.standard_normal((n, m))
+        expected = (params * weights[:, None]).sum(axis=0)
         scale = np.maximum(np.abs(expected), 1e-30)
 
         if case % 2 == 0 or n < 4:
-            states, _ = ring_allreduce_states(models)
+            states, _ = ring_allreduce_states(params, weights,
+                                              plan_ring(range(n), m))
         else:
             n_orbits = int(rng.integers(2, min(n, 6) + 1))
             sizes = [n // n_orbits + (1 if j < n % n_orbits else 0)
@@ -116,14 +122,8 @@ def test_criterion_1_allreduce_correctness():
                         kinds.append("inter")
             graph = IslGraph(nodes=tuple(range(n)), edges=tuple(edges),
                              kinds=tuple(kinds), orbits=tuple(orbits))
-            flat = list(models)
-            orbit_models = []
-            k = 0
-            for s in sizes:
-                orbit_models.append(flat[k:k + s])
-                k += s
-            state_map, _ = multi_orbit_sync_states(orbit_models, graph)
-            states = [state_map[i] for i in range(n)]
+            states, _ = multi_orbit_sync_states(params, weights,
+                                                plan_multi_orbit(graph, m))
         assert len({s.tobytes() for s in states}) == 1
         worst = max(worst, float((np.abs(states[0] - expected) / scale).max()))
     elapsed = time.perf_counter() - start
@@ -139,10 +139,9 @@ def test_criterion_2_traffic_claim():
         m = int(rng.integers(1, 2048))
         weights = rng.random(n)
         weights /= weights.sum()
-        models = [ModelVector(params=rng.standard_normal(m), weight=float(w))
-                  for w in weights]
-        _, log = ring_allreduce_states(models)
-        ok &= traffic_per_node(log, m, n) == ring_traffic_per_node(n, m) \
+        _, log = ring_allreduce_states(rng.standard_normal((n, m)), weights,
+                                       plan_ring(range(n), m))
+        ok &= traffic_per_node(log, n) == ring_traffic_per_node(n, m) \
             == 2 * (n - 1) * math.ceil(m / n)
     gossip_beats = all(
         gossip_traffic(n, 1.0) > ring_traffic_analytic(n, 1.0)
@@ -290,19 +289,23 @@ def test_criterion_11_degenerate_equivalences():
     trace = run_obl(cfg)
     gdo_like = trace.assignment.f == trace.coverage.access
 
-    # one-orbit multi_orbit_sync_states equals ring_allreduce_states bitwise
+    # one-orbit multi_orbit_sync_states equals the step-by-step reference
+    # ring bitwise, on a ring whose order is not the id order
     rng = np.random.default_rng(3)
     weights = rng.random(6)
     weights /= weights.sum()
-    models = [ModelVector(params=rng.standard_normal(40), weight=float(w))
-              for w in weights]
+    params = rng.standard_normal((6, 40))
+    order = (0, 3, 1, 5, 2, 4)
     ring = IslGraph(nodes=tuple(range(6)),
-                    edges=tuple(tuple(sorted((k, (k + 1) % 6)))
+                    edges=tuple(tuple(sorted((order[k], order[(k + 1) % 6])))
                                 for k in range(6)),
-                    kinds=("intra",) * 6, orbits=(tuple(range(6)),))
-    multi, _ = multi_orbit_sync_states([models], ring)
-    flat, _ = ring_allreduce_states(models)
-    sync_same = all((multi[i] == flat[i]).all() for i in range(6))
+                    kinds=("intra",) * 6, orbits=(order,))
+    multi, _ = multi_orbit_sync_states(params, weights,
+                                       plan_multi_orbit(ring, 40))
+    reference = naive_ring([params[s] * weights[s] for s in order], order,
+                           "", [])
+    sync_same = all(multi[s].tobytes() == vec.tobytes()
+                    for s, vec in zip(order, reference))
 
     # air-first aggregation equals the run's flat aggregation operator
     rng = np.random.default_rng(4)

@@ -3,11 +3,11 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import brute_force_matching
 
 from saginfl.assignment import (
     ClassDistribution,
     air_class_distribution,
-    brute_force_matching,
     build_clusters,
     cnasa,
     gdo,
@@ -73,10 +73,15 @@ class TestAirClassDistribution:
             ClassDistribution(probs=np.array([0.5, 0.2]), sample_count=3)
 
 
+def probs(dists):
+    """The distributions' probability vectors as rows."""
+    return np.array([d.probs for d in dists])
+
+
 class TestKmeans:
     def test_k_equals_n_singletons(self):
         pts = [dist(p, 1) for p in np.eye(5)]
-        labels = kmeans(pts, 5, np.random.default_rng(0))
+        labels = kmeans(probs(pts), 5, np.random.default_rng(0))
         assert len(set(labels.tolist())) == 5
 
     def test_two_one_hot_families(self):
@@ -84,12 +89,12 @@ class TestKmeans:
         family_a = [dist([1.0, 0.0, 0.0], 1)] * 3
         family_b = [dist([0.0, 0.0, 1.0], 1)] * 3
         pts = family_a + family_b
-        labels = kmeans(pts, 2, rng)
+        labels = kmeans(probs(pts), 2, rng)
         assert len(set(labels[:3].tolist())) == 1
         assert len(set(labels[3:].tolist())) == 1
         assert labels[0] != labels[3]
         # brute-force optimal 2-partition by within-group sum of squares
-        X = np.array([p.probs for p in pts])
+        X = probs(pts)
         best, best_cost = None, None
         for mask in range(1, 2 ** len(pts) - 1):
             ga = [i for i in range(len(pts)) if mask >> i & 1]
@@ -105,20 +110,20 @@ class TestKmeans:
 
     def test_k_one_single_group(self):
         pts = [dist(p / p.sum(), 1) for p in np.random.default_rng(1).random((7, 4))]
-        labels = kmeans(pts, 1, np.random.default_rng(0))
+        labels = kmeans(probs(pts), 1, np.random.default_rng(0))
         assert set(labels.tolist()) == {0}
 
     def test_k_out_of_range(self):
         pts = [dist([1.0, 0.0], 1)]
         with pytest.raises(ConfigurationError):
-            kmeans(pts, 2, np.random.default_rng(0))
+            kmeans(probs(pts), 2, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         rng_pts = np.random.default_rng(9)
         raw = rng_pts.random((12, 6))
         pts = [dist(p / p.sum(), 1) for p in raw]
-        a = kmeans(pts, 3, np.random.default_rng(4))
-        b = kmeans(pts, 3, np.random.default_rng(4))
+        a = kmeans(probs(pts), 3, np.random.default_rng(4))
+        b = kmeans(probs(pts), 3, np.random.default_rng(4))
         assert (a == b).all()
 
 

@@ -1,16 +1,16 @@
 """Access-satellite determination via nearest sub-satellite point."""
-import dataclasses
-
 import numpy as np
 import pytest
+from oracles import cell_members, subsatellite_points, validate_coverage
 
-from saginfl.coverage import compute_coverage, subsatellite_points
+from saginfl.coverage import compute_coverage
 from saginfl.errors import TopologyError
 from saginfl.topology import (
     air_unit_positions,
     build_single_orbit,
     build_walker,
     great_circle_angle,
+    great_circle_angles,
     satellite_unit_positions,
 )
 
@@ -64,7 +64,8 @@ class TestComputeCoverage:
     def test_even_split_five_air_per_satellite(self):
         topo = build_single_orbit(20, 330.0, 100, 2)
         cov = compute_coverage(topo)
-        sizes = [len(cov.cell_members[s.id]) for s in topo.satellites]
+        members = cell_members(cov.access, topo)
+        sizes = [len(members[s.id]) for s in topo.satellites]
         assert sizes == [5] * 20
 
     def test_walker_toy_matches_brute_force(self):
@@ -84,12 +85,28 @@ class TestComputeCoverage:
                 ang = great_circle_angle(air_units[air.id], sat_units[sat.id])
                 assert chosen <= ang + 1e-12
 
+    def test_coincident_satellites_tie_to_lowest_id(self):
+        # An even number of planes at 90 degrees puts the satellites of
+        # plane p and plane p + n/2 on the same points. Every air node must
+        # go to the lowest id among the satellites nearest it (within
+        # 1e-12 rad), with angles taken by the atan2 rule.
+        topo = build_walker(14, 16, 90.0, 500.0, 3, 1)
+        cov = compute_coverage(topo)
+        sat_units = satellite_unit_positions(topo)
+        air_units = air_unit_positions(topo)
+        for air in topo.air_nodes:
+            angles = great_circle_angles(sat_units, air_units[air.id])
+            nearest = np.flatnonzero(angles <= angles.min() + 1e-12)
+            assert cov.access[air.id] == nearest.min(), air.id
+        # satellite 79 sits on satellite 185's point and has the lower id
+        assert cov.access[238] == 79
+
     def test_cells_partition_air_nodes(self):
         topo = build_single_orbit(7, 330.0, 23, 1)
         cov = compute_coverage(topo)
-        cov.validate(topo)
-        all_members = [a for members in cov.cell_members.values()
-                       for a in members]
+        members = cell_members(cov.access, topo)
+        validate_coverage(cov.access, members, topo)
+        all_members = [a for cell in members.values() for a in cell]
         assert sorted(all_members) == list(range(23))
 
     def test_validate_rejects_unmapped_air_node(self):
@@ -97,22 +114,22 @@ class TestComputeCoverage:
         cov = compute_coverage(topo)
         access = {air: sat for air, sat in cov.access.items() if air != 3}
         with pytest.raises(TopologyError, match=r"differ on \[3\]"):
-            dataclasses.replace(cov, access=access).validate(topo)
+            validate_coverage(access, cell_members(cov.access, topo), topo)
 
     def test_validate_rejects_inconsistent_cells(self):
         topo = build_single_orbit(4, 330.0, 8, 1)
         cov = compute_coverage(topo)
         sat = cov.access[0]
-        members = dict(cov.cell_members)
+        members = cell_members(cov.access, topo)
         members[sat] = tuple(a for a in members[sat] if a != 0)
         with pytest.raises(TopologyError, match=f"cell of satellite {sat}"):
-            dataclasses.replace(cov, cell_members=members).validate(topo)
+            validate_coverage(cov.access, members, topo)
 
     def test_single_orbit_cells_contiguous_in_longitude(self):
         topo = build_single_orbit(10, 330.0, 40, 1)
         cov = compute_coverage(topo)
         spacing = 360.0 / 40
-        for sat, members in cov.cell_members.items():
+        for sat, members in cell_members(cov.access, topo).items():
             if not members:
                 continue
             lons = sorted(topo.air_nodes[a].longitude_deg for a in members)

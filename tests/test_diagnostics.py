@@ -21,6 +21,7 @@ from saginfl.diagnostics import (
     BoundReport,
     GradContext,
     IntervalCheck,
+    bound_inapplicable,
     check_convergence_bound,
     estimate_rho_beta,
     measure_divergence,
@@ -77,8 +78,10 @@ def serial_bound_check(trace):
         if t_end in sat_models:
             probes += [sat_models[t_end][k] for k in nonempty]
         div = measure_divergence(trace, probe_points=probes, ctx=ctx)
+        pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
         rho, beta = estimate_rho_beta(
-            [w_start, w_end, v_end, path[len(path) // 2]], ctx)
+            pair_models, [ctx.global_grad(w) for w in pair_models],
+            [ctx.global_loss(w) for w in pair_models])
         rho_all, beta_all = max(rho_all, rho), max(beta_all, beta)
         bound = theorem_bound(div.delta_hat, div.Delta_hat,
                               SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
@@ -245,7 +248,9 @@ class TestRhoBetaEstimation:
         trace = run_obl(small_config(seed=3))
         ctx = GradContext.from_trace(trace)
         models = [gm for _, gm in trace.global_models]
-        rho, beta = estimate_rho_beta(models, ctx)
+        rho, beta = estimate_rho_beta(
+            models, [ctx.global_grad(w) for w in models],
+            [ctx.global_loss(w) for w in models])
         assert rho > 0
         assert beta > 0
 
@@ -253,7 +258,9 @@ class TestRhoBetaEstimation:
         trace = run_obl(small_config(seed=5))
         ctx = GradContext.from_trace(trace)
         models = [gm for _, gm in trace.global_models]
-        rho, beta = estimate_rho_beta(models, ctx)
+        rho, beta = estimate_rho_beta(
+            models, [ctx.global_grad(w) for w in models],
+            [ctx.global_loss(w) for w in models])
         a, b = models[0], models[-1]
         dist = np.linalg.norm(a - b)
         assert abs(ctx.global_loss(a) - ctx.global_loss(b)) <= rho * dist + 1e-12
@@ -316,6 +323,38 @@ class TestBoundCheck:
         report = check_convergence_bound(trace)
         assert len(report.intervals) == 3
         assert len(calls) == 4 * 3
+
+    def test_mini_batch_run_rejected(self):
+        # one device, so the divergence estimates are 0 and the bound is 0,
+        # while mini-batch noise keeps the gap positive: the bound does not
+        # cover this run, and the check says so instead of reporting a
+        # violation with an infinite margin
+        cfg = ExperimentConfig(
+            topology=TopologyConfig(n_sats=2, n_air=1, devices_per_air=1),
+            data=DataConfig(n_classes=3, feature_dim=3, classes_per_device=1,
+                            samples_per_device=3, test_samples=30),
+            training=TrainingConfig(tau1=2, tau2=2, global_rounds=3,
+                                    batch_size=2),
+            policy=PolicyConfig(name="gdo", n_geo=1),
+            run=RunConfig(seed=5))
+        trace = run_obl(cfg)
+        assert "batch_size" in bound_inapplicable(trace)
+        with pytest.raises(InputError, match="batch_size"):
+            check_convergence_bound(trace)
+
+    def test_mlp_run_rejected(self):
+        cfg = small_config(rounds=2)
+        trace = run_obl(replace(cfg, training=replace(
+            cfg.training, learner="mlp", hidden_dim=4)))
+        with pytest.raises(InputError, match="learner"):
+            check_convergence_bound(trace)
+
+    def test_batch_of_the_whole_dataset_is_full_batch(self):
+        cfg = small_config(rounds=2)
+        full = replace(cfg, training=replace(cfg.training, batch_size=20))
+        assert bound_inapplicable(run_obl(full)) is None
+        assert (check_convergence_bound(run_obl(full))
+                == check_convergence_bound(run_obl(cfg)))
 
     def test_cnasa_reduces_satellite_divergence(self):
         gaps = []

@@ -3,6 +3,7 @@ import collections
 
 import numpy as np
 import pytest
+from oracles import induced_diameter
 
 from saginfl.coverage import compute_coverage
 from saginfl.errors import ConfigurationError
@@ -11,7 +12,6 @@ from saginfl.partition import (
     air_nodes_to_parts,
     arc_partition,
     graph_partition,
-    induced_diameter,
     with_air_parts,
 )
 from saginfl.topology import IslGraph, build_single_orbit, build_walker, derive_isl_graph

@@ -1,0 +1,85 @@
+"""Every function, class and method in ``src/saginfl`` serves a run.
+
+A definition counts as used when ``src/saginfl`` or ``bench/`` refers to its
+name (as a name or an attribute) outside the definition itself. The
+benchmark wraps package functions by looking their names up as strings, so
+identifier strings in ``bench/`` count too. Dunder methods and the names the
+package exports in ``__all__`` are exempt. Helpers that only tests call
+belong in ``tests/oracles.py``, not in the package.
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import saginfl
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "saginfl"
+BENCH = ROOT / "bench"
+
+
+def definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def references(tree: ast.AST, strings: bool) -> Counter:
+    """Names, attribute names and (optionally) identifier strings in
+    ``tree``, with their counts."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            found[node.value] += 1
+    return found
+
+
+def unreferenced(src: Path, bench: Path) -> list[str]:
+    src_trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    used = sum((references(tree, strings=False) for tree in src_trees.values()),
+               Counter())
+    for path in sorted(bench.rglob("*.py")):
+        used += references(ast.parse(path.read_text()), strings=True)
+    exported = set(saginfl.__all__)
+    unused = []
+    for module, tree in src_trees.items():
+        for qualname, node in definitions(tree):
+            name = node.name
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            # references inside the definition itself do not count
+            if used[name] - references(node, strings=False)[name] <= 0:
+                unused.append(f"{module}:{qualname}")
+    return unused
+
+
+def test_every_src_definition_is_used_by_the_package_or_benchmark():
+    assert unreferenced(SRC, BENCH) == []
+
+
+def test_an_unused_helper_is_flagged(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "def used():\n    return helper_called()\n\n"
+        "def helper_called():\n    return 1\n\n"
+        "def only_recursive(n):\n    return only_recursive(n - 1)\n\n"
+        "class Box:\n    def __init__(self):\n        self.x = 0\n\n"
+        "    def dead(self):\n        return self.x\n\n"
+        "def wrapped_by_name():\n    return 2\n")
+    (src / "caller.py").write_text("from mod import used, Box\nused()\nBox()\n")
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "hooks.py").write_text('SITES = [("mod", "wrapped_by_name")]\n')
+    assert unreferenced(src, bench) == ["mod.py:only_recursive",
+                                        "mod.py:Box.dead"]

@@ -200,11 +200,11 @@ class TestTotalTime:
         assert total_time([]) == 0.0
 
     def test_single_round(self):
-        b = TimeBreakdown.build(1.0, 2.0, 3.0, 1)
+        b = TimeBreakdown(1.0, 2.0, 3.0, 1)
         assert total_time([b]) == b.t_total == 6.0
 
     def test_fifty_identical_rounds(self):
-        b = TimeBreakdown.build(0.1, 0.2, 0.7, 2)
+        b = TimeBreakdown(0.1, 0.2, 0.7, 2)
         assert abs(total_time([b] * 50) - 50 * b.t_total) < 1e-9
 
 
