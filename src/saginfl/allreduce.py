@@ -36,12 +36,10 @@ class CommLog:
     ``transfers`` is a record array in execution order with fields
     ``phase``, ``step``, ``src``, ``dst`` and ``params``: in ring step
     ``step`` of ``phase``, satellite ``src`` sends a chunk of ``params``
-    parameters to ``dst``. ``steps`` counts the ring steps of each phase,
-    summed over the phase's rings.
+    parameters to ``dst``.
     """
 
     transfers: np.ndarray
-    steps: dict[str, int]
 
     @cached_property
     def params_sent(self) -> dict[int, int]:
@@ -96,7 +94,6 @@ def _plan(m: int, phases: list[tuple[str, list[tuple[int, ...]]]]) -> SyncPlan:
                       ("src", np.int64), ("dst", np.int64),
                       ("params", np.int64)])
     blocks = [np.zeros(0, dtype)]
-    steps: dict[str, int] = {}
     for prefix, rings in phases:
         for ring in rings:
             n = len(ring)
@@ -111,9 +108,8 @@ def _plan(m: int, phases: list[tuple[str, list[tuple[int, ...]]]]) -> SyncPlan:
                 block["dst"] = np.tile(np.roll(ids, -1), n - 1)
                 block["params"] = _chunk_size(m, n)
                 blocks.append(block)
-                steps[prefix + half] = steps.get(prefix + half, 0) + n - 1
     return SyncPlan(m=m, phases=tuple(tuple(rings) for _, rings in phases),
-                    log=CommLog(transfers=np.concatenate(blocks), steps=steps))
+                    log=CommLog(transfers=np.concatenate(blocks)))
 
 
 def plan_ring(ids: Sequence[int], m: int) -> SyncPlan:

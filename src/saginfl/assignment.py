@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .coverage import CoverageMap
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, TopologyError
 from .partition import PartitionSet
 from .topology import NetworkTopology
 
@@ -44,18 +43,32 @@ class ClassDistribution:
                              f"got {probs.sum()!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentMap:
-    """Total map air node -> satellite, with relay hop counts."""
+    """Total map air node -> satellite, with relay hop counts; ``f`` and
+    ``hops`` are ``(N_A,)`` arrays indexed by air id."""
 
-    f: dict[int, int]
-    hops: dict[int, int]
+    f: np.ndarray
+    hops: np.ndarray
     max_access_cell: int = 1   # busiest access cell, for uplink bandwidth sharing
     max_assigned: int = 1      # busiest aggregation satellite
     warnings: tuple[str, ...] = ()
 
+    @classmethod
+    def build(cls, access: np.ndarray, f: np.ndarray, hop_matrix: np.ndarray,
+              warnings: tuple[str, ...] = ()) -> "AssignmentMap":
+        """The map from each air node's access and aggregating satellites;
+        an air node left unassigned (``f < 0``) raises, naming it."""
+        unassigned = np.flatnonzero(f < 0)
+        if unassigned.size:
+            raise TopologyError(f"air nodes {unassigned.tolist()} are not "
+                                f"assigned to any satellite")
+        return cls(f=f, hops=hop_matrix[access, f],
+                   max_access_cell=int(np.bincount(access).max()),
+                   max_assigned=int(np.bincount(f).max()), warnings=warnings)
+
     def relay_hops(self) -> int:
-        return max(self.hops.values(), default=0)
+        return int(self.hops.max(initial=0))
 
 
 def air_class_distribution(device_dists: list[ClassDistribution]) -> ClassDistribution:
@@ -192,28 +205,12 @@ def min_cost_matching(cost: np.ndarray) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _assignment_stats(f: dict[int, int], coverage: CoverageMap) -> tuple[int, int]:
-    access_counts: dict[int, int] = {}
-    for sat in coverage.access.values():
-        access_counts[sat] = access_counts.get(sat, 0) + 1
-    assigned_counts: dict[int, int] = {}
-    for sat in f.values():
-        assigned_counts[sat] = assigned_counts.get(sat, 0) + 1
-    max_access = max(access_counts.values(), default=1)
-    max_assigned = max(assigned_counts.values(), default=1)
-    return max_access, max_assigned
-
-
-def gdo(coverage: CoverageMap) -> AssignmentMap:
+def gdo(access: np.ndarray, hop_matrix: np.ndarray) -> AssignmentMap:
     """Geographic-distance-only baseline: every air node keeps its access satellite."""
-    f = dict(coverage.access)
-    hops = {air: 0 for air in f}
-    max_access, max_assigned = _assignment_stats(f, coverage)
-    return AssignmentMap(f=f, hops=hops, max_access_cell=max_access,
-                         max_assigned=max_assigned)
+    return AssignmentMap.build(access, access, hop_matrix)
 
 
-def cnasa(topology: NetworkTopology, coverage: CoverageMap,
+def cnasa(topology: NetworkTopology, access: np.ndarray,
           partition_set: PartitionSet, device_dists: list[ClassDistribution],
           rng: np.random.Generator, timecost_model) -> AssignmentMap:
     """Partition-wise cluster-and-match assignment.
@@ -225,10 +222,7 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
     if len(partition_set.parts) != len(partition_set.air_parts):
         raise ConfigurationError("partition set lacks air parts; "
                                  "run with_air_parts first")
-    air_devices: dict[int, list[int]] = {a.id: list(a.device_ids)
-                                         for a in topology.air_nodes}
-    f: dict[int, int] = {}
-    hops: dict[int, int] = {}
+    f = np.full(len(access), -1)
     warnings: list[str] = []
     part_rngs = rng.spawn(len(partition_set.parts))
     for part_idx, (sats, airs) in enumerate(
@@ -240,7 +234,9 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
             warnings.append(f"partition {part_idx} has no air nodes; skipped")
             continue
         air_probs = np.array([
-            air_class_distribution([device_dists[d] for d in air_devices[a]]).probs
+            air_class_distribution(
+                [device_dists[d]
+                 for d in np.flatnonzero(topology.air_of_device == a)]).probs
             for a in airs
         ])
         n_clusters = len(sats)
@@ -256,10 +252,5 @@ def cnasa(topology: NetworkTopology, coverage: CoverageMap,
                     timecost_model.delivery_time(a, sat) for a in cluster)
         perm = min_cost_matching(cost)
         for ci, cluster in enumerate(clusters):
-            sat = sats[perm[ci]]
-            for a in cluster:
-                f[a] = sat
-                hops[a] = int(timecost_model.hops[coverage.access[a], sat])
-    max_access, max_assigned = _assignment_stats(f, coverage)
-    return AssignmentMap(f=f, hops=hops, max_access_cell=max_access,
-                         max_assigned=max_assigned, warnings=tuple(warnings))
+            f[list(cluster)] = sats[perm[ci]]
+    return AssignmentMap.build(access, f, timecost_model.hops, tuple(warnings))

@@ -63,7 +63,7 @@ def execute_run(cfg: ExperimentConfig, out: Path) -> dict:
     row = summary_row(trace, report)
     write_summary(row, out / f"{stem}.summary.csv")
     write_topology_table(trace.topology, out / f"{stem}.topology.tsv",
-                         coverage=trace.coverage)
+                         access=trace.access)
     return row
 
 

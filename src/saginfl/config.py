@@ -8,6 +8,7 @@ resolved configuration deterministically for trace headers and replay.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
@@ -150,11 +151,55 @@ def _parse_section(parser: configparser.ConfigParser, section: str):
     return cls(**kwargs)
 
 
+# numeric keys by section that must be > 0, and those that must be >= 0
+_POSITIVE = {
+    "topology": ("altitude_km", "devices_per_air", "sg_rate_bps",
+                 "ga_rate_bps", "as_rate_bps", "ss_rate_bps"),
+    "data": ("samples_per_device", "test_samples"),
+    "training": ("learning_rate", "tau1", "tau2", "global_rounds",
+                 "hidden_dim", "bits_per_param", "flops_model",
+                 "flops_device", "flops_air", "flops_satellite"),
+}
+_NON_NEGATIVE = {
+    "topology": ("sg_prop_s", "ga_prop_s", "as_prop_s", "ss_prop_s"),
+    "data": ("geo_bin_deg",),
+    "training": ("l2",),
+}
+# topology keys read by one kind only, with their least value
+_KIND_MINIMUM = {"single": {"n_sats": 1, "n_air": 1},
+                 "walker": {"n_planes": 2, "sats_per_plane": 3,
+                            "air_per_cell": 1}}
+
+
+def _require(section: str, key: str, value, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ConfigurationError(f"[{section}] {key} must be {rule}, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check cross-field constraints; raises naming the offending field."""
+    """Check every key's range and the cross-field constraints; raises
+    naming the offending ``[section] key``."""
     t, d, tr, p, r = cfg.topology, cfg.data, cfg.training, cfg.policy, cfg.run
-    if t.kind not in ("single", "walker"):
+    for section in _SECTION_TYPES:
+        block = getattr(cfg, section)
+        for f in fields(block):
+            value = getattr(block, f.name)
+            if isinstance(value, float):
+                _require(section, f.name, value, math.isfinite(value), "finite")
+    for rule, table, ok in (("> 0", _POSITIVE, lambda v: v > 0),
+                            (">= 0", _NON_NEGATIVE, lambda v: v >= 0)):
+        for section, keys in table.items():
+            for key in keys:
+                value = getattr(getattr(cfg, section), key)
+                _require(section, key, value, ok(value), rule)
+    if t.kind not in _KIND_MINIMUM:
         raise ConfigurationError(f"[topology] kind must be single|walker, got {t.kind!r}")
+    for key, least in _KIND_MINIMUM[t.kind].items():
+        value = getattr(t, key)
+        _require("topology", key, value, value >= least, f">= {least}")
+    if t.kind == "walker":
+        _require("topology", "inclination_deg", t.inclination_deg,
+                 0.0 < t.inclination_deg < 180.0, "in (0, 180)")
     if r.seed < 0:
         raise ConfigurationError("[run] seed is mandatory and must be >= 0")
     if p.name not in POLICIES:
@@ -168,21 +213,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"[run] sync_algo must be one of {SYNC_ALGOS}, got {r.sync_algo!r}")
     if tr.learner not in ("softmax", "mlp"):
         raise ConfigurationError(f"[training] learner must be softmax|mlp, got {tr.learner!r}")
-    if tr.tau1 < 1 or tr.tau2 < 1:
-        raise ConfigurationError("[training] tau1 and tau2 must be >= 1")
-    if tr.global_rounds < 1:
-        raise ConfigurationError("[training] global_rounds must be >= 1")
-    if not tr.learning_rate > 0:
-        raise ConfigurationError(
-            f"[training] learning_rate must be > 0, got {tr.learning_rate}")
-    if not tr.l2 >= 0:
-        raise ConfigurationError(f"[training] l2 must be >= 0, got {tr.l2}")
-    if tr.hidden_dim < 1:
-        raise ConfigurationError(
-            f"[training] hidden_dim must be >= 1, got {tr.hidden_dim}")
-    if d.test_samples < 1:
-        raise ConfigurationError(
-            f"[data] test_samples must be >= 1, got {d.test_samples}")
     if not 1 <= d.classes_per_device <= d.n_classes:
         raise ConfigurationError(
             f"[data] classes_per_device must be in [1, {d.n_classes}], "

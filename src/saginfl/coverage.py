@@ -7,8 +7,6 @@ built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .topology import (
@@ -19,16 +17,11 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class CoverageMap:
-    access: dict[int, int]              # air node id -> satellite id
-
-
-def compute_coverage(topology: NetworkTopology) -> CoverageMap:
-    """Map each air node to its nearest satellite projection; within 1e-12
-    rad the lowest satellite id wins."""
+def compute_coverage(topology: NetworkTopology) -> np.ndarray:
+    """Access satellite of each air node, ``(N_A,)`` indexed by air id: the
+    nearest satellite projection; within 1e-12 rad the lowest satellite id
+    wins."""
     sat_units = satellite_unit_positions(topology)
     ids = np.arange(len(sat_units))
-    return CoverageMap(access={
-        air.id: nearest_satellite(ids, sat_units, point)
-        for air, point in zip(topology.air_nodes, air_unit_positions(topology))})
+    return np.array([nearest_satellite(ids, sat_units, point)
+                     for point in air_unit_positions(topology)], dtype=np.int64)

@@ -8,16 +8,16 @@ if its distance to every current member stays below n_geo both on the
 residual graph and within the induced sub-graph, so every emitted part
 certifies induced-sub-graph diameter < n_geo. The CDO baseline uses one
 whole-constellation part. Air nodes are attached to parts afterwards, by
-with_air_parts, from the coverage map.
+with_air_parts, from the access array.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .coverage import CoverageMap
 from .errors import ConfigurationError
 from .topology import IslGraph, NetworkTopology, _hop_matrix
 
@@ -27,18 +27,19 @@ class PartitionSet:
     parts: tuple[tuple[int, ...], ...]        # satellite ids per part
     air_parts: tuple[tuple[int, ...], ...]    # air node ids, parallel to parts
 
-    def part_of(self) -> dict[int, int]:
-        out = {}
+    @cached_property
+    def part_of(self) -> np.ndarray:
+        """Part index of each satellite, ``(N_S,)`` indexed by satellite id."""
+        out = np.full(sum(map(len, self.parts)), -1)
         for idx, part in enumerate(self.parts):
-            for sat in part:
-                out[sat] = idx
+            out[list(part)] = idx
         return out
 
 
 def whole_partition(topology: NetworkTopology) -> PartitionSet:
     """One part holding every satellite and air node (n_geo = N_S)."""
-    return PartitionSet(parts=(tuple(s.id for s in topology.satellites),),
-                        air_parts=(tuple(a.id for a in topology.air_nodes),))
+    return PartitionSet(parts=(tuple(range(topology.n_satellites)),),
+                        air_parts=(tuple(range(len(topology.air_nodes))),))
 
 
 def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
@@ -84,7 +85,7 @@ def graph_partition(graph: IslGraph, n_geo: int,
     """Greedy diameter-bounded partition of the ISL graph.
 
     Deterministic for a fixed rng seed. Air parts are left empty; attach them
-    with with_air_parts once a coverage map exists.
+    with with_air_parts once the access array exists.
     """
     if n_geo < 1:
         raise ConfigurationError(f"n_geo must be >= 1, got {n_geo}")
@@ -121,16 +122,9 @@ def graph_partition(graph: IslGraph, n_geo: int,
     return PartitionSet(parts=tuple(parts), air_parts=())
 
 
-def air_nodes_to_parts(coverage: CoverageMap, pset: PartitionSet,
-                       ) -> tuple[tuple[int, ...], ...]:
-    """Each air node joins the part holding its access satellite."""
-    part_of = pset.part_of()
-    air_parts: list[list[int]] = [[] for _ in pset.parts]
-    for air_id in sorted(coverage.access):
-        air_parts[part_of[coverage.access[air_id]]].append(air_id)
-    return tuple(tuple(ap) for ap in air_parts)
-
-
-def with_air_parts(pset: PartitionSet, coverage: CoverageMap) -> PartitionSet:
+def with_air_parts(pset: PartitionSet, access: np.ndarray) -> PartitionSet:
     """The partition with each air node in its access satellite's part."""
-    return replace(pset, air_parts=air_nodes_to_parts(coverage, pset))
+    part_of_air = pset.part_of[access]
+    return replace(pset, air_parts=tuple(
+        tuple(np.flatnonzero(part_of_air == idx).tolist())
+        for idx in range(len(pset.parts))))

@@ -27,7 +27,7 @@ from .allreduce import (
 )
 from .assignment import AssignmentMap, ClassDistribution, cnasa, gdo
 from .config import ExperimentConfig, validate_config
-from .coverage import CoverageMap, compute_coverage
+from .coverage import compute_coverage
 from .data import generate_data
 from .errors import TopologyError, TrainingError
 from .learner import Samples, make_learner
@@ -113,7 +113,7 @@ class TrainingTrace:
     # run context, populated by run_obl
     topology: NetworkTopology | None = None
     graph: IslGraph | None = None
-    coverage: CoverageMap | None = None
+    access: np.ndarray | None = None          # (N_A,) access satellite
     assignment: AssignmentMap | None = None
     partition: PartitionSet | None = None     # None under GDO
     samples: Samples | None = None
@@ -146,10 +146,9 @@ def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
     t = cfg.topology
     if t.kind == "single":
         return build_single_orbit(t.n_sats, t.altitude_km, t.n_air,
-                                  t.devices_per_air, t.link_params())
+                                  t.devices_per_air)
     return build_walker(t.n_planes, t.sats_per_plane, t.inclination_deg,
-                        t.altitude_km, t.air_per_cell, t.devices_per_air,
-                        t.link_params())
+                        t.altitude_km, t.air_per_cell, t.devices_per_air)
 
 
 def make_time_params(cfg: ExperimentConfig, model_params: int) -> TimeParams:
@@ -170,7 +169,7 @@ def make_time_params(cfg: ExperimentConfig, model_params: int) -> TimeParams:
 
 
 def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
-                      graph: IslGraph, hops: np.ndarray, coverage: CoverageMap,
+                      graph: IslGraph, hops: np.ndarray, access: np.ndarray,
                       device_dists: list[ClassDistribution],
                       time_params: TimeParams,
                       policy_rng: np.random.Generator,
@@ -178,19 +177,19 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
                       ) -> tuple[AssignmentMap, PartitionSet | None]:
     """GDO keeps the access map; CDO is CNASA over one whole-constellation
     partition; CNASA works on arcs (one orbit) or graph parts (Walker)."""
-    delivery = make_delivery_model(hops, coverage, time_params)
+    delivery = make_delivery_model(hops, access, time_params)
     name = cfg.policy.name
     if name == "gdo":
-        return gdo(coverage), None
+        return gdo(access, hops), None
     if name == "cdo":
         pset = whole_partition(topology)
     elif topology.kind == "single":
         pset = with_air_parts(arc_partition(topology, cfg.policy.n_geo),
-                              coverage)
+                              access)
     else:
         pset = with_air_parts(graph_partition(graph, cfg.policy.n_geo,
-                                              partition_rng), coverage)
-    assignment = cnasa(topology, coverage, pset, device_dists, policy_rng,
+                                              partition_rng), access)
+    assignment = cnasa(topology, access, pset, device_dists, policy_rng,
                        delivery)
     return assignment, pset
 
@@ -205,14 +204,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     topology = build_topology(cfg)
     graph = derive_isl_graph(topology)
     hops = hop_distances(graph)
-    coverage = compute_coverage(topology)
+    access = compute_coverage(topology)
 
-    air_of_device = topology.air_of_device()
     n_devices = topology.n_devices
-    device_lons = [
-        topology.air_nodes[air_of_device[dev]].longitude_deg
-        for dev in range(n_devices)
-    ]
+    device_lons = [topology.air_nodes[air].longitude_deg
+                   for air in topology.air_of_device.tolist()]
     if cfg.data.geo_bin_deg > 0:
         bin_deg = cfg.data.geo_bin_deg
     elif topology.kind == "single":
@@ -233,7 +229,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     time_params = make_time_params(cfg, learner.n_params)
 
     assignment, pset = select_assignment(
-        cfg, topology, graph, hops, coverage, device_dists, time_params,
+        cfg, topology, graph, hops, access, device_dists, time_params,
         policy_rng, partition_rng)
     relay_hops = assignment.relay_hops()
     if cfg.policy.name == "cnasa" and relay_hops >= cfg.policy.n_geo:
@@ -244,7 +240,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     trace = TrainingTrace(config=cfg)
     trace.topology = topology
     trace.graph = graph
-    trace.coverage = coverage
+    trace.access = access
     trace.assignment = assignment
     trace.partition = pset
     trace.samples = samples = Samples.stack(
@@ -259,8 +255,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             "sync_algo=gossip: t_sync is the analytic gossip cost; [commlog] "
             "lists the ring allreduce that produced the model values",)
     n_sats = topology.n_satellites
-    trace.sat_of_device = np.array([assignment.f[air_of_device[dev]]
-                                    for dev in range(n_devices)])
+    trace.sat_of_device = assignment.f[topology.air_of_device]
     trace.device_sizes = np.array(
         [ds.class_dist.sample_count for ds in datasets], dtype=float)
     weights = trace.aggregation

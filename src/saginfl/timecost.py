@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import AssignmentMap
-from .coverage import CoverageMap
 from .errors import ConfigurationError, InputError
 from .topology import LinkParams
 
@@ -64,20 +63,10 @@ class TimeBreakdown:
 
 
 def trans_delay(bits: float, link: LinkParams) -> float:
-    """Transmission delay of a payload over one link.
-
-    Rate mode divides by the configured rate; Shannon mode by the capacity
-    rain_ratio * bandwidth * log2(1 + power*|fading|^2 / noise).
-    """
+    """Transmission delay of a payload over one link at its rate."""
     if bits <= 0:
         raise InputError(f"payload must be positive, got {bits}")
-    if link.rate_bps is not None:
-        return bits / link.rate_bps
-    snr = link.power_w * link.fading_gain ** 2 / link.noise_power
-    capacity = link.rain_ratio * link.bandwidth_hz * math.log2(1.0 + snr)
-    if capacity <= 0:
-        raise InputError(f"link {link.link_class} has zero capacity")
-    return bits / capacity
+    return bits / link.rate_bps
 
 
 def end_to_end(bits: float, link: LinkParams) -> float:
@@ -89,9 +78,7 @@ def _shared(link: LinkParams, n_users: int) -> LinkParams:
     """Equal-split of the link's capacity among simultaneous transmitters."""
     if n_users <= 1:
         return link
-    if link.rate_bps is not None:
-        return replace(link, rate_bps=link.rate_bps / n_users)
-    return replace(link, bandwidth_hz=link.bandwidth_hz / n_users)
+    return replace(link, rate_bps=link.rate_bps / n_users)
 
 
 def comm_time(assignment: AssignmentMap, params: TimeParams) -> float:
@@ -167,7 +154,7 @@ class DeliveryTimeModel:
     """
 
     hops: np.ndarray
-    access: dict[int, int]
+    access: np.ndarray            # (N_A,) access satellite per air node
     t_as_s: float
     t_ss_s: float
 
@@ -176,11 +163,11 @@ class DeliveryTimeModel:
         return self.t_as_s + int(self.hops[src, target_sat]) * self.t_ss_s
 
 
-def make_delivery_model(hops: np.ndarray, coverage: CoverageMap,
+def make_delivery_model(hops: np.ndarray, access: np.ndarray,
                         params: TimeParams) -> DeliveryTimeModel:
     return DeliveryTimeModel(
         hops=hops,
-        access=dict(coverage.access),
+        access=access,
         t_as_s=end_to_end(params.model_bits, params.links["AS"]),
         t_ss_s=end_to_end(params.model_bits, params.links["SS"]),
     )

@@ -9,7 +9,7 @@ intersection regions of every plane pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -23,34 +23,19 @@ LINK_CLASSES = ("SG", "GA", "AS", "SS")
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Delay model for one link class.
-
-    Rate mode uses ``rate_bps`` directly. Shannon mode derives the rate from
-    bandwidth, transmit power, fading gain, noise power, and the rain
-    attenuation ratio (1.0 = no rain).
-    """
+    """Delay model for one link class: a fixed rate plus propagation delay."""
 
     link_class: str
-    rate_bps: float | None = None
+    rate_bps: float
     prop_delay_s: float = 0.0
-    bandwidth_hz: float | None = None
-    power_w: float | None = None
-    fading_gain: float | None = None
-    noise_power: float | None = None
-    rain_ratio: float = 1.0
 
     def __post_init__(self) -> None:
         if self.link_class not in LINK_CLASSES:
             raise ConfigurationError(f"unknown link class {self.link_class!r}")
-        if self.rate_bps is None and self.bandwidth_hz is None:
-            raise ConfigurationError(
-                f"link {self.link_class}: need rate_bps or shannon parameters")
-        if self.rate_bps is not None and self.rate_bps <= 0:
+        if not self.rate_bps > 0:
             raise ConfigurationError(f"link {self.link_class}: rate_bps must be > 0")
         if self.prop_delay_s < 0:
             raise ConfigurationError(f"link {self.link_class}: prop_delay_s must be >= 0")
-        if not 0.0 < self.rain_ratio <= 1.0:
-            raise ConfigurationError(f"link {self.link_class}: rain_ratio must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -70,7 +55,6 @@ class AirNodeSpec:
     latitude_deg: float
     longitude_deg: float
     altitude_m: float
-    device_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -92,12 +76,12 @@ class IslGraph:
         return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
     kind: str                                     # 'single' | 'walker'
     satellites: tuple[SatelliteSpec, ...]
     air_nodes: tuple[AirNodeSpec, ...]
-    links: dict[str, LinkParams] = field(default_factory=dict)
+    air_of_device: np.ndarray                     # (D,) air node id per device
     n_planes: int = 1
 
     @property
@@ -106,16 +90,7 @@ class NetworkTopology:
 
     @property
     def n_devices(self) -> int:
-        return sum(len(a.device_ids) for a in self.air_nodes)
-
-    def air_of_device(self) -> dict[int, int]:
-        owner: dict[int, int] = {}
-        for air in self.air_nodes:
-            for dev in air.device_ids:
-                if dev in owner:
-                    raise TopologyError(f"device {dev} owned by two air nodes")
-                owner[dev] = air.id
-        return owner
+        return len(self.air_of_device)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -173,24 +148,14 @@ def air_unit_positions(topology: NetworkTopology) -> np.ndarray:
     ])
 
 
-def _make_air_nodes(positions: list[tuple[float, float]],
-                    devices_per_air: int) -> tuple[AirNodeSpec, ...]:
-    airs = []
-    next_dev = 0
-    for i, (lat, lon) in enumerate(positions):
-        ids = tuple(range(next_dev, next_dev + devices_per_air))
-        next_dev += devices_per_air
-        airs.append(AirNodeSpec(
-            id=i, latitude_deg=lat, longitude_deg=lon,
-            altitude_m=AIR_ALTITUDE_M, device_ids=ids,
-        ))
-    return tuple(airs)
+def _make_air_nodes(positions: list[tuple[float, float]]) -> tuple[AirNodeSpec, ...]:
+    return tuple(AirNodeSpec(id=i, latitude_deg=lat, longitude_deg=lon,
+                             altitude_m=AIR_ALTITUDE_M)
+                 for i, (lat, lon) in enumerate(positions))
 
 
 def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
-                       devices_per_air: int,
-                       link_params: dict[str, LinkParams] | None = None,
-                       ) -> NetworkTopology:
+                       devices_per_air: int) -> NetworkTopology:
     """Equatorial ring of satellites with evenly spaced air nodes below.
 
     Satellites occupy phases k*360/n_sats on the equatorial orbit; air nodes
@@ -211,15 +176,13 @@ def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
         for k in range(n_sats)
     )
     air_pos = [(0.0, k * 360.0 / n_air) for k in range(n_air)]
-    airs = _make_air_nodes(air_pos, devices_per_air)
-    return NetworkTopology(kind="single", satellites=sats, air_nodes=airs,
-                           links=dict(link_params or {}),
-                           n_planes=1)
+    return NetworkTopology(kind="single", satellites=sats,
+                           air_nodes=_make_air_nodes(air_pos),
+                           air_of_device=np.repeat(np.arange(n_air), devices_per_air))
 
 
 def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
                  altitude_km: float, air_per_cell: int, devices_per_air: int,
-                 link_params: dict[str, LinkParams] | None = None,
                  ) -> NetworkTopology:
     """Walker constellation with air nodes at the snapshot sub-satellite points.
 
@@ -261,9 +224,10 @@ def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
             # sub-satellite point so air positions are distinct
             offset = (a - (air_per_cell - 1) / 2.0) * 0.5
             air_pos.append((lat, (lon + offset) % 360.0))
-    airs = _make_air_nodes(air_pos, devices_per_air)
-    return NetworkTopology(kind="walker", satellites=tuple(sats), air_nodes=airs,
-                           links=dict(link_params or {}),
+    return NetworkTopology(kind="walker", satellites=tuple(sats),
+                           air_nodes=_make_air_nodes(air_pos),
+                           air_of_device=np.repeat(np.arange(len(air_pos)),
+                                                   devices_per_air),
                            n_planes=n_planes)
 
 
@@ -361,12 +325,12 @@ def hop_distances(graph: IslGraph) -> np.ndarray:
 
 
 def write_topology_table(topology: NetworkTopology, path,
-                         coverage=None) -> None:
+                         access: np.ndarray | None = None) -> None:
     """Dump the topology as a plain-text table, one row per element.
 
     Columns: id, kind, lat_deg, lon_deg, alt_m, parent. Satellites carry their
-    orbit index as parent; air nodes their access satellite (when a coverage
-    map is supplied); devices their owning air node.
+    orbit index as parent; air nodes their access satellite (when the access
+    array is supplied); devices their owning air node.
     """
     lines = ["id\tkind\tlat_deg\tlon_deg\talt_m\tparent"]
     for s in topology.satellites:
@@ -375,10 +339,10 @@ def write_topology_table(topology: NetworkTopology, path,
         lon = math.degrees(math.atan2(float(u[1]), float(u[0]))) % 360.0
         lines.append(f"{s.id}\tsatellite\t{lat!r}\t{lon!r}\t{s.altitude_km * 1000.0!r}\t{s.orbit_index}")
     for a in topology.air_nodes:
-        parent = coverage.access[a.id] if coverage is not None else -1
+        parent = access[a.id] if access is not None else -1
         lines.append(f"{a.id}\tair\t{a.latitude_deg!r}\t{a.longitude_deg!r}\t{a.altitude_m!r}\t{parent}")
-    for a in topology.air_nodes:
-        for dev in a.device_ids:
-            lines.append(f"{dev}\tdevice\t{a.latitude_deg!r}\t{a.longitude_deg!r}\t0.0\t{a.id}")
+    for dev, air in enumerate(topology.air_of_device.tolist()):
+        a = topology.air_nodes[air]
+        lines.append(f"{dev}\tdevice\t{a.latitude_deg!r}\t{a.longitude_deg!r}\t0.0\t{air}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -56,15 +56,16 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
     yield "[partition]"
     yield "satellite,part"
     if trace.partition is not None:
-        for sat, part in sorted(trace.partition.part_of().items()):
+        for sat, part in enumerate(trace.partition.part_of.tolist()):
             yield f"{sat},{part}"
 
     yield ""
     yield "[assignment]"
     yield "air,satellite,hops"
     assignment = trace.assignment
-    for air in sorted(assignment.f):
-        yield f"{air},{assignment.f[air]},{assignment.hops[air]}"
+    for air, (sat, hops) in enumerate(zip(assignment.f.tolist(),
+                                          assignment.hops.tolist())):
+        yield f"{air},{sat},{hops}"
 
     yield ""
     yield "[divergence]"

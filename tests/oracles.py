@@ -86,6 +86,23 @@ def total_received(log: CommLog) -> int:
     return sum(params_received(log).values())
 
 
+def phase_steps(log: CommLog) -> dict[str, int]:
+    """Ring steps of each phase, summed over the phase's rings.
+
+    Every member of a ring sends once per step and a ring runs its scatter
+    steps before its gather steps, so each run of consecutive transfers
+    sharing one phase and step is one ring step.
+    """
+    steps: dict[str, int] = {}
+    previous = None
+    for key in zip(log.transfers["phase"].tolist(),
+                   log.transfers["step"].tolist()):
+        if key != previous:
+            steps[key[0]] = steps.get(key[0], 0) + 1
+        previous = key
+    return steps
+
+
 def subsatellite_points(topology: NetworkTopology) -> np.ndarray:
     """Per-satellite (lat_deg, lon_deg) of the radial projection onto the surface."""
     units = satellite_unit_positions(topology)
@@ -98,27 +115,29 @@ def n_air_nodes(topology: NetworkTopology) -> int:
     return len(topology.air_nodes)
 
 
-def cell_members(access: dict[int, int], topology: NetworkTopology,
+def cell_members(access: np.ndarray, topology: NetworkTopology,
                  ) -> dict[int, tuple[int, ...]]:
     """Satellite id -> the air nodes it serves, in id order."""
     members: dict[int, list[int]] = {s.id: [] for s in topology.satellites}
-    for air_id in sorted(access):
-        members[access[air_id]].append(air_id)
+    for air_id, sat in enumerate(access.tolist()):
+        members[sat].append(air_id)
     return {sat: tuple(ids) for sat, ids in members.items()}
 
 
-def validate_coverage(access: dict[int, int],
+def validate_coverage(access: np.ndarray,
                       members: dict[int, tuple[int, ...]],
                       topology: NetworkTopology) -> None:
     """Raise TopologyError unless every air node has exactly one access
-    satellite and the cell member lists invert the access map."""
-    mismatch = {a.id for a in topology.air_nodes} ^ set(access)
+    satellite and the cell member lists invert the access array."""
+    inverse: dict[int, list[int]] = {}
+    for air, sat in enumerate(access.tolist()):
+        if 0 <= sat < topology.n_satellites:
+            inverse.setdefault(sat, []).append(air)
+    mapped = {air for cell in inverse.values() for air in cell}
+    mismatch = {a.id for a in topology.air_nodes} ^ mapped
     if mismatch:
         raise TopologyError(
             f"access map and air nodes differ on {sorted(mismatch)}")
-    inverse: dict[int, list[int]] = {}
-    for air, sat in access.items():
-        inverse.setdefault(sat, []).append(air)
     for sat, cell in members.items():
         if sorted(inverse.get(sat, [])) != sorted(cell):
             raise TopologyError(

@@ -16,7 +16,7 @@ from saginfl.assignment import (
 )
 from saginfl.config import ExperimentConfig, PolicyConfig
 from saginfl.coverage import compute_coverage
-from saginfl.errors import ConfigurationError, InputError
+from saginfl.errors import ConfigurationError, InputError, TopologyError
 from saginfl.partition import (
     PartitionSet,
     arc_partition,
@@ -33,9 +33,12 @@ def dist(probs, count):
                              sample_count=count)
 
 
-def delivery_model(topology, coverage, t_as=1.0, t_ss=1.0):
-    hops = hop_distances(derive_isl_graph(topology))
-    return DeliveryTimeModel(hops=hops, access=dict(coverage.access),
+def hop_matrix(topology):
+    return hop_distances(derive_isl_graph(topology))
+
+
+def delivery_model(topology, access, t_as=1.0, t_ss=1.0):
+    return DeliveryTimeModel(hops=hop_matrix(topology), access=access,
                              t_as_s=t_as, t_ss_s=t_ss)
 
 
@@ -209,16 +212,16 @@ class TestMinCostMatching:
             min_cost_matching(np.array([[1.0, np.nan], [1.0, 2.0]]))
 
 
-def cdo(topology, coverage, device_dists, rng, model):
+def cdo(topology, access, device_dists, rng, model):
     """The CDO baseline: CNASA over the whole-constellation partition."""
-    return cnasa(topology, coverage, whole_partition(topology), device_dists,
+    return cnasa(topology, access, whole_partition(topology), device_dists,
                  rng, model)
 
 
 def _toy_scenario(n_sats=2, n_air=4, devices_per_air=1):
     topology = build_single_orbit(n_sats, 330.0, n_air, devices_per_air)
-    coverage = compute_coverage(topology)
-    return topology, coverage
+    access = compute_coverage(topology)
+    return topology, access
 
 
 def _one_hot_dists(assignments, n_classes, count=10):
@@ -232,17 +235,28 @@ def _one_hot_dists(assignments, n_classes, count=10):
 
 class TestCnasa:
     def test_n_geo_one_equals_gdo(self):
-        topology, coverage = _toy_scenario(4, 8)
+        topology, access = _toy_scenario(4, 8)
         device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
-        pset = with_air_parts(arc_partition(topology, 1), coverage)
-        model = delivery_model(topology, coverage)
-        out = cnasa(topology, coverage, pset, device_dists,
+        pset = with_air_parts(arc_partition(topology, 1), access)
+        model = delivery_model(topology, access)
+        out = cnasa(topology, access, pset, device_dists,
                     np.random.default_rng(0), model)
-        assert out.f == coverage.access
-        assert all(h == 0 for h in out.hops.values())
+        assert np.array_equal(out.f, access)
+        assert not out.hops.any()
+
+    def test_air_node_left_out_of_every_part_raises(self):
+        topology, access = _toy_scenario(4, 8)
+        device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
+        pset = with_air_parts(arc_partition(topology, 2), access)
+        first, *rest = pset.air_parts
+        assert first[0] == 0
+        pset = PartitionSet(parts=pset.parts, air_parts=(first[1:], *rest))
+        with pytest.raises(TopologyError, match=r"air nodes \[0\]"):
+            cnasa(topology, access, pset, device_dists,
+                  np.random.default_rng(0), delivery_model(topology, access))
 
     def test_single_global_part_matches_cdo(self):
-        topology, coverage = _toy_scenario(4, 8)
+        topology, access = _toy_scenario(4, 8)
         device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
         graph = derive_isl_graph(topology)
         hops = hop_distances(graph)
@@ -251,23 +265,23 @@ class TestCnasa:
         all_sats = tuple(s.id for s in topology.satellites)
         all_airs = tuple(a.id for a in topology.air_nodes)
         pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,))
-        a = cnasa(topology, coverage, pset, device_dists,
+        a = cnasa(topology, access, pset, device_dists,
                   np.random.default_rng(7),
-                  make_delivery_model(hops, coverage, time_params))
+                  make_delivery_model(hops, access, time_params))
         b, b_pset = select_assignment(
-            cfg, topology, graph, hops, coverage, device_dists, time_params,
+            cfg, topology, graph, hops, access, device_dists, time_params,
             np.random.default_rng(7), np.random.default_rng(0))
         assert b_pset == pset
-        assert a.f == b.f
+        assert np.array_equal(a.f, b.f)
 
     def test_toy_matches_exhaustive_balanced_search(self):
         # 4 air nodes, 2 satellites, n_geo = 2: CNASA must reach the minimum
         # total delivery time among balanced assignments (2 air nodes each)
-        topology, coverage = _toy_scenario(2, 4)
+        topology, access = _toy_scenario(2, 4)
         device_dists = _one_hot_dists([0, 1, 0, 1], 2)
-        model = delivery_model(topology, coverage, t_as=1.0, t_ss=5.0)
-        pset = with_air_parts(arc_partition(topology, 2), coverage)
-        out = cnasa(topology, coverage, pset, device_dists,
+        model = delivery_model(topology, access, t_as=1.0, t_ss=5.0)
+        pset = with_air_parts(arc_partition(topology, 2), access)
+        out = cnasa(topology, access, pset, device_dists,
                     np.random.default_rng(0), model)
 
         def total_time(f):
@@ -286,72 +300,70 @@ class TestCnasa:
 
     def test_assignment_total_and_hops_within_partition(self):
         topology = build_single_orbit(20, 330.0, 100, 2)
-        coverage = compute_coverage(topology)
+        access = compute_coverage(topology)
         rng = np.random.default_rng(0)
         device_dists = _one_hot_dists(
             [int(rng.integers(0, 10)) for _ in range(200)], 10)
-        pset = with_air_parts(arc_partition(topology, 4), coverage)
-        model = delivery_model(topology, coverage)
-        out = cnasa(topology, coverage, pset, device_dists, rng, model)
-        assert sorted(out.f) == list(range(100))
-        assert max(out.hops.values()) < 4
-        part_of = pset.part_of()
-        for air, sat in out.f.items():
-            assert part_of[sat] == part_of[coverage.access[air]]
+        pset = with_air_parts(arc_partition(topology, 4), access)
+        model = delivery_model(topology, access)
+        out = cnasa(topology, access, pset, device_dists, rng, model)
+        assert len(out.f) == 100 and (out.f >= 0).all()
+        assert out.hops.max() < 4
+        assert np.array_equal(pset.part_of[out.f], pset.part_of[access])
 
     def test_cluster_balance_keeps_satellite_loads_even(self):
         topology = build_single_orbit(10, 330.0, 50, 2)
-        coverage = compute_coverage(topology)
+        access = compute_coverage(topology)
         rng = np.random.default_rng(3)
         device_dists = _one_hot_dists(
             [int(rng.integers(0, 5)) for _ in range(100)], 5)
-        pset = with_air_parts(arc_partition(topology, 5), coverage)
-        out = cnasa(topology, coverage, pset, device_dists, rng,
-                    delivery_model(topology, coverage))
+        pset = with_air_parts(arc_partition(topology, 5), access)
+        out = cnasa(topology, access, pset, device_dists, rng,
+                    delivery_model(topology, access))
         loads = {}
-        for air, sat in out.f.items():
+        for air, sat in enumerate(out.f):
             loads[sat] = loads.get(sat, 0) + 1
         assert max(loads.values()) - min(loads.values()) <= 1
 
 
 class TestBaselines:
     def test_gdo_is_access_map(self):
-        topology, coverage = _toy_scenario(4, 12)
-        out = gdo(coverage)
-        assert out.f == coverage.access
+        topology, access = _toy_scenario(4, 12)
+        out = gdo(access, hop_matrix(topology))
+        assert np.array_equal(out.f, access)
 
     def test_gdo_zero_hops(self):
-        topology, coverage = _toy_scenario(4, 12)
-        out = gdo(coverage)
-        assert set(out.hops.values()) == {0}
+        topology, access = _toy_scenario(4, 12)
+        out = gdo(access, hop_matrix(topology))
+        assert set(out.hops.tolist()) == {0}
         assert out.relay_hops() == 0
 
     def test_cdo_hops_reach_beyond_access(self):
-        topology, coverage = _toy_scenario(4, 8)
+        topology, access = _toy_scenario(4, 8)
         # strongly clustered distributions force cross-satellite mixing
         device_dists = _one_hot_dists([0, 0, 1, 1, 2, 2, 3, 3], 4)
-        out = cdo(topology, coverage, device_dists,
-                  np.random.default_rng(1), delivery_model(topology, coverage))
-        assert all(h >= 0 for h in out.hops.values())
+        out = cdo(topology, access, device_dists,
+                  np.random.default_rng(1), delivery_model(topology, access))
+        assert (out.hops >= 0).all()
         assert out.relay_hops() >= 1
 
     def test_cdo_clusters_closer_to_global_mix(self):
-        topology, coverage = _toy_scenario(4, 8)
+        topology, access = _toy_scenario(4, 8)
         device_dists = _one_hot_dists([0, 0, 1, 1, 2, 2, 3, 3], 4)
         global_mix = np.mean([d.probs for d in device_dists], axis=0)
 
         def satellite_l1(assignment):
             per_sat = {}
-            for air, sat in assignment.f.items():
+            for air, sat in enumerate(assignment.f):
                 per_sat.setdefault(sat, []).append(device_dists[air].probs)
             gaps = [np.abs(np.mean(v, axis=0) - global_mix).sum()
                     for v in per_sat.values()]
             return float(np.mean(gaps))
 
         cdo_gap = satellite_l1(
-            cdo(topology, coverage, device_dists, np.random.default_rng(1),
-                delivery_model(topology, coverage)))
-        gdo_gap = satellite_l1(gdo(coverage))
+            cdo(topology, access, device_dists, np.random.default_rng(1),
+                delivery_model(topology, access)))
+        gdo_gap = satellite_l1(gdo(access, hop_matrix(topology)))
         assert cdo_gap < gdo_gap
 
 
@@ -360,10 +372,10 @@ class TestClusterQuality:
         # CNASA cluster distributions should sit closer to the partition's
         # pooled distribution than random equal splits, averaged over seeds
         topology = build_single_orbit(4, 330.0, 16, 1)
-        coverage = compute_coverage(topology)
+        access = compute_coverage(topology)
         labels = [a.id % 4 for a in topology.air_nodes]
         device_dists = _one_hot_dists(labels, 4)
-        pset = with_air_parts(arc_partition(topology, 4), coverage)
+        pset = with_air_parts(arc_partition(topology, 4), access)
         part_airs = pset.air_parts[0]
         pooled = np.mean([device_dists[a].probs for a in part_airs], axis=0)
 
@@ -380,10 +392,10 @@ class TestClusterQuality:
         rand = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            out = cnasa(topology, coverage, pset, device_dists, rng,
-                        delivery_model(topology, coverage))
+            out = cnasa(topology, access, pset, device_dists, rng,
+                        delivery_model(topology, access))
             clusters = {}
-            for air, sat in out.f.items():
+            for air, sat in enumerate(out.f):
                 clusters.setdefault(sat, []).append(air)
             ours.append(mean_l1(list(clusters.values())))
             perm = rng.permutation(len(part_airs))
@@ -400,13 +412,13 @@ def test_cnasa_cost_growth_trend():
     topology_big = build_single_orbit(10, 330.0, 80, 1)
     times = []
     for topo in (topology_small, topology_big):
-        coverage = compute_coverage(topo)
+        access = compute_coverage(topo)
         dists = _one_hot_dists([a.id % 10 for a in topo.air_nodes], 10)
-        pset = with_air_parts(arc_partition(topo, 2), coverage)
-        model = delivery_model(topo, coverage)
+        pset = with_air_parts(arc_partition(topo, 2), access)
+        model = delivery_model(topo, access)
         t0 = time.perf_counter()
         for seed in range(3):
-            cnasa(topo, coverage, pset, dists, np.random.default_rng(seed),
+            cnasa(topo, access, pset, dists, np.random.default_rng(seed),
                   model)
         times.append(time.perf_counter() - t0)
     assert times[1] < times[0] * 16

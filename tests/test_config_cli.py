@@ -1,10 +1,12 @@
 """Configuration parsing and the command-line runner."""
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -101,6 +103,24 @@ class TestConfigParsing:
         field = new.split("\n")[-1].split(" = ")[0]
         with pytest.raises(ConfigurationError, match=rf"\[{section}\] {field}"):
             parse_config_text(SMALL_CONFIG.replace(old, new))
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("data", "samples_per_device", 0),
+        ("training", "bits_per_param", 0),
+        ("training", "flops_device", 0.0),
+        ("topology", "sg_rate_bps", 0.0),
+        ("topology", "ss_prop_s", -1.0),
+        ("data", "geo_bin_deg", -5.0),
+        ("topology", "altitude_km", math.nan),
+        ("data", "blob_scale", math.nan),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_run_rejects_value_naming_section_and_key(self, section, key,
+                                                      value):
+        cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                               **{key: value})})
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key}"):
+            saginfl.run_obl(cfg)
 
     def test_apply_axis_variants(self):
         cfg = parse_config_text(SMALL_CONFIG)

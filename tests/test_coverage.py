@@ -57,30 +57,30 @@ class TestComputeCoverage:
     def test_tie_breaks_to_lower_id(self):
         # two satellites, air node exactly between their projections
         topo = build_single_orbit(2, 330.0, 4, 1)
-        cov = compute_coverage(topo)
+        access = compute_coverage(topo)
         # air node 1 at 90 degrees is equidistant from satellites at 0 and 180
-        assert cov.access[1] == 0
+        assert access[1] == 0
 
     def test_even_split_five_air_per_satellite(self):
         topo = build_single_orbit(20, 330.0, 100, 2)
-        cov = compute_coverage(topo)
-        members = cell_members(cov.access, topo)
+        access = compute_coverage(topo)
+        members = cell_members(access, topo)
         sizes = [len(members[s.id]) for s in topo.satellites]
         assert sizes == [5] * 20
 
     def test_walker_toy_matches_brute_force(self):
         topo = build_walker(3, 5, 85.0, 330.0, 2, 1)
-        cov = compute_coverage(topo)
-        assert cov.access == brute_force_access(topo)
+        access = compute_coverage(topo)
+        assert dict(enumerate(access.tolist())) == brute_force_access(topo)
 
     def test_voronoi_property_exhaustive(self):
         topo = build_walker(2, 6, 60.0, 500.0, 1, 1)
-        cov = compute_coverage(topo)
+        access = compute_coverage(topo)
         sat_units = satellite_unit_positions(topo)
         air_units = air_unit_positions(topo)
         for air in topo.air_nodes:
             chosen = great_circle_angle(air_units[air.id],
-                                        sat_units[cov.access[air.id]])
+                                        sat_units[access[air.id]])
             for sat in topo.satellites:
                 ang = great_circle_angle(air_units[air.id], sat_units[sat.id])
                 assert chosen <= ang + 1e-12
@@ -91,45 +91,46 @@ class TestComputeCoverage:
         # go to the lowest id among the satellites nearest it (within
         # 1e-12 rad), with angles taken by the atan2 rule.
         topo = build_walker(14, 16, 90.0, 500.0, 3, 1)
-        cov = compute_coverage(topo)
+        access = compute_coverage(topo)
         sat_units = satellite_unit_positions(topo)
         air_units = air_unit_positions(topo)
         for air in topo.air_nodes:
             angles = great_circle_angles(sat_units, air_units[air.id])
             nearest = np.flatnonzero(angles <= angles.min() + 1e-12)
-            assert cov.access[air.id] == nearest.min(), air.id
+            assert access[air.id] == nearest.min(), air.id
         # satellite 79 sits on satellite 185's point and has the lower id
-        assert cov.access[238] == 79
+        assert access[238] == 79
 
     def test_cells_partition_air_nodes(self):
         topo = build_single_orbit(7, 330.0, 23, 1)
-        cov = compute_coverage(topo)
-        members = cell_members(cov.access, topo)
-        validate_coverage(cov.access, members, topo)
+        access = compute_coverage(topo)
+        members = cell_members(access, topo)
+        validate_coverage(access, members, topo)
         all_members = [a for cell in members.values() for a in cell]
         assert sorted(all_members) == list(range(23))
 
     def test_validate_rejects_unmapped_air_node(self):
         topo = build_single_orbit(4, 330.0, 8, 1)
-        cov = compute_coverage(topo)
-        access = {air: sat for air, sat in cov.access.items() if air != 3}
+        access = compute_coverage(topo)
+        unmapped = access.copy()
+        unmapped[3] = -1
         with pytest.raises(TopologyError, match=r"differ on \[3\]"):
-            validate_coverage(access, cell_members(cov.access, topo), topo)
+            validate_coverage(unmapped, cell_members(access, topo), topo)
 
     def test_validate_rejects_inconsistent_cells(self):
         topo = build_single_orbit(4, 330.0, 8, 1)
-        cov = compute_coverage(topo)
-        sat = cov.access[0]
-        members = cell_members(cov.access, topo)
+        access = compute_coverage(topo)
+        sat = access[0]
+        members = cell_members(access, topo)
         members[sat] = tuple(a for a in members[sat] if a != 0)
         with pytest.raises(TopologyError, match=f"cell of satellite {sat}"):
-            validate_coverage(cov.access, members, topo)
+            validate_coverage(access, members, topo)
 
     def test_single_orbit_cells_contiguous_in_longitude(self):
         topo = build_single_orbit(10, 330.0, 40, 1)
-        cov = compute_coverage(topo)
+        access = compute_coverage(topo)
         spacing = 360.0 / 40
-        for sat, members in cell_members(cov.access, topo).items():
+        for sat, members in cell_members(access, topo).items():
             if not members:
                 continue
             lons = sorted(topo.air_nodes[a].longitude_deg for a in members)

@@ -9,7 +9,6 @@ from saginfl.coverage import compute_coverage
 from saginfl.errors import ConfigurationError
 from saginfl.partition import (
     PartitionSet,
-    air_nodes_to_parts,
     arc_partition,
     graph_partition,
     with_air_parts,
@@ -104,13 +103,13 @@ class TestGraphPartition:
 class TestAirNodesToParts:
     def test_direct_lookup(self):
         topo = build_single_orbit(2, 330.0, 2, 1)
-        cov = compute_coverage(topo)
+        access = compute_coverage(topo)
         parts = ((0,), (1,))
-        air_parts = air_nodes_to_parts(
-            cov, PartitionSet(parts=parts, air_parts=()))
+        air_parts = with_air_parts(
+            PartitionSet(parts=parts, air_parts=()), access).air_parts
         for idx, ap in enumerate(air_parts):
             for air in ap:
-                assert cov.access[air] == parts[idx][0]
+                assert access[air] == parts[idx][0]
 
     def test_empty_cell_satellites_allowed(self):
         # more satellites than air nodes: some parts end up with no air nodes
@@ -123,8 +122,8 @@ class TestAirNodesToParts:
     def test_walker_disjoint_union(self):
         topo = build_walker(15, 16, 85.0, 330.0, 2, 1)
         graph = derive_isl_graph(topo)
-        cov = compute_coverage(topo)
-        pset = with_air_parts(graph_partition(graph, 4, np.random.default_rng(1)), cov)
+        access = compute_coverage(topo)
+        pset = with_air_parts(graph_partition(graph, 4, np.random.default_rng(1)), access)
         seen = [a for ap in pset.air_parts for a in ap]
         assert sorted(seen) == list(range(480))
 

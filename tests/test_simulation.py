@@ -96,7 +96,7 @@ class TestAggregationConservation:
         sat_size = np.zeros(n_sats)
         air_models = {}
         for air in trace.topology.air_nodes:
-            devs = list(air.device_ids)
+            devs = np.flatnonzero(trace.topology.air_of_device == air.id)
             air_models[air.id] = (sizes[devs] @ params[devs] / sizes[devs].sum(),
                                   sizes[devs].sum())
             sat_size[trace.assignment.f[air.id]] += sizes[devs].sum()
@@ -262,7 +262,7 @@ class TestTimeAccounting:
         def overlong(*args):
             assignment = real_cnasa(*args)
             return dataclasses.replace(
-                assignment, hops={air: 2 for air in assignment.hops})
+                assignment, hops=np.full_like(assignment.hops, 2))
 
         monkeypatch.setattr(simulation, "cnasa", overlong)
         with pytest.raises(TopologyError, match="relay hops 2"):

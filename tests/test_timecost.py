@@ -1,6 +1,4 @@
 """Per-link delays and the per-round time model."""
-import math
-
 import numpy as np
 import pytest
 
@@ -41,9 +39,9 @@ def params(tau1=2, tau2=2, model_params=110, devices_per_air=2):
         devices_per_air=devices_per_air)
 
 
-def assignment(hops_by_air, max_access=5, max_assigned=5):
-    f = {a: 0 for a in hops_by_air}
-    return AssignmentMap(f=f, hops=dict(hops_by_air),
+def assignment(hops, max_access=5, max_assigned=5):
+    hops = np.array(hops)
+    return AssignmentMap(f=np.zeros_like(hops), hops=hops,
                          max_access_cell=max_access, max_assigned=max_assigned)
 
 
@@ -53,29 +51,6 @@ class TestTransDelay:
         delay = trans_delay(bits, table_links()["SS"])
         assert abs(delay - bits / 30e9) < 1e-15
         assert 0.00140 < delay < 0.00150   # about 1.46 ms
-
-    def test_unit_capacity_shannon(self):
-        # log2(1 + SNR) = 1 at SNR = 1; B = 1 Hz; rain_ratio 1 -> 1 bit/s
-        link = LinkParams("SS", bandwidth_hz=1.0, power_w=1.0,
-                          fading_gain=1.0, noise_power=1.0, rain_ratio=1.0,
-                          prop_delay_s=0.0)
-        assert abs(trans_delay(1, link) - 1.0) < 1e-12
-
-    def test_rain_ratio_scales_delay(self):
-        base = LinkParams("SS", bandwidth_hz=100.0, power_w=2.0,
-                          fading_gain=1.0, noise_power=1.0, rain_ratio=0.5)
-        clear = LinkParams("SS", bandwidth_hz=100.0, power_w=2.0,
-                           fading_gain=1.0, noise_power=1.0, rain_ratio=1.0)
-        assert abs(trans_delay(64, base) - 2 * trans_delay(64, clear)) < 1e-12
-
-    def test_rate_and_shannon_agree_when_matched(self):
-        snr = 7.0
-        bandwidth = 5e6
-        rate = bandwidth * math.log2(1 + snr)
-        shannon = LinkParams("AS", bandwidth_hz=bandwidth, power_w=7.0,
-                             fading_gain=1.0, noise_power=1.0, rain_ratio=1.0)
-        rated = LinkParams("AS", rate_bps=rate)
-        assert abs(trans_delay(1e6, shannon) - trans_delay(1e6, rated)) < 1e-9
 
     def test_nonpositive_payload_rejected(self):
         with pytest.raises(InputError):
@@ -99,19 +74,19 @@ class TestEndToEnd:
 
 class TestRelayHops:
     def test_gdo_zero(self):
-        assert assignment({0: 0, 1: 0, 2: 0}).relay_hops() == 0
+        assert assignment([0, 0, 0]).relay_hops() == 0
 
     def test_single_max(self):
-        assert assignment({0: 0, 1: 3, 2: 1}).relay_hops() == 3
+        assert assignment([0, 3, 1]).relay_hops() == 3
 
     def test_empty_assignment(self):
-        assert AssignmentMap(f={}, hops={}).relay_hops() == 0
+        assert assignment([]).relay_hops() == 0
 
 
 class TestCommTime:
     def test_zero_relay_formula(self):
         p = params(tau2=1)
-        a = assignment({0: 0}, max_access=5)
+        a = assignment([0], max_access=5)
         bits = p.model_bits
         expected = (end_to_end(bits, p.links["SG"])
                     + bits / (32e9 / 2) + 0.005
@@ -119,17 +94,17 @@ class TestCommTime:
         assert abs(comm_time(a, p) - expected) < 1e-12
 
     def test_linear_in_tau2(self):
-        a = assignment({0: 2})
+        a = assignment([2])
         one = comm_time(a, params(tau2=1))
         two = comm_time(a, params(tau2=2))
         assert abs(two - 2 * one) < 1e-12
 
     def test_monotone_in_hops_and_bits(self):
         p = params()
-        low = comm_time(assignment({0: 1}), p)
-        high = comm_time(assignment({0: 5}), p)
+        low = comm_time(assignment([1]), p)
+        high = comm_time(assignment([5]), p)
         assert high > low
-        bigger = comm_time(assignment({0: 1}), params(model_params=1100))
+        bigger = comm_time(assignment([1]), params(model_params=1100))
         assert bigger > low
 
 
