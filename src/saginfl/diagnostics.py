@@ -12,7 +12,9 @@ reads only models already recorded in the trace. The tasks run concurrently
 on a thread pool of up to the CPUs available to the process (numpy and BLAS
 release the GIL). Results are collected and folded in interval order, and
 the only cross-interval steps are maxima, so every output is bit-identical
-whatever the worker count. The check computes only what it reports: the
+whatever the worker count. The satellite-aggregate probes, 95% of the
+check's gradient passes on a Walker run, take their gradients in float32;
+every other pass is float64. The check computes only what it reports: the
 virtual satellite trajectories (``satellite_ends``) are computed by
 ``virtual_trajectories`` alone.
 """
@@ -94,12 +96,17 @@ def measure_divergence(trace: TrainingTrace,
     for dev_g in device_grads:
         sat_g = weights.satellite_average(dev_g)
         glob_g = weights.sat_frac @ sat_g
-        dev_gap = np.linalg.norm(dev_g - sat_g[weights.sat_of_device], axis=1)
-        sat_gap = np.linalg.norm(sat_g - glob_g, axis=1)
+        dev_gap = _row_norms(dev_g - sat_g[weights.sat_of_device])
+        sat_gap = _row_norms(sat_g - glob_g)
         sat_gap[~weights.nonempty] = 0.0
         delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
     return _weighted_divergence(delta_dev, delta_sat, weights)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def _weighted_divergence(delta_dev: np.ndarray, delta_sat: np.ndarray,
@@ -249,10 +256,17 @@ def _available_cpus() -> int:
 
 
 def _check_interval(trace: TrainingTrace, ctx: GradContext,
-                    sat_models: dict[int, np.ndarray], g: int,
+                    samples32: Samples, sat_models: dict[int, np.ndarray],
+                    g: int,
                     ) -> tuple[IntervalCheck, float, float, DivergenceEstimate]:
     """Global interval ``g``'s check, its rho and beta, and the divergence
-    at its two recorded global models."""
+    at its two recorded global models.
+
+    The satellite-aggregate probes, most of the check's gradient passes,
+    run in float32 on ``samples32`` and are folded in float64; every other
+    pass stays float64, since the gap and beta's gradient differences are
+    prone to cancellation.
+    """
     training = trace.config.training
     tau1, tau2 = training.tau1, training.tau2
     eta = training.learning_rate
@@ -275,11 +289,14 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
                                   device_grads=[v_end_grads])
     path_grads.append(weights.device_frac @ v_end_grads)
     del v_end_grads
-    satellites = [sat_models[t_end][k]
-                  for k in np.flatnonzero(weights.nonempty)]
+    satellites = list(sat_models[t_end][weights.nonempty])
+    satellite_grads = (
+        ctx.learner.grad(w.astype(np.float32), samples32).astype(np.float64)
+        for w in satellites)
     div = _union_divergence(
         [endpoints, at_v_end,
-         measure_divergence(trace, probe_points=satellites, ctx=ctx)],
+         measure_divergence(trace, probe_points=satellites, ctx=ctx,
+                            device_grads=satellite_grads)],
         weights)
 
     mid = len(path) // 2
@@ -333,7 +350,10 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     if reason is not None:
         raise InputError(reason)
     ctx = GradContext.from_trace(trace)
-    task = partial(_check_interval, trace, ctx, dict(trace.satellite_models))
+    samples32 = Samples(x=ctx.samples.x.astype(np.float32),
+                        y=ctx.samples.y.astype(np.float32))
+    task = partial(_check_interval, trace, ctx, samples32,
+                   dict(trace.satellite_models))
     intervals = range(1, len(trace.global_models))
     workers = min(_available_cpus(), len(intervals))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -125,13 +125,14 @@ class SoftmaxLearner:
         f, n_dev, n = x.shape
         if weights.ndim == 2:
             return (weights.T @ x.reshape(f, -1)).reshape(-1, n_dev, n)
-        z = np.empty((self.n_classes, n_dev, n))
+        z = np.empty((self.n_classes, n_dev, n), dtype=x.dtype)
         np.matmul(weights.transpose(0, 2, 1), x.transpose(1, 0, 2),
                   out=z.transpose(1, 0, 2))
         return z
 
     def grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
-        """Per-device gradients ``(D, P)`` of the mean loss plus L2."""
+        """Per-device gradients ``(D, P)`` of the mean loss plus L2, in the
+        dtype of ``flat`` and ``samples``."""
         weights = self._shape(flat)
         x = samples.x
         resid = _softmax(self._logits(weights, x), axis=0)

@@ -1,12 +1,13 @@
 """Communication-bounded satellite partitions and the air nodes they own.
 
 Single-orbit constellations are cut into contiguous arcs of n_geo slots.
-Multi-orbit ISL graphs are partitioned greedily: each iteration recomputes
-all-pairs hop distances on the residual graph, seeds a sub-graph from a
-randomly picked satellite, and grows it breadth-first. A candidate joins only
-if its distance to every current member stays below n_geo both on the
-residual graph and within the induced sub-graph, so every emitted part
-certifies induced-sub-graph diameter < n_geo. The CDO baseline uses one
+Multi-orbit ISL graphs are partitioned greedily: each iteration seeds a
+sub-graph of the residual graph from a randomly picked satellite and grows
+it breadth-first. A candidate joins only if its distance to every current
+member stays below n_geo both on the residual graph and within the induced
+sub-graph, so every emitted part certifies induced-sub-graph diameter <
+n_geo. Residual distances are searched from the members only, one search
+of at most n_geo - 1 hops as each joins. The CDO baseline uses one
 whole-constellation part. Air nodes are attached to parts afterwards, by
 with_air_parts, from the access array.
 """
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import ConfigurationError
-from .topology import IslGraph, NetworkTopology, _hop_matrix
+from .topology import IslGraph, NetworkTopology
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
 
 
 def _induced_distance_ok(candidate: int, members: set[int],
-                         adj: np.ndarray, n_geo: int) -> bool:
+                         neighbors: list[list[int]], n_geo: int) -> bool:
     """BFS from candidate inside members|{candidate}; all members < n_geo away."""
     allowed = members | {candidate}
     dist = {candidate: 0}
@@ -72,8 +75,7 @@ def _induced_distance_ok(candidate: int, members: set[int],
         u = queue.popleft()
         if dist[u] + 1 >= n_geo:
             continue
-        for v in np.flatnonzero(adj[u]):
-            v = int(v)
+        for v in neighbors[u]:
             if v in allowed and v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -90,32 +92,37 @@ def graph_partition(graph: IslGraph, n_geo: int,
     if n_geo < 1:
         raise ConfigurationError(f"n_geo must be >= 1, got {n_geo}")
     n = len(graph.nodes)
-    full_adj = graph.adjacency()
+    adj = graph.adjacency()
+    neighbors = [np.flatnonzero(row).tolist() for row in adj]
+    full = sparse.csr_matrix(adj, dtype=float)
+    edge_src = np.repeat(np.arange(n), np.diff(full.indptr))
     alive = np.ones(n, dtype=bool)
     parts: list[tuple[int, ...]] = []
     while alive.any():
-        # residual graph for this iteration
-        adj = full_adj & alive[:, None] & alive[None, :]
-        dist = _hop_matrix(adj)
-        dist[:, ~alive] = -1
+        # residual graph for this iteration: the edges between live nodes
+        # (csgraph counts stored zeros as edges, so they are dropped)
+        residual = full.copy()
+        residual.data[~(alive[edge_src] & alive[residual.indices])] = 0.0
+        residual.eliminate_zeros()
         candidates = np.flatnonzero(alive)
         seed = int(candidates[rng.integers(len(candidates))])
         members: list[int] = [seed]
         member_set = {seed}
+        # each node's residual hops from its farthest member, inf beyond
+        # n_geo - 1 hops; removed nodes are unreachable, so never pass
+        hops = partial(csgraph.dijkstra, residual, unweighted=True,
+                       limit=n_geo - 1)
+        farthest = hops(indices=seed)
         i = 0
         while i < len(members):
-            u = members[i]
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if v in member_set:
+            for v in neighbors[members[i]]:
+                if v in member_set or farthest[v] >= n_geo:
                     continue
-                res = dist[v, members]
-                if np.any(res < 0) or np.any(res >= n_geo):
-                    continue
-                if not _induced_distance_ok(v, member_set, adj, n_geo):
+                if not _induced_distance_ok(v, member_set, neighbors, n_geo):
                     continue
                 members.append(v)
                 member_set.add(v)
+                np.maximum(farthest, hops(indices=v), out=farthest)
             i += 1
         parts.append(tuple(sorted(member_set)))
         alive[list(member_set)] = False

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import ConfigurationError, TopologyError
@@ -303,7 +304,8 @@ def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
 
 def _hop_matrix(adj: np.ndarray) -> np.ndarray:
     """All-pairs hop counts by breadth-first search; -1 if unreachable."""
-    dist = csgraph.shortest_path(adj, unweighted=True)
+    dist = csgraph.shortest_path(sparse.csr_matrix(adj, dtype=float),
+                                 unweighted=True)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int64)
 

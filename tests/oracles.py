@@ -1,14 +1,17 @@
 """Reference implementations the tests compare the package against.
 
 Each one is the slow, direct form of something the package computes another
-way (exhaustive matching, per-step ring transfers, inverted access maps), or
-a closed-form quantity only the tests need. None of them runs in a
-simulation.
+way (exhaustive matching, all-pairs partition distances, per-step ring
+transfers, inverted access maps), or a closed-form quantity only the tests
+need. None of them runs in a simulation.
 """
 import itertools
 import math
+from collections import deque
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from saginfl.allreduce import CommLog
 from saginfl.errors import InputError, TopologyError
@@ -41,6 +44,68 @@ def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
     if (dist < 0).any():
         return -1
     return int(dist.max())
+
+
+def _induced_distance_ok(candidate: int, members: set[int],
+                         adj: np.ndarray, n_geo: int) -> bool:
+    """BFS from candidate inside members|{candidate}; all members < n_geo away."""
+    allowed = members | {candidate}
+    dist = {candidate: 0}
+    queue = deque([candidate])
+    while queue:
+        u = queue.popleft()
+        if dist[u] + 1 >= n_geo:
+            continue
+        for v in np.flatnonzero(adj[u]):
+            v = int(v)
+            if v in allowed and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return all(m in dist for m in members)
+
+
+def naive_graph_partition(graph: IslGraph, n_geo: int,
+                          rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
+    """``graph_partition``'s parts, testing each candidate against all-pairs
+    hop distances recomputed on the whole residual graph for every part.
+
+    Distances beyond ``n_geo - 1`` hops read as unreachable (-1); the
+    candidate test rejects both alike, and the capped search keeps the
+    oracle fast enough for the tests.
+    """
+    n = len(graph.nodes)
+    full_adj = graph.adjacency()
+    alive = np.ones(n, dtype=bool)
+    parts: list[tuple[int, ...]] = []
+    while alive.any():
+        adj = full_adj & alive[:, None] & alive[None, :]
+        dist = csgraph.dijkstra(sparse.csr_matrix(adj, dtype=float),
+                                unweighted=True, limit=n_geo - 1)
+        dist[np.isinf(dist)] = -1
+        dist = dist.astype(np.int64)
+        dist[:, ~alive] = -1
+        candidates = np.flatnonzero(alive)
+        seed = int(candidates[rng.integers(len(candidates))])
+        members: list[int] = [seed]
+        member_set = {seed}
+        i = 0
+        while i < len(members):
+            u = members[i]
+            for v in np.flatnonzero(adj[u]):
+                v = int(v)
+                if v in member_set:
+                    continue
+                res = dist[v, members]
+                if np.any(res < 0) or np.any(res >= n_geo):
+                    continue
+                if not _induced_distance_ok(v, member_set, adj, n_geo):
+                    continue
+                members.append(v)
+                member_set.add(v)
+            i += 1
+        parts.append(tuple(sorted(member_set)))
+        alive[list(member_set)] = False
+    return tuple(parts)
 
 
 def ring_traffic_analytic(n: int, m: float) -> float:

@@ -173,6 +173,26 @@ class TestSoftmaxLearner:
             assert np.allclose(grads[i].reshape(5, 3), single)
             assert np.isclose(losses[i], softmax_loss(W, augment(X[i]), y[i], 0.02))
 
+    @pytest.mark.parametrize("shared", [True, False],
+                             ids=["shared", "per_device"])
+    def test_float32_grad_matches_float64(self, shared):
+        # the convergence check takes its satellite-probe gradients in float32
+        rng = np.random.default_rng(12)
+        learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3)
+        samples = Samples.stack(rng.standard_normal((48, 30, 10)),
+                                rng.integers(0, 10, size=(48, 30)), 10)
+        samples32 = Samples(x=samples.x.astype(np.float32),
+                            y=samples.y.astype(np.float32))
+        flat = learner.init_params(rng)
+        if not shared:
+            flat = flat + 0.1 * rng.standard_normal((48, learner.n_params))
+        want = learner.grad(flat, samples)
+        got = learner.grad(flat.astype(np.float32), samples32)
+        assert want.dtype == np.float64
+        assert got.dtype == np.float32
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
     def test_accuracy_on_separable_toy(self):
         rng = np.random.default_rng(5)
         learner = SoftmaxLearner(d=2, n_classes=2, l2=0.0)

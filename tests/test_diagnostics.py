@@ -63,21 +63,29 @@ def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,
     )
 
 
-def serial_bound_check(trace):
-    """The bound check composed serially from the public pieces."""
+def serial_bound_check(trace, satellite_dtype=np.float32):
+    """The bound check composed serially from the public pieces, with the
+    satellite-aggregate probes' gradients taken in ``satellite_dtype``."""
     ctx = GradContext.from_trace(trace)
     training = trace.config.training
     sat_models = dict(trace.satellite_models)
     nonempty = np.flatnonzero(ctx.weights.nonempty)
+    samples = Samples(x=trace.samples.x.astype(satellite_dtype),
+                      y=trace.samples.y.astype(satellite_dtype))
     virt = virtual_trajectories(trace, ctx)
     checks, rho_all, beta_all = [], 0.0, 0.0
     for (g, _, path), (t_end, w_end) in zip(virt.global_paths,
                                             trace.global_models[1:]):
         w_start, v_end = path[0], path[-1]
         probes = [w_start, w_end, v_end]
+        grads = [ctx.device_grads(w) for w in probes]
         if t_end in sat_models:
-            probes += [sat_models[t_end][k] for k in nonempty]
-        div = measure_divergence(trace, probe_points=probes, ctx=ctx)
+            satellites = [sat_models[t_end][k] for k in nonempty]
+            probes += satellites
+            grads += [ctx.learner.grad(w.astype(satellite_dtype), samples)
+                      .astype(np.float64) for w in satellites]
+        div = measure_divergence(trace, probe_points=probes, ctx=ctx,
+                                 device_grads=grads)
         pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
         rho, beta = estimate_rho_beta(
             pair_models, [ctx.global_grad(w) for w in pair_models],
@@ -295,6 +303,28 @@ class TestBoundCheck:
                 assert getattr(got, name) == getattr(want, name), name
         for name in ("delta_hat", "Delta_hat", "rho_hat", "beta_hat"):
             assert getattr(report, name) == getattr(expected, name), name
+
+    @pytest.mark.parametrize("topology", [
+        TopologyConfig(n_sats=4, n_air=8, devices_per_air=2),
+        TopologyConfig(kind="walker", n_planes=3, sats_per_plane=4,
+                       air_per_cell=1, devices_per_air=2),
+    ], ids=["single", "walker"])
+    def test_float32_probes_within_margin_tolerance(self, topology):
+        # the benchmark's tolerance on the bound margin
+        rel = 1e-6
+        cfg = small_config(policy="cnasa", n_geo=2, rounds=5, seed=1, cpd=1)
+        trace = run_obl(replace(cfg, topology=topology))
+        report = check_convergence_bound(trace)
+        all64 = serial_bound_check(trace, satellite_dtype=np.float64)
+        for got, want in zip(report.intervals, all64.intervals, strict=True):
+            for name in ("gap", "bound", "margin"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=rel, abs=0.0), name
+        for name in ("rho_hat", "beta_hat"):
+            assert getattr(report, name) == pytest.approx(
+                getattr(all64, name), rel=rel, abs=0.0), name
+        assert report.delta_hat == all64.delta_hat
+        assert report.Delta_hat == all64.Delta_hat
 
     def test_more_workers_than_cores_same_report(self, monkeypatch):
         trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=6))

@@ -1,10 +1,12 @@
 """Arc and diameter-bounded graph partitions."""
 import collections
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import induced_diameter
+from oracles import induced_diameter, naive_graph_partition
 
+from saginfl.config import load_config
 from saginfl.coverage import compute_coverage
 from saginfl.errors import ConfigurationError
 from saginfl.partition import (
@@ -13,7 +15,10 @@ from saginfl.partition import (
     graph_partition,
     with_air_parts,
 )
+from saginfl.simulation import build_topology
 from saginfl.topology import IslGraph, build_single_orbit, build_walker, derive_isl_graph
+
+WALKER_INI = Path(__file__).resolve().parents[1] / "configs" / "walker.ini"
 
 
 def ring_graph(n):
@@ -98,6 +103,36 @@ class TestGraphPartition:
             for part in pset.parts:
                 d = induced_diameter(part, graph)
                 assert 0 <= d < 3
+
+
+class TestAgainstAllPairsOracle:
+    """The member-row search emits the parts of the all-pairs search and
+    draws the same numbers from the rng."""
+
+    @pytest.mark.parametrize("n_geo", [2, 4, 10])
+    def test_walker_ini_graph(self, n_geo):
+        graph = derive_isl_graph(build_topology(load_config(WALKER_INI)))
+        for seed in range(21):
+            rng = np.random.default_rng(seed)
+            twin = np.random.default_rng(seed)
+            got = graph_partition(graph, n_geo, rng).parts
+            assert got == naive_graph_partition(graph, n_geo, twin), seed
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_acceptance_criterion_3_graphs(self):
+        # the random Walker graphs and rng stream of test_criterion_3
+        rng = np.random.default_rng(99)
+        for _ in range(50):
+            planes = int(rng.integers(2, 7))
+            per = int(rng.integers(4, 17))
+            graph = derive_isl_graph(
+                build_walker(planes, per, 85.0, 330.0, 1, 1))
+            for n_geo in (1, 2, 3, 4):
+                twin = np.random.default_rng()
+                twin.bit_generator.state = rng.bit_generator.state
+                got = graph_partition(graph, n_geo, rng).parts
+                assert got == naive_graph_partition(graph, n_geo, twin)
+                assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestAirNodesToParts:
