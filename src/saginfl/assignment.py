@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigurationError, InputError, TopologyError
+from .errors import InputError, TopologyError
 from .partition import PartitionSet
 from .topology import NetworkTopology
 
 # lexicographic tie canonicalization solves O(n^2) sub-problems; beyond this
 # size the solver's optimum is returned as-is
 _CANONICAL_MAX_N = 64
-
-DIST_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,17 +28,6 @@ class ClassDistribution:
 
     probs: np.ndarray
     sample_count: int
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if (probs < 0).any():
-            raise InputError("class distribution entries must be >= 0")
-        if self.sample_count < 0:
-            raise InputError("sample_count must be >= 0")
-        if self.sample_count > 0 and abs(probs.sum() - 1.0) > DIST_TOL:
-            raise InputError(f"class distribution must have unit L1 norm, "
-                             f"got {probs.sum()!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +60,7 @@ class AssignmentMap:
 
 def air_class_distribution(device_dists: list[ClassDistribution]) -> ClassDistribution:
     """Sample-size-weighted average of the device distributions."""
-    if not device_dists:
-        raise InputError("need at least one device distribution")
     total = sum(d.sample_count for d in device_dists)
-    if total == 0:
-        raise InputError("all device sample counts are zero; "
-                         "air class distribution undefined")
     acc = np.zeros_like(device_dists[0].probs, dtype=float)
     for d in device_dists:
         acc += d.sample_count * d.probs
@@ -101,8 +83,6 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
            max_iter: int = 100, tol: float = 1e-6) -> np.ndarray:
     """Lloyd's iteration on the rows of ``points``; returns group labels."""
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ConfigurationError(f"k must be in [1, {n}], got {k}")
     centers = _seed_centers(points, k, rng)
     labels = np.zeros(n, dtype=int)
     for _ in range(max_iter):
@@ -219,9 +199,6 @@ def cnasa(topology: NetworkTopology, access: np.ndarray,
     hop matrix; see timecost.DeliveryTimeModel. Each partition draws from its
     own child rng, so per-part work is independent of processing order.
     """
-    if len(partition_set.parts) != len(partition_set.air_parts):
-        raise ConfigurationError("partition set lacks air parts; "
-                                 "run with_air_parts first")
     f = np.full(len(access), -1)
     warnings: list[str] = []
     part_rngs = rng.spawn(len(partition_set.parts))

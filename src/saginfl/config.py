@@ -42,13 +42,13 @@ class TopologyConfig:
 
     def link_params(self) -> dict[str, LinkParams]:
         return {
-            "SG": LinkParams("SG", rate_bps=self.sg_rate_bps,
+            "SG": LinkParams(rate_bps=self.sg_rate_bps,
                              prop_delay_s=self.sg_prop_s),
-            "GA": LinkParams("GA", rate_bps=self.ga_rate_bps,
+            "GA": LinkParams(rate_bps=self.ga_rate_bps,
                              prop_delay_s=self.ga_prop_s),
-            "AS": LinkParams("AS", rate_bps=self.as_rate_bps,
+            "AS": LinkParams(rate_bps=self.as_rate_bps,
                              prop_delay_s=self.as_prop_s),
-            "SS": LinkParams("SS", rate_bps=self.ss_rate_bps,
+            "SS": LinkParams(rate_bps=self.ss_rate_bps,
                              prop_delay_s=self.ss_prop_s),
         }
 
@@ -249,37 +249,53 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Derive a sweep-cell configuration from the base one."""
+    """Derive a sweep-cell configuration from the base one.
+
+    The cell's label gains ``_<axis>-<value>``, so every cell of a sweep
+    writes its own files. An axis the base configuration never reads is
+    rejected rather than swept over identical cells.
+    """
+    kind = cfg.topology.kind
+    if axis in ("n_sats", "n_air") and kind != "single" \
+            or axis == "orbits" and kind != "walker":
+        raise ConfigurationError(
+            f"sweep axis {axis} has no effect on [topology] kind = {kind}")
+    if axis == "n_geo" and cfg.policy.name != "cnasa":
+        raise ConfigurationError(
+            f"sweep axis n_geo has no effect on [policy] name = {cfg.policy.name}")
     if axis == "n_geo":
-        return replace(cfg, policy=replace(cfg.policy, n_geo=int(value)))
-    if axis == "tau2":
-        return replace(cfg, training=replace(cfg.training, tau2=int(value)))
-    if axis == "non_iid":
-        return replace(cfg, data=replace(cfg.data, classes_per_device=int(value)))
-    if axis == "n_devices":
+        cell = replace(cfg, policy=replace(cfg.policy, n_geo=int(value)))
+    elif axis == "tau2":
+        cell = replace(cfg, training=replace(cfg.training, tau2=int(value)))
+    elif axis == "non_iid":
+        cell = replace(cfg, data=replace(cfg.data, classes_per_device=int(value)))
+    elif axis == "n_devices":
         total = int(value)
-        n_air = cfg.topology.n_air if cfg.topology.kind == "single" else \
+        n_air = cfg.topology.n_air if kind == "single" else \
             cfg.topology.n_planes * cfg.topology.sats_per_plane * cfg.topology.air_per_cell
         if total % n_air != 0:
             raise ConfigurationError(
                 f"n_devices {total} not divisible by {n_air} air nodes")
-        return replace(cfg, topology=replace(cfg.topology,
+        cell = replace(cfg, topology=replace(cfg.topology,
                                              devices_per_air=total // n_air))
-    if axis == "n_air":
-        return replace(cfg, topology=replace(cfg.topology, n_air=int(value)))
-    if axis == "n_sats":
-        return replace(cfg, topology=replace(cfg.topology, n_sats=int(value)))
-    if axis == "orbits":
+    elif axis == "n_air":
+        cell = replace(cfg, topology=replace(cfg.topology, n_air=int(value)))
+    elif axis == "n_sats":
+        cell = replace(cfg, topology=replace(cfg.topology, n_sats=int(value)))
+    elif axis == "orbits":
         total = cfg.topology.n_planes * cfg.topology.sats_per_plane
         planes = int(value)
         if total % planes != 0:
             raise ConfigurationError(
                 f"orbits {planes} does not divide {total} satellites")
-        return replace(cfg, topology=replace(
+        cell = replace(cfg, topology=replace(
             cfg.topology, n_planes=planes, sats_per_plane=total // planes))
-    if axis == "sync_algo":
-        return replace(cfg, run=replace(cfg.run, sync_algo=str(value)))
-    raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {AXES}")
+    elif axis == "sync_algo":
+        cell = replace(cfg, run=replace(cfg.run, sync_algo=str(value)))
+    else:
+        raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {AXES}")
+    return replace(cell, run=replace(
+        cell.run, label=f"{cfg.run.label}_{axis}-{value}"))
 
 
 def with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:

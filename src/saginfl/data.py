@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import ClassDistribution
-from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,6 @@ class DeviceDataset:
 
 
 def _blob_means(n_classes: int, d: int, scale: float) -> np.ndarray:
-    if d < n_classes:
-        raise ConfigurationError(
-            f"feature_dim must be >= n_classes for simplex means "
-            f"({d} < {n_classes})")
     means = np.zeros((n_classes, d))
     means[np.arange(n_classes), np.arange(n_classes)] = scale
     return means
@@ -62,7 +57,7 @@ def device_classes(longitude_deg: float, n_classes: int,
     return [(base + j) % n_classes for j in range(classes_per_device)]
 
 
-def generate_data(n_devices: int, classes_per_device: int,
+def generate_data(classes_per_device: int,
                   samples_per_device: int, d: int, n_classes: int,
                   geo_positions: list[float], rng: np.random.Generator,
                   test_samples: int = 1000, blob_scale: float = 2.5,
@@ -75,22 +70,11 @@ def generate_data(n_devices: int, classes_per_device: int,
     get overlapping class windows. Sample counts are equal across devices and
     split evenly over the device's classes (remainder to the first ones).
     """
-    if not 1 <= classes_per_device <= n_classes:
-        raise ConfigurationError(
-            f"classes_per_device must be in [1, {n_classes}], "
-            f"got {classes_per_device}")
-    if n_devices < 1 or samples_per_device < 1:
-        raise ConfigurationError("need at least one device and one sample each")
-    if len(geo_positions) != n_devices:
-        raise ConfigurationError(
-            f"geo_positions has {len(geo_positions)} entries for "
-            f"{n_devices} devices")
-
     means = _blob_means(n_classes, d, blob_scale)
     scales = class_scales(n_classes, class_scale_min, class_scale_max)
     datasets: list[DeviceDataset] = []
-    for dev in range(n_devices):
-        classes = device_classes(geo_positions[dev], n_classes,
+    for lon in geo_positions:
+        classes = device_classes(lon, n_classes,
                                  classes_per_device, bin_deg)
         per = samples_per_device // classes_per_device
         rem = samples_per_device % classes_per_device

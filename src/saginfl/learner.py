@@ -14,8 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
-
 
 def augment(features: np.ndarray) -> np.ndarray:
     """Append the constant bias feature."""
@@ -220,6 +218,4 @@ def make_learner(name: str, d: int, n_classes: int, l2: float,
                  hidden: int = 16, init_scale: float = 1.0):
     if name == "softmax":
         return SoftmaxLearner(d, n_classes, l2, init_scale)
-    if name == "mlp":
-        return MlpLearner(d, n_classes, l2, hidden)
-    raise ConfigurationError(f"unknown learner {name!r}")
+    return MlpLearner(d, n_classes, l2, hidden)

@@ -21,7 +21,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import ConfigurationError
 from .topology import IslGraph, NetworkTopology
 
 
@@ -51,12 +50,7 @@ def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
     Arcs start at slot 0; the last arc is short when N_S mod n_geo != 0. Air
     parts are left empty; attach them with with_air_parts.
     """
-    if topology.n_planes != 1:
-        raise ConfigurationError("arc_partition requires a single-orbit topology")
     n_sats = topology.n_satellites
-    if not 1 <= n_geo <= n_sats:
-        raise ConfigurationError(
-            f"n_geo must be in [1, {n_sats}], got {n_geo}")
     order = sorted(topology.satellites, key=lambda s: s.slot_index)
     ids = [s.id for s in order]
     parts = tuple(
@@ -89,8 +83,6 @@ def graph_partition(graph: IslGraph, n_geo: int,
     Deterministic for a fixed rng seed. Air parts are left empty; attach them
     with with_air_parts once the access array exists.
     """
-    if n_geo < 1:
-        raise ConfigurationError(f"n_geo must be >= 1, got {n_geo}")
     n = len(graph.nodes)
     adj = graph.adjacency()
     neighbors = [np.flatnonzero(row).tolist() for row in adj]

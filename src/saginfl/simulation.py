@@ -216,7 +216,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     else:
         bin_deg = 360.0 / cfg.data.n_classes
     datasets, test_x, test_y = generate_data(
-        n_devices, cfg.data.classes_per_device, cfg.data.samples_per_device,
+        cfg.data.classes_per_device, cfg.data.samples_per_device,
         cfg.data.feature_dim, cfg.data.n_classes, device_lons, data_rng,
         test_samples=cfg.data.test_samples, blob_scale=cfg.data.blob_scale,
         bin_deg=bin_deg, class_scale_min=cfg.data.class_scale_min,

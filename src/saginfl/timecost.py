@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import AssignmentMap
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 from .topology import LinkParams
 
 
@@ -33,21 +33,6 @@ class TimeParams:
     tau1: int
     tau2: int
     devices_per_air: int
-
-    def __post_init__(self) -> None:
-        for key in ("SG", "GA", "AS", "SS"):
-            if key not in self.links:
-                raise ConfigurationError(f"missing link parameters for {key}")
-        for name in ("flops_model", "flops_device", "flops_air",
-                     "flops_satellite"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0")
-        for name in ("samples_per_epoch", "model_bits", "model_params",
-                     "devices_per_air"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.tau1 < 1 or self.tau2 < 1:
-            raise ConfigurationError("tau1 and tau2 must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,28 +15,17 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import ConfigurationError, TopologyError
+from .errors import TopologyError
 
 AIR_ALTITUDE_M = 100.0
-
-LINK_CLASSES = ("SG", "GA", "AS", "SS")
 
 
 @dataclass(frozen=True)
 class LinkParams:
     """Delay model for one link class: a fixed rate plus propagation delay."""
 
-    link_class: str
     rate_bps: float
     prop_delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.link_class not in LINK_CLASSES:
-            raise ConfigurationError(f"unknown link class {self.link_class!r}")
-        if not self.rate_bps > 0:
-            raise ConfigurationError(f"link {self.link_class}: rate_bps must be > 0")
-        if self.prop_delay_s < 0:
-            raise ConfigurationError(f"link {self.link_class}: prop_delay_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,15 +151,6 @@ def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
     Satellites occupy phases k*360/n_sats on the equatorial orbit; air nodes
     sit on the equator at longitudes k*360/n_air. IDs are dense from 0.
     """
-    if n_sats < 1:
-        raise ConfigurationError(f"n_sats must be >= 1, got {n_sats}")
-    if n_air < 1:
-        raise ConfigurationError(f"n_air must be >= 1, got {n_air}")
-    if devices_per_air < 1:
-        raise ConfigurationError(f"devices_per_air must be >= 1, got {devices_per_air}")
-    if altitude_km <= 0:
-        raise ConfigurationError(f"altitude_km must be > 0, got {altitude_km}")
-
     sats = tuple(
         SatelliteSpec(id=k, orbit_index=0, slot_index=k, altitude_km=altitude_km,
                       phase_deg=k * 360.0 / n_sats, inclination_deg=0.0, raan_deg=0.0)
@@ -191,20 +171,6 @@ def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
     inter-plane phasing. Each logical satellite cell receives ``air_per_cell``
     air nodes, offset slightly in longitude so positions stay distinct.
     """
-    if n_planes < 2:
-        raise ConfigurationError(f"n_planes must be >= 2, got {n_planes}")
-    if sats_per_plane < 3:
-        raise ConfigurationError(f"sats_per_plane must be >= 3, got {sats_per_plane}")
-    if not 0.0 < inclination_deg < 180.0:
-        raise ConfigurationError(
-            f"inclination_deg must be in (0, 180), got {inclination_deg}")
-    if air_per_cell < 1:
-        raise ConfigurationError(f"air_per_cell must be >= 1, got {air_per_cell}")
-    if devices_per_air < 1:
-        raise ConfigurationError(f"devices_per_air must be >= 1, got {devices_per_air}")
-    if altitude_km <= 0:
-        raise ConfigurationError(f"altitude_km must be > 0, got {altitude_km}")
-
     sats = []
     for p in range(n_planes):
         raan = p * 360.0 / n_planes

@@ -18,7 +18,6 @@ from saginfl.errors import InputError, TopologyError
 from saginfl.topology import (
     IslGraph,
     NetworkTopology,
-    _hop_matrix,
     satellite_unit_positions,
 )
 
@@ -38,12 +37,27 @@ def brute_force_matching(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
-    """Hop diameter of the sub-graph induced by ``part`` (-1 if disconnected)."""
-    ids = list(part)
-    dist = _hop_matrix(graph.adjacency()[np.ix_(ids, ids)])
-    if (dist < 0).any():
-        return -1
-    return int(dist.max())
+    """Hop diameter of the sub-graph induced by ``part`` (-1 if disconnected),
+    by breadth-first search from every member over the part's own edges."""
+    neighbors: dict[int, list[int]] = {u: [] for u in part}
+    for a, b in graph.edges:
+        if a in neighbors and b in neighbors:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+    diameter = 0
+    for source in neighbors:
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in neighbors[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if len(dist) < len(neighbors):
+            return -1
+        diameter = max(diameter, max(dist.values()))
+    return diameter
 
 
 def _induced_distance_ok(candidate: int, members: set[int],

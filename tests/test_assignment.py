@@ -16,7 +16,7 @@ from saginfl.assignment import (
 )
 from saginfl.config import ExperimentConfig, PolicyConfig
 from saginfl.coverage import compute_coverage
-from saginfl.errors import ConfigurationError, InputError, TopologyError
+from saginfl.errors import InputError, TopologyError
 from saginfl.partition import (
     PartitionSet,
     arc_partition,
@@ -67,14 +67,6 @@ class TestAirClassDistribution:
         out = air_class_distribution(dists)
         assert np.allclose(out.probs, expected)
 
-    def test_all_zero_counts_rejected(self):
-        with pytest.raises(InputError, match="undefined"):
-            air_class_distribution([dist([0.0, 0.0], 0), dist([0.0, 0.0], 0)])
-
-    def test_unit_norm_enforced(self):
-        with pytest.raises(InputError):
-            ClassDistribution(probs=np.array([0.5, 0.2]), sample_count=3)
-
 
 def probs(dists):
     """The distributions' probability vectors as rows."""
@@ -115,11 +107,6 @@ class TestKmeans:
         pts = [dist(p / p.sum(), 1) for p in np.random.default_rng(1).random((7, 4))]
         labels = kmeans(probs(pts), 1, np.random.default_rng(0))
         assert set(labels.tolist()) == {0}
-
-    def test_k_out_of_range(self):
-        pts = [dist([1.0, 0.0], 1)]
-        with pytest.raises(ConfigurationError):
-            kmeans(probs(pts), 2, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         rng_pts = np.random.default_rng(9)

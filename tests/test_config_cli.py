@@ -45,6 +45,9 @@ SMALL_CONFIG = textwrap.dedent("""\
     output_dir = out
 """)
 
+WALKER_CONFIG = SMALL_CONFIG.replace("kind = single", "kind = walker").replace(
+    "n_sats = 4", "n_planes = 4\nsats_per_plane = 6")
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -113,10 +116,32 @@ class TestConfigParsing:
         ("data", "geo_bin_deg", -5.0),
         ("topology", "altitude_km", math.nan),
         ("data", "blob_scale", math.nan),
+        ("topology", "n_sats", 0),
+        ("topology", "n_air", 0),
+        ("policy", "n_geo", 0),
+        ("training", "tau1", 0),
+        ("data", "classes_per_device", 0),
+        ("data", "classes_per_device", 9),      # n_classes + 1
+        ("data", "feature_dim", 7),             # below n_classes
+        ("training", "learner", "tree"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_run_rejects_value_naming_section_and_key(self, section, key,
                                                       value):
         cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                               **{key: value})})
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key}"):
+            saginfl.run_obl(cfg)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("topology", "inclination_deg", 0.0),
+        ("topology", "inclination_deg", 180.0),
+        ("topology", "n_planes", 1),
+        ("topology", "sats_per_plane", 2),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_walker_run_rejects_value_naming_section_and_key(self, section,
+                                                             key, value):
+        cfg = parse_config_text(WALKER_CONFIG)
         cfg = replace(cfg, **{section: replace(getattr(cfg, section),
                                                **{key: value})})
         with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key}"):
@@ -131,15 +156,27 @@ class TestConfigParsing:
         assert apply_axis(cfg, "n_air", 12).topology.n_air == 12
         assert apply_axis(cfg, "n_sats", 8).topology.n_sats == 8
         assert apply_axis(cfg, "sync_algo", "gossip").run.sync_algo == "gossip"
+        assert apply_axis(cfg, "tau2", 3).run.label == "run_tau2-3"
         with pytest.raises(ConfigurationError):
             apply_axis(cfg, "n_devices", 17)
         with pytest.raises(ConfigurationError):
             apply_axis(cfg, "warp", 1)
+        # axes the base configuration never reads
+        with pytest.raises(ConfigurationError, match=r"orbits.*kind = single"):
+            apply_axis(cfg, "orbits", 2)
+        walker = parse_config_text(WALKER_CONFIG)
+        for axis in ("n_sats", "n_air"):
+            with pytest.raises(ConfigurationError,
+                               match=rf"{axis}.*kind = walker"):
+                apply_axis(walker, axis, 8)
+        for policy in ("gdo", "cdo"):
+            base = replace(cfg, policy=replace(cfg.policy, name=policy))
+            with pytest.raises(ConfigurationError,
+                               match=rf"n_geo.*name = {policy}"):
+                apply_axis(base, "n_geo", 2)
 
     def test_apply_axis_orbits_keeps_total(self):
-        cfg = parse_config_text(SMALL_CONFIG.replace(
-            "kind = single", "kind = walker").replace(
-            "n_sats = 4", "n_planes = 4\nsats_per_plane = 6"))
+        cfg = parse_config_text(WALKER_CONFIG)
         swept = apply_axis(cfg, "orbits", 2)
         assert swept.topology.n_planes == 2
         assert swept.topology.sats_per_plane == 12
@@ -300,6 +337,15 @@ class TestCliSweep:
         assert len(summary) == 1 + 3
         traces = list(sweep_dir.glob("*.trace.txt"))
         assert len(traces) == 15
+
+    def test_every_cell_writes_its_own_files(self, config_file, output_root):
+        rc = main(["sweep", str(config_file), "--axis", "tau2",
+                   "--values", "1,2,3", "--seeds", "0,1"])
+        assert rc == 0
+        sweep_dir = output_root / "out" / "sweep_tau2"
+        for suffix in (".trace.txt", ".summary.csv", ".topology.tsv"):
+            assert len(list(sweep_dir.glob(f"*{suffix}"))) == 3 * 2
+        assert (sweep_dir / "run_tau2-2_cnasa-2_seed1.trace.txt").exists()
 
 
 class TestTraceContent:

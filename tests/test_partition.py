@@ -8,7 +8,6 @@ from oracles import induced_diameter, naive_graph_partition
 
 from saginfl.config import load_config
 from saginfl.coverage import compute_coverage
-from saginfl.errors import ConfigurationError
 from saginfl.partition import (
     PartitionSet,
     arc_partition,
@@ -51,12 +50,6 @@ class TestArcPartition:
         topo = build_single_orbit(7, 330.0, 7, 1)
         pset = arc_partition(topo, 3)
         assert [len(p) for p in pset.parts] == [3, 3, 1]
-
-    @pytest.mark.parametrize("n_geo", [0, 21, -1])
-    def test_out_of_range_rejected(self, n_geo):
-        topo = build_single_orbit(20, 330.0, 20, 1)
-        with pytest.raises(ConfigurationError):
-            arc_partition(topo, n_geo)
 
 
 class TestGraphPartition:

@@ -6,6 +6,10 @@ benchmark wraps package functions by looking their names up as strings, so
 identifier strings in ``bench/`` count too. Dunder methods and the names the
 package exports in ``__all__`` are exempt. Helpers that only tests call
 belong in ``tests/oracles.py``, not in the package.
+
+Range checks on configured values live in one layer: ``validate_config``
+and the command line's argument checks are the only code that raises a
+``ConfigurationError``; the building blocks below them trust their inputs.
 """
 import ast
 from collections import Counter
@@ -16,6 +20,7 @@ import saginfl
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "saginfl"
 BENCH = ROOT / "bench"
+VALIDATING_MODULES = ("config.py", "cli.py")
 
 
 def definitions(tree: ast.Module):
@@ -83,3 +88,39 @@ def test_an_unused_helper_is_flagged(tmp_path):
     (bench / "hooks.py").write_text('SITES = [("mod", "wrapped_by_name")]\n')
     assert unreferenced(src, bench) == ["mod.py:only_recursive",
                                         "mod.py:Box.dead"]
+
+
+def misplaced_configuration_errors(src: Path) -> list[str]:
+    """``module:line`` of each ``raise ConfigurationError`` outside the
+    validating modules."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in VALIDATING_MODULES:
+            continue
+        raises = [node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Raise) and node.exc is not None]
+        for node in sorted(raises, key=lambda node: node.lineno):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else \
+                getattr(exc, "id", None)
+            if name == "ConfigurationError":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_validation_raises_configuration_errors():
+    assert misplaced_configuration_errors(SRC) == []
+
+
+def test_a_configuration_error_below_validation_is_flagged(tmp_path):
+    (tmp_path / "config.py").write_text(
+        "def check(v):\n    if v < 0:\n"
+        "        raise ConfigurationError('[s] k must be >= 0')\n")
+    (tmp_path / "topology.py").write_text(
+        "import errors\n\n"
+        "def build(n):\n    if n < 1:\n"
+        "        raise errors.ConfigurationError('n must be >= 1')\n"
+        "    raise ValueError(n)\n\n"
+        "def plan(k):\n    raise ConfigurationError\n")
+    assert misplaced_configuration_errors(tmp_path) == ["topology.py:5",
+                                                        "topology.py:9"]

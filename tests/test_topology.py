@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import n_air_nodes
 
-from saginfl.errors import ConfigurationError, TopologyError
+from saginfl.errors import TopologyError
 from saginfl.topology import (
     IslGraph,
     _plane_normal,
@@ -62,11 +62,6 @@ class TestSingleOrbit:
         assert topo.n_devices == 21
         assert topo.air_of_device.tolist() == [d // 3 for d in range(21)]
 
-    @pytest.mark.parametrize("n_sats,n_air", [(0, 1), (1, 0), (-3, 5)])
-    def test_nonpositive_counts_rejected(self, n_sats, n_air):
-        with pytest.raises(ConfigurationError):
-            build_single_orbit(n_sats, 330.0, n_air, 1)
-
 
 class TestWalker:
     def test_paper_scale_counts(self):
@@ -96,12 +91,6 @@ class TestWalker:
         for pi in range(3):
             for pj in range(pi + 1, 3):
                 assert pair_edges[(pi, pj)] >= 1
-
-    def test_degenerate_inclination_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_walker(3, 8, 0.0, 330.0, 1, 1)
-        with pytest.raises(ConfigurationError):
-            build_walker(3, 8, 180.0, 330.0, 1, 1)
 
     def test_cell_air_nodes_distinct_positions(self):
         topo = build_walker(3, 6, 85.0, 330.0, 2, 1)
