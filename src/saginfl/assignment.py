@@ -8,10 +8,10 @@ CNASA run on the whole-constellation partition (``whole_partition``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, TopologyError
 from .partition import PartitionSet
@@ -147,16 +147,73 @@ def build_clusters(groups: list[list[int]], n_geo: int,
     return tuple(tuple(c) for c in clusters)
 
 
+def _lsap(cost: np.ndarray) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square matrix.
+
+    A port of the shortest augmenting path solver scipy runs (Crouse 2016,
+    ``rectangular_lsap.cpp``). It keeps scipy's loop order, its reverse-filled
+    ``remaining`` list and its tie rule (on equal path cost, prefer a column
+    still unassigned), so it returns scipy's columns.
+    """
+    n = len(cost)
+    rows = cost.tolist()
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        visited_rows: list[int] = []
+        visited_cols: list[int] = []
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink < 0:
+            visited_rows.append(i)
+            row, u_i = rows[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest
+                                            and row4col[j] == -1):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _matching_total(cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    return float(cost[np.arange(len(cost)), _lsap(cost)].sum())
 
 
 def min_cost_matching(cost: np.ndarray) -> tuple[int, ...]:
     """Optimal square assignment; lexicographically smallest among ties.
 
-    Solved with scipy's modified Jonker-Volgenant implementation, then
-    canonicalized row by row so equal-cost optima resolve deterministically.
+    Solved by shortest augmenting paths (``_lsap``), then canonicalized row
+    by row so equal-cost optima resolve deterministically.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -164,10 +221,9 @@ def min_cost_matching(cost: np.ndarray) -> tuple[int, ...]:
     if not np.all(np.isfinite(cost)):
         raise InputError("cost matrix entries must be finite")
     n = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
     if n > _CANONICAL_MAX_N:
-        return tuple(int(c) for c in cols[np.argsort(rows)])
-    total = float(cost[rows, cols].sum())
+        return tuple(_lsap(cost))
+    total = _matching_total(cost)
     tol = 1e-12 * max(1.0, abs(total))
     perm: list[int] = []
     free = list(range(n))

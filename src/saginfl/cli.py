@@ -22,6 +22,7 @@ from .config import (
     ExperimentConfig,
     apply_axis,
     load_config,
+    validate_config,
     with_seed,
 )
 from .diagnostics import bound_inapplicable, check_convergence_bound
@@ -75,57 +76,56 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_values(axis: str, raw: str) -> list:
+def _parse_list(flag: str, raw: str, integers: bool = True) -> list:
+    """The comma list given to ``flag``: non-empty and without repeats."""
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
-        raise ConfigurationError("--values must be a non-empty comma list")
-    if axis == "sync_algo":
-        return items
-    try:
-        return [int(v) for v in items]
-    except ValueError as exc:
-        raise ConfigurationError(f"--values for axis {axis} must be integers") from exc
+        raise ConfigurationError(f"{flag} must be a non-empty comma list")
+    if integers:
+        try:
+            items = [int(v) for v in items]
+        except ValueError as exc:
+            raise ConfigurationError(f"{flag} must be a comma list of integers") from exc
+    repeated = sorted({v for v in items if items.count(v) > 1})
+    if repeated:
+        raise ConfigurationError(f"{flag} repeats {repeated}")
+    return items
 
 
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     if args.axis not in AXES:
         raise ConfigurationError(f"unknown axis {args.axis!r}; choose from {AXES}")
-    values = _parse_values(args.axis, args.values)
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigurationError("--seeds must be a comma list of integers") from exc
-    if not seeds:
-        raise ConfigurationError("--seeds must be non-empty")
+    values = _parse_list("--values", args.values,
+                         integers=args.axis != "sync_algo")
+    seeds = _parse_list("--seeds", args.seeds)
+    # every cell is checked before the first one runs
+    cells = [(value, seed, validate_config(
+                  with_seed(apply_axis(base, args.axis, value), seed)))
+             for value in values for seed in seeds]
 
     out = output_dir(base) / f"sweep_{args.axis}"
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        cell_cfg = apply_axis(base, args.axis, value)
-        for seed in seeds:
-            cfg = with_seed(cell_cfg, seed)
-            try:
-                row = execute_run(cfg, out)
-                rows.append({
-                    "axis": args.axis, "value": value, "seed": seed,
-                    "final_accuracy": row["final_accuracy"],
-                    "total_time_s": row["total_time_s"],
-                    "delta_hat": row["delta_hat"],
-                    "Delta_hat": row["Delta_hat"],
-                    "bound_margin": row["bound_margin"],
-                    "status": "ok",
-                })
-            except ConfigurationError:
-                raise
-            except Exception as exc:  # keep sweeping on per-cell failures
-                rows.append({
-                    "axis": args.axis, "value": value, "seed": seed,
-                    "final_accuracy": "", "total_time_s": "",
-                    "delta_hat": "", "Delta_hat": "", "bound_margin": "",
-                    "status": f"error: {exc}",
-                })
+    for value, seed, cfg in cells:
+        try:
+            row = execute_run(cfg, out)
+            rows.append({
+                "axis": args.axis, "value": value, "seed": seed,
+                "final_accuracy": row["final_accuracy"],
+                "total_time_s": row["total_time_s"],
+                "delta_hat": row["delta_hat"],
+                "Delta_hat": row["Delta_hat"],
+                "bound_margin": row["bound_margin"],
+                "status": "ok",
+            })
+        except Exception as exc:  # keep sweeping on per-cell failures
+            rows.append({
+                "axis": args.axis, "value": value, "seed": seed,
+                "final_accuracy": "", "total_time_s": "",
+                "delta_hat": "", "Delta_hat": "", "bound_margin": "",
+                "status": f"error: {exc}",
+            })
 
     # one axis has one value type, so the native order is total
     rows.sort(key=lambda r: (r["value"], r["seed"]))

@@ -13,13 +13,10 @@ with_air_parts, from the access array.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .topology import IslGraph, NetworkTopology
 
@@ -59,21 +56,21 @@ def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
     return PartitionSet(parts=parts, air_parts=())
 
 
-def _induced_distance_ok(candidate: int, members: set[int],
-                         neighbors: list[list[int]], n_geo: int) -> bool:
-    """BFS from candidate inside members|{candidate}; all members < n_geo away."""
-    allowed = members | {candidate}
-    dist = {candidate: 0}
-    queue = deque([candidate])
-    while queue:
-        u = queue.popleft()
-        if dist[u] + 1 >= n_geo:
-            continue
-        for v in neighbors[u]:
-            if v in allowed and v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return all(m in dist for m in members)
+def _ball(source: int, neighbors: list[list[int]], allowed,
+          radius: int) -> set[int]:
+    """Nodes within ``radius`` hops of ``source`` by breadth-first search
+    through the ``allowed`` nodes only."""
+    seen = {source}
+    frontier = [source]
+    for _ in range(radius):
+        reached = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if v in allowed and v not in seen:
+                    seen.add(v)
+                    reached.append(v)
+        frontier = reached
+    return seen
 
 
 def graph_partition(graph: IslGraph, n_geo: int,
@@ -83,41 +80,30 @@ def graph_partition(graph: IslGraph, n_geo: int,
     Deterministic for a fixed rng seed. Air parts are left empty; attach them
     with with_air_parts once the access array exists.
     """
-    n = len(graph.nodes)
-    adj = graph.adjacency()
-    neighbors = [np.flatnonzero(row).tolist() for row in adj]
-    full = sparse.csr_matrix(adj, dtype=float)
-    edge_src = np.repeat(np.arange(n), np.diff(full.indptr))
-    alive = np.ones(n, dtype=bool)
+    neighbors = [np.flatnonzero(row).tolist() for row in graph.adjacency()]
+    live = set(range(len(graph.nodes)))
     parts: list[tuple[int, ...]] = []
-    while alive.any():
-        # residual graph for this iteration: the edges between live nodes
-        # (csgraph counts stored zeros as edges, so they are dropped)
-        residual = full.copy()
-        residual.data[~(alive[edge_src] & alive[residual.indices])] = 0.0
-        residual.eliminate_zeros()
-        candidates = np.flatnonzero(alive)
-        seed = int(candidates[rng.integers(len(candidates))])
+    while live:
+        candidates = sorted(live)
+        seed = candidates[rng.integers(len(candidates))]
         members: list[int] = [seed]
         member_set = {seed}
-        # each node's residual hops from its farthest member, inf beyond
-        # n_geo - 1 hops; removed nodes are unreachable, so never pass
-        hops = partial(csgraph.dijkstra, residual, unweighted=True,
-                       limit=n_geo - 1)
-        farthest = hops(indices=seed)
+        # the live nodes within n_geo - 1 residual hops of every member
+        near = _ball(seed, neighbors, live, n_geo - 1)
         i = 0
         while i < len(members):
             for v in neighbors[members[i]]:
-                if v in member_set or farthest[v] >= n_geo:
+                if v in member_set or v not in near:
                     continue
-                if not _induced_distance_ok(v, member_set, neighbors, n_geo):
+                induced = _ball(v, neighbors, member_set | {v}, n_geo - 1)
+                if not member_set <= induced:
                     continue
                 members.append(v)
                 member_set.add(v)
-                np.maximum(farthest, hops(indices=v), out=farthest)
+                near &= _ball(v, neighbors, live, n_geo - 1)
             i += 1
         parts.append(tuple(sorted(member_set)))
-        alive[list(member_set)] = False
+        live -= member_set
     return PartitionSet(parts=tuple(parts), air_parts=())
 
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import TopologyError
 
@@ -269,25 +267,39 @@ def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
 
 
 def _hop_matrix(adj: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts by breadth-first search; -1 if unreachable."""
-    dist = csgraph.shortest_path(sparse.csr_matrix(adj, dtype=float),
-                                 unweighted=True)
-    dist[np.isinf(dist)] = -1
-    return dist.astype(np.int64)
+    """All-pairs hop counts of a symmetric adjacency matrix, -1 if
+    unreachable, by breadth-first search from every node at once."""
+    n = len(adj)
+    width = max(int(adj.sum(axis=1).max(initial=0)), 1)
+    # each row's neighbours first, padded with the node itself, which is
+    # already seen by the time it could be gathered
+    order = np.argsort(~adj, axis=1, kind="stable")[:, :width]
+    nbr = np.where(np.take_along_axis(adj, order, axis=1), order,
+                   np.arange(n)[:, None])
+    dist = np.full((n, n), -1, dtype=np.int64)
+    frontier = np.eye(n, dtype=bool)
+    seen = frontier.copy()
+    hops = 0
+    while frontier.any():
+        dist[frontier] = hops
+        frontier = frontier[:, nbr].any(axis=2) & ~seen
+        seen |= frontier
+        hops += 1
+    return dist
 
 
-def connected_components(adj: np.ndarray) -> list[list[int]]:
-    """Sorted member lists, ordered by their lowest id."""
-    n_comps, labels = csgraph.connected_components(adj, directed=False)
-    return sorted(np.flatnonzero(labels == k).tolist() for k in range(n_comps))
+def connected_components(dist: np.ndarray) -> list[list[int]]:
+    """Sorted member lists, ordered by their lowest id, read from the
+    reachable entries of a hop matrix."""
+    return [list(c) for c in sorted(
+        {tuple(np.flatnonzero(row >= 0).tolist()) for row in dist})]
 
 
 def hop_distances(graph: IslGraph) -> np.ndarray:
     """Symmetric matrix of shortest-path hop counts over the ISL graph."""
-    adj = graph.adjacency()
-    dist = _hop_matrix(adj)
+    dist = _hop_matrix(graph.adjacency())
     if (dist < 0).any():
-        comps = connected_components(adj)
+        comps = connected_components(dist)
         raise TopologyError(f"ISL graph is disconnected; components: {comps}")
     return dist
 

@@ -4,9 +4,11 @@ import itertools
 import numpy as np
 import pytest
 from oracles import brute_force_matching
+from scipy.optimize import linear_sum_assignment
 
 from saginfl.assignment import (
     ClassDistribution,
+    _lsap,
     air_class_distribution,
     build_clusters,
     cnasa,
@@ -191,6 +193,25 @@ class TestMinCostMatching:
                          [1.0, 0.0, 0.0]])
         # zero-cost optima are (0,2,1) and (1,0,2); pick the lexicographic one
         assert min_cost_matching(cost) == (0, 2, 1)
+
+    def test_solver_returns_scipys_columns(self):
+        # scipy's solver is the reference: same optimum, ties included, on
+        # random, small-integer (tie-heavy) and all-equal matrices
+        rng = np.random.default_rng(5)
+        for trial in range(1200):
+            n = int(rng.integers(1, 31))
+            if trial % 3 == 0:
+                cost = rng.random((n, n))
+            elif trial % 3 == 1:
+                cost = rng.integers(0, 4, (n, n)).astype(float)
+            else:
+                cost = np.full((n, n), float(rng.integers(3)))
+            assert _lsap(cost) == linear_sum_assignment(cost)[1].tolist()
+
+    def test_large_matrix_returns_scipys_columns(self):
+        # beyond the canonicalization size the solver's optimum is returned
+        cost = np.random.default_rng(6).integers(0, 5, (240, 240)).astype(float)
+        assert min_cost_matching(cost) == tuple(linear_sum_assignment(cost)[1])
 
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):

@@ -325,6 +325,25 @@ class TestCliSweep:
         assert main(["sweep", str(config_file), "--axis", "n_geo",
                      "--values", "two", "--seeds", "1"]) == 2
 
+    def test_bad_cell_fails_before_any_cell_runs(self, config_file,
+                                                 output_root, capsys):
+        # n_geo = 9 exceeds the four satellites; n_geo = 2 cells come first
+        rc = main(["sweep", str(config_file), "--axis", "n_geo",
+                   "--values", "2,9", "--seeds", "0,1"])
+        assert rc == 2
+        assert "n_geo" in capsys.readouterr().err
+        assert not (output_root / "out").exists()
+
+    @pytest.mark.parametrize("flag, values, seeds", [
+        ("--values", "2,3,2", "1"), ("--seeds", "2", "1,0,1")])
+    def test_repeated_value_or_seed_rejected(self, config_file, output_root,
+                                             capsys, flag, values, seeds):
+        rc = main(["sweep", str(config_file), "--axis", "n_geo",
+                   "--values", values, "--seeds", seeds])
+        assert rc == 2
+        assert f"{flag} repeats" in capsys.readouterr().err
+        assert not (output_root / "out").exists()
+
     def test_three_values_five_seeds_is_fifteen_runs(self, config_file,
                                                      output_root):
         rc = main(["sweep", str(config_file), "--axis", "n_geo",

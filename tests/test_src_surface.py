@@ -10,8 +10,14 @@ belong in ``tests/oracles.py``, not in the package.
 Range checks on configured values live in one layer: ``validate_config``
 and the command line's argument checks are the only code that raises a
 ``ConfigurationError``; the building blocks below them trust their inputs.
+
+Importing the command line stays light: of scipy, only ``scipy.sparse``
+(the aggregation operator) is loaded.
 """
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -124,3 +130,16 @@ def test_a_configuration_error_below_validation_is_flagged(tmp_path):
         "def plan(k):\n    raise ConfigurationError\n")
     assert misplaced_configuration_errors(tmp_path) == ["topology.py:5",
                                                         "topology.py:9"]
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_csgraph():
+    # each costs start-up time in every command; a fresh interpreter shows
+    # what one stray top-level import would bring back
+    heavy = ("scipy.optimize", "scipy.sparse.csgraph")
+    script = (f"import sys\nimport saginfl.cli\n"
+              f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

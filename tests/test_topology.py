@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 from oracles import n_air_nodes
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from saginfl.errors import TopologyError
 from saginfl.topology import (
     IslGraph,
+    _hop_matrix,
     _plane_normal,
     build_single_orbit,
     build_walker,
+    connected_components,
     derive_isl_graph,
     great_circle_angle,
     great_circle_angles,
@@ -197,6 +201,24 @@ class TestHopDistances:
                         tuple(sorted((a, b))) in edge_set)
         for c in range(0, n, 7):
             assert (hops <= hops[:, [c]] + hops[[c], :]).all()
+
+    def test_hop_matrix_matches_csgraph_on_random_graphs(self):
+        rng = np.random.default_rng(3)
+        disconnected = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            upper = np.triu(rng.random((n, n)) < 0.2 * rng.random(), 1)
+            adj = upper | upper.T
+            ref = csgraph.shortest_path(sparse.csr_matrix(adj, dtype=float),
+                                        unweighted=True)
+            hops = _hop_matrix(adj)
+            assert hops.dtype == np.int64
+            assert np.array_equal(hops, np.where(np.isinf(ref), -1, ref))
+            n_comps, labels = csgraph.connected_components(adj, directed=False)
+            assert connected_components(hops) == sorted(
+                np.flatnonzero(labels == k).tolist() for k in range(n_comps))
+            disconnected += n_comps > 1
+        assert disconnected > 50
 
     def test_disconnected_graph_names_components(self):
         graph = IslGraph(nodes=(0, 1, 2, 3), edges=((0, 1), (2, 3)),
