@@ -1,10 +1,11 @@
 """Air-node-to-satellite assignment policies.
 
-CNASA works per partition: average device class distributions up to air
-nodes, k-means them into homogeneous groups, round-robin one member of every
-group into each cluster, then match clusters to satellites by minimum total
-model delivery time. GDO keeps every air node on its access satellite; CDO is
-CNASA run on the whole-constellation partition (``whole_partition``).
+CNASA works per partition: pool device class counts up to air nodes,
+k-means the air nodes' class mixes into homogeneous groups, round-robin one
+member of every group into each cluster, then match clusters to satellites
+by minimum total model delivery time. GDO keeps every air node on its
+access satellite; CDO is CNASA run on the whole-constellation partition
+(``whole_partition``).
 """
 from __future__ import annotations
 
@@ -20,14 +21,6 @@ from .topology import NetworkTopology
 # lexicographic tie canonicalization solves O(n^2) sub-problems; beyond this
 # size the solver's optimum is returned as-is
 _CANONICAL_MAX_N = 64
-
-
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Label distribution of one data holder, with its sample count."""
-
-    probs: np.ndarray
-    sample_count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +51,13 @@ class AssignmentMap:
         return int(self.hops.max(initial=0))
 
 
-def air_class_distribution(device_dists: list[ClassDistribution]) -> ClassDistribution:
-    """Sample-size-weighted average of the device distributions."""
-    total = sum(d.sample_count for d in device_dists)
-    acc = np.zeros_like(device_dists[0].probs, dtype=float)
-    for d in device_dists:
-        acc += d.sample_count * d.probs
-    return ClassDistribution(probs=acc / total, sample_count=total)
+def air_class_mix(class_counts: np.ndarray, air_of_device: np.ndarray,
+                  n_air: int) -> np.ndarray:
+    """Class distribution of each air node's pooled device samples,
+    ``(N_A, C)``, from per-device class counts ``(D, C)``."""
+    counts = np.zeros((n_air, class_counts.shape[1]))
+    np.add.at(counts, air_of_device, class_counts)
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,15 +240,17 @@ def gdo(access: np.ndarray, hop_matrix: np.ndarray) -> AssignmentMap:
 
 
 def cnasa(topology: NetworkTopology, access: np.ndarray,
-          partition_set: PartitionSet, device_dists: list[ClassDistribution],
+          partition_set: PartitionSet, class_counts: np.ndarray,
           rng: np.random.Generator, timecost_model) -> AssignmentMap:
     """Partition-wise cluster-and-match assignment.
 
+    ``class_counts`` ``(D, C)`` holds each device's samples per class.
     ``timecost_model`` supplies delivery_time(air_id, target_sat) built on the
     hop matrix; see timecost.DeliveryTimeModel. Each partition draws from its
     own child rng, so per-part work is independent of processing order.
     """
     f = np.full(len(access), -1)
+    mix = air_class_mix(class_counts, topology.air_of_device, topology.n_air)
     warnings: list[str] = []
     part_rngs = rng.spawn(len(partition_set.parts))
     for part_idx, (sats, airs) in enumerate(
@@ -266,15 +261,9 @@ def cnasa(topology: NetworkTopology, access: np.ndarray,
         if not airs:
             warnings.append(f"partition {part_idx} has no air nodes; skipped")
             continue
-        air_probs = np.array([
-            air_class_distribution(
-                [device_dists[d]
-                 for d in np.flatnonzero(topology.air_of_device == a)]).probs
-            for a in airs
-        ])
         n_clusters = len(sats)
         k = max(1, len(airs) // n_clusters)
-        labels = kmeans(air_probs, k, part_rng)
+        labels = kmeans(mix[airs], k, part_rng)
         groups = [[airs[i] for i in range(len(airs)) if labels[i] == g]
                   for g in range(k)]
         clusters = build_clusters(groups, n_clusters, part_rng)

@@ -10,18 +10,7 @@ share classes. A held-out IID test set is drawn from the same blobs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .assignment import ClassDistribution
-
-
-@dataclass(frozen=True)
-class DeviceDataset:
-    features: np.ndarray       # (n, d)
-    labels: np.ndarray         # (n,) ints in [0, C)
-    class_dist: ClassDistribution
 
 
 def _blob_means(n_classes: int, d: int, scale: float) -> np.ndarray:
@@ -39,62 +28,41 @@ def class_scales(n_classes: int, scale_min: float, scale_max: float) -> np.ndarr
 
 def _sample_blob(means: np.ndarray, scales: np.ndarray, labels: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    noise = rng.standard_normal((labels.shape[0], means.shape[1]))
-    return means[labels] + scales[labels][:, None] * noise
-
-
-def device_classes(longitude_deg: float, n_classes: int,
-                   classes_per_device: int,
-                   bin_deg: float | None = None) -> list[int]:
-    """Window of classes anchored at the device's longitude bin.
-
-    ``bin_deg`` sets the geographic correlation length: devices within one
-    bin share the same window, adjacent bins overlap in all but one class.
-    """
-    if bin_deg is None:
-        bin_deg = 360.0 / n_classes
-    base = int(longitude_deg % 360.0 // bin_deg) % n_classes
-    return [(base + j) % n_classes for j in range(classes_per_device)]
+    out = rng.standard_normal(labels.shape + means.shape[1:])
+    out *= scales[labels][..., None]
+    out += means[labels]
+    return out
 
 
 def generate_data(classes_per_device: int,
                   samples_per_device: int, d: int, n_classes: int,
-                  geo_positions: list[float], rng: np.random.Generator,
+                  longitudes: np.ndarray, bin_deg: float,
+                  rng: np.random.Generator,
                   test_samples: int = 1000, blob_scale: float = 2.5,
-                  bin_deg: float | None = None,
                   class_scale_min: float = 0.5, class_scale_max: float = 2.5,
-                  ) -> tuple[list[DeviceDataset], np.ndarray, np.ndarray]:
-    """Build per-device datasets plus one shared IID test set.
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Device features ``(D, n, d)`` and labels ``(D, n)``, plus one shared
+    IID test set.
 
-    ``geo_positions`` holds each device's longitude in degrees; neighbours
-    get overlapping class windows. Sample counts are equal across devices and
-    split evenly over the device's classes (remainder to the first ones).
+    ``longitudes`` holds each device's longitude in degrees. A device's
+    classes are a window of ``classes_per_device`` consecutive classes
+    anchored at its longitude bin; ``bin_deg`` sets the geographic
+    correlation length, so devices within one bin share a window
+    and adjacent bins overlap in all but one class. Sample counts are equal
+    across devices and split evenly over the device's classes (remainder to
+    the first ones).
     """
     means = _blob_means(n_classes, d, blob_scale)
     scales = class_scales(n_classes, class_scale_min, class_scale_max)
-    datasets: list[DeviceDataset] = []
-    for lon in geo_positions:
-        classes = device_classes(lon, n_classes,
-                                 classes_per_device, bin_deg)
-        per = samples_per_device // classes_per_device
-        rem = samples_per_device % classes_per_device
-        labels = np.concatenate([
-            np.full(per + (1 if j < rem else 0), c, dtype=int)
-            for j, c in enumerate(classes)
-        ])
-        features = _sample_blob(means, scales, labels, rng)
-        hist = np.bincount(labels, minlength=n_classes).astype(float)
-        datasets.append(DeviceDataset(
-            features=features, labels=labels,
-            class_dist=ClassDistribution(probs=hist / labels.shape[0],
-                                         sample_count=int(labels.shape[0])),
-        ))
+    base = (longitudes % 360.0 // bin_deg).astype(int) % n_classes
+    windows = (base[:, None] + np.arange(classes_per_device)) % n_classes
+    per, rem = divmod(samples_per_device, classes_per_device)
+    labels = np.repeat(windows, per + (np.arange(classes_per_device) < rem),
+                       axis=1)
+    features = _sample_blob(means, scales, labels, rng)
 
-    per = test_samples // n_classes
-    rem = test_samples % n_classes
-    test_labels = np.concatenate([
-        np.full(per + (1 if c < rem else 0), c, dtype=int)
-        for c in range(n_classes)
-    ])
+    per, rem = divmod(test_samples, n_classes)
+    test_labels = np.repeat(np.arange(n_classes),
+                            per + (np.arange(n_classes) < rem))
     test_features = _sample_blob(means, scales, test_labels, rng)
-    return datasets, test_features, test_labels
+    return features, labels, test_features, test_labels

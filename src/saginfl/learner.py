@@ -44,11 +44,17 @@ class Samples:
         """Class indices ``(D, n)`` of the one-hot targets."""
         return self.y.argmax(axis=0)
 
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """Samples of each class per device, ``(D, C)``."""
+        return self.y.sum(axis=2).T
+
     @classmethod
-    def stack(cls, features, labels, n_classes: int) -> "Samples":
-        """From per-device ``(n, d)`` features and ``(n,)`` labels."""
-        x = augment(np.stack(features)).transpose(2, 0, 1)
-        y = one_hot(np.stack(labels), n_classes).transpose(2, 0, 1)
+    def stack(cls, features: np.ndarray, labels: np.ndarray,
+              n_classes: int) -> "Samples":
+        """From ``(D, n, d)`` features and ``(D, n)`` labels."""
+        x = augment(features).transpose(2, 0, 1)
+        y = one_hot(labels, n_classes).transpose(2, 0, 1)
         return cls(x=np.ascontiguousarray(x), y=np.ascontiguousarray(y))
 
     @property

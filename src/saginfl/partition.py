@@ -38,21 +38,19 @@ class PartitionSet:
 def whole_partition(topology: NetworkTopology) -> PartitionSet:
     """One part holding every satellite and air node (n_geo = N_S)."""
     return PartitionSet(parts=(tuple(range(topology.n_satellites)),),
-                        air_parts=(tuple(range(len(topology.air_nodes))),))
+                        air_parts=(tuple(range(topology.n_air)),))
 
 
 def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
     """Cut a single orbit into ceil(N_S/n_geo) arcs of consecutive slots.
 
-    Arcs start at slot 0; the last arc is short when N_S mod n_geo != 0. Air
-    parts are left empty; attach them with with_air_parts.
+    Arcs start at slot 0, which is satellite 0; the last arc is short when
+    N_S mod n_geo != 0. Air parts are left empty; attach them with
+    with_air_parts.
     """
     n_sats = topology.n_satellites
-    order = sorted(topology.satellites, key=lambda s: s.slot_index)
-    ids = [s.id for s in order]
-    parts = tuple(
-        tuple(ids[i:i + n_geo]) for i in range(0, n_sats, n_geo)
-    )
+    parts = tuple(tuple(range(i, min(i + n_geo, n_sats)))
+                  for i in range(0, n_sats, n_geo))
     return PartitionSet(parts=parts, air_parts=())
 
 

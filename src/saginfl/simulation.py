@@ -25,9 +25,8 @@ from .allreduce import (
     plan_ring,
     ring_allreduce_states,
 )
-from .assignment import AssignmentMap, ClassDistribution, cnasa, gdo
+from .assignment import AssignmentMap, cnasa, gdo
 from .config import ExperimentConfig, validate_config
-from .coverage import compute_coverage
 from .data import generate_data
 from .errors import TopologyError, TrainingError
 from .learner import Samples, make_learner
@@ -52,6 +51,7 @@ from .topology import (
     NetworkTopology,
     build_single_orbit,
     build_walker,
+    compute_coverage,
     derive_isl_graph,
     hop_distances,
 )
@@ -170,7 +170,7 @@ def make_time_params(cfg: ExperimentConfig, model_params: int) -> TimeParams:
 
 def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
                       graph: IslGraph, hops: np.ndarray, access: np.ndarray,
-                      device_dists: list[ClassDistribution],
+                      class_counts: np.ndarray,
                       time_params: TimeParams,
                       policy_rng: np.random.Generator,
                       partition_rng: np.random.Generator,
@@ -189,7 +189,7 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
     else:
         pset = with_air_parts(graph_partition(graph, cfg.policy.n_geo,
                                               partition_rng), access)
-    assignment = cnasa(topology, access, pset, device_dists, policy_rng,
+    assignment = cnasa(topology, access, pset, class_counts, policy_rng,
                        delivery)
     return assignment, pset
 
@@ -207,21 +207,20 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     access = compute_coverage(topology)
 
     n_devices = topology.n_devices
-    device_lons = [topology.air_nodes[air].longitude_deg
-                   for air in topology.air_of_device.tolist()]
     if cfg.data.geo_bin_deg > 0:
         bin_deg = cfg.data.geo_bin_deg
     elif topology.kind == "single":
         bin_deg = 360.0 / topology.n_satellites
     else:
         bin_deg = 360.0 / cfg.data.n_classes
-    datasets, test_x, test_y = generate_data(
+    features, labels, test_x, test_y = generate_data(
         cfg.data.classes_per_device, cfg.data.samples_per_device,
-        cfg.data.feature_dim, cfg.data.n_classes, device_lons, data_rng,
+        cfg.data.feature_dim, cfg.data.n_classes,
+        topology.air_lon[topology.air_of_device], bin_deg, data_rng,
         test_samples=cfg.data.test_samples, blob_scale=cfg.data.blob_scale,
-        bin_deg=bin_deg, class_scale_min=cfg.data.class_scale_min,
+        class_scale_min=cfg.data.class_scale_min,
         class_scale_max=cfg.data.class_scale_max)
-    device_dists = [ds.class_dist for ds in datasets]
+    samples = Samples.stack(features, labels, cfg.data.n_classes)
 
     learner = make_learner(cfg.training.learner, cfg.data.feature_dim,
                            cfg.data.n_classes, cfg.training.l2,
@@ -229,8 +228,8 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     time_params = make_time_params(cfg, learner.n_params)
 
     assignment, pset = select_assignment(
-        cfg, topology, graph, hops, access, device_dists, time_params,
-        policy_rng, partition_rng)
+        cfg, topology, graph, hops, access, samples.class_counts,
+        time_params, policy_rng, partition_rng)
     relay_hops = assignment.relay_hops()
     if cfg.policy.name == "cnasa" and relay_hops >= cfg.policy.n_geo:
         # assignment must stay inside its diameter-bounded partition
@@ -243,9 +242,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     trace.access = access
     trace.assignment = assignment
     trace.partition = pset
-    trace.samples = samples = Samples.stack(
-        [ds.features for ds in datasets], [ds.labels for ds in datasets],
-        cfg.data.n_classes)
+    trace.samples = samples
     trace.test_features = test_x
     trace.test_labels = test_y
     trace.learner = learner
@@ -256,8 +253,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             "lists the ring allreduce that produced the model values",)
     n_sats = topology.n_satellites
     trace.sat_of_device = assignment.f[topology.air_of_device]
-    trace.device_sizes = np.array(
-        [ds.class_dist.sample_count for ds in datasets], dtype=float)
+    trace.device_sizes = samples.class_counts.sum(axis=1)
     weights = trace.aggregation
 
     w0 = learner.init_params(learner_rng)
@@ -271,7 +267,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     total_steps = cfg.training.global_rounds * tau1 * tau2
     if topology.n_planes == 1:
         sync = ring_allreduce_states
-        plan = plan_ring([s.id for s in topology.satellites], learner.n_params)
+        plan = plan_ring(range(n_sats), learner.n_params)
     else:
         sync = multi_orbit_sync_states
         plan = plan_multi_orbit(graph, learner.n_params)

@@ -4,10 +4,19 @@ Geometry is a static snapshot on a spherical Earth. Satellites sit on circular
 orbits; air nodes hover at fixed geographic positions; every ground device is
 owned by exactly one air node. The inter-satellite link (ISL) graph has one
 cycle of intra-orbit edges per plane plus inter-orbit edges placed at the two
-intersection regions of every plane pair.
+intersection regions of every plane pair. An air node's access satellite is
+the one whose ground projection is nearest (its Voronoi cell, queried
+pointwise). Every layer is a set of arrays indexed by id; satellite ids run
+plane by plane in slot order.
+
+numpy's ``sin``, ``cos`` and ``radians`` return ``math``'s bits, but its
+``arcsin`` and ``arctan2`` differ in the last bit on some inputs, so the
+latitudes and longitudes written to the topology table come from ``math``
+one element at a time.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,25 +33,6 @@ class LinkParams:
 
     rate_bps: float
     prop_delay_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class SatelliteSpec:
-    id: int
-    orbit_index: int
-    slot_index: int
-    altitude_km: float
-    phase_deg: float          # angular position along the orbit plane
-    inclination_deg: float
-    raan_deg: float = 0.0     # right ascension of the plane's ascending node
-
-
-@dataclass(frozen=True)
-class AirNodeSpec:
-    id: int
-    latitude_deg: float
-    longitude_deg: float
-    altitude_m: float
 
 
 @dataclass(frozen=True)
@@ -66,80 +56,74 @@ class IslGraph:
 
 @dataclass(frozen=True, eq=False)
 class NetworkTopology:
-    kind: str                                     # 'single' | 'walker'
-    satellites: tuple[SatelliteSpec, ...]
-    air_nodes: tuple[AirNodeSpec, ...]
-    air_of_device: np.ndarray                     # (D,) air node id per device
-    n_planes: int = 1
+    kind: str                     # 'single' | 'walker'
+    altitude_km: float
+    sat_units: np.ndarray         # (N_S, 3) unit position per satellite
+    plane_normals: np.ndarray     # (n_planes, 3) unit normal per orbit plane
+    air_lat: np.ndarray           # (N_A,) degrees
+    air_lon: np.ndarray           # (N_A,) degrees in [0, 360)
+    air_of_device: np.ndarray     # (D,) air node id per device
 
     @property
     def n_satellites(self) -> int:
-        return len(self.satellites)
+        return len(self.sat_units)
 
     @property
     def n_devices(self) -> int:
         return len(self.air_of_device)
 
+    @property
+    def n_planes(self) -> int:
+        return len(self.plane_normals)
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    @property
+    def n_air(self) -> int:
+        return len(self.air_lat)
 
+    @property
+    def orbits(self) -> np.ndarray:
+        """Satellite ids per plane in slot order, ``(n_planes, per_plane)``."""
+        return np.arange(self.n_satellites).reshape(self.n_planes, -1)
 
-def _latlon_to_unit(lat_deg: float, lon_deg: float) -> np.ndarray:
-    lat = math.radians(lat_deg)
-    lon = math.radians(lon_deg)
-    return np.array([
-        math.cos(lat) * math.cos(lon),
-        math.cos(lat) * math.sin(lon),
-        math.sin(lat),
-    ])
-
-
-def great_circle_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Central angle (radians) between two unit vectors; robust near 0 and pi."""
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
-
-
-def great_circle_angles(points: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Central angles (radians) between each row of ``points`` and ``v``."""
-    return np.arctan2(np.linalg.norm(np.cross(points, v), axis=1), points @ v)
+    @property
+    def air_units(self) -> np.ndarray:
+        """Unit position of each air node's ground point, ``(N_A, 3)``."""
+        lat, lon = np.radians(self.air_lat), np.radians(self.air_lon)
+        return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                         np.sin(lat)], axis=1)
 
 
-def _plane_normal(raan_deg: float, inclination_deg: float) -> np.ndarray:
-    raan = math.radians(raan_deg)
+def great_circle_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Central angles (radians) between each row of ``u`` and each row of
+    ``v``, ``(len(u), len(v))``; robust near 0 and pi."""
+    return np.arctan2(np.linalg.norm(np.cross(u[:, None], v[None]), axis=2),
+                      u @ v.T)
+
+
+def _constellation(n_planes: int, per_plane: int, inclination_deg: float,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Unit positions ``(n_planes * per_plane, 3)`` and plane normals
+    ``(n_planes, 3)``: planes spread evenly in right ascension with zero
+    inter-plane phasing, slot s of each at phase s*360/per_plane."""
+    raan = np.radians(np.arange(n_planes) * 360.0 / n_planes)[:, None]
+    u = np.radians(np.arange(per_plane) * 360.0 / per_plane)
     inc = math.radians(inclination_deg)
-    return np.array([
-        math.sin(raan) * math.sin(inc),
-        -math.cos(raan) * math.sin(inc),
-        math.cos(inc),
-    ])
+    cos_inc, sin_inc = math.cos(inc), math.sin(inc)
+    x = np.cos(raan) * np.cos(u) - np.sin(raan) * np.sin(u) * cos_inc
+    y = np.sin(raan) * np.cos(u) + np.cos(raan) * np.sin(u) * cos_inc
+    z = np.broadcast_to(np.sin(u) * sin_inc, x.shape)
+    normals = np.concatenate([np.sin(raan) * sin_inc, -np.cos(raan) * sin_inc,
+                              np.full_like(raan, cos_inc)], axis=1)
+    return np.stack([x, y, z], axis=2).reshape(-1, 3), normals
 
 
-def satellite_unit_position(sat: SatelliteSpec) -> np.ndarray:
-    """Unit position vector of a satellite at the snapshot."""
-    u = math.radians(sat.phase_deg)
-    raan = math.radians(sat.raan_deg)
-    inc = math.radians(sat.inclination_deg)
-    x = math.cos(raan) * math.cos(u) - math.sin(raan) * math.sin(u) * math.cos(inc)
-    y = math.sin(raan) * math.cos(u) + math.cos(raan) * math.sin(u) * math.cos(inc)
-    z = math.sin(u) * math.sin(inc)
-    return np.array([x, y, z])
-
-
-def satellite_unit_positions(topology: NetworkTopology) -> np.ndarray:
-    return np.array([satellite_unit_position(s) for s in topology.satellites])
-
-
-def air_unit_positions(topology: NetworkTopology) -> np.ndarray:
-    return np.array([
-        _latlon_to_unit(a.latitude_deg, a.longitude_deg) for a in topology.air_nodes
-    ])
-
-
-def _make_air_nodes(positions: list[tuple[float, float]]) -> tuple[AirNodeSpec, ...]:
-    return tuple(AirNodeSpec(id=i, latitude_deg=lat, longitude_deg=lon,
-                             altitude_m=AIR_ALTITUDE_M)
-                 for i, (lat, lon) in enumerate(positions))
+def _subsatellite_latlon(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Latitude and longitude in degrees, longitude in [-180, 180], of the
+    ground point under each unit position."""
+    lat = [math.degrees(math.asin(min(max(z, -1.0), 1.0)))
+           for z in units[:, 2].tolist()]
+    lon = [math.degrees(math.atan2(y, x)) for x, y in units[:, :2].tolist()]
+    return np.array(lat), np.array(lon)
 
 
 def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
@@ -149,15 +133,13 @@ def build_single_orbit(n_sats: int, altitude_km: float, n_air: int,
     Satellites occupy phases k*360/n_sats on the equatorial orbit; air nodes
     sit on the equator at longitudes k*360/n_air. IDs are dense from 0.
     """
-    sats = tuple(
-        SatelliteSpec(id=k, orbit_index=0, slot_index=k, altitude_km=altitude_km,
-                      phase_deg=k * 360.0 / n_sats, inclination_deg=0.0, raan_deg=0.0)
-        for k in range(n_sats)
-    )
-    air_pos = [(0.0, k * 360.0 / n_air) for k in range(n_air)]
-    return NetworkTopology(kind="single", satellites=sats,
-                           air_nodes=_make_air_nodes(air_pos),
-                           air_of_device=np.repeat(np.arange(n_air), devices_per_air))
+    sat_units, normals = _constellation(1, n_sats, 0.0)
+    return NetworkTopology(kind="single", altitude_km=altitude_km,
+                           sat_units=sat_units, plane_normals=normals,
+                           air_lat=np.zeros(n_air),
+                           air_lon=np.arange(n_air) * 360.0 / n_air,
+                           air_of_device=np.repeat(np.arange(n_air),
+                                                   devices_per_air))
 
 
 def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
@@ -165,77 +147,67 @@ def build_walker(n_planes: int, sats_per_plane: int, inclination_deg: float,
                  ) -> NetworkTopology:
     """Walker constellation with air nodes at the snapshot sub-satellite points.
 
-    Planes are spread evenly in right ascension over 360 degrees with zero
-    inter-plane phasing. Each logical satellite cell receives ``air_per_cell``
-    air nodes, offset slightly in longitude so positions stay distinct.
+    Each logical satellite cell receives ``air_per_cell`` air nodes, spread
+    over a small longitude band around the sub-satellite point so air
+    positions stay distinct.
     """
-    sats = []
-    for p in range(n_planes):
-        raan = p * 360.0 / n_planes
-        for s in range(sats_per_plane):
-            sats.append(SatelliteSpec(
-                id=p * sats_per_plane + s, orbit_index=p, slot_index=s,
-                altitude_km=altitude_km, phase_deg=s * 360.0 / sats_per_plane,
-                inclination_deg=inclination_deg, raan_deg=raan,
-            ))
-
-    air_pos = []
-    for sat in sats:
-        u = satellite_unit_position(sat)
-        lat = math.degrees(math.asin(np.clip(u[2], -1.0, 1.0)))
-        lon = math.degrees(math.atan2(u[1], u[0]))
-        for a in range(air_per_cell):
-            # spread cell members over a small longitude band around the
-            # sub-satellite point so air positions are distinct
-            offset = (a - (air_per_cell - 1) / 2.0) * 0.5
-            air_pos.append((lat, (lon + offset) % 360.0))
-    return NetworkTopology(kind="walker", satellites=tuple(sats),
-                           air_nodes=_make_air_nodes(air_pos),
-                           air_of_device=np.repeat(np.arange(len(air_pos)),
-                                                   devices_per_air),
-                           n_planes=n_planes)
+    sat_units, normals = _constellation(n_planes, sats_per_plane,
+                                        inclination_deg)
+    lat, lon = _subsatellite_latlon(sat_units)
+    offsets = (np.arange(air_per_cell) - (air_per_cell - 1) / 2.0) * 0.5
+    n_air = len(sat_units) * air_per_cell
+    return NetworkTopology(kind="walker", altitude_km=altitude_km,
+                           sat_units=sat_units, plane_normals=normals,
+                           air_lat=np.repeat(lat, air_per_cell),
+                           air_lon=(lon[:, None] + offsets).ravel() % 360.0,
+                           air_of_device=np.repeat(np.arange(n_air),
+                                                   devices_per_air))
 
 
 def nearest_satellite(ids: np.ndarray | list[int], positions: np.ndarray,
-                      point: np.ndarray) -> int:
-    """The satellite among ``ids`` nearest ``point`` by central angle, with
-    ``positions`` indexed by satellite id; within 1e-12 rad the lowest id
-    wins."""
+                      points: np.ndarray) -> np.ndarray:
+    """The satellite among ``ids`` nearest each row of ``points`` by central
+    angle, with ``positions`` indexed by satellite id; within 1e-12 rad the
+    lowest id wins."""
     ids = np.asarray(ids)
-    angles = great_circle_angles(positions[ids], point)
-    return int(ids[angles <= angles.min() + 1e-12].min())
+    angles = great_circle_angles(points, positions[ids])
+    near = angles <= angles.min(axis=1, keepdims=True) + 1e-12
+    return np.where(near, ids, ids.max()).min(axis=1)
 
 
-def _inter_orbit_edges(topology: NetworkTopology, orbits: list[list[int]],
-                       positions: np.ndarray) -> list[tuple[int, int]]:
+def compute_coverage(topology: NetworkTopology) -> np.ndarray:
+    """Access satellite of each air node, ``(N_A,)`` indexed by air id: the
+    nearest satellite projection; within 1e-12 rad the lowest satellite id
+    wins."""
+    ids = np.arange(topology.n_satellites)
+    # 32 air nodes at a time keep the (32, N_S, 3) angle temporaries small
+    blocks = np.split(topology.air_units, range(32, topology.n_air, 32))
+    return np.concatenate([nearest_satellite(ids, topology.sat_units, block)
+                           for block in blocks])
+
+
+def _inter_orbit_edges(topology: NetworkTopology,
+                       orbits: np.ndarray) -> list[tuple[int, int]]:
+    positions = topology.sat_units
     edges: set[tuple[int, int]] = set()
-    for pi in range(len(orbits)):
-        for pj in range(pi + 1, len(orbits)):
-            ids_i, ids_j = orbits[pi], orbits[pj]
-            rep_i = topology.satellites[ids_i[0]]
-            rep_j = topology.satellites[ids_j[0]]
-            n_i = _plane_normal(rep_i.raan_deg, rep_i.inclination_deg)
-            n_j = _plane_normal(rep_j.raan_deg, rep_j.inclination_deg)
-            cross = np.cross(n_i, n_j)
-            norm = float(np.linalg.norm(cross))
-            if norm > 1e-9:
-                regions = [_unit(cross), -_unit(cross)]
-            else:
-                # coincident planes: anchor the two regions on the globally
-                # closest cross-plane pair and its antipode
-                best = None
-                for a in ids_i:
-                    for b in ids_j:
-                        ang = great_circle_angle(positions[a], positions[b])
-                        key = (ang, a, b)
-                        if best is None or key < best:
-                            best = key
-                mid = _unit(positions[best[1]] + positions[best[2]])
-                regions = [mid, -mid]
-            for region in regions:
-                a = nearest_satellite(ids_i, positions, region)
-                b = nearest_satellite(ids_j, positions, region)
-                edges.add(tuple(sorted((a, b))))
+    for pi, pj in itertools.combinations(range(len(orbits)), 2):
+        ids_i, ids_j = orbits[pi], orbits[pj]
+        cross = np.cross(topology.plane_normals[pi], topology.plane_normals[pj])
+        norm = float(np.linalg.norm(cross))
+        if norm > 1e-9:
+            region = cross / norm
+        else:
+            # coincident planes: anchor the two regions on the closest
+            # cross-plane pair and its antipode; within 1e-12 rad of the
+            # closest, the lowest (a, b) wins
+            angles = great_circle_angles(positions[ids_i], positions[ids_j])
+            a, b = np.argwhere(angles <= angles.min() + 1e-12)[0]
+            region = positions[ids_i[a]] + positions[ids_j[b]]
+            region = region / np.linalg.norm(region)
+        regions = np.stack([region, -region])
+        for a, b in zip(nearest_satellite(ids_i, positions, regions).tolist(),
+                        nearest_satellite(ids_j, positions, regions).tolist()):
+            edges.add((min(a, b), max(a, b)))
     return sorted(edges)
 
 
@@ -248,21 +220,18 @@ def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
     satellites nearest that region; ties break to the lowest satellite id.
     Edges of different planes never coincide, so no edge repeats.
     """
-    orbits: list[list[int]] = [[] for _ in range(topology.n_planes)]
-    for sat in sorted(topology.satellites, key=lambda s: s.slot_index):
-        orbits[sat.orbit_index].append(sat.id)
+    orbits = topology.orbits
     intra = []
-    for ring in orbits:
+    for ring in orbits.tolist():
         n = len(ring)
         intra += [tuple(sorted((ring[k], ring[(k + 1) % n])))
                   for k in range(n if n > 2 else n - 1)]
-    inter = _inter_orbit_edges(topology, orbits,
-                               satellite_unit_positions(topology))
+    inter = _inter_orbit_edges(topology, orbits)
     return IslGraph(
-        nodes=tuple(s.id for s in topology.satellites),
+        nodes=tuple(range(topology.n_satellites)),
         edges=tuple(intra + inter),
         kinds=("intra",) * len(intra) + ("inter",) * len(inter),
-        orbits=tuple(tuple(ring) for ring in orbits),
+        orbits=tuple(map(tuple, orbits.tolist())),
     )
 
 
@@ -305,24 +274,23 @@ def hop_distances(graph: IslGraph) -> np.ndarray:
 
 
 def write_topology_table(topology: NetworkTopology, path,
-                         access: np.ndarray | None = None) -> None:
+                         access: np.ndarray) -> None:
     """Dump the topology as a plain-text table, one row per element.
 
     Columns: id, kind, lat_deg, lon_deg, alt_m, parent. Satellites carry their
-    orbit index as parent; air nodes their access satellite (when the access
-    array is supplied); devices their owning air node.
+    orbit index as parent; air nodes their access satellite; devices their
+    owning air node.
     """
+    lat, lon = _subsatellite_latlon(topology.sat_units)
+    alt_m = topology.altitude_km * 1000.0
+    per_plane = topology.n_satellites // topology.n_planes
     lines = ["id\tkind\tlat_deg\tlon_deg\talt_m\tparent"]
-    for s in topology.satellites:
-        u = satellite_unit_position(s)
-        lat = math.degrees(math.asin(float(np.clip(u[2], -1.0, 1.0))))
-        lon = math.degrees(math.atan2(float(u[1]), float(u[0]))) % 360.0
-        lines.append(f"{s.id}\tsatellite\t{lat!r}\t{lon!r}\t{s.altitude_km * 1000.0!r}\t{s.orbit_index}")
-    for a in topology.air_nodes:
-        parent = access[a.id] if access is not None else -1
-        lines.append(f"{a.id}\tair\t{a.latitude_deg!r}\t{a.longitude_deg!r}\t{a.altitude_m!r}\t{parent}")
+    for sat, (la, lo) in enumerate(zip(lat.tolist(), (lon % 360.0).tolist())):
+        lines.append(f"{sat}\tsatellite\t{la!r}\t{lo!r}\t{alt_m!r}\t{sat // per_plane}")
+    air_lat, air_lon = topology.air_lat.tolist(), topology.air_lon.tolist()
+    for air, (la, lo, parent) in enumerate(zip(air_lat, air_lon, access.tolist())):
+        lines.append(f"{air}\tair\t{la!r}\t{lo!r}\t{AIR_ALTITUDE_M!r}\t{parent}")
     for dev, air in enumerate(topology.air_of_device.tolist()):
-        a = topology.air_nodes[air]
-        lines.append(f"{dev}\tdevice\t{a.latitude_deg!r}\t{a.longitude_deg!r}\t0.0\t{air}")
+        lines.append(f"{dev}\tdevice\t{air_lat[air]!r}\t{air_lon[air]!r}\t0.0\t{air}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,8 +2,8 @@
 
 Each one is the slow, direct form of something the package computes another
 way (exhaustive matching, all-pairs partition distances, per-step ring
-transfers, inverted access maps), or a closed-form quantity only the tests
-need. None of them runs in a simulation.
+transfers, inverted access maps, per-element ``math`` geometry), or a
+closed-form quantity only the tests need. None of them runs in a simulation.
 """
 import itertools
 import math
@@ -15,11 +15,7 @@ from scipy.sparse import csgraph
 
 from saginfl.allreduce import CommLog
 from saginfl.errors import InputError, TopologyError
-from saginfl.topology import (
-    IslGraph,
-    NetworkTopology,
-    satellite_unit_positions,
-)
+from saginfl.topology import IslGraph, NetworkTopology
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
@@ -182,22 +178,124 @@ def phase_steps(log: CommLog) -> dict[str, int]:
     return steps
 
 
+def satellite_unit_position(phase_deg: float, raan_deg: float,
+                            inclination_deg: float) -> np.ndarray:
+    """Unit position of a satellite at ``phase_deg`` along the plane with
+    right ascension ``raan_deg`` and inclination ``inclination_deg``."""
+    u = math.radians(phase_deg)
+    raan = math.radians(raan_deg)
+    inc = math.radians(inclination_deg)
+    x = math.cos(raan) * math.cos(u) - math.sin(raan) * math.sin(u) * math.cos(inc)
+    y = math.sin(raan) * math.cos(u) + math.cos(raan) * math.sin(u) * math.cos(inc)
+    z = math.sin(u) * math.sin(inc)
+    return np.array([x, y, z])
+
+
+def latlon_to_unit(lat_deg: float, lon_deg: float) -> np.ndarray:
+    lat = math.radians(lat_deg)
+    lon = math.radians(lon_deg)
+    return np.array([
+        math.cos(lat) * math.cos(lon),
+        math.cos(lat) * math.sin(lon),
+        math.sin(lat),
+    ])
+
+
+def plane_normal(raan_deg: float, inclination_deg: float) -> np.ndarray:
+    raan = math.radians(raan_deg)
+    inc = math.radians(inclination_deg)
+    return np.array([
+        math.sin(raan) * math.sin(inc),
+        -math.cos(raan) * math.sin(inc),
+        math.cos(inc),
+    ])
+
+
+def great_circle_angle(u: np.ndarray, v: np.ndarray) -> float:
+    """Central angle (radians) between two unit vectors; robust near 0 and pi."""
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+
+
+def reference_constellation(n_planes: int, per_plane: int,
+                            inclination_deg: float,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Satellite positions by id and plane normals, one element at a time:
+    plane p at right ascension p*360/n_planes, slot s at phase
+    s*360/per_plane."""
+    units = [satellite_unit_position(s * 360.0 / per_plane,
+                                     p * 360.0 / n_planes, inclination_deg)
+             for p in range(n_planes) for s in range(per_plane)]
+    normals = [plane_normal(p * 360.0 / n_planes, inclination_deg)
+               for p in range(n_planes)]
+    return np.array(units), np.array(normals)
+
+
+def reference_walker_air(units: np.ndarray, air_per_cell: int,
+                         ) -> tuple[list[float], list[float]]:
+    """Air latitudes and longitudes of a Walker, cell by cell: the
+    sub-satellite point, spread over a 0.5-degree longitude band."""
+    lats, lons = [], []
+    for u in units:
+        lat = math.degrees(math.asin(np.clip(u[2], -1.0, 1.0)))
+        lon = math.degrees(math.atan2(u[1], u[0]))
+        for a in range(air_per_cell):
+            offset = (a - (air_per_cell - 1) / 2.0) * 0.5
+            lats.append(lat)
+            lons.append((lon + offset) % 360.0)
+    return lats, lons
+
+
+def _nearest(ids: list[int], units: np.ndarray, point: np.ndarray) -> int:
+    """Lowest id among ``ids`` within 1e-12 rad of the nearest to ``point``."""
+    angles = {i: great_circle_angle(units[i], point) for i in ids}
+    least = min(angles.values())
+    return min(i for i, ang in angles.items() if ang <= least + 1e-12)
+
+
+def reference_inter_orbit_edges(n_planes: int, per_plane: int,
+                                inclination_deg: float) -> list[tuple[int, int]]:
+    """Inter-orbit edges of a Walker, one satellite pair at a time.
+
+    Each plane pair gets the satellites nearest its two intersection
+    regions. Coincident planes anchor the regions on their closest
+    cross-plane pair and its antipode; among pairs within 1e-12 rad of the
+    closest, the lowest (a, b) wins.
+    """
+    units, normals = reference_constellation(n_planes, per_plane,
+                                             inclination_deg)
+    planes = [list(range(p * per_plane, (p + 1) * per_plane))
+              for p in range(n_planes)]
+    edges = set()
+    for pi, pj in itertools.combinations(range(n_planes), 2):
+        cross = np.cross(normals[pi], normals[pj])
+        if np.linalg.norm(cross) > 1e-9:
+            region = cross / np.linalg.norm(cross)
+        else:
+            angles = {(a, b): great_circle_angle(units[a], units[b])
+                      for a in planes[pi] for b in planes[pj]}
+            least = min(angles.values())
+            a, b = min(k for k, ang in angles.items() if ang <= least + 1e-12)
+            region = units[a] + units[b]
+            region = region / np.linalg.norm(region)
+        for point in (region, -region):
+            a = _nearest(planes[pi], units, point)
+            b = _nearest(planes[pj], units, point)
+            edges.add((min(a, b), max(a, b)))
+    return sorted(edges)
+
+
 def subsatellite_points(topology: NetworkTopology) -> np.ndarray:
     """Per-satellite (lat_deg, lon_deg) of the radial projection onto the surface."""
-    units = satellite_unit_positions(topology)
+    units = topology.sat_units
     lat = np.degrees(np.arcsin(np.clip(units[:, 2], -1.0, 1.0)))
     lon = np.degrees(np.arctan2(units[:, 1], units[:, 0]))
     return np.stack([lat, lon], axis=1)
 
 
-def n_air_nodes(topology: NetworkTopology) -> int:
-    return len(topology.air_nodes)
-
-
 def cell_members(access: np.ndarray, topology: NetworkTopology,
                  ) -> dict[int, tuple[int, ...]]:
     """Satellite id -> the air nodes it serves, in id order."""
-    members: dict[int, list[int]] = {s.id: [] for s in topology.satellites}
+    members: dict[int, list[int]] = {s: [] for s in range(topology.n_satellites)}
     for air_id, sat in enumerate(access.tolist()):
         members[sat].append(air_id)
     return {sat: tuple(ids) for sat, ids in members.items()}
@@ -213,7 +311,7 @@ def validate_coverage(access: np.ndarray,
         if 0 <= sat < topology.n_satellites:
             inverse.setdefault(sat, []).append(air)
     mapped = {air for cell in inverse.values() for air in cell}
-    mismatch = {a.id for a in topology.air_nodes} ^ mapped
+    mismatch = set(range(topology.n_air)) ^ mapped
     if mismatch:
         raise TopologyError(
             f"access map and air nodes differ on {sorted(mismatch)}")

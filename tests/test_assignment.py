@@ -7,9 +7,8 @@ from oracles import brute_force_matching
 from scipy.optimize import linear_sum_assignment
 
 from saginfl.assignment import (
-    ClassDistribution,
     _lsap,
-    air_class_distribution,
+    air_class_mix,
     build_clusters,
     cnasa,
     gdo,
@@ -17,7 +16,6 @@ from saginfl.assignment import (
     min_cost_matching,
 )
 from saginfl.config import ExperimentConfig, PolicyConfig
-from saginfl.coverage import compute_coverage
 from saginfl.errors import InputError, TopologyError
 from saginfl.partition import (
     PartitionSet,
@@ -27,12 +25,12 @@ from saginfl.partition import (
 )
 from saginfl.simulation import make_time_params, select_assignment
 from saginfl.timecost import DeliveryTimeModel, make_delivery_model
-from saginfl.topology import build_single_orbit, derive_isl_graph, hop_distances
-
-
-def dist(probs, count):
-    return ClassDistribution(probs=np.array(probs, dtype=float),
-                             sample_count=count)
+from saginfl.topology import (
+    build_single_orbit,
+    compute_coverage,
+    derive_isl_graph,
+    hop_distances,
+)
 
 
 def hop_matrix(topology):
@@ -46,52 +44,42 @@ def delivery_model(topology, access, t_as=1.0, t_ss=1.0):
 
 class TestAirClassDistribution:
     def test_weighted_average(self):
-        out = air_class_distribution([dist([1, 0], 3), dist([0, 1], 1)])
-        assert np.allclose(out.probs, [0.75, 0.25])
-        assert out.sample_count == 4
+        out = air_class_mix(np.array([[3, 0], [0, 1]]), np.array([0, 0]), 1)
+        assert np.allclose(out, [[0.75, 0.25]])
 
     def test_single_device_identity(self):
-        out = air_class_distribution([dist([0.2, 0.3, 0.5], 10)])
-        assert np.allclose(out.probs, [0.2, 0.3, 0.5])
-        assert out.sample_count == 10
+        out = air_class_mix(np.array([[2, 3, 5]]), np.array([0]), 1)
+        assert np.allclose(out, [[0.2, 0.3, 0.5]])
 
     def test_matches_pooled_label_histogram(self):
+        # three air nodes, each pooling the labels of its own devices
         rng = np.random.default_rng(5)
-        pooled = []
-        dists = []
-        for _ in range(3):
-            n = int(rng.integers(5, 40))
-            labels = rng.integers(0, 10, size=n)
-            pooled.extend(labels.tolist())
-            hist = np.bincount(labels, minlength=10) / n
-            dists.append(dist(hist, n))
-        expected = np.bincount(pooled, minlength=10) / len(pooled)
-        out = air_class_distribution(dists)
-        assert np.allclose(out.probs, expected)
-
-
-def probs(dists):
-    """The distributions' probability vectors as rows."""
-    return np.array([d.probs for d in dists])
+        air_of_device = np.array([2, 0, 2, 1, 0, 2])
+        pooled = [[], [], []]
+        counts = []
+        for air in air_of_device.tolist():
+            labels = rng.integers(0, 10, size=int(rng.integers(5, 40)))
+            pooled[air].extend(labels.tolist())
+            counts.append(np.bincount(labels, minlength=10))
+        expected = [np.bincount(p, minlength=10) / len(p) for p in pooled]
+        out = air_class_mix(np.array(counts), air_of_device, 3)
+        assert np.allclose(out, expected)
 
 
 class TestKmeans:
     def test_k_equals_n_singletons(self):
-        pts = [dist(p, 1) for p in np.eye(5)]
-        labels = kmeans(probs(pts), 5, np.random.default_rng(0))
+        labels = kmeans(np.eye(5), 5, np.random.default_rng(0))
         assert len(set(labels.tolist())) == 5
 
     def test_two_one_hot_families(self):
         rng = np.random.default_rng(3)
-        family_a = [dist([1.0, 0.0, 0.0], 1)] * 3
-        family_b = [dist([0.0, 0.0, 1.0], 1)] * 3
-        pts = family_a + family_b
-        labels = kmeans(probs(pts), 2, rng)
+        pts = np.array([[1.0, 0.0, 0.0]] * 3 + [[0.0, 0.0, 1.0]] * 3)
+        labels = kmeans(pts, 2, rng)
         assert len(set(labels[:3].tolist())) == 1
         assert len(set(labels[3:].tolist())) == 1
         assert labels[0] != labels[3]
         # brute-force optimal 2-partition by within-group sum of squares
-        X = probs(pts)
+        X = pts
         best, best_cost = None, None
         for mask in range(1, 2 ** len(pts) - 1):
             ga = [i for i in range(len(pts)) if mask >> i & 1]
@@ -106,16 +94,17 @@ class TestKmeans:
         assert set(map(frozenset, ours)) == set(map(frozenset, best))
 
     def test_k_one_single_group(self):
-        pts = [dist(p / p.sum(), 1) for p in np.random.default_rng(1).random((7, 4))]
-        labels = kmeans(probs(pts), 1, np.random.default_rng(0))
+        raw = np.random.default_rng(1).random((7, 4))
+        labels = kmeans(raw / raw.sum(axis=1, keepdims=True), 1,
+                        np.random.default_rng(0))
         assert set(labels.tolist()) == {0}
 
     def test_deterministic_given_seed(self):
         rng_pts = np.random.default_rng(9)
         raw = rng_pts.random((12, 6))
-        pts = [dist(p / p.sum(), 1) for p in raw]
-        a = kmeans(probs(pts), 3, np.random.default_rng(4))
-        b = kmeans(probs(pts), 3, np.random.default_rng(4))
+        pts = raw / raw.sum(axis=1, keepdims=True)
+        a = kmeans(pts, 3, np.random.default_rng(4))
+        b = kmeans(pts, 3, np.random.default_rng(4))
         assert (a == b).all()
 
 
@@ -220,9 +209,9 @@ class TestMinCostMatching:
             min_cost_matching(np.array([[1.0, np.nan], [1.0, 2.0]]))
 
 
-def cdo(topology, access, device_dists, rng, model):
+def cdo(topology, access, class_counts, rng, model):
     """The CDO baseline: CNASA over the whole-constellation partition."""
-    return cnasa(topology, access, whole_partition(topology), device_dists,
+    return cnasa(topology, access, whole_partition(topology), class_counts,
                  rng, model)
 
 
@@ -232,52 +221,49 @@ def _toy_scenario(n_sats=2, n_air=4, devices_per_air=1):
     return topology, access
 
 
-def _one_hot_dists(assignments, n_classes, count=10):
-    out = []
-    for c in assignments:
-        p = np.zeros(n_classes)
-        p[c] = 1.0
-        out.append(ClassDistribution(probs=p, sample_count=count))
-    return out
+def _one_hot_counts(classes, n_classes, count=10):
+    """Class counts ``(D, C)`` of devices holding ``count`` samples of one
+    class each."""
+    return count * np.eye(n_classes)[classes]
 
 
 class TestCnasa:
     def test_n_geo_one_equals_gdo(self):
         topology, access = _toy_scenario(4, 8)
-        device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
+        class_counts = _one_hot_counts([d % 4 for d in range(8)], 4)
         pset = with_air_parts(arc_partition(topology, 1), access)
         model = delivery_model(topology, access)
-        out = cnasa(topology, access, pset, device_dists,
+        out = cnasa(topology, access, pset, class_counts,
                     np.random.default_rng(0), model)
         assert np.array_equal(out.f, access)
         assert not out.hops.any()
 
     def test_air_node_left_out_of_every_part_raises(self):
         topology, access = _toy_scenario(4, 8)
-        device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
+        class_counts = _one_hot_counts([d % 4 for d in range(8)], 4)
         pset = with_air_parts(arc_partition(topology, 2), access)
         first, *rest = pset.air_parts
         assert first[0] == 0
         pset = PartitionSet(parts=pset.parts, air_parts=(first[1:], *rest))
         with pytest.raises(TopologyError, match=r"air nodes \[0\]"):
-            cnasa(topology, access, pset, device_dists,
+            cnasa(topology, access, pset, class_counts,
                   np.random.default_rng(0), delivery_model(topology, access))
 
     def test_single_global_part_matches_cdo(self):
         topology, access = _toy_scenario(4, 8)
-        device_dists = _one_hot_dists([d % 4 for d in range(8)], 4)
+        class_counts = _one_hot_counts([d % 4 for d in range(8)], 4)
         graph = derive_isl_graph(topology)
         hops = hop_distances(graph)
         cfg = ExperimentConfig(policy=PolicyConfig(name="cdo"))
         time_params = make_time_params(cfg, 110)
-        all_sats = tuple(s.id for s in topology.satellites)
-        all_airs = tuple(a.id for a in topology.air_nodes)
+        all_sats = tuple(range(topology.n_satellites))
+        all_airs = tuple(range(topology.n_air))
         pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,))
-        a = cnasa(topology, access, pset, device_dists,
+        a = cnasa(topology, access, pset, class_counts,
                   np.random.default_rng(7),
                   make_delivery_model(hops, access, time_params))
         b, b_pset = select_assignment(
-            cfg, topology, graph, hops, access, device_dists, time_params,
+            cfg, topology, graph, hops, access, class_counts, time_params,
             np.random.default_rng(7), np.random.default_rng(0))
         assert b_pset == pset
         assert np.array_equal(a.f, b.f)
@@ -286,10 +272,10 @@ class TestCnasa:
         # 4 air nodes, 2 satellites, n_geo = 2: CNASA must reach the minimum
         # total delivery time among balanced assignments (2 air nodes each)
         topology, access = _toy_scenario(2, 4)
-        device_dists = _one_hot_dists([0, 1, 0, 1], 2)
+        class_counts = _one_hot_counts([0, 1, 0, 1], 2)
         model = delivery_model(topology, access, t_as=1.0, t_ss=5.0)
         pset = with_air_parts(arc_partition(topology, 2), access)
-        out = cnasa(topology, access, pset, device_dists,
+        out = cnasa(topology, access, pset, class_counts,
                     np.random.default_rng(0), model)
 
         def total_time(f):
@@ -310,11 +296,11 @@ class TestCnasa:
         topology = build_single_orbit(20, 330.0, 100, 2)
         access = compute_coverage(topology)
         rng = np.random.default_rng(0)
-        device_dists = _one_hot_dists(
+        class_counts = _one_hot_counts(
             [int(rng.integers(0, 10)) for _ in range(200)], 10)
         pset = with_air_parts(arc_partition(topology, 4), access)
         model = delivery_model(topology, access)
-        out = cnasa(topology, access, pset, device_dists, rng, model)
+        out = cnasa(topology, access, pset, class_counts, rng, model)
         assert len(out.f) == 100 and (out.f >= 0).all()
         assert out.hops.max() < 4
         assert np.array_equal(pset.part_of[out.f], pset.part_of[access])
@@ -323,10 +309,10 @@ class TestCnasa:
         topology = build_single_orbit(10, 330.0, 50, 2)
         access = compute_coverage(topology)
         rng = np.random.default_rng(3)
-        device_dists = _one_hot_dists(
+        class_counts = _one_hot_counts(
             [int(rng.integers(0, 5)) for _ in range(100)], 5)
         pset = with_air_parts(arc_partition(topology, 5), access)
-        out = cnasa(topology, access, pset, device_dists, rng,
+        out = cnasa(topology, access, pset, class_counts, rng,
                     delivery_model(topology, access))
         loads = {}
         for air, sat in enumerate(out.f):
@@ -349,27 +335,28 @@ class TestBaselines:
     def test_cdo_hops_reach_beyond_access(self):
         topology, access = _toy_scenario(4, 8)
         # strongly clustered distributions force cross-satellite mixing
-        device_dists = _one_hot_dists([0, 0, 1, 1, 2, 2, 3, 3], 4)
-        out = cdo(topology, access, device_dists,
+        class_counts = _one_hot_counts([0, 0, 1, 1, 2, 2, 3, 3], 4)
+        out = cdo(topology, access, class_counts,
                   np.random.default_rng(1), delivery_model(topology, access))
         assert (out.hops >= 0).all()
         assert out.relay_hops() >= 1
 
     def test_cdo_clusters_closer_to_global_mix(self):
         topology, access = _toy_scenario(4, 8)
-        device_dists = _one_hot_dists([0, 0, 1, 1, 2, 2, 3, 3], 4)
-        global_mix = np.mean([d.probs for d in device_dists], axis=0)
+        class_counts = _one_hot_counts([0, 0, 1, 1, 2, 2, 3, 3], 4)
+        probs = class_counts / 10
+        global_mix = probs.mean(axis=0)
 
         def satellite_l1(assignment):
             per_sat = {}
             for air, sat in enumerate(assignment.f):
-                per_sat.setdefault(sat, []).append(device_dists[air].probs)
+                per_sat.setdefault(sat, []).append(probs[air])
             gaps = [np.abs(np.mean(v, axis=0) - global_mix).sum()
                     for v in per_sat.values()]
             return float(np.mean(gaps))
 
         cdo_gap = satellite_l1(
-            cdo(topology, access, device_dists, np.random.default_rng(1),
+            cdo(topology, access, class_counts, np.random.default_rng(1),
                 delivery_model(topology, access)))
         gdo_gap = satellite_l1(gdo(access, hop_matrix(topology)))
         assert cdo_gap < gdo_gap
@@ -381,18 +368,18 @@ class TestClusterQuality:
         # pooled distribution than random equal splits, averaged over seeds
         topology = build_single_orbit(4, 330.0, 16, 1)
         access = compute_coverage(topology)
-        labels = [a.id % 4 for a in topology.air_nodes]
-        device_dists = _one_hot_dists(labels, 4)
+        class_counts = _one_hot_counts(np.arange(16) % 4, 4)
+        probs = class_counts / 10
         pset = with_air_parts(arc_partition(topology, 4), access)
         part_airs = pset.air_parts[0]
-        pooled = np.mean([device_dists[a].probs for a in part_airs], axis=0)
+        pooled = probs[list(part_airs)].mean(axis=0)
 
         def mean_l1(clusters):
             gaps = []
             for cluster in clusters:
                 if not cluster:
                     continue
-                mix = np.mean([device_dists[a].probs for a in cluster], axis=0)
+                mix = probs[list(cluster)].mean(axis=0)
                 gaps.append(np.abs(mix - pooled).sum())
             return float(np.mean(gaps))
 
@@ -400,7 +387,7 @@ class TestClusterQuality:
         rand = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            out = cnasa(topology, access, pset, device_dists, rng,
+            out = cnasa(topology, access, pset, class_counts, rng,
                         delivery_model(topology, access))
             clusters = {}
             for air, sat in enumerate(out.f):
@@ -421,12 +408,12 @@ def test_cnasa_cost_growth_trend():
     times = []
     for topo in (topology_small, topology_big):
         access = compute_coverage(topo)
-        dists = _one_hot_dists([a.id % 10 for a in topo.air_nodes], 10)
+        counts = _one_hot_counts(np.arange(topo.n_air) % 10, 10)
         pset = with_air_parts(arc_partition(topo, 2), access)
         model = delivery_model(topo, access)
         t0 = time.perf_counter()
         for seed in range(3):
-            cnasa(topo, access, pset, dists, np.random.default_rng(seed),
+            cnasa(topo, access, pset, counts, np.random.default_rng(seed),
                   model)
         times.append(time.perf_counter() - t0)
     assert times[1] < times[0] * 16

@@ -91,7 +91,7 @@ def names_a_field(exc: ConfigurationError) -> bool:
 
 
 def assert_invariants(trace) -> None:
-    n_air = len(trace.topology.air_nodes)
+    n_air = trace.topology.n_air
     n_sats = trace.topology.n_satellites
     f = trace.assignment.f
     assert f.shape == (n_air,) and (f >= 0).all() and (f < n_sats).all()

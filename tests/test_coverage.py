@@ -1,32 +1,39 @@
 """Access-satellite determination via nearest sub-satellite point."""
 import numpy as np
 import pytest
-from oracles import cell_members, subsatellite_points, validate_coverage
+from oracles import (
+    cell_members,
+    great_circle_angle,
+    latlon_to_unit,
+    subsatellite_points,
+    validate_coverage,
+)
 
-from saginfl.coverage import compute_coverage
 from saginfl.errors import TopologyError
 from saginfl.topology import (
-    air_unit_positions,
     build_single_orbit,
     build_walker,
-    great_circle_angle,
+    compute_coverage,
     great_circle_angles,
-    satellite_unit_positions,
 )
+
+
+def air_units(topology):
+    """Air node unit positions, one node at a time."""
+    return [latlon_to_unit(lat, lon) for lat, lon
+            in zip(topology.air_lat.tolist(), topology.air_lon.tolist())]
 
 
 def brute_force_access(topology):
     """Exhaustive nearest-projection search, one pair at a time."""
-    sat_units = satellite_unit_positions(topology)
-    air_units = air_unit_positions(topology)
     access = {}
-    for air in topology.air_nodes:
+    for air, point in enumerate(air_units(topology)):
         best, best_ang = None, None
-        for sat in topology.satellites:
-            ang = great_circle_angle(air_units[air.id], sat_units[sat.id])
+        for sat, unit in enumerate(topology.sat_units):
+            ang = great_circle_angle(point, unit)
             if best is None or ang < best_ang - 1e-12:
-                best, best_ang = sat.id, ang
-        access[air.id] = best
+                best, best_ang = sat, ang
+        access[air] = best
     return access
 
 
@@ -41,10 +48,9 @@ class TestSubsatellitePoints:
     def test_projection_latitude_equals_orbital_latitude(self):
         topo = build_walker(2, 4, 85.0, 330.0, 1, 1)
         points = subsatellite_points(topo)
-        units = satellite_unit_positions(topo)
-        for sat in topo.satellites:
-            lat = np.degrees(np.arcsin(units[sat.id, 2]))
-            assert abs(points[sat.id, 0] - lat) < 1e-9
+        for sat, unit in enumerate(topo.sat_units):
+            lat = np.degrees(np.arcsin(unit[2]))
+            assert abs(points[sat, 0] - lat) < 1e-9
 
     def test_walker_projections_distinct(self):
         topo = build_walker(15, 16, 85.0, 330.0, 1, 1)
@@ -65,7 +71,7 @@ class TestComputeCoverage:
         topo = build_single_orbit(20, 330.0, 100, 2)
         access = compute_coverage(topo)
         members = cell_members(access, topo)
-        sizes = [len(members[s.id]) for s in topo.satellites]
+        sizes = [len(members[s]) for s in range(topo.n_satellites)]
         assert sizes == [5] * 20
 
     def test_walker_toy_matches_brute_force(self):
@@ -76,14 +82,11 @@ class TestComputeCoverage:
     def test_voronoi_property_exhaustive(self):
         topo = build_walker(2, 6, 60.0, 500.0, 1, 1)
         access = compute_coverage(topo)
-        sat_units = satellite_unit_positions(topo)
-        air_units = air_unit_positions(topo)
-        for air in topo.air_nodes:
-            chosen = great_circle_angle(air_units[air.id],
-                                        sat_units[access[air.id]])
-            for sat in topo.satellites:
-                ang = great_circle_angle(air_units[air.id], sat_units[sat.id])
-                assert chosen <= ang + 1e-12
+        sat_units = topo.sat_units
+        for air, point in enumerate(air_units(topo)):
+            chosen = great_circle_angle(point, sat_units[access[air]])
+            for unit in sat_units:
+                assert chosen <= great_circle_angle(point, unit) + 1e-12
 
     def test_coincident_satellites_tie_to_lowest_id(self):
         # An even number of planes at 90 degrees puts the satellites of
@@ -92,12 +95,10 @@ class TestComputeCoverage:
         # 1e-12 rad), with angles taken by the atan2 rule.
         topo = build_walker(14, 16, 90.0, 500.0, 3, 1)
         access = compute_coverage(topo)
-        sat_units = satellite_unit_positions(topo)
-        air_units = air_unit_positions(topo)
-        for air in topo.air_nodes:
-            angles = great_circle_angles(sat_units, air_units[air.id])
+        for air, point in enumerate(air_units(topo)):
+            angles = great_circle_angles(topo.sat_units, point[None])[:, 0]
             nearest = np.flatnonzero(angles <= angles.min() + 1e-12)
-            assert access[air.id] == nearest.min(), air.id
+            assert access[air] == nearest.min(), air
         # satellite 79 sits on satellite 185's point and has the lower id
         assert access[238] == 79
 
@@ -133,7 +134,7 @@ class TestComputeCoverage:
         for sat, members in cell_members(access, topo).items():
             if not members:
                 continue
-            lons = sorted(topo.air_nodes[a].longitude_deg for a in members)
+            lons = sorted(topo.air_lon[list(members)].tolist())
             # circular gaps, including the wrap from last back to first;
             # a contiguous arc has at most one gap beyond the air spacing
             gaps = [(lons[(i + 1) % len(lons)] - lons[i]) % 360

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from saginfl import learner as learner_module
-from saginfl.data import class_scales, device_classes, generate_data
+from saginfl.data import class_scales, generate_data
 from saginfl.learner import (
     MlpLearner,
     Samples,
@@ -66,38 +66,55 @@ def finite_difference_grad(weights, features_aug, labels, l2, eps=1e-6):
 
 class TestGenerateData:
     def _gen(self, cpd, n_devices=6, C=5, **kw):
-        lons = [k * 360.0 / n_devices for k in range(n_devices)]
+        lons = np.arange(n_devices) * 360.0 / n_devices
         rng = np.random.default_rng(0)
-        return generate_data(cpd, 20, 5, C, lons, rng, **kw)
+        return generate_data(cpd, 20, 5, C, lons, 360.0 / C, rng, **kw)
 
     def test_full_support_iid(self):
-        datasets, _, _ = self._gen(cpd=5)
-        for ds in datasets:
-            assert set(np.unique(ds.labels)) == set(range(5))
+        features, labels, _, _ = self._gen(cpd=5)
+        assert features.shape == (6, 20, 5) and labels.shape == (6, 20)
+        for row in labels:
+            assert set(np.unique(row)) == set(range(5))
 
     def test_one_class_one_hot(self):
-        datasets, _, _ = self._gen(cpd=1)
-        for ds in datasets:
-            assert len(np.unique(ds.labels)) == 1
-            assert np.isclose(ds.class_dist.probs.max(), 1.0)
+        features, labels, _, _ = self._gen(cpd=1)
+        samples = Samples.stack(features, labels, 5)
+        for row, counts in zip(labels, samples.class_counts):
+            assert len(np.unique(row)) == 1
+            assert counts.max() == counts.sum() == 20
 
     def test_adjacent_devices_share_classes(self):
-        datasets, _, _ = self._gen(cpd=2, n_devices=10, C=5)
-        lons = [k * 36.0 for k in range(10)]
+        _, labels, _, _ = self._gen(cpd=2, n_devices=10, C=5)
         for i in range(9):
-            a = set(device_classes(lons[i], 5, 2))
-            b = set(device_classes(lons[i + 1], 5, 2))
-            assert len(a & b) >= 1
+            shared = set(labels[i].tolist()) & set(labels[i + 1].tolist())
+            assert len(shared) >= 1
 
     def test_class_dist_is_empirical_histogram(self):
-        datasets, _, _ = self._gen(cpd=3)
-        for ds in datasets:
-            hist = np.bincount(ds.labels, minlength=5) / ds.labels.shape[0]
-            assert np.allclose(ds.class_dist.probs, hist)
-            assert ds.class_dist.sample_count == ds.labels.shape[0]
+        features, labels, _, _ = self._gen(cpd=3)
+        samples = Samples.stack(features, labels, 5)
+        for row, counts in zip(labels, samples.class_counts):
+            assert counts.tolist() == np.bincount(row, minlength=5).tolist()
+            # 20 samples over 3 classes: the remainder goes to the first
+            assert sorted(counts[counts > 0].tolist()) == [6, 7, 7]
+
+    def test_one_draw_equals_per_device_draws(self):
+        # the device data is one (D, n, d) draw; it takes the generator's
+        # numbers in the order D draws of (n, d) would, test set last
+        features, labels, test_x, test_y = self._gen(cpd=2)
+        rng = np.random.default_rng(0)
+        means = np.eye(5) * 2.5
+        scales = class_scales(5, 0.5, 2.5)
+        for dev in range(6):
+            noise = rng.standard_normal((20, 5))
+            assert np.array_equal(
+                features[dev],
+                means[labels[dev]] + scales[labels[dev]][:, None] * noise)
+        noise = rng.standard_normal(test_x.shape)
+        assert np.array_equal(
+            test_x, means[test_y] + scales[test_y][:, None] * noise)
 
     def test_test_set_covers_all_classes(self):
-        _, test_x, test_y = self._gen(cpd=2)
+        _, _, test_x, test_y = self._gen(cpd=2)
         assert set(np.unique(test_y)) == set(range(5))
         assert test_x.shape[0] == test_y.shape[0]
 
@@ -114,7 +131,8 @@ class TestSoftmaxLearner:
         flat = rng.standard_normal(learner.n_params)
         X = rng.standard_normal((5, 3))
         y = np.array([0, 1, 2, 1, 0])
-        out = flat - 0.0 * learner.grad(flat[None], Samples.stack([X], [y], 3))[0]
+        samples = Samples.stack(X[None], y[None], 3)
+        out = flat - 0.0 * learner.grad(flat[None], samples)[0]
         assert (out == flat).all()
 
     def test_gradient_matches_finite_differences(self):
@@ -123,7 +141,7 @@ class TestSoftmaxLearner:
         X = rng.standard_normal((3, 2))
         y = np.array([0, 2, 1])
         W = rng.standard_normal((3, 3)) * 0.5
-        samples = Samples.stack([X], [y], 3)
+        samples = Samples.stack(X[None], y[None], 3)
         analytic = learner.grad(W.ravel()[None], samples)[0].reshape(3, 3)
         numeric = finite_difference_grad(W, augment(X), y, l2=0.05)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
@@ -134,7 +152,7 @@ class TestSoftmaxLearner:
         learner = SoftmaxLearner(d=4, n_classes=3, l2=0.01)
         X = rng.standard_normal((20, 4))
         y = rng.integers(0, 3, size=20)
-        samples = Samples.stack([X], [y], 3)
+        samples = Samples.stack(X[None], y[None], 3)
         state = LearnerState(weights=np.zeros((5, 3)), eta=0.05, l2=0.01)
         flat = np.zeros(learner.n_params)
         losses = []
@@ -188,7 +206,7 @@ class TestSoftmaxLearner:
                        rng.standard_normal((30, 2)) - [4, 0]])
         y = np.array([0] * 30 + [1] * 30)
         flat = learner.init_params(rng)
-        samples = Samples.stack([X], [y], 2)
+        samples = Samples.stack(X[None], y[None], 2)
         for _ in range(50):
             flat = flat - 0.5 * learner.grad(flat[None], samples)[0]
         assert learner.accuracy(flat, X, y) > 0.95
@@ -246,7 +264,7 @@ class TestMlpLearner:
         learner = MlpLearner(d=3, n_classes=3, l2=0.01, hidden=4)
         X = rng.standard_normal((4, 3))
         y = np.array([0, 1, 2, 1])
-        samples = Samples.stack([X], [y], 3)
+        samples = Samples.stack(X[None], y[None], 3)
         flat = learner.init_params(rng) * 0.7
         analytic = learner.grad(flat[None], samples)[0]
         eps = 1e-6

@@ -143,8 +143,8 @@ class TestMeasureDivergence:
         trace = run_obl(cfg)
         features, labels = next(device_data(trace.samples))
         n_devices = trace.samples.n_devices
-        trace.samples = Samples.stack([features] * n_devices,
-                                      [labels] * n_devices,
+        trace.samples = Samples.stack(np.stack([features] * n_devices),
+                                      np.stack([labels] * n_devices),
                                       cfg.data.n_classes)
         div = measure_divergence(trace)
         assert div.delta_hat < 1e-12

@@ -7,7 +7,6 @@ import pytest
 from oracles import induced_diameter, naive_graph_partition
 
 from saginfl.config import load_config
-from saginfl.coverage import compute_coverage
 from saginfl.partition import (
     PartitionSet,
     arc_partition,
@@ -15,7 +14,13 @@ from saginfl.partition import (
     with_air_parts,
 )
 from saginfl.simulation import build_topology
-from saginfl.topology import IslGraph, build_single_orbit, build_walker, derive_isl_graph
+from saginfl.topology import (
+    IslGraph,
+    build_single_orbit,
+    build_walker,
+    compute_coverage,
+    derive_isl_graph,
+)
 
 WALKER_INI = Path(__file__).resolve().parents[1] / "configs" / "walker.ini"
 

@@ -95,11 +95,11 @@ class TestAggregationConservation:
         n_sats = trace.topology.n_satellites
         sat_size = np.zeros(n_sats)
         air_models = {}
-        for air in trace.topology.air_nodes:
-            devs = np.flatnonzero(trace.topology.air_of_device == air.id)
-            air_models[air.id] = (sizes[devs] @ params[devs] / sizes[devs].sum(),
-                                  sizes[devs].sum())
-            sat_size[trace.assignment.f[air.id]] += sizes[devs].sum()
+        for air in range(trace.topology.n_air):
+            devs = np.flatnonzero(trace.topology.air_of_device == air)
+            air_models[air] = (sizes[devs] @ params[devs] / sizes[devs].sum(),
+                               sizes[devs].sum())
+            sat_size[trace.assignment.f[air]] += sizes[devs].sum()
         via_air = np.zeros((n_sats, params.shape[1]))
         for air, (model, size) in air_models.items():
             sat = trace.assignment.f[air]

@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import n_air_nodes
+from oracles import (
+    great_circle_angle,
+    latlon_to_unit,
+    plane_normal,
+    reference_constellation,
+    reference_inter_orbit_edges,
+    reference_walker_air,
+)
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -12,16 +19,14 @@ from saginfl.errors import TopologyError
 from saginfl.topology import (
     IslGraph,
     _hop_matrix,
-    _plane_normal,
     build_single_orbit,
     build_walker,
+    compute_coverage,
     connected_components,
     derive_isl_graph,
-    great_circle_angle,
     great_circle_angles,
     hop_distances,
     nearest_satellite,
-    satellite_unit_positions,
     write_topology_table,
 )
 
@@ -47,7 +52,7 @@ class TestSingleOrbit:
     def test_table_scale_device_count(self):
         topo = build_single_orbit(20, 330.0, 100, 2)
         assert topo.n_satellites == 20
-        assert n_air_nodes(topo) == 100
+        assert topo.n_air == 100
         assert topo.n_devices == 200
 
     def test_one_satellite_no_isl_edges(self):
@@ -58,8 +63,8 @@ class TestSingleOrbit:
 
     def test_air_nodes_evenly_spaced(self):
         topo = build_single_orbit(4, 330.0, 8, 2)
-        lons = [a.longitude_deg for a in topo.air_nodes]
-        assert lons == [k * 45.0 for k in range(8)]
+        assert topo.air_lon.tolist() == [k * 45.0 for k in range(8)]
+        assert topo.air_lat.tolist() == [0.0] * 8
 
     def test_each_device_owned_once(self):
         topo = build_single_orbit(5, 330.0, 7, 3)
@@ -71,7 +76,7 @@ class TestWalker:
     def test_paper_scale_counts(self):
         topo = build_walker(15, 16, 85.0, 330.0, 2, 1)
         assert topo.n_satellites == 240
-        assert n_air_nodes(topo) == 480
+        assert topo.n_air == 480
         assert topo.n_devices == 480
 
     def test_minimum_ring_planes(self):
@@ -88,7 +93,7 @@ class TestWalker:
         graph = derive_isl_graph(topo)
         hop_distances(graph)  # raises if disconnected
         pair_edges = collections.Counter()
-        plane_of = {s.id: s.orbit_index for s in topo.satellites}
+        plane_of = np.arange(24) // 8
         for (a, b), kind in zip(graph.edges, graph.kinds):
             if kind == "inter":
                 pair_edges[tuple(sorted((plane_of[a], plane_of[b])))] += 1
@@ -98,9 +103,9 @@ class TestWalker:
 
     def test_cell_air_nodes_distinct_positions(self):
         topo = build_walker(3, 6, 85.0, 330.0, 2, 1)
-        positions = {(round(a.latitude_deg, 9), round(a.longitude_deg, 9))
-                     for a in topo.air_nodes}
-        assert len(positions) == n_air_nodes(topo)
+        positions = {(round(lat, 9), round(lon, 9)) for lat, lon
+                     in zip(topo.air_lat.tolist(), topo.air_lon.tolist())}
+        assert len(positions) == topo.n_air == 36
 
 
 class TestIslGraph:
@@ -113,7 +118,7 @@ class TestIslGraph:
     def test_three_planes_every_pair_linked(self):
         topo = build_walker(3, 6, 85.0, 330.0, 1, 1)
         graph = derive_isl_graph(topo)
-        plane_of = {s.id: s.orbit_index for s in topo.satellites}
+        plane_of = np.arange(18) // 6
         linked = {tuple(sorted((plane_of[a], plane_of[b])))
                   for (a, b), k in zip(graph.edges, graph.kinds) if k == "inter"}
         assert linked == {(0, 1), (0, 2), (1, 2)}
@@ -127,6 +132,17 @@ class TestIslGraph:
             degree[b] += 1
         assert max(degree.values()) <= 2 + 2 * (15 - 1)
         hop_distances(graph)  # connected
+
+    @pytest.mark.parametrize("shape", [(16, 15, 90.0), (14, 16, 90.0),
+                                       (2, 3, 90.0), (6, 5, 90.0),
+                                       (4, 7, 90.0), (15, 16, 85.0)])
+    def test_inter_orbit_edges_match_per_pair_reference(self, shape):
+        # at 90 degrees an even number of planes makes plane p and plane
+        # p + n/2 coincide; several cross-plane pairs then lie at one angle
+        # up to rounding, and the lowest (a, b) among them is the anchor
+        graph = derive_isl_graph(build_walker(*shape, 330.0, 1, 1))
+        inter = [e for e, k in zip(graph.edges, graph.kinds) if k == "inter"]
+        assert inter == reference_inter_orbit_edges(*shape)
 
     def test_intra_edges_form_one_cycle_per_plane(self):
         topo = build_walker(4, 5, 60.0, 500.0, 1, 1)
@@ -147,7 +163,7 @@ class TestIslGraph:
         for i in range(2):
             topo = build_walker(3, 8, 85.0, 330.0, 2, 2)
             p = tmp_path / f"topo{i}.tsv"
-            write_topology_table(topo, p)
+            write_topology_table(topo, p, compute_coverage(topo))
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
@@ -238,31 +254,56 @@ class TestHopDistances:
 
 class TestGeometry:
     def test_equatorial_positions_on_equator(self):
-        topo = build_single_orbit(8, 330.0, 1, 1)
-        pos = satellite_unit_positions(topo)
+        pos = build_single_orbit(8, 330.0, 1, 1).sat_units
         assert np.allclose(pos[:, 2], 0.0)
         lons = np.degrees(np.arctan2(pos[:, 1], pos[:, 0])) % 360
         assert np.allclose(sorted(lons), [45.0 * k for k in range(8)])
 
     def test_great_circle_angle_quarter(self):
-        a = np.array([1.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0])
-        assert math.isclose(great_circle_angle(a, b), math.pi / 2)
+        a = np.array([[1.0, 0.0, 0.0]])
+        b = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        assert np.allclose(great_circle_angles(a, b),
+                           [[math.pi / 2, 0.0, math.pi]])
+        assert math.isclose(great_circle_angle(a[0], b[0]), math.pi / 2)
+
+    def test_layer_arrays_equal_per_element_reference(self):
+        # numpy's sin, cos and radians give math's bits, so every layer
+        # array equals the one-element-at-a-time build exactly
+        cases = [(build_single_orbit(n, 330.0, n + 2, 1), (1, n, 0.0), None)
+                 for n in range(1, 65)]
+        for planes in (2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30, 40, 48,
+                       60, 80):
+            for inc in (85.0, 90.0):
+                for per_cell in (1, 2, 3):
+                    topo = build_walker(planes, 240 // planes, inc, 330.0,
+                                        per_cell, 1)
+                    cases.append((topo, (planes, 240 // planes, inc), per_cell))
+        for topo, shape, per_cell in cases:
+            units, normals = reference_constellation(*shape)
+            assert np.array_equal(topo.sat_units, units), shape
+            assert np.array_equal(topo.plane_normals, normals), shape
+            if per_cell is None:
+                n_air = topo.n_air
+                lats, lons = [0.0] * n_air, [k * 360.0 / n_air
+                                             for k in range(n_air)]
+            else:
+                lats, lons = reference_walker_air(units, per_cell)
+            assert topo.air_lat.tolist() == lats, shape
+            assert topo.air_lon.tolist() == lons, shape
+            air_units = [latlon_to_unit(lat, lon) for lat, lon in zip(lats, lons)]
+            assert np.array_equal(topo.air_units, np.array(air_units)), shape
 
     def test_vectorized_angles_match_one_pair_rule_on_plane_pair(self):
         topo = build_walker(15, 16, 85.0, 330.0, 1, 1)
-        pos = satellite_unit_positions(topo)
-        planes = [[s.id for s in topo.satellites if s.orbit_index == p]
-                  for p in (0, 1)]
-        normals = [_plane_normal(topo.satellites[ids[0]].raan_deg,
-                                 topo.satellites[ids[0]].inclination_deg)
-                   for ids in planes]
+        pos = topo.sat_units
+        planes = topo.orbits[:2].tolist()
+        normals = [plane_normal(p * 360.0 / 15, 85.0) for p in (0, 1)]
         cross = np.cross(*normals)
         cross /= np.linalg.norm(cross)
         for region in (cross, -cross):
             for ids in planes:
                 one_pair = [great_circle_angle(pos[i], region) for i in ids]
-                assert np.allclose(great_circle_angles(pos[ids], region),
+                assert np.allclose(great_circle_angles(pos[ids], region[None])[:, 0],
                                    one_pair, rtol=0.0, atol=1e-15)
                 # the sequential scan the vectorized pick replaced
                 best, best_ang = ids[0], one_pair[0]
@@ -270,23 +311,25 @@ class TestGeometry:
                     if ang < best_ang - 1e-12 or (
                             abs(ang - best_ang) <= 1e-12 and i < best):
                         best, best_ang = i, ang
-                assert nearest_satellite(ids, pos, region) == best
+                assert nearest_satellite(ids, pos, region[None]).tolist() == [best]
 
     def test_nearest_sat_tie_within_tolerance_picks_lowest_id(self):
-        point = np.array([1.0, 0.0, 0.0])
+        point = np.array([[1.0, 0.0, 0.0]])
         tilt = 0.1
         pos = np.zeros((8, 3))
         pos[[5, 2, 7]] = [[np.cos(tilt), np.sin(tilt), 0.0],
                           [np.cos(tilt), -np.sin(tilt), 0.0],
                           [np.cos(tilt), 0.0, np.sin(tilt)]]
         pos[3] = [np.cos(2 * tilt), np.sin(2 * tilt), 0.0]
-        assert nearest_satellite([5, 3, 7, 2], pos, point) == 2
+        assert nearest_satellite([5, 3, 7, 2], pos, point).tolist() == [2]
         pos[7] = [np.cos(tilt / 2), 0.0, np.sin(tilt / 2)]
-        assert nearest_satellite([5, 3, 7, 2], pos, point) == 7
+        assert nearest_satellite([5, 3, 7, 2], pos, point).tolist() == [7]
 
     def test_topology_table_row_count(self, tmp_path):
         topo = build_single_orbit(4, 330.0, 6, 2)
         p = tmp_path / "t.tsv"
-        write_topology_table(topo, p)
+        write_topology_table(topo, p, compute_coverage(topo))
         lines = p.read_text().strip().split("\n")
         assert len(lines) == 1 + 4 + 6 + 12
+        assert [line.split("\t")[-1] for line in lines[5:11]] == [
+            str(s) for s in compute_coverage(topo).tolist()]
