@@ -109,23 +109,12 @@ def _cmd_sweep(args) -> int:
     rows = []
     for value, seed, cfg in cells:
         try:
-            row = execute_run(cfg, out)
-            rows.append({
-                "axis": args.axis, "value": value, "seed": seed,
-                "final_accuracy": row["final_accuracy"],
-                "total_time_s": row["total_time_s"],
-                "delta_hat": row["delta_hat"],
-                "Delta_hat": row["Delta_hat"],
-                "bound_margin": row["bound_margin"],
-                "status": "ok",
-            })
+            summary, status = execute_run(cfg, out), "ok"
         except Exception as exc:  # keep sweeping on per-cell failures
-            rows.append({
-                "axis": args.axis, "value": value, "seed": seed,
-                "final_accuracy": "", "total_time_s": "",
-                "delta_hat": "", "Delta_hat": "", "bound_margin": "",
-                "status": f"error: {exc}",
-            })
+            summary, status = {}, f"error: {exc}"
+        results = [summary.get(c, "") for c in RUNS_COLUMNS[3:-1]]
+        rows.append(dict(zip(RUNS_COLUMNS,
+                             [args.axis, value, seed, *results, status])))
 
     # one axis has one value type, so the native order is total
     rows.sort(key=lambda r: (r["value"], r["seed"]))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
-from .topology import LinkParams
 
 POLICIES = ("gdo", "cdo", "cnasa")
 SYNC_ALGOS = ("ring", "gossip")
@@ -39,18 +38,6 @@ class TopologyConfig:
     as_prop_s: float = 0.005
     ss_rate_bps: float = 30e9
     ss_prop_s: float = 0.020
-
-    def link_params(self) -> dict[str, LinkParams]:
-        return {
-            "SG": LinkParams(rate_bps=self.sg_rate_bps,
-                             prop_delay_s=self.sg_prop_s),
-            "GA": LinkParams(rate_bps=self.ga_rate_bps,
-                             prop_delay_s=self.ga_prop_s),
-            "AS": LinkParams(rate_bps=self.as_rate_bps,
-                             prop_delay_s=self.as_prop_s),
-            "SS": LinkParams(rate_bps=self.ss_rate_bps,
-                             prop_delay_s=self.ss_prop_s),
-        }
 
 
 @dataclass(frozen=True)

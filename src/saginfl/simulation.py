@@ -7,7 +7,8 @@ rounds, satellites take the data-weighted average of their devices' models
 broadcast back. Each tau1*tau2 rounds the satellite models are synchronized
 by ring allreduce (single orbit) or the three-phase multi-orbit variant, and
 the global model is broadcast to everyone; the synchronization's rings and
-transfers are fixed by the topology, so they are planned once per run. Devices step in ascending id
+transfers are fixed by the topology, so they are planned once per run, and
+the same plan prices the round's sync time. Devices step in ascending id
 order, so the trace is schedule-independent and fully determined by the seed.
 """
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .partition import (
 )
 from .timecost import (
     TimeBreakdown,
-    TimeParams,
     comm_time,
     comp_time,
     gossip_sync_time,
@@ -99,15 +99,12 @@ class TrainingTrace:
     """Complete record of one run, sufficient for diagnostics and replay."""
 
     config: ExperimentConfig
-    records: list[tuple[int, str]] = field(default_factory=list)
     satellite_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     global_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     accuracy: list[tuple[int, int, float]] = field(default_factory=list)
     breakdowns: list[TimeBreakdown] = field(default_factory=list)
-    # one synchronization's transfers, the same every global round, and the
-    # global rounds that ran it
+    # one synchronization's transfers, the same every global round
     sync_log: CommLog | None = None
-    sync_rounds: list[int] = field(default_factory=list)
     warnings: tuple[str, ...] = ()
 
     # run context, populated by run_obl
@@ -151,33 +148,15 @@ def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
                         t.altitude_km, t.air_per_cell, t.devices_per_air)
 
 
-def make_time_params(cfg: ExperimentConfig, model_params: int) -> TimeParams:
-    tr = cfg.training
-    return TimeParams(
-        links=cfg.topology.link_params(),
-        flops_model=tr.flops_model,
-        flops_device=tr.flops_device,
-        flops_air=tr.flops_air,
-        flops_satellite=tr.flops_satellite,
-        samples_per_epoch=cfg.data.samples_per_device,
-        model_bits=model_params * tr.bits_per_param,
-        model_params=model_params,
-        tau1=tr.tau1,
-        tau2=tr.tau2,
-        devices_per_air=cfg.topology.devices_per_air,
-    )
-
-
 def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
                       graph: IslGraph, hops: np.ndarray, access: np.ndarray,
-                      class_counts: np.ndarray,
-                      time_params: TimeParams,
+                      class_counts: np.ndarray, m: int,
                       policy_rng: np.random.Generator,
                       partition_rng: np.random.Generator,
                       ) -> tuple[AssignmentMap, PartitionSet | None]:
     """GDO keeps the access map; CDO is CNASA over one whole-constellation
     partition; CNASA works on arcs (one orbit) or graph parts (Walker)."""
-    delivery = make_delivery_model(hops, access, time_params)
+    delivery = make_delivery_model(hops, access, cfg, m)
     name = cfg.policy.name
     if name == "gdo":
         return gdo(access, hops), None
@@ -225,11 +204,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     learner = make_learner(cfg.training.learner, cfg.data.feature_dim,
                            cfg.data.n_classes, cfg.training.l2,
                            cfg.training.hidden_dim, cfg.training.init_scale)
-    time_params = make_time_params(cfg, learner.n_params)
+    m = learner.n_params
 
     assignment, pset = select_assignment(
-        cfg, topology, graph, hops, access, samples.class_counts,
-        time_params, policy_rng, partition_rng)
+        cfg, topology, graph, hops, access, samples.class_counts, m,
+        policy_rng, partition_rng)
     relay_hops = assignment.relay_hops()
     if cfg.policy.name == "cnasa" and relay_hops >= cfg.policy.n_geo:
         # assignment must stay inside its diameter-bounded partition
@@ -267,18 +246,21 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     total_steps = cfg.training.global_rounds * tau1 * tau2
     if topology.n_planes == 1:
         sync = ring_allreduce_states
-        plan = plan_ring(range(n_sats), learner.n_params)
+        plan = plan_ring(range(n_sats), m)
     else:
         sync = multi_orbit_sync_states
-        plan = plan_multi_orbit(graph, learner.n_params)
+        plan = plan_multi_orbit(graph, m)
     trace.sync_log = plan.log
 
-    round_comm = comm_time(assignment, time_params)
-    round_comp = comp_time(time_params, assignment.max_assigned)
     if cfg.run.sync_algo == "gossip":
-        round_sync = gossip_sync_time(n_sats, time_params) if n_sats > 1 else 0.0
+        t_sync = gossip_sync_time(n_sats, cfg, m) if n_sats > 1 else 0.0
     else:
-        round_sync = sync_time([len(o) for o in graph.orbits], time_params)
+        t_sync = sync_time(plan.phases, cfg, m)
+    # the cost of a global round is fixed by the run's set-up
+    breakdown = TimeBreakdown(
+        t_comm=comm_time(assignment, cfg, m),
+        t_comp=comp_time(cfg, m, assignment.max_assigned),
+        t_sync=t_sync, n_ss=relay_hops)
 
     batch_size = cfg.training.batch_size
     n_samples = samples.x.shape[2]
@@ -297,7 +279,6 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             raise TrainingError(f"non-finite device parameters at local round {t}")
 
         if t % tau1 != 0:
-            trace.records.append((t, "local"))
             continue
 
         sat_params = np.where(weights.nonempty[:, None],
@@ -306,21 +287,16 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
         trace.satellite_models.append((t, sat_params.copy()))
 
         if t % (tau1 * tau2) != 0:
-            trace.records.append((t, "satellite"))
             device_params = sat_params[weights.sat_of_device]
             continue
 
-        trace.records.append((t, "global"))
         g_round = t // (tau1 * tau2)
         sat_params, _ = sync(sat_params, weights.sat_frac, plan)
         global_params = sat_params[0]
-        trace.sync_rounds.append(g_round)
         device_params = np.tile(global_params, (n_devices, 1))
         trace.global_models.append((t, global_params.copy()))
 
         acc = learner.accuracy(global_params, test_x, test_y)
         trace.accuracy.append((g_round, t, acc))
-        trace.breakdowns.append(TimeBreakdown(
-            t_comm=round_comm, t_comp=round_comp, t_sync=round_sync,
-            n_ss=relay_hops))
+        trace.breakdowns.append(breakdown)
     return trace

@@ -6,33 +6,18 @@ uplink with relay forwarding, satellite downlink broadcast), computation
 synchronization. Bandwidth is equal-split among simultaneous transmitters:
 a satellite's uplink capacity over the air nodes in its access cell, an air
 node's over its devices. The broadcast downlink is a single transmitter and
-is not split.
+is not split. Every cost is priced from the configuration and the model's
+parameter count ``m``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import AssignmentMap
-from .errors import InputError
-from .topology import LinkParams
-
-
-@dataclass(frozen=True)
-class TimeParams:
-    links: dict[str, LinkParams]       # keys SG, GA, AS, SS
-    flops_model: float                 # FLOPs per sample, forward + backward
-    flops_device: float                # FLOPS available on a device
-    flops_air: float
-    flops_satellite: float
-    samples_per_epoch: int
-    model_bits: int
-    model_params: int
-    tau1: int
-    tau2: int
-    devices_per_air: int
+from .config import ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -47,86 +32,68 @@ class TimeBreakdown:
         return self.t_comm + self.t_comp + self.t_sync
 
 
-def trans_delay(bits: float, link: LinkParams) -> float:
-    """Transmission delay of a payload over one link at its rate."""
-    if bits <= 0:
-        raise InputError(f"payload must be positive, got {bits}")
-    return bits / link.rate_bps
+def end_to_end(bits: float, rate_bps: float, prop_s: float) -> float:
+    """Transmission plus propagation delay of a payload over one link."""
+    return bits / rate_bps + prop_s
 
 
-def end_to_end(bits: float, link: LinkParams) -> float:
-    """Transmission plus propagation delay."""
-    return trans_delay(bits, link) + link.prop_delay_s
-
-
-def _shared(link: LinkParams, n_users: int) -> LinkParams:
-    """Equal-split of the link's capacity among simultaneous transmitters."""
-    if n_users <= 1:
-        return link
-    return replace(link, rate_bps=link.rate_bps / n_users)
-
-
-def comm_time(assignment: AssignmentMap, params: TimeParams) -> float:
+def comm_time(assignment: AssignmentMap, cfg: ExperimentConfig, m: int) -> float:
     """Communication time of one global round.
 
     tau2 * (T_SG + T_GA + T_AS + N_SS * T_SS) with worst-case per-class
     delays: the device and air uplinks see their bandwidth equal-split among
     the busiest cell's transmitters.
     """
-    bits = params.model_bits
-    t_sg = end_to_end(bits, params.links["SG"])
-    t_ga = end_to_end(bits, _shared(params.links["GA"], params.devices_per_air))
-    t_as = end_to_end(bits, _shared(params.links["AS"],
-                                    assignment.max_access_cell))
-    t_ss = end_to_end(bits, params.links["SS"])
+    top = cfg.topology
+    bits = m * cfg.training.bits_per_param
+    t_sg = end_to_end(bits, top.sg_rate_bps, top.sg_prop_s)
+    t_ga = end_to_end(bits, top.ga_rate_bps / top.devices_per_air,
+                      top.ga_prop_s)
+    t_as = end_to_end(bits, top.as_rate_bps / assignment.max_access_cell,
+                      top.as_prop_s)
+    t_ss = end_to_end(bits, top.ss_rate_bps, top.ss_prop_s)
     n_ss = assignment.relay_hops()
-    return params.tau2 * (t_sg + t_ga + t_as + n_ss * t_ss)
+    return cfg.training.tau2 * (t_sg + t_ga + t_as + n_ss * t_ss)
 
 
-def comp_time(params: TimeParams, airs_per_satellite: int) -> float:
+def comp_time(cfg: ExperimentConfig, m: int, airs_per_satellite: int) -> float:
     """Computation time of one global round.
 
     tau2 * (tau1 * T_train + T_agg_air + T_agg_satellite); training cost is
     FLOPs * samples / device FLOPS (one epoch per local round), aggregation
     cost is params * received models / aggregator FLOPS.
     """
-    t_train = params.flops_model * params.samples_per_epoch / params.flops_device
-    t_agg_air = params.model_params * params.devices_per_air / params.flops_air
-    t_agg_sat = params.model_params * airs_per_satellite / params.flops_satellite
-    return params.tau2 * (params.tau1 * t_train + t_agg_air + t_agg_sat)
+    tr = cfg.training
+    t_train = tr.flops_model * cfg.data.samples_per_device / tr.flops_device
+    t_agg_air = m * cfg.topology.devices_per_air / tr.flops_air
+    t_agg_sat = m * airs_per_satellite / tr.flops_satellite
+    return tr.tau2 * (tr.tau1 * t_train + t_agg_air + t_agg_sat)
 
 
-def sync_time(orbit_sizes: list[int], params: TimeParams) -> float:
-    """Ring allreduce synchronization time over the orbits' rings.
+def sync_time(phases: tuple[tuple[tuple[int, ...], ...], ...],
+              cfg: ExperimentConfig, m: int) -> float:
+    """Ring allreduce time of a synchronization plan's ``phases``.
 
     One ring of N satellites takes 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS)).
-    A single orbit is one ring. Several orbits run three sequential phases:
-    intra-orbit reduce (orbits in parallel), a ring over one representative
-    per orbit, and intra-orbit distribution.
+    Phases run one after another; the rings of a phase run in parallel, so
+    its largest ring sets the phase's cost.
     """
-    if not orbit_sizes or any(n < 1 for n in orbit_sizes):
-        raise InputError(f"invalid orbit sizes {orbit_sizes}")
-    ss = params.links["SS"]
-    t_trans = trans_delay(params.model_bits, ss)
+    top = cfg.topology
+    t_trans = m * cfg.training.bits_per_param / top.ss_rate_bps
 
     def ring(n: int) -> float:
-        return 2.0 * (n - 1) * (t_trans / n + ss.prop_delay_s
-                                + params.model_params / (n * params.flops_satellite))
+        return 2.0 * (n - 1) * (t_trans / n + top.ss_prop_s
+                                + m / (n * cfg.training.flops_satellite))
 
-    if len(orbit_sizes) == 1:
-        return ring(orbit_sizes[0])
-    intra = max(ring(n) for n in orbit_sizes)
-    return intra + ring(len(orbit_sizes)) + intra
+    return sum(max(ring(len(r)) for r in rings) for rings in phases)
 
 
-def gossip_sync_time(n_sats: int, params: TimeParams) -> float:
+def gossip_sync_time(n_sats: int, cfg: ExperimentConfig, m: int) -> float:
     """Analytic gossip cost: N*log2(N) full-model deliveries per satellite."""
-    if n_sats < 2:
-        raise InputError(f"gossip needs n_sats >= 2, got {n_sats}")
-    ss = params.links["SS"]
+    top = cfg.topology
     cycles = n_sats * math.log2(n_sats)
-    per_cycle = (trans_delay(params.model_bits, ss) + ss.prop_delay_s
-                 + params.model_params / params.flops_satellite)
+    per_cycle = (m * cfg.training.bits_per_param / top.ss_rate_bps
+                 + top.ss_prop_s + m / cfg.training.flops_satellite)
     return cycles * per_cycle
 
 
@@ -149,10 +116,12 @@ class DeliveryTimeModel:
 
 
 def make_delivery_model(hops: np.ndarray, access: np.ndarray,
-                        params: TimeParams) -> DeliveryTimeModel:
+                        cfg: ExperimentConfig, m: int) -> DeliveryTimeModel:
+    top = cfg.topology
+    bits = m * cfg.training.bits_per_param
     return DeliveryTimeModel(
         hops=hops,
         access=access,
-        t_as_s=end_to_end(params.model_bits, params.links["AS"]),
-        t_ss_s=end_to_end(params.model_bits, params.links["SS"]),
+        t_as_s=end_to_end(bits, top.as_rate_bps, top.as_prop_s),
+        t_ss_s=end_to_end(bits, top.ss_rate_bps, top.ss_prop_s),
     )

@@ -28,14 +28,6 @@ AIR_ALTITUDE_M = 100.0
 
 
 @dataclass(frozen=True)
-class LinkParams:
-    """Delay model for one link class: a fixed rate plus propagation delay."""
-
-    rate_bps: float
-    prop_delay_s: float = 0.0
-
-
-@dataclass(frozen=True)
 class IslGraph:
     """Inter-satellite link graph with edge kinds and per-orbit membership."""
 

@@ -89,7 +89,7 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
         # one schedule, formatted once, repeated for every global round
         rows = [f",{phase},{step},{src},{dst},{params}" for phase, step, src,
                 dst, params in trace.sync_log.transfers.tolist()]
-        for rnd in trace.sync_rounds:
+        for rnd in range(1, len(trace.breakdowns) + 1):
             yield from map(str(rnd).__add__, rows)
 
 

@@ -23,7 +23,7 @@ from saginfl.partition import (
     whole_partition,
     with_air_parts,
 )
-from saginfl.simulation import make_time_params, select_assignment
+from saginfl.simulation import select_assignment
 from saginfl.timecost import DeliveryTimeModel, make_delivery_model
 from saginfl.topology import (
     build_single_orbit,
@@ -255,15 +255,14 @@ class TestCnasa:
         graph = derive_isl_graph(topology)
         hops = hop_distances(graph)
         cfg = ExperimentConfig(policy=PolicyConfig(name="cdo"))
-        time_params = make_time_params(cfg, 110)
         all_sats = tuple(range(topology.n_satellites))
         all_airs = tuple(range(topology.n_air))
         pset = PartitionSet(parts=(all_sats,), air_parts=(all_airs,))
         a = cnasa(topology, access, pset, class_counts,
                   np.random.default_rng(7),
-                  make_delivery_model(hops, access, time_params))
+                  make_delivery_model(hops, access, cfg, 110))
         b, b_pset = select_assignment(
-            cfg, topology, graph, hops, access, class_counts, time_params,
+            cfg, topology, graph, hops, access, class_counts, 110,
             np.random.default_rng(7), np.random.default_rng(0))
         assert b_pset == pset
         assert np.array_equal(a.f, b.f)

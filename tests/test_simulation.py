@@ -1,5 +1,8 @@
 """The hierarchical training loop end to end."""
 import dataclasses
+import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,15 @@ from saginfl.config import (
     RunConfig,
     TopologyConfig,
     TrainingConfig,
+    load_config,
 )
 from saginfl import simulation
 from saginfl.diagnostics import GradContext
 from saginfl.errors import ConfigurationError, TopologyError
 from saginfl.simulation import run_obl
 from saginfl.trace import trace_lines
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_config(policy="gdo", n_geo=1, seed=0, topology=None, data=None,
@@ -48,19 +54,6 @@ class TestDegenerate:
         for _ in range(6):
             w = w - 0.1 * learner.grad(w[None], trace.samples)[0]
         assert np.allclose(trace.global_models[-1][1], w, atol=1e-12)
-
-    def test_every_record_kind_matches_cadence(self):
-        cfg = make_config(training=TrainingConfig(tau1=3, tau2=2,
-                                                  global_rounds=2))
-        trace = run_obl(cfg)
-        assert len(trace.records) == 12
-        for t, kind in trace.records:
-            if t % 3 != 0:
-                assert kind == "local"
-            elif t % 6 != 0:
-                assert kind == "satellite"
-            else:
-                assert kind == "global"
 
     def test_satellite_and_global_model_cadence(self):
         cfg = make_config(training=TrainingConfig(tau1=2, tau2=3,
@@ -298,3 +291,27 @@ class TestLearnerVariants:
         a = run_obl(cfg)
         b = run_obl(cfg)
         assert (a.global_models[-1][1] == b.global_models[-1][1]).all()
+
+
+class TestReferenceTimeModel:
+    """The time model on the reference scenarios, to the bit.
+
+    Every cost is float arithmetic over the configuration and integer
+    assignment statistics, so it does not depend on the BLAS build.
+    """
+
+    @pytest.mark.parametrize("ini,workload", [
+        ("single_orbit.ini", "single_ref"), ("walker.ini", "walker_ref")])
+    def test_total_time_matches_reference(self, ini, workload):
+        cfg = load_config(ROOT / "configs" / ini)
+        reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+        trace = run_obl(cfg)
+        expected = reference[workload][str(cfg.run.seed)]["total_time_s"]
+        assert trace.total_time == expected
+        lines = itertools.dropwhile(lambda line: line != "[time]",
+                                    trace_lines(trace, None))
+        rows = list(itertools.takewhile(bool, lines))[2:]
+        rounds, costs = zip(*(row.split(",", 1) for row in rows))
+        assert rounds == tuple(str(r) for r in range(
+            1, cfg.training.global_rounds + 1))
+        assert len(set(costs)) == 1

@@ -1,42 +1,40 @@
 """Per-link delays and the per-round time model."""
 import numpy as np
-import pytest
 
+from saginfl.allreduce import plan_multi_orbit, plan_ring
 from saginfl.assignment import AssignmentMap
-from saginfl.config import ExperimentConfig
-from saginfl.errors import InputError
+from saginfl.config import (
+    DataConfig,
+    ExperimentConfig,
+    TopologyConfig,
+    TrainingConfig,
+)
 from saginfl.simulation import TrainingTrace
 from saginfl.timecost import (
     TimeBreakdown,
-    TimeParams,
     comm_time,
     comp_time,
     end_to_end,
     gossip_sync_time,
     sync_time,
-    trans_delay,
 )
-from saginfl.topology import LinkParams
+from saginfl.topology import IslGraph
 
 TFLOPS = 0.665e12
+M = 110           # model parameters
+BITS = M * 32     # default bits_per_param
 
 
-def table_links():
-    return {
-        "SG": LinkParams(rate_bps=6000e6, prop_delay_s=0.010),
-        "GA": LinkParams(rate_bps=32e9, prop_delay_s=0.005),
-        "AS": LinkParams(rate_bps=6000e6, prop_delay_s=0.005),
-        "SS": LinkParams(rate_bps=30e9, prop_delay_s=0.020),
-    }
-
-
-def params(tau1=2, tau2=2, model_params=110, devices_per_air=2):
-    return TimeParams(
-        links=table_links(), flops_model=1e6, flops_device=TFLOPS,
-        flops_air=TFLOPS, flops_satellite=TFLOPS, samples_per_epoch=100,
-        model_bits=model_params * 32,
-        model_params=model_params, tau1=tau1, tau2=tau2,
-        devices_per_air=devices_per_air)
+def config(tau1=2, tau2=2, devices_per_air=2, flops_air=TFLOPS,
+           flops_satellite=TFLOPS):
+    # the default link table: SG 6 Gbps / 10 ms, GA 32 Gbps / 5 ms,
+    # AS 6 Gbps / 5 ms, SS 30 Gbps / 20 ms
+    return ExperimentConfig(
+        topology=TopologyConfig(devices_per_air=devices_per_air),
+        data=DataConfig(samples_per_device=100),
+        training=TrainingConfig(tau1=tau1, tau2=tau2, flops_model=1e6,
+                                flops_device=TFLOPS, flops_air=flops_air,
+                                flops_satellite=flops_satellite))
 
 
 def assignment(hops, max_access=5, max_assigned=5):
@@ -45,31 +43,29 @@ def assignment(hops, max_access=5, max_assigned=5):
                          max_access_cell=max_access, max_assigned=max_assigned)
 
 
+def ring_phases(n):
+    return plan_ring(range(n), M).phases
+
+
 class TestTransDelay:
     def test_cifar_model_over_isl(self):
         bits = 1_369_738 * 32
-        delay = trans_delay(bits, table_links()["SS"])
+        delay = end_to_end(bits, 30e9, 0.0)
         assert abs(delay - bits / 30e9) < 1e-15
         assert 0.00140 < delay < 0.00150   # about 1.46 ms
-
-    def test_nonpositive_payload_rejected(self):
-        with pytest.raises(InputError):
-            trans_delay(0, table_links()["SS"])
 
 
 class TestEndToEnd:
     def test_isl_propagation_dominates_tiny_payload(self):
-        delay = end_to_end(8, table_links()["SS"])
-        assert abs(delay - 0.020) < 1e-6
+        assert abs(end_to_end(8, 30e9, 0.020) - 0.020) < 1e-6
 
     def test_pure_propagation_with_ideal_rate(self):
-        link = LinkParams(rate_bps=1e30, prop_delay_s=0.005)
-        assert abs(end_to_end(1e9, link) - 0.005) < 1e-12
+        assert abs(end_to_end(1e9, 1e30, 0.005) - 0.005) < 1e-12
 
     def test_air_satellite_sum(self):
-        link = table_links()["AS"]
         bits = 43_831_616
-        assert abs(end_to_end(bits, link) - (bits / 6000e6 + 0.005)) < 1e-12
+        assert abs(end_to_end(bits, 6000e6, 0.005)
+                   - (bits / 6000e6 + 0.005)) < 1e-12
 
 
 class TestRelayHops:
@@ -85,84 +81,113 @@ class TestRelayHops:
 
 class TestCommTime:
     def test_zero_relay_formula(self):
-        p = params(tau2=1)
         a = assignment([0], max_access=5)
-        bits = p.model_bits
-        expected = (end_to_end(bits, p.links["SG"])
-                    + bits / (32e9 / 2) + 0.005
-                    + bits / (6000e6 / 5) + 0.005)
-        assert abs(comm_time(a, p) - expected) < 1e-12
+        expected = (end_to_end(BITS, 6000e6, 0.010)
+                    + BITS / (32e9 / 2) + 0.005
+                    + BITS / (6000e6 / 5) + 0.005)
+        assert abs(comm_time(a, config(tau2=1), M) - expected) < 1e-12
+
+    def test_unshared_links_take_the_full_rate(self):
+        # one device per air node and one air node per cell split nothing
+        a = assignment([0], max_access=1)
+        expected = (end_to_end(BITS, 6000e6, 0.010)
+                    + end_to_end(BITS, 32e9, 0.005)
+                    + end_to_end(BITS, 6000e6, 0.005))
+        assert comm_time(a, config(tau2=1, devices_per_air=1), M) == expected
 
     def test_linear_in_tau2(self):
         a = assignment([2])
-        one = comm_time(a, params(tau2=1))
-        two = comm_time(a, params(tau2=2))
+        one = comm_time(a, config(tau2=1), M)
+        two = comm_time(a, config(tau2=2), M)
         assert abs(two - 2 * one) < 1e-12
 
     def test_monotone_in_hops_and_bits(self):
-        p = params()
-        low = comm_time(assignment([1]), p)
-        high = comm_time(assignment([5]), p)
+        cfg = config()
+        low = comm_time(assignment([1]), cfg, M)
+        high = comm_time(assignment([5]), cfg, M)
         assert high > low
-        bigger = comm_time(assignment([1]), params(model_params=1100))
+        bigger = comm_time(assignment([1]), cfg, 10 * M)
         assert bigger > low
 
 
 class TestCompTime:
     def test_train_time_arithmetic(self):
-        p = params(tau1=1, tau2=1)
         t_train = 1e6 * 100 * 1 / TFLOPS
         assert abs(t_train - 1.5038e-4) < 1e-7
-        value = comp_time(p, airs_per_satellite=0)
-        agg_air = p.model_params * p.devices_per_air / TFLOPS
+        value = comp_time(config(tau1=1, tau2=1), M, airs_per_satellite=0)
+        agg_air = M * 2 / TFLOPS
         assert abs(value - (t_train + agg_air)) < 1e-15
 
     def test_negligible_aggregation_reduces_to_training(self):
-        p = TimeParams(links=table_links(), flops_model=1e6,
-                       flops_device=TFLOPS, flops_air=1e30,
-                       flops_satellite=1e30, samples_per_epoch=100,
-                       model_bits=3520,
-                       model_params=110, tau1=1, tau2=3, devices_per_air=2)
+        cfg = config(tau1=1, tau2=3, flops_air=1e30, flops_satellite=1e30)
         t_train = 1e6 * 100 / TFLOPS
-        assert abs(comp_time(p, 5) - 3 * t_train) < 1e-12
+        assert abs(comp_time(cfg, M, 5) - 3 * t_train) < 1e-12
 
     def test_aggregation_linear_in_airs_per_satellite(self):
-        p = params(tau1=1, tau2=1)
-        base = comp_time(p, airs_per_satellite=5)
-        double = comp_time(p, airs_per_satellite=10)
-        extra = p.model_params * 5 / TFLOPS
+        cfg = config(tau1=1, tau2=1)
+        base = comp_time(cfg, M, airs_per_satellite=5)
+        double = comp_time(cfg, M, airs_per_satellite=10)
+        extra = M * 5 / TFLOPS
         assert abs(double - base - extra) < 1e-15
+
+
+def walker_graph(orbits):
+    """Orbits bridged by one inter-orbit edge between consecutive first
+    members."""
+    edges, kinds = [], []
+    for orbit in orbits:
+        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
+            edges.append(tuple(sorted((a, b))))
+            kinds.append("intra")
+    for prev, nxt in zip(orbits, orbits[1:]):
+        edges.append((prev[0], nxt[0]))
+        kinds.append("inter")
+    n = sum(len(o) for o in orbits)
+    return IslGraph(nodes=tuple(range(n)), edges=tuple(edges),
+                    kinds=tuple(kinds),
+                    orbits=tuple(tuple(o) for o in orbits))
 
 
 class TestSyncTime:
     def test_twenty_satellites_prop_dominated(self):
-        p = params(model_params=1)
-        value = sync_time([20], p)
+        value = sync_time(plan_ring(range(20), 1).phases, config(), 1)
         assert abs(value - 2 * 19 * 0.020) < 1e-3
 
     def test_single_satellite_zero(self):
-        assert sync_time([1], params()) == 0.0
+        assert sync_time(ring_phases(1), config(), M) == 0.0
 
     def test_gossip_slower_than_ring(self):
-        p = params(model_params=21840)
-        ring = sync_time([20], p)
-        gossip = gossip_sync_time(20, p)
+        m = 21840
+        ring = sync_time(plan_ring(range(20), m).phases, config(), m)
+        gossip = gossip_sync_time(20, config(), m)
         assert gossip > ring
 
     def test_multi_orbit_three_phases(self):
-        p = params()
-        value = sync_time([4, 4, 4], p)
-        intra = sync_time([4], p)
-        inter = sync_time([3], p)
+        cfg = config()
+        graph = walker_graph([[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]])
+        value = sync_time(plan_multi_orbit(graph, M).phases, cfg, M)
+        intra = sync_time(ring_phases(4), cfg, M)
+        inter = sync_time(ring_phases(3), cfg, M)
         assert abs(value - (intra + inter + intra)) < 1e-12
+
+    def test_unequal_orbits_cost_their_largest_ring(self):
+        cfg = config()
+        graph = walker_graph([[0, 1, 2], [3, 4, 5, 6, 7], [8, 9, 10, 11]])
+        phases = plan_multi_orbit(graph, M).phases
+        assert [len(p) for p in phases] == [3, 1, 3]
+        for phase in phases:
+            largest = max(len(ring) for ring in phase)
+            assert sync_time((phase,), cfg, M) == sync_time(
+                ring_phases(largest), cfg, M)
+        orbit, reps = (sync_time(ring_phases(n), cfg, M) for n in (5, 3))
+        assert sync_time(phases, cfg, M) == orbit + reps + orbit
 
     def test_multi_orbit_single_orbit_matches_ring(self):
         # one orbit is one ring: 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS))
-        p = params()
-        ss = p.links["SS"]
-        ring = 2 * 5 * (trans_delay(p.model_bits, ss) / 6 + ss.prop_delay_s
-                        + p.model_params / (6 * p.flops_satellite))
-        assert abs(sync_time([6], p) - ring) < 1e-15
+        graph = walker_graph([[0, 1, 2, 3, 4, 5]])
+        ring = 2 * 5 * (BITS / 30e9 / 6 + 0.020 + M / (6 * TFLOPS))
+        assert abs(sync_time(plan_multi_orbit(graph, M).phases, config(), M)
+                   - ring) < 1e-15
 
 
 def total_time(breakdowns):
@@ -181,4 +206,3 @@ class TestTotalTime:
     def test_fifty_identical_rounds(self):
         b = TimeBreakdown(0.1, 0.2, 0.7, 2)
         assert abs(total_time([b] * 50) - 50 * b.t_total) < 1e-9
-
