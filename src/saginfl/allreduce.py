@@ -1,17 +1,19 @@
 """Inter-satellite model synchronization by chunked Ring Allreduce.
 
-The collective is simulated as a deterministic step-synchronous loop: in each
-step every participant sends one chunk to its ring successor, and all sends
-of a step land simultaneously. Scatter-reduce accumulates, allgather
-overwrites. The multi-orbit variant runs three phases: intra-orbit reduce,
+In a ring of n members each model is cut into n chunks. Scatter-reduce
+carries chunk c once round the ring, starting at member c, every member
+adding its own chunk c; allgather then hands every member every reduced
+chunk. So a ring leaves each member the element-wise sum, and adding the
+members' chunks in that order gives the ring's bits without replaying its
+steps. The multi-orbit variant runs three phases: intra-orbit reduce,
 inter-orbit reduce over one representative per orbit, and intra-orbit
-distribution.
+distribution of the resulting global sum.
 
 A synchronization's rings and transfers depend only on the topology and the
 model size, so they are planned once (``plan_ring``, ``plan_multi_orbit``)
-and the plan serves every round: its ``CommLog`` holds the transfer schedule
-as arrays. The equal-size rings of a phase step together as one stacked
-array; every chunk is summed in the same order as on a ring of its own, so
+and the plan serves every round: it holds the transfer schedule as arrays.
+The equal-size rings of a phase are summed together as one stacked array;
+every chunk is summed in the same order as on a ring of its own, so
 stacking moves no bit.
 """
 from __future__ import annotations
@@ -27,27 +29,6 @@ from .errors import InputError, TopologyError
 from .topology import IslGraph
 
 WEIGHT_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class CommLog:
-    """Exact communication accounting for one synchronization.
-
-    ``transfers`` is a record array in execution order with fields
-    ``phase``, ``step``, ``src``, ``dst`` and ``params``: in ring step
-    ``step`` of ``phase``, satellite ``src`` sends a chunk of ``params``
-    parameters to ``dst``.
-    """
-
-    transfers: np.ndarray
-
-    @cached_property
-    def params_sent(self) -> dict[int, int]:
-        """Parameters each satellite sends, summed over its transfers."""
-        ids, where = np.unique(self.transfers["src"], return_inverse=True)
-        totals = np.zeros(len(ids), dtype=np.int64)
-        np.add.at(totals, where, self.transfers["params"])
-        return dict(zip(ids.tolist(), totals.tolist()))
 
 
 def _chunk_size(m: int, n: int) -> int:
@@ -78,11 +59,23 @@ class SyncPlan:
 
     ``phases`` holds each phase's rings in execution order; a ring is its
     members' ids in ring order (member k sends to member k+1 mod n).
+    ``transfers`` is a record array in execution order with fields
+    ``phase``, ``step``, ``src``, ``dst`` and ``params``: in ring step
+    ``step`` of ``phase``, satellite ``src`` sends a chunk of ``params``
+    parameters to ``dst``.
     """
 
     m: int
     phases: tuple[tuple[tuple[int, ...], ...], ...]
-    log: CommLog
+    transfers: np.ndarray
+
+    @cached_property
+    def params_sent(self) -> dict[int, int]:
+        """Parameters each satellite sends, summed over its transfers."""
+        ids, where = np.unique(self.transfers["src"], return_inverse=True)
+        totals = np.zeros(len(ids), dtype=np.int64)
+        np.add.at(totals, where, self.transfers["params"])
+        return dict(zip(ids.tolist(), totals.tolist()))
 
 
 def _plan(m: int, phases: list[tuple[str, list[tuple[int, ...]]]]) -> SyncPlan:
@@ -109,7 +102,7 @@ def _plan(m: int, phases: list[tuple[str, list[tuple[int, ...]]]]) -> SyncPlan:
                 block["params"] = _chunk_size(m, n)
                 blocks.append(block)
     return SyncPlan(m=m, phases=tuple(tuple(rings) for _, rings in phases),
-                    log=CommLog(transfers=np.concatenate(blocks)))
+                    transfers=np.concatenate(blocks))
 
 
 def plan_ring(ids: Sequence[int], m: int) -> SyncPlan:
@@ -147,43 +140,35 @@ def plan_multi_orbit(graph: IslGraph, m: int) -> SyncPlan:
                      ("phase3-", orbits)])
 
 
-def _ring_reduce_sum(vectors: np.ndarray) -> np.ndarray:
-    """Chunked ring allreduce over a stack of equal-size rings.
+def _ring_sums(vectors: np.ndarray) -> np.ndarray:
+    """Each ring's element-wise sum, as its chunked ring allreduce leaves it.
 
     ``vectors`` is ``(rings, n, M)``: member k of each ring holds
-    ``vectors[:, k]`` and sends to member k+1 mod n. Returns every member's
-    final vector, its ring's element-wise sum, as ``(rings, n, M)``; within
-    a ring all are bit-identical. The caller is responsible for any
-    weighting (fold it into the inputs). All sends of a step land
-    simultaneously: the step's payloads are read before any receive is
-    applied.
+    ``vectors[:, k]``. Chunk c starts at member c and each later member in
+    ring order adds its own chunk c, so n - 1 adds in that order give the
+    ring's bits. The caller is responsible for any weighting (fold it into
+    the inputs). Returns ``(rings, M)``.
     """
     n, m = vectors.shape[1:]
-    if n == 1:
-        return vectors.copy()
-    chunks = chunk_model(vectors, n)          # (rings, n, n, size)
-    ks = np.arange(n)
-    dst = (ks + 1) % n
-    for step in range(n - 1):
-        idx = (ks - step) % n
-        chunks[:, dst, idx] += chunks[:, ks, idx]
-    for step in range(n - 1):
-        idx = (ks + 1 - step) % n
-        chunks[:, dst, idx] = chunks[:, ks, idx]
-    return stitch_chunks(chunks, m)
+    chunks = chunk_model(vectors, n)          # (rings, member, chunk, size)
+    cs = np.arange(n)
+    acc = chunks[:, cs, cs]
+    for k in range(1, n):
+        acc = acc + chunks[:, (cs + k) % n, cs]
+    return stitch_chunks(acc, m)
 
 
-def _reduce_phase(vectors: np.ndarray, rings) -> np.ndarray:
-    """One phase: every ring reduced over its members' rows of ``vectors``
-    (row k is satellite k), equal-size rings stacked into one call. The
-    rings cover every row."""
+def _phase_sums(vectors: np.ndarray, rings) -> np.ndarray:
+    """One phase: every row of ``vectors`` (row k is satellite k) replaced
+    by its ring's sum, equal-size rings stacked into one call. The rings
+    cover every row."""
     out = np.empty_like(vectors)
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for ring in rings:
         by_size.setdefault(len(ring), []).append(ring)
     for same in by_size.values():
         idx = np.array(same)                  # (rings, n)
-        out[idx] = _ring_reduce_sum(vectors[idx])
+        out[idx] = _ring_sums(vectors[idx])[:, None]
     return out
 
 
@@ -211,43 +196,41 @@ def _weighted(params: np.ndarray, weights: np.ndarray,
 
 
 def ring_allreduce_states(params: np.ndarray, weights: np.ndarray,
-                          plan: SyncPlan) -> tuple[np.ndarray, CommLog]:
+                          plan: SyncPlan) -> tuple[np.ndarray, SyncPlan]:
     """Weighted-average synchronization over one ring.
 
     Row k of ``params`` ``(N, M)`` is satellite k's model and ``weights[k]``
     its share of the data; ``plan`` is ``plan_ring`` over ids 0..N-1. Each
     vector is pre-scaled by its weight, so the chunked sum-reduce yields the
     weighted average in a single pass. Returns every satellite's final
-    vector as ``(N, M)``, all rows bit-identical, and the plan's log.
+    vector as ``(N, M)``, all rows bit-identical, and the plan, whose
+    transfers the synchronization made.
     """
     scaled = _weighted(params, weights, plan)
     if len(plan.phases) != 1 or len(plan.phases[0]) != 1:
         raise InputError(f"ring_allreduce_states runs one ring, the plan has "
                          f"{[len(rings) for rings in plan.phases]} per phase")
-    return _reduce_phase(scaled, plan.phases[0]), plan.log
+    return _phase_sums(scaled, plan.phases[0]), plan
 
 
 def multi_orbit_sync_states(params: np.ndarray, weights: np.ndarray,
-                            plan: SyncPlan) -> tuple[np.ndarray, CommLog]:
+                            plan: SyncPlan) -> tuple[np.ndarray, SyncPlan]:
     """Three-phase synchronization; inputs and outputs as for
     ``ring_allreduce_states``, with ``plan`` from ``plan_multi_orbit``.
 
-    Phase 1 reduces within every orbit (weights pre-scaled globally), phase 2
-    rings over one representative per orbit, and phase 3 redistributes
-    within each orbit as a ring allreduce in which non-representatives
-    contribute zero vectors, i.e. they only ever replace received chunks.
-    A one-orbit plan is its single ring.
+    Phase 1 reduces within every orbit (weights pre-scaled globally) and
+    phase 2 rings over one representative per orbit. Phase 3 only carries
+    that sum round each orbit, so every satellite gets it as is; a ring in
+    which the other members add zero vectors could differ from it only in
+    the sign of an exact zero. A one-orbit plan is its single ring.
     """
     scaled = _weighted(params, weights, plan)
     if len(plan.phases) == 1:
-        return _reduce_phase(scaled, plan.phases[0]), plan.log
+        return _phase_sums(scaled, plan.phases[0]), plan
     orbits, (reps,), _ = plan.phases
-    reps = list(reps)
-    orbit_sums = _reduce_phase(scaled, orbits)
-    global_vec = _ring_reduce_sum(orbit_sums[reps][None])[0, 0]
-    held = np.zeros_like(orbit_sums)
-    held[reps] = global_vec
-    return _reduce_phase(held, orbits), plan.log
+    orbit_sums = _phase_sums(scaled, orbits)
+    global_vec = _ring_sums(orbit_sums[list(reps)][None])[0]
+    return np.tile(global_vec, (len(scaled), 1)), plan
 
 
 def ring_traffic_per_node(n: int, m: int) -> int:

@@ -4,8 +4,8 @@ CNASA works per partition: pool device class counts up to air nodes,
 k-means the air nodes' class mixes into homogeneous groups, round-robin one
 member of every group into each cluster, then match clusters to satellites
 by minimum total model delivery time. GDO keeps every air node on its
-access satellite; CDO is CNASA run on the whole-constellation partition
-(``whole_partition``).
+access satellite; CDO is CNASA run on one whole-constellation part (one
+arc of every satellite).
 """
 from __future__ import annotations
 

@@ -50,7 +50,7 @@ class DataConfig:
     blob_scale: float = 2.5
     class_scale_min: float = 0.5
     class_scale_max: float = 2.5
-    geo_bin_deg: float = 0.0   # 0 = auto: one satellite cell of longitude
+    geo_bin_deg: float = 0.0   # 0 = auto by topology kind (generate_data)
 
 
 @dataclass(frozen=True)

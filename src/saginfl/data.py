@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DataConfig
+from .topology import NetworkTopology
+
 
 def _blob_means(n_classes: int, d: int, scale: float) -> np.ndarray:
     means = np.zeros((n_classes, d))
@@ -34,34 +37,39 @@ def _sample_blob(means: np.ndarray, scales: np.ndarray, labels: np.ndarray,
     return out
 
 
-def generate_data(classes_per_device: int,
-                  samples_per_device: int, d: int, n_classes: int,
-                  longitudes: np.ndarray, bin_deg: float,
+def generate_data(data: DataConfig, topology: NetworkTopology,
                   rng: np.random.Generator,
-                  test_samples: int = 1000, blob_scale: float = 2.5,
-                  class_scale_min: float = 0.5, class_scale_max: float = 2.5,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Device features ``(D, n, d)`` and labels ``(D, n)``, plus one shared
     IID test set.
 
-    ``longitudes`` holds each device's longitude in degrees. A device's
-    classes are a window of ``classes_per_device`` consecutive classes
-    anchored at its longitude bin; ``bin_deg`` sets the geographic
-    correlation length, so devices within one bin share a window
-    and adjacent bins overlap in all but one class. Sample counts are equal
-    across devices and split evenly over the device's classes (remainder to
-    the first ones).
+    A device's classes are a window of ``classes_per_device`` consecutive
+    classes anchored at the longitude bin of its air node: bin
+    ``lon // bin_deg``, modulo ``n_classes``. The bin width sets the
+    geographic correlation length, so devices within one bin share a window
+    and adjacent bins overlap in all but one class. A positive
+    ``geo_bin_deg`` is the bin width; 0 picks one satellite slot of
+    longitude (360 / n_sats) on a single orbit and 360 / n_classes on a
+    Walker constellation. Sample counts are equal across devices and split
+    evenly over the device's classes (remainder to the first ones).
     """
-    means = _blob_means(n_classes, d, blob_scale)
-    scales = class_scales(n_classes, class_scale_min, class_scale_max)
+    if data.geo_bin_deg > 0:
+        bin_deg = data.geo_bin_deg
+    elif topology.kind == "single":
+        bin_deg = 360.0 / topology.n_satellites
+    else:
+        bin_deg = 360.0 / data.n_classes
+    n_classes, per_device = data.n_classes, data.classes_per_device
+    means = _blob_means(n_classes, data.feature_dim, data.blob_scale)
+    scales = class_scales(n_classes, data.class_scale_min, data.class_scale_max)
+    longitudes = topology.air_lon[topology.air_of_device]
     base = (longitudes % 360.0 // bin_deg).astype(int) % n_classes
-    windows = (base[:, None] + np.arange(classes_per_device)) % n_classes
-    per, rem = divmod(samples_per_device, classes_per_device)
-    labels = np.repeat(windows, per + (np.arange(classes_per_device) < rem),
-                       axis=1)
+    windows = (base[:, None] + np.arange(per_device)) % n_classes
+    per, rem = divmod(data.samples_per_device, per_device)
+    labels = np.repeat(windows, per + (np.arange(per_device) < rem), axis=1)
     features = _sample_blob(means, scales, labels, rng)
 
-    per, rem = divmod(test_samples, n_classes)
+    per, rem = divmod(data.test_samples, n_classes)
     test_labels = np.repeat(np.arange(n_classes),
                             per + (np.arange(n_classes) < rem))
     test_features = _sample_blob(means, scales, test_labels, rng)

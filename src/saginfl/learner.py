@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import DataConfig, TrainingConfig
+
 
 def augment(features: np.ndarray) -> np.ndarray:
     """Append the constant bias feature."""
@@ -220,8 +222,9 @@ class MlpLearner:
         return float(np.mean(pred == labels))
 
 
-def make_learner(name: str, d: int, n_classes: int, l2: float,
-                 hidden: int = 16, init_scale: float = 1.0):
-    if name == "softmax":
-        return SoftmaxLearner(d, n_classes, l2, init_scale)
-    return MlpLearner(d, n_classes, l2, hidden)
+def make_learner(training: TrainingConfig, data: DataConfig):
+    if training.learner == "softmax":
+        return SoftmaxLearner(data.feature_dim, data.n_classes, training.l2,
+                              training.init_scale)
+    return MlpLearner(data.feature_dim, data.n_classes, training.l2,
+                      training.hidden_dim)

@@ -7,8 +7,8 @@ it breadth-first. A candidate joins only if its distance to every current
 member stays below n_geo both on the residual graph and within the induced
 sub-graph, so every emitted part certifies induced-sub-graph diameter <
 n_geo. Residual distances are searched from the members only, one search
-of at most n_geo - 1 hops as each joins. The CDO baseline uses one
-whole-constellation part. Air nodes are attached to parts afterwards, by
+of at most n_geo - 1 hops as each joins. The CDO baseline uses one arc of
+every satellite. Air nodes are attached to parts afterwards, by
 with_air_parts, from the access array.
 """
 from __future__ import annotations
@@ -35,18 +35,13 @@ class PartitionSet:
         return out
 
 
-def whole_partition(topology: NetworkTopology) -> PartitionSet:
-    """One part holding every satellite and air node (n_geo = N_S)."""
-    return PartitionSet(parts=(tuple(range(topology.n_satellites)),),
-                        air_parts=(tuple(range(topology.n_air)),))
-
-
 def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
     """Cut a single orbit into ceil(N_S/n_geo) arcs of consecutive slots.
 
     Arcs start at slot 0, which is satellite 0; the last arc is short when
-    N_S mod n_geo != 0. Air parts are left empty; attach them with
-    with_air_parts.
+    N_S mod n_geo != 0. With n_geo = N_S the one arc holds every satellite
+    of any constellation, which is the CDO baseline's part. Air parts are
+    left empty; attach them with with_air_parts.
     """
     n_sats = topology.n_satellites
     parts = tuple(tuple(range(i, min(i + n_geo, n_sats)))

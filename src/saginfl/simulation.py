@@ -20,7 +20,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .allreduce import (
-    CommLog,
+    SyncPlan,
     multi_orbit_sync_states,
     plan_multi_orbit,
     plan_ring,
@@ -35,7 +35,6 @@ from .partition import (
     PartitionSet,
     arc_partition,
     graph_partition,
-    whole_partition,
     with_air_parts,
 )
 from .timecost import (
@@ -103,11 +102,11 @@ class TrainingTrace:
     global_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     accuracy: list[tuple[int, int, float]] = field(default_factory=list)
     breakdowns: list[TimeBreakdown] = field(default_factory=list)
-    # one synchronization's transfers, the same every global round
-    sync_log: CommLog | None = None
+    # one synchronization's rings and transfers, the same every global round
+    sync_plan: SyncPlan | None = None
     warnings: tuple[str, ...] = ()
 
-    # run context, populated by run_obl
+    # run context, set by run_obl
     topology: NetworkTopology | None = None
     graph: IslGraph | None = None
     access: np.ndarray | None = None          # (N_A,) access satellite
@@ -154,20 +153,19 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
                       policy_rng: np.random.Generator,
                       partition_rng: np.random.Generator,
                       ) -> tuple[AssignmentMap, PartitionSet | None]:
-    """GDO keeps the access map; CDO is CNASA over one whole-constellation
-    partition; CNASA works on arcs (one orbit) or graph parts (Walker)."""
+    """GDO keeps the access map; CDO is CNASA over one arc of every
+    satellite; CNASA works on arcs (one orbit) or graph parts (Walker)."""
     delivery = make_delivery_model(hops, access, cfg, m)
     name = cfg.policy.name
     if name == "gdo":
         return gdo(access, hops), None
     if name == "cdo":
-        pset = whole_partition(topology)
+        parts = arc_partition(topology, topology.n_satellites)
     elif topology.kind == "single":
-        pset = with_air_parts(arc_partition(topology, cfg.policy.n_geo),
-                              access)
+        parts = arc_partition(topology, cfg.policy.n_geo)
     else:
-        pset = with_air_parts(graph_partition(graph, cfg.policy.n_geo,
-                                              partition_rng), access)
+        parts = graph_partition(graph, cfg.policy.n_geo, partition_rng)
+    pset = with_air_parts(parts, access)
     assignment = cnasa(topology, access, pset, class_counts, policy_rng,
                        delivery)
     return assignment, pset
@@ -185,25 +183,10 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     hops = hop_distances(graph)
     access = compute_coverage(topology)
 
-    n_devices = topology.n_devices
-    if cfg.data.geo_bin_deg > 0:
-        bin_deg = cfg.data.geo_bin_deg
-    elif topology.kind == "single":
-        bin_deg = 360.0 / topology.n_satellites
-    else:
-        bin_deg = 360.0 / cfg.data.n_classes
-    features, labels, test_x, test_y = generate_data(
-        cfg.data.classes_per_device, cfg.data.samples_per_device,
-        cfg.data.feature_dim, cfg.data.n_classes,
-        topology.air_lon[topology.air_of_device], bin_deg, data_rng,
-        test_samples=cfg.data.test_samples, blob_scale=cfg.data.blob_scale,
-        class_scale_min=cfg.data.class_scale_min,
-        class_scale_max=cfg.data.class_scale_max)
+    features, labels, test_x, test_y = generate_data(cfg.data, topology,
+                                                     data_rng)
     samples = Samples.stack(features, labels, cfg.data.n_classes)
-
-    learner = make_learner(cfg.training.learner, cfg.data.feature_dim,
-                           cfg.data.n_classes, cfg.training.l2,
-                           cfg.training.hidden_dim, cfg.training.init_scale)
+    learner = make_learner(cfg.training, cfg.data)
     m = learner.n_params
 
     assignment, pset = select_assignment(
@@ -215,24 +198,24 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
         raise TopologyError(
             f"CNASA relay hops {relay_hops} not below n_geo {cfg.policy.n_geo}")
 
-    trace = TrainingTrace(config=cfg)
-    trace.topology = topology
-    trace.graph = graph
-    trace.access = access
-    trace.assignment = assignment
-    trace.partition = pset
-    trace.samples = samples
-    trace.test_features = test_x
-    trace.test_labels = test_y
-    trace.learner = learner
-    trace.warnings = assignment.warnings
+    n_sats, n_devices = topology.n_satellites, topology.n_devices
+    if topology.n_planes == 1:
+        sync = ring_allreduce_states
+        plan = plan_ring(range(n_sats), m)
+    else:
+        sync = multi_orbit_sync_states
+        plan = plan_multi_orbit(graph, m)
+    warnings = assignment.warnings
     if cfg.run.sync_algo == "gossip":
-        trace.warnings += (
+        warnings += (
             "sync_algo=gossip: t_sync is the analytic gossip cost; [commlog] "
             "lists the ring allreduce that produced the model values",)
-    n_sats = topology.n_satellites
-    trace.sat_of_device = assignment.f[topology.air_of_device]
-    trace.device_sizes = samples.class_counts.sum(axis=1)
+    trace = TrainingTrace(
+        config=cfg, sync_plan=plan, warnings=warnings, topology=topology,
+        graph=graph, access=access, assignment=assignment, partition=pset,
+        samples=samples, test_features=test_x, test_labels=test_y,
+        learner=learner, sat_of_device=assignment.f[topology.air_of_device],
+        device_sizes=samples.class_counts.sum(axis=1))
     weights = trace.aggregation
 
     w0 = learner.init_params(learner_rng)
@@ -244,14 +227,6 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     tau1, tau2 = cfg.training.tau1, cfg.training.tau2
     eta = cfg.training.learning_rate
     total_steps = cfg.training.global_rounds * tau1 * tau2
-    if topology.n_planes == 1:
-        sync = ring_allreduce_states
-        plan = plan_ring(range(n_sats), m)
-    else:
-        sync = multi_orbit_sync_states
-        plan = plan_multi_orbit(graph, m)
-    trace.sync_log = plan.log
-
     if cfg.run.sync_algo == "gossip":
         t_sync = gossip_sync_time(n_sats, cfg, m) if n_sats > 1 else 0.0
     else:

@@ -85,10 +85,10 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
     yield ""
     yield "[commlog]"
     yield "round,phase,step,src,dst,params"
-    if trace.sync_log is not None:
+    if trace.sync_plan is not None:
         # one schedule, formatted once, repeated for every global round
         rows = [f",{phase},{step},{src},{dst},{params}" for phase, step, src,
-                dst, params in trace.sync_log.transfers.tolist()]
+                dst, params in trace.sync_plan.transfers.tolist()]
         for rnd in range(1, len(trace.breakdowns) + 1):
             yield from map(str(rnd).__add__, rows)
 

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from saginfl.allreduce import CommLog
+from saginfl.allreduce import SyncPlan
 from saginfl.errors import InputError, TopologyError
 from saginfl.topology import IslGraph, NetworkTopology
 
@@ -134,34 +134,34 @@ def gossip_traffic(n: int, m: float) -> float:
     return n * math.log2(n) * m
 
 
-def traffic_per_node(log: CommLog, n: int) -> int:
+def traffic_per_node(plan: SyncPlan, n: int) -> int:
     """Measured parameters sent per satellite; uniform across the ring."""
-    if n == 1 or not log.params_sent:
+    if n == 1 or not plan.params_sent:
         return 0
-    values = set(log.params_sent.values())
+    values = set(plan.params_sent.values())
     if len(values) != 1:
         raise InputError(f"non-uniform per-node traffic: {sorted(values)}")
     return values.pop()
 
 
-def params_received(log: CommLog) -> dict[int, int]:
+def params_received(plan: SyncPlan) -> dict[int, int]:
     """Parameters each satellite receives, summed over its transfers."""
     received: dict[int, int] = {}
-    for dst, params in zip(log.transfers["dst"].tolist(),
-                           log.transfers["params"].tolist()):
+    for dst, params in zip(plan.transfers["dst"].tolist(),
+                           plan.transfers["params"].tolist()):
         received[dst] = received.get(dst, 0) + params
     return received
 
 
-def total_sent(log: CommLog) -> int:
-    return sum(log.params_sent.values())
+def total_sent(plan: SyncPlan) -> int:
+    return sum(plan.params_sent.values())
 
 
-def total_received(log: CommLog) -> int:
-    return sum(params_received(log).values())
+def total_received(plan: SyncPlan) -> int:
+    return sum(params_received(plan).values())
 
 
-def phase_steps(log: CommLog) -> dict[str, int]:
+def phase_steps(plan: SyncPlan) -> dict[str, int]:
     """Ring steps of each phase, summed over the phase's rings.
 
     Every member of a ring sends once per step and a ring runs its scatter
@@ -170,8 +170,8 @@ def phase_steps(log: CommLog) -> dict[str, int]:
     """
     steps: dict[str, int] = {}
     previous = None
-    for key in zip(log.transfers["phase"].tolist(),
-                   log.transfers["step"].tolist()):
+    for key in zip(plan.transfers["phase"].tolist(),
+                   plan.transfers["step"].tolist()):
         if key != previous:
             steps[key[0]] = steps.get(key[0], 0) + 1
         previous = key

@@ -149,9 +149,9 @@ def test_criterion_2_traffic_claim():
         m = int(rng.integers(1, 2048))
         weights = rng.random(n)
         weights /= weights.sum()
-        _, log = ring_allreduce_states(rng.standard_normal((n, m)), weights,
-                                       plan_ring(range(n), m))
-        ok &= traffic_per_node(log, n) == ring_traffic_per_node(n, m) \
+        _, plan = ring_allreduce_states(rng.standard_normal((n, m)), weights,
+                                        plan_ring(range(n), m))
+        ok &= traffic_per_node(plan, n) == ring_traffic_per_node(n, m) \
             == 2 * (n - 1) * math.ceil(m / n)
     gossip_beats = all(
         gossip_traffic(n, 1.0) > ring_traffic_analytic(n, 1.0)

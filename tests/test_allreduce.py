@@ -72,15 +72,15 @@ class TestChunkModel:
 
 class TestRingAllreduce:
     def test_four_scalars(self):
-        states, log = ring(np.array([[1.0], [2.0], [3.0], [4.0]]),
+        states, plan = ring(np.array([[1.0], [2.0], [3.0], [4.0]]),
                            np.full(4, 0.25))
         assert states.shape == (4, 1)
         assert all(abs(s[0] - 2.5) < 1e-12 for s in states)
 
     def test_single_participant_zero_traffic(self):
-        states, log = ring(np.array([[3.0, 4.0]]), np.array([1.0]))
+        states, plan = ring(np.array([[3.0, 4.0]]), np.array([1.0]))
         assert (states[0] == [3.0, 4.0]).all()
-        assert total_sent(log) == 0
+        assert total_sent(plan) == 0
 
     def test_five_random_vectors(self):
         rng = np.random.default_rng(1)
@@ -128,15 +128,15 @@ class TestRingAllreduce:
             ring_allreduce_states(params, weights, plan_multi_orbit(graph, 4))
 
     def test_phase_step_counts(self):
-        _, log = ring(*random_models(np.random.default_rng(3), 6, 10))
-        assert phase_steps(log)["scatter"] == 5
-        assert phase_steps(log)["gather"] == 5
+        _, plan = ring(*random_models(np.random.default_rng(3), 6, 10))
+        assert phase_steps(plan)["scatter"] == 5
+        assert phase_steps(plan)["gather"] == 5
 
 
 class TestTraffic:
     def test_measured_equals_closed_form(self):
-        _, log = ring(*random_models(np.random.default_rng(4), 4, 8))
-        assert traffic_per_node(log, 4) == 12
+        _, plan = ring(*random_models(np.random.default_rng(4), 4, 8))
+        assert traffic_per_node(plan, 4) == 12
         assert ring_traffic_per_node(4, 8) == 12
 
     def test_single_node_zero(self):
@@ -150,12 +150,12 @@ class TestTraffic:
         for _ in range(20):
             n = int(rng.integers(2, 20))
             m = int(rng.integers(1, 300))
-            _, log = ring(*random_models(rng, n, m))
-            assert traffic_per_node(log, n) == ring_traffic_per_node(n, m)
+            _, plan = ring(*random_models(rng, n, m))
+            assert traffic_per_node(plan, n) == ring_traffic_per_node(n, m)
 
     def test_conservation(self):
-        _, log = ring(*random_models(np.random.default_rng(6), 9, 41))
-        assert total_sent(log) == total_received(log)
+        _, plan = ring(*random_models(np.random.default_rng(6), 9, 41))
+        assert total_sent(plan) == total_received(plan)
 
 
 class TestGossip:
@@ -211,8 +211,8 @@ class TestMultiOrbitSync:
 
     def test_phase_two_step_count(self):
         graph = self._graph(3, 4)
-        _, log = multi(*random_models(np.random.default_rng(9), 12, 6), graph)
-        phase2 = phase_steps(log)["phase2-scatter"] + phase_steps(log)["phase2-gather"]
+        _, plan = multi(*random_models(np.random.default_rng(9), 12, 6), graph)
+        phase2 = phase_steps(plan)["phase2-scatter"] + phase_steps(plan)["phase2-gather"]
         assert phase2 == 2 * (3 - 1)
 
     def test_consensus_and_flat_equivalence(self):
@@ -248,12 +248,14 @@ class TestStackedRings:
     def assert_matches_reference(self, graph, m, seed):
         params, weights = random_models(np.random.default_rng(seed),
                                         len(graph.nodes), m)
-        states, log = multi(params, weights, graph)
+        states, plan = multi(params, weights, graph)
         want, transfers, reps = naive_three_phase(params, weights, graph)
         assert sorted(want) == list(range(len(states)))
+        # phase 3 hands out the phase-2 sum, where the reference rings zero
+        # vectors round each orbit: only the sign of an exact zero may differ
         for s, vec in want.items():
-            assert states[s].tobytes() == vec.tobytes(), s
-        assert log.transfers.tolist() == transfers
+            assert np.array_equal(states[s], vec), s
+        assert plan.transfers.tolist() == transfers
         # per node: phases 1 and 3 on its orbit, phase 2 on the
         # representatives' ring
         expected = {}
@@ -262,14 +264,14 @@ class TestStackedRings:
                 expected[s] = 2 * ring_traffic_per_node(len(orbit), m)
                 if s in reps:
                     expected[s] += ring_traffic_per_node(len(reps), m)
-        assert log.params_sent == {s: v for s, v in expected.items() if v}
-        return log
+        assert plan.params_sent == {s: v for s, v in expected.items() if v}
+        return plan
 
     def test_walker_phase_two_ring_smaller_than_orbits(self):
         graph = derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1, 1))
-        log = self.assert_matches_reference(graph, 37, seed=12)
-        assert phase_steps(log)["phase2-scatter"] == 2
-        assert phase_steps(log)["phase1-scatter"] == 3 * 3
+        plan = self.assert_matches_reference(graph, 37, seed=12)
+        assert phase_steps(plan)["phase2-scatter"] == 2
+        assert phase_steps(plan)["phase1-scatter"] == 3 * 3
 
     def test_walker_phase_two_ring_larger_than_orbits(self):
         graph = derive_isl_graph(build_walker(5, 3, 85.0, 330.0, 1, 1))
@@ -281,17 +283,29 @@ class TestStackedRings:
             edges=((1, 2), (2, 3), (1, 3), (4, 5), (0, 1), (3, 4)),
             kinds=("intra",) * 4 + ("inter",) * 2,
             orbits=((0,), (1, 2, 3), (4, 5)))
-        log = self.assert_matches_reference(graph, 10, seed=14)
+        plan = self.assert_matches_reference(graph, 10, seed=14)
         # the lone satellite of orbit 0 sends only on the representatives' ring
-        sent_in = set(log.transfers["phase"][log.transfers["src"] == 0].tolist())
+        sent_in = set(plan.transfers["phase"][plan.transfers["src"] == 0].tolist())
         assert sent_in == {"phase2-scatter", "phase2-gather"}
 
     def test_one_satellite_ring(self):
         params, weights = random_models(np.random.default_rng(15), 1, 5)
-        states, log = ring(params, weights)
+        states, plan = ring(params, weights)
         assert states[0].tobytes() == naive_ring(
             [params[0] * weights[0]], [0], "", [])[0].tobytes()
-        assert len(log.transfers) == 0 and log.params_sent == {}
+        assert len(plan.transfers) == 0 and plan.params_sent == {}
+
+    def test_phase_three_hands_out_the_phase_two_sum(self):
+        # all-negative-zero models sum to -0.0; the reference's phase-3 ring
+        # adds +0.0 vectors to it and hands out +0.0, the broadcast hands
+        # out the sum itself
+        graph = derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1, 1))
+        params = np.full((12, 7), -0.0)
+        states, _ = multi(params, np.full(12, 1 / 12), graph)
+        want, _, _ = naive_three_phase(params, np.full(12, 1 / 12), graph)
+        assert np.signbit(states).all()
+        assert all(np.array_equal(states[s], vec) for s, vec in want.items())
+        assert not all(np.signbit(vec).all() for vec in want.values())
 
     @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -300,12 +314,12 @@ class TestStackedRings:
         params, weights = random_models(rng, n, m)
         # ring order differs from id order: member k is satellite ids[k]
         ids = rng.permutation(n).tolist()
-        states, log = ring_allreduce_states(params, weights, plan_ring(ids, m))
+        states, plan = ring_allreduce_states(params, weights, plan_ring(ids, m))
         transfers = []
         want = naive_ring([params[s] * weights[s] for s in ids], ids, "",
                           transfers)
         assert [states[s].tobytes() for s in ids] == [w.tobytes() for w in want]
-        assert log.transfers.tolist() == transfers
+        assert plan.transfers.tolist() == transfers
 
     def test_plan_reused_across_syncs(self):
         graph = derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1, 1))
@@ -314,8 +328,8 @@ class TestStackedRings:
         for _ in range(2):
             params, weights = random_models(rng, 12, 9)
             fresh, _ = multi(params, weights, graph)
-            planned, log = multi_orbit_sync_states(params, weights, plan)
-            assert log is plan.log
+            planned, returned = multi_orbit_sync_states(params, weights, plan)
+            assert returned is plan
             assert planned.tobytes() == fresh.tobytes()
 
     def test_plan_for_another_model_size_rejected(self):
@@ -329,8 +343,8 @@ class TestStackedRings:
 @settings(max_examples=40, deadline=None)
 def test_allreduce_value_property(n, m, seed):
     params, weights = random_models(np.random.default_rng(seed), n, m)
-    states, log = ring(params, weights)
+    states, plan = ring(params, weights)
     expected = direct_average(params, weights)
     assert all(np.allclose(s, expected, rtol=1e-9, atol=1e-12) for s in states)
     if n > 1:
-        assert traffic_per_node(log, n) == ring_traffic_per_node(n, m)
+        assert traffic_per_node(plan, n) == ring_traffic_per_node(n, m)

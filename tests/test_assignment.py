@@ -17,16 +17,12 @@ from saginfl.assignment import (
 )
 from saginfl.config import ExperimentConfig, PolicyConfig
 from saginfl.errors import InputError, TopologyError
-from saginfl.partition import (
-    PartitionSet,
-    arc_partition,
-    whole_partition,
-    with_air_parts,
-)
+from saginfl.partition import PartitionSet, arc_partition, with_air_parts
 from saginfl.simulation import select_assignment
 from saginfl.timecost import DeliveryTimeModel, make_delivery_model
 from saginfl.topology import (
     build_single_orbit,
+    build_walker,
     compute_coverage,
     derive_isl_graph,
     hop_distances,
@@ -210,9 +206,10 @@ class TestMinCostMatching:
 
 
 def cdo(topology, access, class_counts, rng, model):
-    """The CDO baseline: CNASA over the whole-constellation partition."""
-    return cnasa(topology, access, whole_partition(topology), class_counts,
-                 rng, model)
+    """The CDO baseline: CNASA over one arc of every satellite."""
+    pset = with_air_parts(arc_partition(topology, topology.n_satellites),
+                          access)
+    return cnasa(topology, access, pset, class_counts, rng, model)
 
 
 def _toy_scenario(n_sats=2, n_air=4, devices_per_air=1):
@@ -266,6 +263,19 @@ class TestCnasa:
             np.random.default_rng(7), np.random.default_rng(0))
         assert b_pset == pset
         assert np.array_equal(a.f, b.f)
+
+    def test_walker_cdo_is_one_part_of_everything(self):
+        topology = build_walker(3, 4, 85.0, 330.0, 2, 1)
+        access = compute_coverage(topology)
+        graph = derive_isl_graph(topology)
+        hops = hop_distances(graph)
+        class_counts = _one_hot_counts([d % 4 for d in range(24)], 4)
+        _, pset = select_assignment(
+            ExperimentConfig(policy=PolicyConfig(name="cdo")), topology,
+            graph, hops, access, class_counts, 110, np.random.default_rng(7),
+            np.random.default_rng(0))
+        assert pset == PartitionSet(parts=(tuple(range(12)),),
+                                    air_parts=(tuple(range(24)),))
 
     def test_toy_matches_exhaustive_balanced_search(self):
         # 4 air nodes, 2 satellites, n_geo = 2: CNASA must reach the minimum

@@ -107,7 +107,7 @@ def assert_invariants(trace) -> None:
     # every satellite sends ring_traffic_per_node on each ring it joins
     m = trace.learner.n_params
     orbits = trace.graph.orbits
-    transfers = trace.sync_log.transfers
+    transfers = trace.sync_plan.transfers
     sent = Counter()
     for phase, src, params in zip(transfers["phase"].tolist(),
                                   transfers["src"].tolist(),

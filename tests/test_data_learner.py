@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from saginfl import learner as learner_module
+from saginfl.config import DataConfig, TrainingConfig
 from saginfl.data import class_scales, generate_data
 from saginfl.learner import (
     MlpLearner,
@@ -14,6 +15,7 @@ from saginfl.learner import (
     make_learner,
 )
 from saginfl.simulation import AggregationWeights
+from saginfl.topology import build_single_orbit, build_walker
 
 
 # Naive single-device softmax regression, sample-major, as a reference for
@@ -64,11 +66,47 @@ def finite_difference_grad(weights, features_aug, labels, l2, eps=1e-6):
     return grad
 
 
+def windows_anchored_at(labels, lons, bin_deg, cpd, C):
+    """Whether each device's classes are the ``cpd`` classes from
+    ``lon // bin_deg`` on, modulo ``C``."""
+    return all(
+        set(row.tolist()) == {(int(lon // bin_deg) + j) % C for j in range(cpd)}
+        for row, lon in zip(labels, lons))
+
+
 class TestGenerateData:
-    def _gen(self, cpd, n_devices=6, C=5, **kw):
-        lons = np.arange(n_devices) * 360.0 / n_devices
-        rng = np.random.default_rng(0)
-        return generate_data(cpd, 20, 5, C, lons, 360.0 / C, rng, **kw)
+    def _gen(self, cpd, n_devices=6, C=5):
+        # one device per air node, air node i at longitude i*360/n_devices
+        topology = build_single_orbit(4, 330.0, n_devices, 1)
+        data = DataConfig(n_classes=C, classes_per_device=cpd,
+                          samples_per_device=20, feature_dim=5,
+                          test_samples=1000, geo_bin_deg=360.0 / C)
+        return generate_data(data, topology, np.random.default_rng(0))
+
+    def test_positive_bin_width_anchors_windows(self):
+        topology = build_single_orbit(4, 330.0, 12, 2)
+        data = DataConfig(n_classes=5, classes_per_device=2,
+                          samples_per_device=10, geo_bin_deg=45.0)
+        _, labels, _, _ = generate_data(data, topology,
+                                        np.random.default_rng(0))
+        lons = topology.air_lon[topology.air_of_device]
+        assert windows_anchored_at(labels, lons, 45.0, 2, 5)
+        # the auto width on this orbit, 90 degrees, gives other windows
+        assert not windows_anchored_at(labels, lons, 90.0, 2, 5)
+
+    def test_auto_bin_width_by_topology_kind(self):
+        # 0 picks one satellite slot (360 / n_sats) on a single orbit and
+        # 360 / n_classes on a Walker constellation, not the other rule
+        data = DataConfig(n_classes=6, classes_per_device=2,
+                          samples_per_device=10)
+        for topology, bin_deg, other in (
+                (build_single_orbit(4, 330.0, 12, 2), 90.0, 60.0),
+                (build_walker(3, 4, 85.0, 330.0, 2, 1), 60.0, 30.0)):
+            _, labels, _, _ = generate_data(data, topology,
+                                            np.random.default_rng(0))
+            lons = topology.air_lon[topology.air_of_device]
+            assert windows_anchored_at(labels, lons, bin_deg, 2, 6)
+            assert not windows_anchored_at(labels, lons, other, 2, 6)
 
     def test_full_support_iid(self):
         features, labels, _, _ = self._gen(cpd=5)
@@ -276,8 +314,11 @@ class TestMlpLearner:
             assert abs(analytic[idx] - num) < 1e-5
 
     def test_make_learner_dispatch(self):
-        assert make_learner("softmax", 4, 3, 0.0).convex
-        assert not make_learner("mlp", 4, 3, 0.0).convex
+        data = DataConfig(n_classes=3, feature_dim=4)
+        softmax = make_learner(TrainingConfig(learner="softmax", l2=0.0), data)
+        mlp = make_learner(TrainingConfig(learner="mlp", hidden_dim=5), data)
+        assert softmax.convex and softmax.n_params == 5 * 3
+        assert not mlp.convex and mlp.n_params == 5 * 5 + 6 * 3
 
 
 def satellite_average(models, sat_of_device=None, n_sats=1):

@@ -150,7 +150,7 @@ class TestWalkerRuns:
         trace = run_obl(cfg)
         assert trace.topology.n_satellites == 12
         assert len(trace.accuracy) == 2
-        phases = set(trace.sync_log.transfers["phase"].tolist())
+        phases = set(trace.sync_plan.transfers["phase"].tolist())
         assert any(p.startswith("phase2") for p in phases)
         assert trace.assignment.relay_hops() < 2
 
