@@ -21,6 +21,7 @@ from .config import (
     AXES,
     ExperimentConfig,
     apply_axis,
+    key_type,
     load_config,
     validate_config,
     with_seed,
@@ -76,16 +77,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_list(flag: str, raw: str, integers: bool = True) -> list:
-    """The comma list given to ``flag``: non-empty and without repeats."""
+def _parse_list(flag: str, raw: str, item_type: type = int) -> list:
+    """The comma list given to ``flag`` as ``item_type`` values: non-empty
+    and without repeats."""
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
         raise ConfigurationError(f"{flag} must be a non-empty comma list")
-    if integers:
-        try:
-            items = [int(v) for v in items]
-        except ValueError as exc:
-            raise ConfigurationError(f"{flag} must be a comma list of integers") from exc
+    try:
+        items = [item_type(v) for v in items]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{flag} must be a comma list of {item_type.__name__} values") from exc
     repeated = sorted({v for v in items if items.count(v) > 1})
     if repeated:
         raise ConfigurationError(f"{flag} repeats {repeated}")
@@ -94,10 +96,7 @@ def _parse_list(flag: str, raw: str, integers: bool = True) -> list:
 
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
-    if args.axis not in AXES:
-        raise ConfigurationError(f"unknown axis {args.axis!r}; choose from {AXES}")
-    values = _parse_list("--values", args.values,
-                         integers=args.axis != "sync_algo")
+    values = _parse_list("--values", args.values, key_type(*AXES[args.axis]))
     seeds = _parse_list("--seeds", args.seeds)
     # every cell is checked before the first one runs
     cells = [(value, seed, validate_config(

@@ -15,8 +15,16 @@ from .errors import ConfigurationError
 
 POLICIES = ("gdo", "cdo", "cnasa")
 SYNC_ALGOS = ("ring", "gossip")
-AXES = ("n_geo", "tau2", "non_iid", "n_devices", "n_air", "n_sats",
-        "orbits", "sync_algo")
+# each sweep axis and the [section] key it sets; apply_axis divides an
+# n_devices total among the air nodes, and orbits keeps the satellite total
+AXES = {"n_geo": ("policy", "n_geo"),
+        "tau2": ("training", "tau2"),
+        "non_iid": ("data", "classes_per_device"),
+        "n_devices": ("topology", "devices_per_air"),
+        "n_air": ("topology", "n_air"),
+        "n_sats": ("topology", "n_sats"),
+        "orbits": ("topology", "n_planes"),
+        "sync_algo": ("run", "sync_algo")}
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,11 @@ class TopologyConfig:
     as_prop_s: float = 0.005
     ss_rate_bps: float = 30e9
     ss_prop_s: float = 0.020
+
+    @property
+    def n_satellites(self) -> int:
+        return self.n_sats if self.kind == "single" else \
+            self.n_planes * self.sats_per_plane
 
 
 @dataclass(frozen=True)
@@ -62,7 +75,7 @@ class TrainingConfig:
     global_rounds: int = 30
     learner: str = "softmax"           # softmax | mlp
     hidden_dim: int = 16
-    init_scale: float = 1.0            # weight-init noise; 0 = zero init
+    init_scale: float = 1.0            # scales the initial weights; 0 = zero init
     batch_size: int = 0                # 0 = full local dataset per step
     flops_model: float = 1e6
     flops_device: float = 0.665e12
@@ -111,31 +124,30 @@ _SECTION_TYPES = {
     "run": RunConfig,
 }
 
+
+def key_type(section: str, key: str) -> type:
+    """The type of ``[section] key``."""
+    types = {f.name: f.type for f in fields(_SECTION_TYPES[section])}
+    if key not in types:
+        raise ConfigurationError(f"[{section}] unknown key {key!r}")
+    return {"int": int, "float": float, "str": str}[types[key]]
+
+
 def _coerce(section: str, name: str, raw: str, target_type):
     raw = raw.strip()
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
+        return target_type(raw)
     except ValueError:
         raise ConfigurationError(
             f"[{section}] {name}: cannot parse {raw!r} as {target_type.__name__}")
 
 
 def _parse_section(parser: configparser.ConfigParser, section: str):
-    cls = _SECTION_TYPES[section]
     if section not in parser:
         raise ConfigurationError(f"missing config section [{section}]")
-    known = {f.name: f.type for f in fields(cls)}
-    type_map = {"int": int, "float": float, "str": str}
-    kwargs = {}
-    for name, raw in parser[section].items():
-        if name not in known:
-            raise ConfigurationError(f"[{section}] unknown key {name!r}")
-        kwargs[name] = _coerce(section, name, raw, type_map[known[name]])
-    return cls(**kwargs)
+    return _SECTION_TYPES[section](**{
+        name: _coerce(section, name, raw, key_type(section, name))
+        for name, raw in parser[section].items()})
 
 
 # numeric keys by section that must be > 0, and those that must be >= 0
@@ -191,10 +203,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigurationError("[run] seed is mandatory and must be >= 0")
     if p.name not in POLICIES:
         raise ConfigurationError(f"[policy] name must be one of {POLICIES}, got {p.name!r}")
-    n_sats = t.n_sats if t.kind == "single" else t.n_planes * t.sats_per_plane
-    if p.name == "cnasa" and not 1 <= p.n_geo <= n_sats:
+    if p.name == "cnasa" and not 1 <= p.n_geo <= t.n_satellites:
         raise ConfigurationError(
-            f"[policy] n_geo must be in [1, {n_sats}], got {p.n_geo}")
+            f"[policy] n_geo must be in [1, {t.n_satellites}], got {p.n_geo}")
     if r.sync_algo not in SYNC_ALGOS:
         raise ConfigurationError(
             f"[run] sync_algo must be one of {SYNC_ALGOS}, got {r.sync_algo!r}")
@@ -238,49 +249,38 @@ def load_config(path) -> ExperimentConfig:
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """Derive a sweep-cell configuration from the base one.
 
+    The axis sets its ``AXES`` key to ``value``, coerced to the key's type.
     The cell's label gains ``_<axis>-<value>``, so every cell of a sweep
     writes its own files. An axis the base configuration never reads is
-    rejected rather than swept over identical cells.
+    rejected rather than swept over identical cells: a key that only the
+    other topology kind reads (``_KIND_MINIMUM``), or ``n_geo`` under a
+    policy other than CNASA.
     """
-    kind = cfg.topology.kind
-    if axis in ("n_sats", "n_air") and kind != "single" \
-            or axis == "orbits" and kind != "walker":
+    if axis not in AXES:
+        raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {tuple(AXES)}")
+    section, key = AXES[axis]
+    value = key_type(section, key)(value)
+    t = cfg.topology
+    if any(key in least for least in _KIND_MINIMUM.values()) \
+            and key not in _KIND_MINIMUM.get(t.kind, {}):
         raise ConfigurationError(
-            f"sweep axis {axis} has no effect on [topology] kind = {kind}")
-    if axis == "n_geo" and cfg.policy.name != "cnasa":
+            f"sweep axis {axis} has no effect on [topology] kind = {t.kind}")
+    if key == "n_geo" and cfg.policy.name != "cnasa":
         raise ConfigurationError(
             f"sweep axis n_geo has no effect on [policy] name = {cfg.policy.name}")
-    if axis == "n_geo":
-        cell = replace(cfg, policy=replace(cfg.policy, n_geo=int(value)))
-    elif axis == "tau2":
-        cell = replace(cfg, training=replace(cfg.training, tau2=int(value)))
-    elif axis == "non_iid":
-        cell = replace(cfg, data=replace(cfg.data, classes_per_device=int(value)))
-    elif axis == "n_devices":
-        total = int(value)
-        n_air = cfg.topology.n_air if kind == "single" else \
-            cfg.topology.n_planes * cfg.topology.sats_per_plane * cfg.topology.air_per_cell
-        if total % n_air != 0:
+    updates = {key: value}
+    if axis == "n_devices":
+        n_air = t.n_air if t.kind == "single" else t.n_satellites * t.air_per_cell
+        if value % n_air != 0:
             raise ConfigurationError(
-                f"n_devices {total} not divisible by {n_air} air nodes")
-        cell = replace(cfg, topology=replace(cfg.topology,
-                                             devices_per_air=total // n_air))
-    elif axis == "n_air":
-        cell = replace(cfg, topology=replace(cfg.topology, n_air=int(value)))
-    elif axis == "n_sats":
-        cell = replace(cfg, topology=replace(cfg.topology, n_sats=int(value)))
+                f"n_devices {value} not divisible by {n_air} air nodes")
+        updates[key] = value // n_air
     elif axis == "orbits":
-        total = cfg.topology.n_planes * cfg.topology.sats_per_plane
-        planes = int(value)
-        if total % planes != 0:
+        if value < 1 or t.n_satellites % value != 0:
             raise ConfigurationError(
-                f"orbits {planes} does not divide {total} satellites")
-        cell = replace(cfg, topology=replace(
-            cfg.topology, n_planes=planes, sats_per_plane=total // planes))
-    elif axis == "sync_algo":
-        cell = replace(cfg, run=replace(cfg.run, sync_algo=str(value)))
-    else:
-        raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {AXES}")
+                f"orbits {value} does not divide {t.n_satellites} satellites")
+        updates["sats_per_plane"] = t.n_satellites // value
+    cell = replace(cfg, **{section: replace(getattr(cfg, section), **updates)})
     return replace(cell, run=replace(
         cell.run, label=f"{cfg.run.label}_{axis}-{value}"))
 

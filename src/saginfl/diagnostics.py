@@ -25,6 +25,7 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -70,29 +71,19 @@ class DivergenceEstimate:
     Delta_per_satellite: np.ndarray
 
 
-def measure_divergence(trace: TrainingTrace,
-                       probe_points: list[np.ndarray] | None = None,
-                       ctx: GradContext | None = None,
-                       device_grads: Iterable[np.ndarray] | None = None,
-                       ) -> DivergenceEstimate:
-    """Gradient divergence maxima over the probe models.
+def measure_divergence(weights: AggregationWeights,
+                       device_grads: Iterable[np.ndarray]) -> DivergenceEstimate:
+    """Gradient divergence maxima over probe models, folded from each
+    probe's ``(D, P)`` device gradients.
 
-    Defaults to the recorded global models as probes. ``device_grads``, when
-    the caller already has some of them, yields the probes'
-    ``ctx.device_grads`` in order; it is read once, one probe at a time.
-    Satellites without devices carry zero divergence (their data weight is
-    zero anyway).
+    ``device_grads`` is read once, one probe at a time, so a generator keeps
+    only the probe being folded. Satellites without devices carry zero
+    divergence (their data weight is zero anyway). Raises InputError when
+    given no probes.
     """
-    ctx = ctx or GradContext.from_trace(trace)
-    if probe_points is None:
-        probe_points = [gm for _, gm in trace.global_models]
-    if not probe_points:
-        raise InputError("need at least one probe model")
-    if device_grads is None:
-        device_grads = map(ctx.device_grads, probe_points)
-    weights = ctx.weights
     delta_dev = np.zeros(len(weights.device_frac))
     delta_sat = np.zeros(len(weights.sat_frac))
+    probes = 0
     for dev_g in device_grads:
         sat_g = weights.satellite_average(dev_g)
         glob_g = weights.sat_frac @ sat_g
@@ -101,6 +92,9 @@ def measure_divergence(trace: TrainingTrace,
         sat_gap[~weights.nonempty] = 0.0
         delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
+        probes += 1
+    if not probes:
+        raise InputError("need at least one probe's device gradients")
     return _weighted_divergence(delta_dev, delta_sat, weights)
 
 
@@ -279,25 +273,18 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
     # Each probe's device gradients are folded into the estimates as soon as
     # they exist and then dropped: concurrent tasks keep little memory.
     end_grads = ctx.device_grads(w_end)
-    endpoints = measure_divergence(
-        trace, probe_points=[w_start, w_end], ctx=ctx,
-        device_grads=(start_grads, end_grads))
+    endpoints = measure_divergence(weights, (start_grads, end_grads))
     end_grad = weights.device_frac @ end_grads
     del start_grads, end_grads
     v_end_grads = ctx.device_grads(v_end)
-    at_v_end = measure_divergence(trace, probe_points=[v_end], ctx=ctx,
-                                  device_grads=[v_end_grads])
     path_grads.append(weights.device_frac @ v_end_grads)
-    del v_end_grads
-    satellites = list(sat_models[t_end][weights.nonempty])
     satellite_grads = (
         ctx.learner.grad(w.astype(np.float32), samples32).astype(np.float64)
-        for w in satellites)
-    div = _union_divergence(
-        [endpoints, at_v_end,
-         measure_divergence(trace, probe_points=satellites, ctx=ctx,
-                            device_grads=satellite_grads)],
-        weights)
+        for w in sat_models[t_end][weights.nonempty])
+    inside = chain((v_end_grads,), satellite_grads)
+    del v_end_grads
+    div = _union_divergence([endpoints, measure_divergence(weights, inside)],
+                            weights)
 
     mid = len(path) // 2
     pair_models = [w_start, w_end, v_end, path[mid]]

@@ -105,8 +105,7 @@ class SoftmaxLearner:
     name = "softmax"
     convex = True
 
-    def __init__(self, d: int, n_classes: int, l2: float,
-                 init_scale: float = 1.0):
+    def __init__(self, d: int, n_classes: int, l2: float, init_scale: float):
         self.d = d
         self.n_classes = n_classes
         self.l2 = l2
@@ -166,18 +165,23 @@ class MlpLearner:
     name = "mlp"
     convex = False
 
-    def __init__(self, d: int, n_classes: int, l2: float, hidden: int = 16):
+    def __init__(self, d: int, n_classes: int, l2: float, hidden: int,
+                 init_scale: float):
         self.d = d
         self.n_classes = n_classes
         self.l2 = l2
         self.hidden = hidden
+        self.init_scale = init_scale
         self.n_w1 = (d + 1) * hidden
         self.n_params = self.n_w1 + (hidden + 1) * n_classes
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        """``1/sqrt(fan_in)``-scaled normal draws times ``init_scale``."""
+        if self.init_scale == 0.0:
+            return np.zeros(self.n_params)
         w1 = rng.standard_normal((self.d + 1, self.hidden)) / np.sqrt(self.d + 1)
         w2 = rng.standard_normal((self.hidden + 1, self.n_classes)) / np.sqrt(self.hidden + 1)
-        return np.concatenate([w1.ravel(), w2.ravel()])
+        return np.concatenate([w1.ravel(), w2.ravel()]) * self.init_scale
 
     def _split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lead = flat.shape[:-1]
@@ -227,4 +231,4 @@ def make_learner(training: TrainingConfig, data: DataConfig):
         return SoftmaxLearner(data.feature_dim, data.n_classes, training.l2,
                               training.init_scale)
     return MlpLearner(data.feature_dim, data.n_classes, training.l2,
-                      training.hidden_dim)
+                      training.hidden_dim, training.init_scale)

@@ -23,7 +23,6 @@ from .allreduce import (
     SyncPlan,
     multi_orbit_sync_states,
     plan_multi_orbit,
-    plan_ring,
     ring_allreduce_states,
 )
 from .assignment import AssignmentMap, cnasa, gdo
@@ -199,12 +198,9 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             f"CNASA relay hops {relay_hops} not below n_geo {cfg.policy.n_geo}")
 
     n_sats, n_devices = topology.n_satellites, topology.n_devices
-    if topology.n_planes == 1:
-        sync = ring_allreduce_states
-        plan = plan_ring(range(n_sats), m)
-    else:
-        sync = multi_orbit_sync_states
-        plan = plan_multi_orbit(graph, m)
+    plan = plan_multi_orbit(graph, m)
+    sync = (ring_allreduce_states if topology.n_planes == 1
+            else multi_orbit_sync_states)
     warnings = assignment.warnings
     if cfg.run.sync_algo == "gossip":
         warnings += (
@@ -228,7 +224,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     eta = cfg.training.learning_rate
     total_steps = cfg.training.global_rounds * tau1 * tau2
     if cfg.run.sync_algo == "gossip":
-        t_sync = gossip_sync_time(n_sats, cfg, m) if n_sats > 1 else 0.0
+        t_sync = gossip_sync_time(n_sats, cfg, m)
     else:
         t_sync = sync_time(plan.phases, cfg, m)
     # the cost of a global round is fixed by the run's set-up

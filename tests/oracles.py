@@ -3,7 +3,8 @@
 Each one is the slow, direct form of something the package computes another
 way (exhaustive matching, all-pairs partition distances, per-step ring
 transfers, inverted access maps, per-element ``math`` geometry), or a
-closed-form quantity only the tests need. None of them runs in a simulation.
+quantity only the tests need (closed forms, the divergence at the recorded
+global models). None of them runs in a simulation.
 """
 import itertools
 import math
@@ -14,6 +15,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from saginfl.allreduce import SyncPlan
+from saginfl.diagnostics import DivergenceEstimate, GradContext, measure_divergence
 from saginfl.errors import InputError, TopologyError
 from saginfl.topology import IslGraph, NetworkTopology
 
@@ -374,3 +376,11 @@ def naive_three_phase(params, weights, graph):
         states.update(zip(orbit, naive_ring(vectors, orbit, "phase3-",
                                             transfers)))
     return states, transfers, reps
+
+
+def divergence_at_global_models(trace) -> DivergenceEstimate:
+    """The divergence estimate with the run's recorded global models as
+    probes, as the bound check reports it overall."""
+    ctx = GradContext.from_trace(trace)
+    return measure_divergence(
+        ctx.weights, (ctx.device_grads(w) for _, w in trace.global_models))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracles import (
     brute_force_matching,
+    divergence_at_global_models,
     gossip_traffic,
     induced_diameter,
     naive_ring,
@@ -37,7 +38,7 @@ from saginfl.config import (
     TopologyConfig,
     TrainingConfig,
 )
-from saginfl.diagnostics import check_convergence_bound, measure_divergence
+from saginfl.diagnostics import check_convergence_bound
 from saginfl.partition import graph_partition
 from saginfl.simulation import run_obl
 from saginfl.topology import IslGraph, build_walker, derive_isl_graph
@@ -276,8 +277,10 @@ def test_criterion_9_theorem_bound():
     bound_ok = report.holds
     deltas = []
     for seed in range(10):
-        d_gdo = measure_divergence(run_obl(_bound_scenario("gdo", 1, seed)))
-        d_cnasa = measure_divergence(run_obl(_bound_scenario("cnasa", 2, seed)))
+        d_gdo = divergence_at_global_models(
+            run_obl(_bound_scenario("gdo", 1, seed)))
+        d_cnasa = divergence_at_global_models(
+            run_obl(_bound_scenario("cnasa", 2, seed)))
         deltas.append(d_gdo.Delta_hat - d_cnasa.Delta_hat)
     div_ok = float(np.mean(deltas)) >= 0
     _report(9, "convergence bound and divergence ordering",

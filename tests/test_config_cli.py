@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,13 @@ import pytest
 import saginfl
 from saginfl import cli
 from saginfl.cli import main
-from saginfl.config import apply_axis, load_config, parse_config_text
+from saginfl.config import (
+    AXES,
+    apply_axis,
+    load_config,
+    parse_config_text,
+    validate_config,
+)
 from saginfl.errors import ConfigurationError
 
 SMALL_CONFIG = textwrap.dedent("""\
@@ -175,13 +181,36 @@ class TestConfigParsing:
                                match=rf"n_geo.*name = {policy}"):
                 apply_axis(base, "n_geo", 2)
 
+    def test_every_axis_sets_exactly_its_key(self):
+        single = parse_config_text(SMALL_CONFIG)
+        walker = parse_config_text(WALKER_CONFIG)
+        values = {"n_geo": 3, "tau2": 3, "non_iid": 5, "n_devices": 24,
+                  "n_air": 12, "n_sats": 8, "orbits": 3, "sync_algo": "gossip"}
+        assert set(values) == set(AXES)
+        for axis, (section, key) in AXES.items():
+            base = walker if axis == "orbits" else single
+            assert key in {f.name for f in fields(getattr(base, section))}
+            cell = validate_config(apply_axis(base, axis, values[axis]))
+            changed = {
+                (name, f.name) for name in ("topology", "data", "training",
+                                            "policy", "run")
+                for f in fields(getattr(base, name))
+                if getattr(getattr(cell, name), f.name)
+                != getattr(getattr(base, name), f.name)}
+            extra = {("topology", "sats_per_plane")} if axis == "orbits" else set()
+            assert changed == {(section, key), ("run", "label")} | extra, axis
+            assert cell.run.label == f"run_{axis}-{values[axis]}"
+            if axis != "n_devices":
+                assert getattr(getattr(cell, section), key) == values[axis]
+
     def test_apply_axis_orbits_keeps_total(self):
         cfg = parse_config_text(WALKER_CONFIG)
         swept = apply_axis(cfg, "orbits", 2)
         assert swept.topology.n_planes == 2
         assert swept.topology.sats_per_plane == 12
-        with pytest.raises(ConfigurationError):
-            apply_axis(cfg, "orbits", 5)
+        for planes in (5, 0):
+            with pytest.raises(ConfigurationError, match="does not divide"):
+                apply_axis(cfg, "orbits", planes)
 
 
 class TestCliRun:
@@ -288,6 +317,17 @@ class TestCliSweep:
         assert cells == [("2", "1"), ("2", "3"), ("4", "1"), ("4", "3")]
         summary = (sweep_dir / "summary.csv").read_text().strip().split("\n")
         assert len(summary) == 3
+
+    def test_string_axis_values(self, config_file, output_root):
+        # --values takes the type of the axis's key: sync_algo is a string
+        rc = main(["sweep", str(config_file), "--axis", "sync_algo",
+                   "--values", "ring,gossip", "--seeds", "7"])
+        assert rc == 0
+        sweep_dir = output_root / "out" / "sweep_sync_algo"
+        with open(sweep_dir / "runs.csv", newline="") as fh:
+            runs = list(csv.reader(fh))
+        assert [(r[1], r[-1]) for r in runs[1:]] == [("gossip", "ok"),
+                                                      ("ring", "ok")]
 
     def test_numeric_order_and_quoted_error_status(self, tmp_path,
                                                    output_root, monkeypatch):

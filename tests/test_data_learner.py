@@ -165,7 +165,7 @@ class TestGenerateData:
 class TestSoftmaxLearner:
     def test_zero_eta_no_change(self):
         rng = np.random.default_rng(1)
-        learner = SoftmaxLearner(d=3, n_classes=3, l2=0.01)
+        learner = SoftmaxLearner(d=3, n_classes=3, l2=0.01, init_scale=1.0)
         flat = rng.standard_normal(learner.n_params)
         X = rng.standard_normal((5, 3))
         y = np.array([0, 1, 2, 1, 0])
@@ -175,7 +175,7 @@ class TestSoftmaxLearner:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        learner = SoftmaxLearner(d=2, n_classes=3, l2=0.05)
+        learner = SoftmaxLearner(d=2, n_classes=3, l2=0.05, init_scale=1.0)
         X = rng.standard_normal((3, 2))
         y = np.array([0, 2, 1])
         W = rng.standard_normal((3, 3)) * 0.5
@@ -187,7 +187,7 @@ class TestSoftmaxLearner:
 
     def test_loss_non_increasing_small_eta(self):
         rng = np.random.default_rng(3)
-        learner = SoftmaxLearner(d=4, n_classes=3, l2=0.01)
+        learner = SoftmaxLearner(d=4, n_classes=3, l2=0.01, init_scale=1.0)
         X = rng.standard_normal((20, 4))
         y = rng.integers(0, 3, size=20)
         samples = Samples.stack(X[None], y[None], 3)
@@ -204,7 +204,7 @@ class TestSoftmaxLearner:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(4)
-        learner = SoftmaxLearner(d=4, n_classes=3, l2=0.02)
+        learner = SoftmaxLearner(d=4, n_classes=3, l2=0.02, init_scale=1.0)
         X = rng.standard_normal((2, 6, 4))
         y = rng.integers(0, 3, size=(2, 6))
         flat = rng.standard_normal((2, learner.n_params))
@@ -222,7 +222,7 @@ class TestSoftmaxLearner:
     def test_float32_grad_matches_float64(self, shared):
         # the convergence check takes its satellite-probe gradients in float32
         rng = np.random.default_rng(12)
-        learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3)
+        learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0)
         samples = Samples.stack(rng.standard_normal((48, 30, 10)),
                                 rng.integers(0, 10, size=(48, 30)), 10)
         samples32 = Samples(x=samples.x.astype(np.float32),
@@ -239,7 +239,7 @@ class TestSoftmaxLearner:
 
     def test_accuracy_on_separable_toy(self):
         rng = np.random.default_rng(5)
-        learner = SoftmaxLearner(d=2, n_classes=2, l2=0.0)
+        learner = SoftmaxLearner(d=2, n_classes=2, l2=0.0, init_scale=1.0)
         X = np.vstack([rng.standard_normal((30, 2)) + [4, 0],
                        rng.standard_normal((30, 2)) - [4, 0]])
         y = np.array([0] * 30 + [1] * 30)
@@ -251,8 +251,8 @@ class TestSoftmaxLearner:
 
 
 @pytest.mark.parametrize("learner", [
-    SoftmaxLearner(d=5, n_classes=4, l2=0.03),
-    MlpLearner(d=5, n_classes=4, l2=0.03, hidden=6),
+    SoftmaxLearner(d=5, n_classes=4, l2=0.03, init_scale=1.0),
+    MlpLearner(d=5, n_classes=4, l2=0.03, hidden=6, init_scale=1.0),
 ], ids=["softmax", "mlp"])
 def test_shared_model_equals_broadcast_stack(learner):
     rng = np.random.default_rng(10)
@@ -279,8 +279,8 @@ def one_hot_nll(z, labels, axis):
 
 
 @pytest.mark.parametrize("learner", [
-    SoftmaxLearner(d=10, n_classes=10, l2=1e-3),
-    MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8),
+    SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0),
+    MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8, init_scale=1.0),
 ], ids=["softmax", "mlp"])
 def test_loss_equals_one_hot_formula(learner, monkeypatch):
     rng = np.random.default_rng(11)
@@ -299,7 +299,8 @@ def test_loss_equals_one_hot_formula(learner, monkeypatch):
 class TestMlpLearner:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        learner = MlpLearner(d=3, n_classes=3, l2=0.01, hidden=4)
+        learner = MlpLearner(d=3, n_classes=3, l2=0.01, hidden=4,
+                             init_scale=1.0)
         X = rng.standard_normal((4, 3))
         y = np.array([0, 1, 2, 1])
         samples = Samples.stack(X[None], y[None], 3)
@@ -319,6 +320,21 @@ class TestMlpLearner:
         mlp = make_learner(TrainingConfig(learner="mlp", hidden_dim=5), data)
         assert softmax.convex and softmax.n_params == 5 * 3
         assert not mlp.convex and mlp.n_params == 5 * 5 + 6 * 3
+
+    def test_init_scale_scales_the_fan_in_draws(self):
+        data = DataConfig(n_classes=3, feature_dim=4)
+        rng = np.random.default_rng(8)
+        w1 = rng.standard_normal((5, 6)) / np.sqrt(5)
+        w2 = rng.standard_normal((7, 3)) / np.sqrt(7)
+        draw = np.concatenate([w1.ravel(), w2.ravel()])
+        models = {}
+        for scale in (0.0, 1.0, 2.0):
+            learner = make_learner(TrainingConfig(
+                learner="mlp", hidden_dim=6, init_scale=scale), data)
+            models[scale] = learner.init_params(np.random.default_rng(8))
+        assert models[0.0].tobytes() == np.zeros(len(draw)).tobytes()
+        assert models[1.0].tobytes() == draw.tobytes()
+        assert models[2.0].tobytes() == (2 * draw).tobytes()
 
 
 def satellite_average(models, sat_of_device=None, n_sats=1):

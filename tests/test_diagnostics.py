@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import divergence_at_global_models
 
 from saginfl import diagnostics
 from saginfl.config import (
@@ -77,15 +78,12 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
     for (g, _, path), (t_end, w_end) in zip(virt.global_paths,
                                             trace.global_models[1:]):
         w_start, v_end = path[0], path[-1]
-        probes = [w_start, w_end, v_end]
-        grads = [ctx.device_grads(w) for w in probes]
+        grads = [ctx.device_grads(w) for w in (w_start, w_end, v_end)]
         if t_end in sat_models:
             satellites = [sat_models[t_end][k] for k in nonempty]
-            probes += satellites
             grads += [ctx.learner.grad(w.astype(satellite_dtype), samples)
                       .astype(np.float64) for w in satellites]
-        div = measure_divergence(trace, probe_points=probes, ctx=ctx,
-                                 device_grads=grads)
+        div = measure_divergence(ctx.weights, grads)
         pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
         rho, beta = estimate_rho_beta(
             pair_models, [ctx.global_grad(w) for w in pair_models],
@@ -103,7 +101,7 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
         checks.append(IntervalCheck(interval=g, t_end=t_end, gap=gap,
                                     bound=bound, margin=margin,
                                     holds=margin <= BOUND_TOLERANCE))
-    overall = measure_divergence(trace, ctx=ctx)
+    overall = divergence_at_global_models(trace)
     return BoundReport(intervals=checks, delta_hat=overall.delta_hat,
                        Delta_hat=overall.Delta_hat, rho_hat=rho_all,
                        beta_hat=beta_all)
@@ -146,7 +144,7 @@ class TestMeasureDivergence:
         trace.samples = Samples.stack(np.stack([features] * n_devices),
                                       np.stack([labels] * n_devices),
                                       cfg.data.n_classes)
-        div = measure_divergence(trace)
+        div = divergence_at_global_models(trace)
         assert div.delta_hat < 1e-12
         assert div.Delta_hat < 1e-12
 
@@ -168,7 +166,8 @@ class TestMeasureDivergence:
             grads.append(naive_softmax_grad(W, augment(features), labels, l2))
         sat = 0.5 * grads[0] + 0.5 * grads[1]
         expect_dev0 = np.linalg.norm(grads[0] - sat)
-        div = measure_divergence(trace, probe_points=[w_flat])
+        ctx = GradContext.from_trace(trace)
+        div = measure_divergence(ctx.weights, [ctx.device_grads(w_flat)])
         assert abs(div.delta_per_device[0] - expect_dev0) < 1e-12
         # single satellite: its gradient is the global gradient
         assert div.Delta_hat < 1e-12
@@ -176,9 +175,14 @@ class TestMeasureDivergence:
     def test_weighted_sums_match_manual(self):
         trace = run_obl(small_config(seed=2))
         ctx = GradContext.from_trace(trace)
-        div = measure_divergence(trace, ctx=ctx)
+        div = divergence_at_global_models(trace)
         manual_delta = float(ctx.weights.device_frac @ div.delta_per_device)
         assert abs(div.delta_hat - manual_delta) < 1e-15
+
+    def test_no_probes_rejected(self):
+        trace = run_obl(small_config(rounds=1))
+        with pytest.raises(InputError, match="probe"):
+            measure_divergence(trace.aggregation, [])
 
 
 class TestGradContext:
@@ -391,6 +395,6 @@ class TestBoundCheck:
         for seed in range(6):
             g = run_obl(small_config("gdo", 1, seed=seed))
             c = run_obl(small_config("cnasa", 2, seed=seed))
-            gaps.append(measure_divergence(g).Delta_hat
-                        - measure_divergence(c).Delta_hat)
+            gaps.append(divergence_at_global_models(g).Delta_hat
+                        - divergence_at_global_models(c).Delta_hat)
         assert np.mean(gaps) > 0
