@@ -111,14 +111,13 @@ def plan_ring(ids: Sequence[int], m: int) -> SyncPlan:
 
 
 def _orbit_representatives(graph: IslGraph) -> list[int]:
-    incident: set[int] = set()
-    for (a, b), kind in zip(graph.edges, graph.kinds):
-        if kind == "inter":
-            incident.add(a)
-            incident.add(b)
+    orbit_of = np.full(len(graph.adjacency), -1)
+    for k, orbit in enumerate(graph.orbits):
+        orbit_of[list(orbit)] = k
+    incident = (graph.adjacency & (orbit_of[:, None] != orbit_of)).any(axis=1)
     reps = []
     for orbit in graph.orbits:
-        members = [s for s in orbit if s in incident]
+        members = [s for s in orbit if incident[s]]
         if not members:
             raise TopologyError(
                 f"orbit {list(orbit)} has no inter-orbit edge; cannot synchronize")

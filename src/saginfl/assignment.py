@@ -21,6 +21,10 @@ from .topology import NetworkTopology
 # lexicographic tie canonicalization solves O(n^2) sub-problems; beyond this
 # size the solver's optimum is returned as-is
 _CANONICAL_MAX_N = 64
+# Lloyd's iteration stops after this many passes, or once no center moves
+# by _KMEANS_TOL or more
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +34,8 @@ class AssignmentMap:
 
     f: np.ndarray
     hops: np.ndarray
-    max_access_cell: int = 1   # busiest access cell, for uplink bandwidth sharing
-    max_assigned: int = 1      # busiest aggregation satellite
+    max_access_cell: int   # busiest access cell, for uplink bandwidth sharing
+    max_assigned: int      # busiest aggregation satellite
     warnings: tuple[str, ...] = ()
 
     @classmethod
@@ -72,13 +76,12 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return points[centers].copy()
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int = 100, tol: float = 1e-6) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Lloyd's iteration on the rows of ``points``; returns group labels."""
     n = points.shape[0]
     centers = _seed_centers(points, k, rng)
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1)   # lowest center index on ties
         # repair empty groups by stealing the point farthest from its center,
@@ -100,7 +103,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             new_center = points[member_mask].mean(axis=0)
             moved = max(moved, float(np.linalg.norm(new_center - centers[c])))
             centers[c] = new_center
-        if moved < tol:
+        if moved < _KMEANS_TOL:
             break
     return labels
 

@@ -30,7 +30,7 @@ from .diagnostics import bound_inapplicable, check_convergence_bound
 from .errors import ConfigurationError
 from .simulation import run_obl
 from .topology import write_topology_table
-from .trace import SUMMARY_COLUMNS, _fmt, summary_row, write_summary, write_trace
+from .trace import _fmt, summary_row, summary_text, write_summary, write_trace
 
 RUNS_COLUMNS = ("axis", "value", "seed", "final_accuracy", "total_time_s",
                 "delta_hat", "Delta_hat", "bound_margin", "status")
@@ -71,9 +71,7 @@ def execute_run(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    row = execute_run(cfg, output_dir(cfg))
-    print(",".join(SUMMARY_COLUMNS))
-    print(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS))
+    sys.stdout.write(summary_text(execute_run(cfg, output_dir(cfg))))
     return 0
 
 

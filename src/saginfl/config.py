@@ -75,7 +75,7 @@ class TrainingConfig:
     global_rounds: int = 30
     learner: str = "softmax"           # softmax | mlp
     hidden_dim: int = 16
-    init_scale: float = 1.0            # scales the initial weights; 0 = zero init
+    init_scale: float = 1.0            # scales the initial weights; 0 = zero init (softmax)
     batch_size: int = 0                # 0 = full local dataset per step
     flops_model: float = 1e6
     flops_device: float = 0.665e12
@@ -211,6 +211,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             f"[run] sync_algo must be one of {SYNC_ALGOS}, got {r.sync_algo!r}")
     if tr.learner not in ("softmax", "mlp"):
         raise ConfigurationError(f"[training] learner must be softmax|mlp, got {tr.learner!r}")
+    # a zero MLP never trains its hidden layer: tanh(0) = 0 zeroes its gradient
+    if tr.learner == "mlp":
+        _require("training", "init_scale", tr.init_scale, tr.init_scale != 0.0,
+                 "nonzero under learner = mlp")
     if not 1 <= d.classes_per_device <= d.n_classes:
         raise ConfigurationError(
             f"[data] classes_per_device must be in [1, {d.n_classes}], "

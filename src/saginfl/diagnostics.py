@@ -325,7 +325,8 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     """Per-global-interval check of the convergence bound.
 
     Estimates are taken over each interval's own models (its endpoints, the
-    virtual endpoint, and the satellite aggregates recorded inside it), then
+    virtual endpoint, and the nonempty satellites' aggregates recorded at
+    the interval's end, not those of the rounds inside it), then
     the Lipschitz/smoothness constants are inflated by the safety margin.
     A margin of at most 1.05 counts as holding; beyond that the interval is
     flagged as a violation. Intervals are checked concurrently and folded in

@@ -177,8 +177,6 @@ class MlpLearner:
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         """``1/sqrt(fan_in)``-scaled normal draws times ``init_scale``."""
-        if self.init_scale == 0.0:
-            return np.zeros(self.n_params)
         w1 = rng.standard_normal((self.d + 1, self.hidden)) / np.sqrt(self.d + 1)
         w2 = rng.standard_normal((self.hidden + 1, self.n_classes)) / np.sqrt(self.hidden + 1)
         return np.concatenate([w1.ravel(), w2.ravel()]) * self.init_scale

@@ -73,8 +73,8 @@ def graph_partition(graph: IslGraph, n_geo: int,
     Deterministic for a fixed rng seed. Air parts are left empty; attach them
     with with_air_parts once the access array exists.
     """
-    neighbors = [np.flatnonzero(row).tolist() for row in graph.adjacency()]
-    live = set(range(len(graph.nodes)))
+    neighbors = [np.flatnonzero(row).tolist() for row in graph.adjacency]
+    live = set(range(len(neighbors)))
     parts: list[tuple[int, ...]] = []
     while live:
         candidates = sorted(live)

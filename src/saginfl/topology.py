@@ -27,23 +27,13 @@ from .errors import TopologyError
 AIR_ALTITUDE_M = 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IslGraph:
-    """Inter-satellite link graph with edge kinds and per-orbit membership."""
+    """Inter-satellite link graph and per-orbit membership. A link is
+    inter-orbit when its ends lie in different orbits."""
 
-    nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]            # sorted id pairs, deduplicated
-    kinds: tuple[str, ...]                        # 'intra' | 'inter', parallel to edges
+    adjacency: np.ndarray                         # (N_S, N_S) bool, symmetric
     orbits: tuple[tuple[int, ...], ...]           # satellite ids per plane, ring order
-
-    def adjacency(self) -> np.ndarray:
-        """Boolean adjacency matrix indexed by satellite id."""
-        n = len(self.nodes)
-        adj = np.zeros((n, n), dtype=bool)
-        for a, b in self.edges:
-            adj[a, b] = True
-            adj[b, a] = True
-        return adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +168,10 @@ def compute_coverage(topology: NetworkTopology) -> np.ndarray:
                            for block in blocks])
 
 
-def _inter_orbit_edges(topology: NetworkTopology,
-                       orbits: np.ndarray) -> list[tuple[int, int]]:
+def _inter_orbit_edges(topology: NetworkTopology, orbits: np.ndarray,
+                       adj: np.ndarray) -> None:
+    """Mark every plane pair's two inter-orbit links in ``adj``."""
     positions = topology.sat_units
-    edges: set[tuple[int, int]] = set()
     for pi, pj in itertools.combinations(range(len(orbits)), 2):
         ids_i, ids_j = orbits[pi], orbits[pj]
         cross = np.cross(topology.plane_normals[pi], topology.plane_normals[pj])
@@ -197,34 +187,28 @@ def _inter_orbit_edges(topology: NetworkTopology,
             region = positions[ids_i[a]] + positions[ids_j[b]]
             region = region / np.linalg.norm(region)
         regions = np.stack([region, -region])
-        for a, b in zip(nearest_satellite(ids_i, positions, regions).tolist(),
-                        nearest_satellite(ids_j, positions, regions).tolist()):
-            edges.add((min(a, b), max(a, b)))
-    return sorted(edges)
+        a = nearest_satellite(ids_i, positions, regions)
+        b = nearest_satellite(ids_j, positions, regions)
+        adj[a, b] = adj[b, a] = True
 
 
 def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
     """Freeze the ISL graph at the snapshot.
 
-    Intra-orbit edges form one cycle per plane (one edge for two
-    satellites). For every plane pair, one inter-orbit edge is placed per
-    orbit-intersection region (two regions per pair), joining the
-    satellites nearest that region; ties break to the lowest satellite id.
-    Edges of different planes never coincide, so no edge repeats.
+    Intra-orbit links join ring neighbours, so each plane is a cycle (one
+    link for two satellites, none for one). For every plane pair, one
+    inter-orbit link is placed per orbit-intersection region (two regions
+    per pair), joining the satellites nearest that region; ties break to
+    the lowest satellite id.
     """
     orbits = topology.orbits
-    intra = []
-    for ring in orbits.tolist():
-        n = len(ring)
-        intra += [tuple(sorted((ring[k], ring[(k + 1) % n])))
-                  for k in range(n if n > 2 else n - 1)]
-    inter = _inter_orbit_edges(topology, orbits)
-    return IslGraph(
-        nodes=tuple(range(topology.n_satellites)),
-        edges=tuple(intra + inter),
-        kinds=("intra",) * len(intra) + ("inter",) * len(inter),
-        orbits=tuple(map(tuple, orbits.tolist())),
-    )
+    n = topology.n_satellites
+    adj = np.zeros((n, n), dtype=bool)
+    nxt = np.roll(orbits, -1, axis=1)
+    adj[orbits, nxt] = adj[nxt, orbits] = True
+    np.fill_diagonal(adj, False)
+    _inter_orbit_edges(topology, orbits, adj)
+    return IslGraph(adjacency=adj, orbits=tuple(map(tuple, orbits.tolist())))
 
 
 def _hop_matrix(adj: np.ndarray) -> np.ndarray:
@@ -258,7 +242,7 @@ def connected_components(dist: np.ndarray) -> list[list[int]]:
 
 def hop_distances(graph: IslGraph) -> np.ndarray:
     """Symmetric matrix of shortest-path hop counts over the ISL graph."""
-    dist = _hop_matrix(graph.adjacency())
+    dist = _hop_matrix(graph.adjacency)
     if (dist < 0).any():
         comps = connected_components(dist)
         raise TopologyError(f"ISL graph is disconnected; components: {comps}")

@@ -113,7 +113,11 @@ def summary_row(trace: TrainingTrace, report: BoundReport | None) -> dict:
     }
 
 
-def write_summary(row: dict, path: Path) -> None:
-    header = ",".join(SUMMARY_COLUMNS)
+def summary_text(row: dict) -> str:
+    """The summary's header line and value line, each ending in a newline."""
     values = ",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS)
-    path.write_text(header + "\n" + values + "\n")
+    return ",".join(SUMMARY_COLUMNS) + "\n" + values + "\n"
+
+
+def write_summary(row: dict, path: Path) -> None:
+    path.write_text(summary_text(row))

@@ -34,11 +34,33 @@ def brute_force_matching(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(totals[best]), tuple(int(c) for c in perms[best])
 
 
+def isl_graph(edges, orbits) -> IslGraph:
+    """The ISL graph with links ``edges`` (id pairs) over ``orbits`` (ids per
+    orbit in ring order, together covering 0..N-1)."""
+    orbits = tuple(tuple(orbit) for orbit in orbits)
+    n = sum(map(len, orbits))
+    adjacency = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        adjacency[a, b] = adjacency[b, a] = True
+    return IslGraph(adjacency=adjacency, orbits=orbits)
+
+
+def isl_edges(graph: IslGraph, kind=None) -> list[tuple[int, int]]:
+    """The graph's links as sorted ``(a, b)`` pairs with ``a < b``; ``kind``
+    'intra' keeps links inside one orbit, 'inter' links between orbits."""
+    orbit_of = {s: k for k, orbit in enumerate(graph.orbits) for s in orbit}
+    edges = [(a, b) for a, b in np.argwhere(np.triu(graph.adjacency)).tolist()]
+    if kind is None:
+        return edges
+    return [(a, b) for a, b in edges
+            if (orbit_of[a] == orbit_of[b]) == (kind == "intra")]
+
+
 def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
     """Hop diameter of the sub-graph induced by ``part`` (-1 if disconnected),
     by breadth-first search from every member over the part's own edges."""
     neighbors: dict[int, list[int]] = {u: [] for u in part}
-    for a, b in graph.edges:
+    for a, b in isl_edges(graph):
         if a in neighbors and b in neighbors:
             neighbors[a].append(b)
             neighbors[b].append(a)
@@ -85,8 +107,8 @@ def naive_graph_partition(graph: IslGraph, n_geo: int,
     candidate test rejects both alike, and the capped search keeps the
     oracle fast enough for the tests.
     """
-    n = len(graph.nodes)
-    full_adj = graph.adjacency()
+    full_adj = graph.adjacency
+    n = len(full_adj)
     alive = np.ones(n, dtype=bool)
     parts: list[tuple[int, ...]] = []
     while alive.any():
@@ -361,8 +383,7 @@ def naive_three_phase(params, weights, graph):
     Row k of ``params`` is satellite k's model. Returns the final vectors
     by satellite id, the transfers and the representatives.
     """
-    incident = {s for edge, kind in zip(graph.edges, graph.kinds)
-                if kind == "inter" for s in edge}
+    incident = {s for edge in isl_edges(graph, "inter") for s in edge}
     reps = [min(s for s in orbit if s in incident) for orbit in graph.orbits]
     transfers = []
     sums = [naive_ring([params[s] * weights[s] for s in orbit], orbit,

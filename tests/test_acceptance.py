@@ -17,6 +17,7 @@ from oracles import (
     divergence_at_global_models,
     gossip_traffic,
     induced_diameter,
+    isl_graph,
     naive_ring,
     ring_traffic_analytic,
     traffic_per_node,
@@ -41,7 +42,7 @@ from saginfl.config import (
 from saginfl.diagnostics import check_convergence_bound
 from saginfl.partition import graph_partition
 from saginfl.simulation import run_obl
-from saginfl.topology import IslGraph, build_walker, derive_isl_graph
+from saginfl.topology import build_walker, derive_isl_graph
 from saginfl.trace import trace_lines
 
 
@@ -113,26 +114,11 @@ def test_criterion_1_allreduce_correctness():
             # synthetic ring-of-rings graph with ids 0..n-1
             ids = iter(range(n))
             orbits = [tuple(next(ids) for _ in range(s)) for s in sizes]
-            edges, kinds = [], []
-            for orbit in orbits:
-                if len(orbit) == 2:
-                    edges.append(tuple(sorted(orbit)))
-                    kinds.append("intra")
-                elif len(orbit) > 2:
-                    for i in range(len(orbit)):
-                        edges.append(tuple(sorted((orbit[i],
-                                                   orbit[(i + 1) % len(orbit)]))))
-                        kinds.append("intra")
-            for j in range(len(orbits)):
-                a = orbits[j][0]
-                b = orbits[(j + 1) % len(orbits)][0]
-                if a != b:
-                    e = tuple(sorted((a, b)))
-                    if e not in edges:
-                        edges.append(e)
-                        kinds.append("inter")
-            graph = IslGraph(nodes=tuple(range(n)), edges=tuple(edges),
-                             kinds=tuple(kinds), orbits=tuple(orbits))
+            edges = [(a, b) for orbit in orbits
+                     for a, b in zip(orbit, orbit[1:] + orbit[:1]) if a != b]
+            edges += [(orbits[j - 1][0], orbits[j][0])
+                      for j in range(len(orbits))]
+            graph = isl_graph(edges, orbits)
             states, _ = multi_orbit_sync_states(params, weights,
                                                 plan_multi_orbit(graph, m))
         assert len({s.tobytes() for s in states}) == 1
@@ -309,10 +295,8 @@ def test_criterion_11_degenerate_equivalences():
     weights /= weights.sum()
     params = rng.standard_normal((6, 40))
     order = (0, 3, 1, 5, 2, 4)
-    ring = IslGraph(nodes=tuple(range(6)),
-                    edges=tuple(tuple(sorted((order[k], order[(k + 1) % 6])))
-                                for k in range(6)),
-                    kinds=("intra",) * 6, orbits=(order,))
+    ring = isl_graph([(order[k - 1], order[k]) for k in range(6)],
+                     orbits=(order,))
     multi, _ = multi_orbit_sync_states(params, weights,
                                        plan_multi_orbit(ring, 40))
     reference = naive_ring([params[s] * weights[s] for s in order], order,

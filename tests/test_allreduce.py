@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     gossip_traffic,
+    isl_graph,
     naive_ring,
     naive_three_phase,
     phase_steps,
@@ -26,7 +27,7 @@ from saginfl.allreduce import (
     stitch_chunks,
 )
 from saginfl.errors import InputError, TopologyError
-from saginfl.topology import IslGraph, build_walker, derive_isl_graph
+from saginfl.topology import build_walker, derive_isl_graph
 
 
 def random_models(rng, n, m):
@@ -189,20 +190,16 @@ class TestMultiOrbitSync:
 
     def test_three_orbits_of_two_equal_weights(self):
         # hand-built graph: three 2-satellite orbits bridged in a chain
-        graph = IslGraph(
-            nodes=tuple(range(6)),
-            edges=((0, 1), (2, 3), (4, 5), (0, 2), (2, 4), (0, 4)),
-            kinds=("intra", "intra", "intra", "inter", "inter", "inter"),
-            orbits=((0, 1), (2, 3), (4, 5)))
+        graph = isl_graph(((0, 1), (2, 3), (4, 5), (0, 2), (2, 4), (0, 4)),
+                          orbits=((0, 1), (2, 3), (4, 5)))
         params = np.array([[float(v), 2.0 * v] for v in range(6)])
         states, _ = multi(params, np.full(6, 1 / 6), graph)
         for sat in range(6):
             assert np.allclose(states[sat], [2.5, 5.0], rtol=1e-12)
 
     def test_single_orbit_reduces_to_ring(self):
-        graph = IslGraph(nodes=(0, 1, 2, 3),
-                         edges=((0, 1), (1, 2), (2, 3), (0, 3)),
-                         kinds=("intra",) * 4, orbits=((0, 1, 2, 3),))
+        graph = isl_graph(((0, 1), (1, 2), (2, 3), (0, 3)),
+                          orbits=((0, 1, 2, 3),))
         params, weights = random_models(np.random.default_rng(8), 4, 9)
         multi_states, multi_log = multi(params, weights, graph)
         flat_states, flat_log = ring(params, weights)
@@ -225,9 +222,7 @@ class TestMultiOrbitSync:
         assert rel.max() < 1e-9
 
     def test_orbit_without_inter_edge_rejected(self):
-        graph = IslGraph(nodes=(0, 1, 2, 3),
-                         edges=((0, 1), (2, 3)),
-                         kinds=("intra", "intra"), orbits=((0, 1), (2, 3)))
+        graph = isl_graph(((0, 1), (2, 3)), orbits=((0, 1), (2, 3)))
         with pytest.raises(TopologyError):
             plan_multi_orbit(graph, 2)
 
@@ -247,7 +242,7 @@ class TestStackedRings:
 
     def assert_matches_reference(self, graph, m, seed):
         params, weights = random_models(np.random.default_rng(seed),
-                                        len(graph.nodes), m)
+                                        len(graph.adjacency), m)
         states, plan = multi(params, weights, graph)
         want, transfers, reps = naive_three_phase(params, weights, graph)
         assert sorted(want) == list(range(len(states)))
@@ -278,11 +273,8 @@ class TestStackedRings:
         self.assert_matches_reference(graph, 23, seed=13)
 
     def test_unequal_orbits_with_a_one_satellite_ring(self):
-        graph = IslGraph(
-            nodes=tuple(range(6)),
-            edges=((1, 2), (2, 3), (1, 3), (4, 5), (0, 1), (3, 4)),
-            kinds=("intra",) * 4 + ("inter",) * 2,
-            orbits=((0,), (1, 2, 3), (4, 5)))
+        graph = isl_graph(((1, 2), (2, 3), (1, 3), (4, 5), (0, 1), (3, 4)),
+                          orbits=((0,), (1, 2, 3), (4, 5)))
         plan = self.assert_matches_reference(graph, 10, seed=14)
         # the lone satellite of orbit 0 sends only on the representatives' ring
         sent_in = set(plan.transfers["phase"][plan.transfers["src"] == 0].tolist())

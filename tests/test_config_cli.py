@@ -153,6 +153,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key}"):
             saginfl.run_obl(cfg)
 
+    def test_zero_init_scale_rejected_only_under_mlp(self):
+        text = SMALL_CONFIG.replace("[training]", "[training]\ninit_scale = 0")
+        cfg = parse_config_text(text)
+        assert cfg.training.init_scale == 0.0
+        with pytest.raises(ConfigurationError,
+                           match=r"\[training\] init_scale must be nonzero"):
+            parse_config_text(text.replace("[training]",
+                                           "[training]\nlearner = mlp"))
+
     def test_apply_axis_variants(self):
         cfg = parse_config_text(SMALL_CONFIG)
         assert apply_axis(cfg, "n_geo", 4).policy.n_geo == 4
@@ -223,8 +232,9 @@ class TestCliRun:
         outdir = output_root / "out"
         stems = sorted(p.name for p in outdir.iterdir())
         assert any(s.endswith(".trace.txt") for s in stems)
-        assert any(s.endswith(".summary.csv") for s in stems)
         assert any(s.endswith(".topology.tsv") for s in stems)
+        (summary,) = outdir.glob("*.summary.csv")
+        assert out == summary.read_text()
 
     def test_missing_seed_exit_code_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

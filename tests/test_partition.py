@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import induced_diameter, naive_graph_partition
+from oracles import induced_diameter, isl_graph, naive_graph_partition
 
 from saginfl.config import load_config
 from saginfl.partition import (
@@ -15,7 +15,6 @@ from saginfl.partition import (
 )
 from saginfl.simulation import build_topology
 from saginfl.topology import (
-    IslGraph,
     build_single_orbit,
     build_walker,
     compute_coverage,
@@ -26,9 +25,8 @@ WALKER_INI = Path(__file__).resolve().parents[1] / "configs" / "walker.ini"
 
 
 def ring_graph(n):
-    edges = tuple(tuple(sorted((k, (k + 1) % n))) for k in range(n))
-    return IslGraph(nodes=tuple(range(n)), edges=edges,
-                    kinds=("intra",) * n, orbits=(tuple(range(n)),))
+    return isl_graph([(k, (k + 1) % n) for k in range(n)],
+                     orbits=(tuple(range(n)),))
 
 
 class TestArcPartition:
@@ -94,8 +92,7 @@ class TestGraphPartition:
         # path u-w plus s-u, s-v, w-z, z-v: residual distance w..v is 2 via z,
         # but inside {s,u,v,w} it is 3, so w must not join when n_geo=3
         edges = ((0, 1), (0, 2), (1, 3), (3, 4), (4, 2))
-        graph = IslGraph(nodes=tuple(range(5)), edges=edges,
-                         kinds=("intra",) * 5, orbits=(tuple(range(5)),))
+        graph = isl_graph(edges, orbits=(tuple(range(5)),))
         for seed in range(10):
             pset = graph_partition(graph, 3, np.random.default_rng(seed))
             for part in pset.parts:

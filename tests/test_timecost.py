@@ -1,5 +1,6 @@
 """Per-link delays and the per-round time model."""
 import numpy as np
+from oracles import isl_graph
 
 from saginfl.allreduce import plan_multi_orbit, plan_ring
 from saginfl.assignment import AssignmentMap
@@ -18,7 +19,6 @@ from saginfl.timecost import (
     gossip_sync_time,
     sync_time,
 )
-from saginfl.topology import IslGraph
 
 TFLOPS = 0.665e12
 M = 110           # model parameters
@@ -134,18 +134,10 @@ class TestCompTime:
 def walker_graph(orbits):
     """Orbits bridged by one inter-orbit edge between consecutive first
     members."""
-    edges, kinds = [], []
-    for orbit in orbits:
-        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
-            edges.append(tuple(sorted((a, b))))
-            kinds.append("intra")
-    for prev, nxt in zip(orbits, orbits[1:]):
-        edges.append((prev[0], nxt[0]))
-        kinds.append("inter")
-    n = sum(len(o) for o in orbits)
-    return IslGraph(nodes=tuple(range(n)), edges=tuple(edges),
-                    kinds=tuple(kinds),
-                    orbits=tuple(tuple(o) for o in orbits))
+    edges = [(a, b) for orbit in orbits
+             for a, b in zip(orbit, orbit[1:] + orbit[:1])]
+    edges += [(prev[0], nxt[0]) for prev, nxt in zip(orbits, orbits[1:])]
+    return isl_graph(edges, orbits)
 
 
 class TestSyncTime:

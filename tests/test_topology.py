@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from oracles import (
     great_circle_angle,
+    isl_edges,
+    isl_graph,
     latlon_to_unit,
     plane_normal,
     reference_constellation,
@@ -17,7 +19,6 @@ from scipy.sparse import csgraph
 
 from saginfl.errors import TopologyError
 from saginfl.topology import (
-    IslGraph,
     _hop_matrix,
     build_single_orbit,
     build_walker,
@@ -59,7 +60,7 @@ class TestSingleOrbit:
         topo = build_single_orbit(1, 330.0, 1, 1)
         graph = derive_isl_graph(topo)
         assert topo.n_satellites == 1
-        assert graph.edges == ()
+        assert graph.adjacency.tolist() == [[False]]
 
     def test_air_nodes_evenly_spaced(self):
         topo = build_single_orbit(4, 330.0, 8, 2)
@@ -84,8 +85,7 @@ class TestWalker:
         graph = derive_isl_graph(topo)
         assert topo.n_satellites == 6
         for orbit in graph.orbits:
-            intra = [e for e, k in zip(graph.edges, graph.kinds)
-                     if k == "intra" and e[0] in orbit]
+            intra = [e for e in isl_edges(graph, "intra") if e[0] in orbit]
             assert len(intra) == 3  # 3-cycle per plane
 
     def test_connected_with_inter_orbit_edges(self):
@@ -94,9 +94,8 @@ class TestWalker:
         hop_distances(graph)  # raises if disconnected
         pair_edges = collections.Counter()
         plane_of = np.arange(24) // 8
-        for (a, b), kind in zip(graph.edges, graph.kinds):
-            if kind == "inter":
-                pair_edges[tuple(sorted((plane_of[a], plane_of[b])))] += 1
+        for a, b in isl_edges(graph, "inter"):
+            pair_edges[tuple(sorted((plane_of[a], plane_of[b])))] += 1
         for pi in range(3):
             for pj in range(pi + 1, 3):
                 assert pair_edges[(pi, pj)] >= 1
@@ -112,25 +111,21 @@ class TestIslGraph:
     def test_single_orbit_cycle_edge_count(self):
         topo = build_single_orbit(20, 330.0, 10, 1)
         graph = derive_isl_graph(topo)
-        assert len(graph.edges) == 20
-        assert set(graph.kinds) == {"intra"}
+        assert len(isl_edges(graph)) == 20
+        assert isl_edges(graph, "inter") == []
 
     def test_three_planes_every_pair_linked(self):
         topo = build_walker(3, 6, 85.0, 330.0, 1, 1)
         graph = derive_isl_graph(topo)
         plane_of = np.arange(18) // 6
         linked = {tuple(sorted((plane_of[a], plane_of[b])))
-                  for (a, b), k in zip(graph.edges, graph.kinds) if k == "inter"}
+                  for a, b in isl_edges(graph, "inter")}
         assert linked == {(0, 1), (0, 2), (1, 2)}
 
     def test_walker_degree_bound(self):
         topo = build_walker(15, 16, 85.0, 330.0, 1, 1)
         graph = derive_isl_graph(topo)
-        degree = collections.Counter()
-        for a, b in graph.edges:
-            degree[a] += 1
-            degree[b] += 1
-        assert max(degree.values()) <= 2 + 2 * (15 - 1)
+        assert graph.adjacency.sum(axis=1).max() <= 2 + 2 * (15 - 1)
         hop_distances(graph)  # connected
 
     @pytest.mark.parametrize("shape", [(16, 15, 90.0), (14, 16, 90.0),
@@ -141,22 +136,41 @@ class TestIslGraph:
         # p + n/2 coincide; several cross-plane pairs then lie at one angle
         # up to rounding, and the lowest (a, b) among them is the anchor
         graph = derive_isl_graph(build_walker(*shape, 330.0, 1, 1))
-        inter = [e for e, k in zip(graph.edges, graph.kinds) if k == "inter"]
-        assert inter == reference_inter_orbit_edges(*shape)
+        assert isl_edges(graph, "inter") == reference_inter_orbit_edges(*shape)
 
     def test_intra_edges_form_one_cycle_per_plane(self):
         topo = build_walker(4, 5, 60.0, 500.0, 1, 1)
         graph = derive_isl_graph(topo)
         for orbit in graph.orbits:
             members = set(orbit)
-            intra = [e for e, k in zip(graph.edges, graph.kinds)
-                     if k == "intra" and e[0] in members]
+            intra = [e for e in isl_edges(graph, "intra") if e[0] in members]
             assert len(intra) == len(orbit)
             degree = collections.Counter()
             for a, b in intra:
                 degree[a] += 1
                 degree[b] += 1
             assert all(degree[s] == 2 for s in orbit)
+
+    @pytest.mark.parametrize("topo", [
+        build_single_orbit(1, 330.0, 1, 1), build_single_orbit(2, 330.0, 1, 1),
+        build_single_orbit(3, 330.0, 1, 1), build_single_orbit(20, 330.0, 1, 1),
+        build_walker(3, 1, 85.0, 330.0, 1, 1), build_walker(3, 2, 85.0, 330.0, 1, 1),
+        build_walker(2, 3, 85.0, 330.0, 1, 1), build_walker(15, 16, 85.0, 330.0, 1, 1),
+    ], ids=["1x1", "1x2", "1x3", "1x20", "3x1", "3x2", "2x3", "15x16"])
+    def test_adjacency_symmetric_with_one_cycle_per_orbit(self, topo):
+        graph = derive_isl_graph(topo)
+        n = topo.n_satellites
+        assert graph.adjacency.shape == (n, n)
+        assert graph.adjacency.dtype == bool
+        assert (graph.adjacency == graph.adjacency.T).all()
+        assert not graph.adjacency.diagonal().any()
+        expected = set()
+        for ring in graph.orbits:
+            links = {tuple(sorted((a, b)))
+                     for a, b in zip(ring, ring[1:] + ring[:1]) if a != b}
+            assert len(links) == {1: 0, 2: 1}.get(len(ring), len(ring))
+            expected |= links
+        assert set(isl_edges(graph, "intra")) == expected
 
     def test_rebuild_identical_serialization(self, tmp_path):
         paths = []
@@ -183,9 +197,7 @@ class TestHopDistances:
         # hand-built: two 4-rings joined by a single bridge 0-4
         edges = [(0, 1), (1, 2), (2, 3), (0, 3),
                  (4, 5), (5, 6), (6, 7), (4, 7), (0, 4)]
-        graph = IslGraph(nodes=tuple(range(8)), edges=tuple(edges),
-                         kinds=("intra",) * 8 + ("inter",),
-                         orbits=((0, 1, 2, 3), (4, 5, 6, 7)))
+        graph = isl_graph(edges, orbits=((0, 1, 2, 3), (4, 5, 6, 7)))
         hops = hop_distances(graph)
         for a in range(4):
             for b in range(4, 8):
@@ -199,17 +211,17 @@ class TestHopDistances:
         graph = derive_isl_graph(build_walker(3, 6, 85.0, 330.0, 1, 1))
         hops = hop_distances(graph)
         for src in range(0, 18, 5):
-            oracle = bfs_oracle(18, graph.edges, src)
+            oracle = bfs_oracle(18, isl_edges(graph), src)
             for dst in range(18):
                 assert hops[src, dst] == oracle[dst]
 
     def test_symmetry_triangle_and_edge_property(self):
         graph = derive_isl_graph(build_walker(3, 8, 85.0, 330.0, 1, 1))
         hops = hop_distances(graph)
-        n = len(graph.nodes)
+        n = len(graph.adjacency)
         assert (hops == hops.T).all()
         assert (np.diag(hops) == 0).all()
-        edge_set = set(graph.edges)
+        edge_set = set(isl_edges(graph))
         for a in range(n):
             for b in range(n):
                 if a != b:
@@ -237,15 +249,13 @@ class TestHopDistances:
         assert disconnected > 50
 
     def test_disconnected_graph_names_components(self):
-        graph = IslGraph(nodes=(0, 1, 2, 3), edges=((0, 1), (2, 3)),
-                         kinds=("intra", "intra"), orbits=((0, 1), (2, 3)))
+        graph = isl_graph(((0, 1), (2, 3)), orbits=((0, 1), (2, 3)))
         with pytest.raises(TopologyError, match=r"\[0, 1\]"):
             hop_distances(graph)
 
     def test_components_sorted_by_lowest_member(self):
-        graph = IslGraph(nodes=(0, 1, 2, 3, 4, 5),
-                         edges=((1, 5), (0, 4), (3, 4)),
-                         kinds=("intra",) * 3, orbits=((0, 1, 2, 3, 4, 5),))
+        graph = isl_graph(((1, 5), (0, 4), (3, 4)),
+                          orbits=((0, 1, 2, 3, 4, 5),))
         with pytest.raises(TopologyError) as exc:
             hop_distances(graph)
         assert str(exc.value) == ("ISL graph is disconnected; components: "
