@@ -164,10 +164,18 @@ _NON_NEGATIVE = {
     "data": ("geo_bin_deg",),
     "training": ("l2",),
 }
-# topology keys read by one kind only, with their least value
+# topology keys checked under one kind only, with their least value
 _KIND_MINIMUM = {"single": {"n_sats": 1, "n_air": 1},
                  "walker": {"n_planes": 2, "sats_per_plane": 3,
                             "air_per_cell": 1}}
+# the keys a run never reads, by the setting that leaves them unread
+_UNREAD_UNDER = {
+    ("topology", "kind", "single"): "n_planes sats_per_plane inclination_deg air_per_cell",
+    ("topology", "kind", "walker"): "n_sats n_air",
+    ("policy", "name", "gdo"): "n_geo",
+    ("policy", "name", "cdo"): "n_geo",
+    ("training", "learner", "softmax"): "hidden_dim",
+}
 
 
 def _require(section: str, key: str, value, ok: bool, rule: str) -> None:
@@ -250,28 +258,30 @@ def load_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
+def unread_keys(cfg: ExperimentConfig) -> dict[tuple[str, str], str]:
+    """Each ``(section, key)`` a run of ``cfg`` never reads, mapped to the
+    ``[section] key = value`` setting in that section that leaves it unread."""
+    return {(section, unread): f"[{section}] {key} = {value}"
+            for (section, key, value), keys in _UNREAD_UNDER.items()
+            if getattr(getattr(cfg, section), key) == value
+            for unread in keys.split()}
+
+
 def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """Derive a sweep-cell configuration from the base one.
 
-    The axis sets its ``AXES`` key to ``value``, coerced to the key's type.
-    The cell's label gains ``_<axis>-<value>``, so every cell of a sweep
-    writes its own files. An axis the base configuration never reads is
-    rejected rather than swept over identical cells: a key that only the
-    other topology kind reads (``_KIND_MINIMUM``), or ``n_geo`` under a
-    policy other than CNASA.
+    The axis sets its ``AXES`` key to ``value``, coerced to the key's type;
+    a key that ``unread_keys(cfg)`` lists is an error. The cell's label
+    gains ``_<axis>-<value>``, so every cell of a sweep writes its own files.
     """
     if axis not in AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {tuple(AXES)}")
     section, key = AXES[axis]
     value = key_type(section, key)(value)
+    setting = unread_keys(cfg).get((section, key))
+    if setting:
+        raise ConfigurationError(f"sweep axis {axis} has no effect on {setting}")
     t = cfg.topology
-    if any(key in least for least in _KIND_MINIMUM.values()) \
-            and key not in _KIND_MINIMUM.get(t.kind, {}):
-        raise ConfigurationError(
-            f"sweep axis {axis} has no effect on [topology] kind = {t.kind}")
-    if key == "n_geo" and cfg.policy.name != "cnasa":
-        raise ConfigurationError(
-            f"sweep axis n_geo has no effect on [policy] name = {cfg.policy.name}")
     updates = {key: value}
     if axis == "n_devices":
         n_air = t.n_air if t.kind == "single" else t.n_satellites * t.air_per_cell

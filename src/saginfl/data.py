@@ -63,7 +63,7 @@ def generate_data(data: DataConfig, topology: NetworkTopology,
     means = _blob_means(n_classes, data.feature_dim, data.blob_scale)
     scales = class_scales(n_classes, data.class_scale_min, data.class_scale_max)
     longitudes = topology.air_lon[topology.air_of_device]
-    base = (longitudes % 360.0 // bin_deg).astype(int) % n_classes
+    base = (longitudes % 360.0 // bin_deg % n_classes).astype(int)
     windows = (base[:, None] + np.arange(per_device)) % n_classes
     per, rem = divmod(data.samples_per_device, per_device)
     labels = np.repeat(windows, per + (np.arange(per_device) < rem), axis=1)

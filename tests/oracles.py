@@ -1,7 +1,7 @@
 """Reference implementations the tests compare the package against.
 
 Each one is the slow, direct form of something the package computes another
-way (exhaustive matching, all-pairs partition distances, per-step ring
+way (exhaustive matching, csgraph partition distances, per-step ring
 transfers, inverted access maps, per-element ``math`` geometry), or a
 quantity only the tests need (closed forms, the divergence at the recorded
 global models). None of them runs in a simulation.
@@ -81,7 +81,7 @@ def induced_diameter(part: tuple[int, ...], graph: IslGraph) -> int:
 
 
 def _induced_distance_ok(candidate: int, members: set[int],
-                         adj: np.ndarray, n_geo: int) -> bool:
+                         neighbors: list[list[int]], n_geo: int) -> bool:
     """BFS from candidate inside members|{candidate}; all members < n_geo away."""
     allowed = members | {candidate}
     dist = {candidate: 0}
@@ -90,8 +90,7 @@ def _induced_distance_ok(candidate: int, members: set[int],
         u = queue.popleft()
         if dist[u] + 1 >= n_geo:
             continue
-        for v in np.flatnonzero(adj[u]):
-            v = int(v)
+        for v in neighbors[u]:
             if v in allowed and v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -100,39 +99,45 @@ def _induced_distance_ok(candidate: int, members: set[int],
 
 def naive_graph_partition(graph: IslGraph, n_geo: int,
                           rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-    """``graph_partition``'s parts, testing each candidate against all-pairs
-    hop distances recomputed on the whole residual graph for every part.
+    """``graph_partition``'s parts, testing each candidate against hop
+    distances that ``csgraph.dijkstra`` recomputes on the whole residual
+    graph for every part.
 
-    Distances beyond ``n_geo - 1`` hops read as unreachable (-1); the
-    candidate test rejects both alike, and the capped search keeps the
-    oracle fast enough for the tests.
+    The residual graph masks one CSR copy of the ISL graph. One search
+    finds the live satellites within ``n_geo - 1`` hops of the part's
+    seed; every member lies among them, so a second search from each of
+    them gives every member-to-candidate distance the test reads. Distances
+    beyond ``n_geo - 1`` hops read as unreachable (inf); the candidate test
+    rejects both alike.
     """
-    full_adj = graph.adjacency
-    n = len(full_adj)
-    alive = np.ones(n, dtype=bool)
+    neighbors = [np.flatnonzero(row).tolist() for row in graph.adjacency]
+    full = sparse.csr_matrix(graph.adjacency, dtype=float)
+    rows = np.repeat(np.arange(full.shape[0]), np.diff(full.indptr))
+    alive = np.ones(full.shape[0], dtype=bool)
     parts: list[tuple[int, ...]] = []
     while alive.any():
-        adj = full_adj & alive[:, None] & alive[None, :]
-        dist = csgraph.dijkstra(sparse.csr_matrix(adj, dtype=float),
-                                unweighted=True, limit=n_geo - 1)
-        dist[np.isinf(dist)] = -1
-        dist = dist.astype(np.int64)
-        dist[:, ~alive] = -1
+        residual = full.copy()
+        residual.data = (alive[rows] & alive[full.indices]).astype(float)
+        residual.eliminate_zeros()
         candidates = np.flatnonzero(alive)
         seed = int(candidates[rng.integers(len(candidates))])
+        near = np.flatnonzero(np.isfinite(csgraph.dijkstra(
+            residual, unweighted=True, limit=n_geo - 1, indices=seed)))
+        dist = csgraph.dijkstra(residual, unweighted=True, limit=n_geo - 1,
+                                indices=near)
+        row_of = {int(u): i for i, u in enumerate(near)}
         members: list[int] = [seed]
         member_set = {seed}
         i = 0
         while i < len(members):
             u = members[i]
-            for v in np.flatnonzero(adj[u]):
-                v = int(v)
-                if v in member_set:
+            for v in neighbors[u]:
+                if v in member_set or not alive[v]:
                     continue
-                res = dist[v, members]
-                if np.any(res < 0) or np.any(res >= n_geo):
+                res = dist[[row_of[m] for m in members], v]
+                if not np.all(res < n_geo):
                     continue
-                if not _induced_distance_ok(v, member_set, adj, n_geo):
+                if not _induced_distance_ok(v, member_set, neighbors, n_geo):
                     continue
                 members.append(v)
                 member_set.add(v)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ from saginfl.config import (
     apply_axis,
     load_config,
     parse_config_text,
+    unread_keys,
     validate_config,
 )
 from saginfl.errors import ConfigurationError
@@ -211,6 +213,20 @@ class TestConfigParsing:
             assert cell.run.label == f"run_{axis}-{values[axis]}"
             if axis != "n_devices":
                 assert getattr(getattr(cell, section), key) == values[axis]
+        # an axis is rejected exactly when the base never reads its key;
+        # 48 devices divide both bases' air nodes
+        gdo = replace(single, policy=replace(single.policy, name="gdo"))
+        for base in (single, walker, gdo):
+            unread = unread_keys(base)
+            for axis, (section, key) in AXES.items():
+                value = 48 if axis == "n_devices" else values[axis]
+                if (section, key) in unread:
+                    with pytest.raises(ConfigurationError, match=re.escape(
+                            f"sweep axis {axis} has no effect on "
+                            f"{unread[section, key]}")):
+                        apply_axis(base, axis, value)
+                else:
+                    validate_config(apply_axis(base, axis, value))
 
     def test_apply_axis_orbits_keeps_total(self):
         cfg = parse_config_text(WALKER_CONFIG)
@@ -447,3 +463,99 @@ def test_package_all_resolves():
     assert len(set(saginfl.__all__)) == len(saginfl.__all__)
     for name in saginfl.__all__:
         assert hasattr(saginfl, name), name
+
+
+# another valid value for every key: the first candidate that differs from
+# the base value, valid on each variant of KEYS_CONFIG
+OTHER_VALUES = {
+    ("topology", "kind"): ("walker", "single"),
+    ("topology", "n_sats"): (5,),
+    ("topology", "altitude_km"): (500.0,),
+    ("topology", "n_air"): (6,),
+    ("topology", "devices_per_air"): (1,),
+    ("topology", "n_planes"): (2,),
+    ("topology", "sats_per_plane"): (3,),
+    ("topology", "inclination_deg"): (60.0,),
+    ("topology", "air_per_cell"): (2,),
+    ("topology", "sg_rate_bps"): (3e9,),
+    ("topology", "sg_prop_s"): (0.02,),
+    ("topology", "ga_rate_bps"): (16e9,),
+    ("topology", "ga_prop_s"): (0.01,),
+    ("topology", "as_rate_bps"): (3e9,),
+    ("topology", "as_prop_s"): (0.01,),
+    ("topology", "ss_rate_bps"): (15e9,),
+    ("topology", "ss_prop_s"): (0.04,),
+    ("data", "n_classes"): (4,),
+    ("data", "classes_per_device"): (3,),
+    ("data", "samples_per_device"): (12,),
+    ("data", "feature_dim"): (10,),
+    ("data", "test_samples"): (200,),
+    ("data", "blob_scale"): (3.0,),
+    ("data", "class_scale_min"): (0.7,),
+    ("data", "class_scale_max"): (2.0,),
+    ("data", "geo_bin_deg"): (30.0,),
+    ("training", "learning_rate"): (0.25,),
+    ("training", "l2"): (1e-2,),
+    ("training", "tau1"): (3,),
+    ("training", "tau2"): (3,),
+    ("training", "global_rounds"): (2,),
+    ("training", "learner"): ("mlp", "softmax"),
+    ("training", "hidden_dim"): (8,),
+    ("training", "init_scale"): (0.5,),
+    ("training", "batch_size"): (5,),
+    ("training", "flops_model"): (2e6,),
+    ("training", "flops_device"): (1e12,),
+    ("training", "flops_air"): (1e12,),
+    ("training", "flops_satellite"): (1e12,),
+    ("training", "bits_per_param"): (16,),
+    ("policy", "name"): ("gdo", "cnasa"),
+    ("policy", "n_geo"): (3,),
+    ("run", "seed"): (8,),
+    ("run", "output_dir"): ("elsewhere",),
+    ("run", "sync_algo"): ("gossip",),
+    ("run", "label"): ("other",),
+}
+PATH_KEYS = {("run", "output_dir"), ("run", "label")}
+# SMALL_CONFIG with a tiny Walker's keys set too, read when kind = walker
+KEYS_CONFIG = SMALL_CONFIG.replace(
+    "devices_per_air = 2",
+    "devices_per_air = 2\nn_planes = 3\nsats_per_plane = 4\nair_per_cell = 1")
+
+
+def run_outputs(cfg, root, monkeypatch):
+    """The paths ``cli.execute_run`` writes for ``cfg`` under ``root``, and
+    each file's text by suffix; a trace keeps only what follows
+    ``[config]``."""
+    monkeypatch.setenv("SAGINFL_OUTPUT_ROOT", str(root))
+    cli.execute_run(cfg, cli.output_dir(cfg))
+    paths = sorted(root.rglob("*.*"))
+    texts = {path.suffixes[-2]: path.read_text() for path in paths}
+    texts[".trace"] = texts[".trace"].split("\n\n", 2)[2]
+    return [path.relative_to(root) for path in paths], texts
+
+
+@pytest.mark.parametrize("old, new", [
+    ("", ""), ("kind = single", "kind = walker"),
+    ("[training]", "[training]\nlearner = mlp"),
+    ("name = cnasa", "name = gdo")], ids=["single", "walker", "mlp", "gdo"])
+def test_every_key_has_an_effect_unless_unread(old, new, tmp_path,
+                                               monkeypatch):
+    base = parse_config_text(KEYS_CONFIG.replace(old, new))
+    keys = {(name, f.name) for name in ("topology", "data", "training",
+                                        "policy", "run")
+            for f in fields(getattr(base, name))}
+    assert keys == set(OTHER_VALUES)
+    unread = unread_keys(base)
+    paths, texts = run_outputs(base, tmp_path / "base", monkeypatch)
+    for i, ((section, key), candidates) in enumerate(OTHER_VALUES.items()):
+        value = next(v for v in candidates
+                     if v != getattr(getattr(base, section), key))
+        cfg = validate_config(replace(base, **{
+            section: replace(getattr(base, section), **{key: value})}))
+        got_paths, got = run_outputs(cfg, tmp_path / str(i), monkeypatch)
+        if (section, key) in PATH_KEYS:
+            assert got_paths != paths and got == texts, key
+        elif (section, key) in unread:
+            assert got_paths == paths and got == texts, key
+        else:
+            assert any(got[s] != texts[s] for s in (".trace", ".topology")), key

@@ -161,6 +161,17 @@ class TestGenerateData:
         assert s[0] == 0.5 and s[-1] == 2.5
         assert (np.diff(s) > 0).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_bin_width_keeps_labels_in_range(self):
+        # lon // 1e-300 is about 1e302, far beyond int64
+        topology = build_single_orbit(4, 330.0, 8, 2)
+        data = DataConfig(n_classes=8, classes_per_device=2,
+                          samples_per_device=10, feature_dim=8,
+                          geo_bin_deg=1e-300)
+        _, labels, _, _ = generate_data(data, topology,
+                                        np.random.default_rng(0))
+        assert labels.min() >= 0 and labels.max() < 8
+
 
 class TestSoftmaxLearner:
     def test_zero_eta_no_change(self):

@@ -101,7 +101,7 @@ class TestGraphPartition:
 
 
 class TestAgainstAllPairsOracle:
-    """The member-row search emits the parts of the all-pairs search and
+    """The member-row search emits the parts of the csgraph search and
     draws the same numbers from the rng."""
 
     @pytest.mark.parametrize("n_geo", [2, 4, 10])
