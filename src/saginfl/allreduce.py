@@ -35,24 +35,6 @@ def _chunk_size(m: int, n: int) -> int:
     return max(1, math.ceil(m / n))
 
 
-def chunk_model(params: np.ndarray, n: int) -> np.ndarray:
-    """Split the last axis into n chunks of ceil(M/n) entries, zero-padding
-    the last: ``(..., M)`` becomes ``(..., n, ceil(M/n))``."""
-    if n < 1:
-        raise InputError(f"chunk count must be >= 1, got {n}")
-    params = np.asarray(params, dtype=float)
-    lead, m = params.shape[:-1], params.shape[-1]
-    size = _chunk_size(m, n)
-    padded = np.zeros(lead + (size * n,), dtype=float)
-    padded[..., :m] = params
-    return padded.reshape(lead + (n, size))
-
-
-def stitch_chunks(chunks: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of chunk_model: join the last two axes and drop padding."""
-    return chunks.reshape(chunks.shape[:-2] + (-1,))[..., :m]
-
-
 @dataclass(frozen=True, eq=False)
 class SyncPlan:
     """One synchronization's rings, phase by phase, and its transfers.
@@ -143,18 +125,18 @@ def _ring_sums(vectors: np.ndarray) -> np.ndarray:
     """Each ring's element-wise sum, as its chunked ring allreduce leaves it.
 
     ``vectors`` is ``(rings, n, M)``: member k of each ring holds
-    ``vectors[:, k]``. Chunk c starts at member c and each later member in
-    ring order adds its own chunk c, so n - 1 adds in that order give the
-    ring's bits. The caller is responsible for any weighting (fold it into
-    the inputs). Returns ``(rings, M)``.
+    ``vectors[:, k]``. Chunk c (entry j is in chunk j // ceil(M/n)) starts
+    at member c and each later member in ring order adds its own chunk c, so
+    n - 1 adds in that order give the ring's bits. The caller is responsible
+    for any weighting (fold it into the inputs). Returns ``(rings, M)``.
     """
     n, m = vectors.shape[1:]
-    chunks = chunk_model(vectors, n)          # (rings, member, chunk, size)
-    cs = np.arange(n)
-    acc = chunks[:, cs, cs]
+    entries = np.arange(m)
+    chunk = entries // _chunk_size(m, n)
+    acc = vectors[:, chunk, entries]
     for k in range(1, n):
-        acc = acc + chunks[:, (cs + k) % n, cs]
-    return stitch_chunks(acc, m)
+        acc = acc + vectors[:, (chunk + k) % n, entries]
+    return acc
 
 
 def _phase_sums(vectors: np.ndarray, rings) -> np.ndarray:

@@ -30,10 +30,16 @@ from .diagnostics import bound_inapplicable, check_convergence_bound
 from .errors import ConfigurationError
 from .simulation import run_obl
 from .topology import write_topology_table
-from .trace import _fmt, summary_row, summary_text, write_summary, write_trace
+from .trace import (
+    SUMMARY_COLUMNS,
+    _fmt,
+    summary_row,
+    summary_text,
+    write_summary,
+    write_trace,
+)
 
-RUNS_COLUMNS = ("axis", "value", "seed", "final_accuracy", "total_time_s",
-                "delta_hat", "Delta_hat", "bound_margin", "status")
+RUNS_COLUMNS = ("axis", "value", "seed", *SUMMARY_COLUMNS[3:], "status")
 AGG_COLUMNS = ("axis", "value", "n_seeds", "accuracy_mean", "accuracy_std",
                "time_mean", "time_std")
 

@@ -199,6 +199,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             for key in keys:
                 value = getattr(getattr(cfg, section), key)
                 _require(section, key, value, ok(value), rule)
+    # a narrower bin overflows the longitude bin index in generate_data
+    _require("data", "geo_bin_deg", d.geo_bin_deg,
+             d.geo_bin_deg == 0 or math.isfinite(360.0 / d.geo_bin_deg),
+             "0 or so wide that 360 / geo_bin_deg is finite")
     if t.kind not in _KIND_MINIMUM:
         raise ConfigurationError(f"[topology] kind must be single|walker, got {t.kind!r}")
     for key, least in _KIND_MINIMUM[t.kind].items():

@@ -70,7 +70,6 @@ def generate_data(data: DataConfig, topology: NetworkTopology,
     features = _sample_blob(means, scales, labels, rng)
 
     per, rem = divmod(data.test_samples, n_classes)
-    test_labels = np.repeat(np.arange(n_classes),
-                            per + (np.arange(n_classes) < rem))
-    test_features = _sample_blob(means, scales, test_labels, rng)
-    return features, labels, test_features, test_labels
+    test_y = np.repeat(np.arange(n_classes), per + (np.arange(n_classes) < rem))
+    test_x = _sample_blob(means, scales, test_y, rng)
+    return features, labels, test_x, test_y

@@ -36,14 +36,7 @@ from .partition import (
     graph_partition,
     with_air_parts,
 )
-from .timecost import (
-    TimeBreakdown,
-    comm_time,
-    comp_time,
-    gossip_sync_time,
-    make_delivery_model,
-    sync_time,
-)
+from .timecost import TimeBreakdown, make_delivery_model, price_round
 from .topology import (
     IslGraph,
     NetworkTopology,
@@ -100,7 +93,8 @@ class TrainingTrace:
     satellite_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     global_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     accuracy: list[tuple[int, int, float]] = field(default_factory=list)
-    breakdowns: list[TimeBreakdown] = field(default_factory=list)
+    # the cost of every global round, fixed by the run's set-up
+    round_cost: TimeBreakdown | None = None
     # one synchronization's rings and transfers, the same every global round
     sync_plan: SyncPlan | None = None
     warnings: tuple[str, ...] = ()
@@ -112,8 +106,6 @@ class TrainingTrace:
     assignment: AssignmentMap | None = None
     partition: PartitionSet | None = None     # None under GDO
     samples: Samples | None = None
-    test_features: np.ndarray | None = None
-    test_labels: np.ndarray | None = None
     learner: object | None = None
     sat_of_device: np.ndarray | None = None
     device_sizes: np.ndarray | None = None
@@ -124,7 +116,8 @@ class TrainingTrace:
 
     @property
     def total_time(self) -> float:
-        return sum(b.t_total for b in self.breakdowns)
+        """The round cost once per completed global round, added in order."""
+        return sum([self.round_cost.t_total] * len(self.accuracy))
 
     @cached_property
     def aggregation(self) -> AggregationWeights:
@@ -154,7 +147,6 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
                       ) -> tuple[AssignmentMap, PartitionSet | None]:
     """GDO keeps the access map; CDO is CNASA over one arc of every
     satellite; CNASA works on arcs (one orbit) or graph parts (Walker)."""
-    delivery = make_delivery_model(hops, access, cfg, m)
     name = cfg.policy.name
     if name == "gdo":
         return gdo(access, hops), None
@@ -166,7 +158,7 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
         parts = graph_partition(graph, cfg.policy.n_geo, partition_rng)
     pset = with_air_parts(parts, access)
     assignment = cnasa(topology, access, pset, class_counts, policy_rng,
-                       delivery)
+                       make_delivery_model(hops, access, cfg, m))
     return assignment, pset
 
 
@@ -207,10 +199,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             "sync_algo=gossip: t_sync is the analytic gossip cost; [commlog] "
             "lists the ring allreduce that produced the model values",)
     trace = TrainingTrace(
-        config=cfg, sync_plan=plan, warnings=warnings, topology=topology,
-        graph=graph, access=access, assignment=assignment, partition=pset,
-        samples=samples, test_features=test_x, test_labels=test_y,
-        learner=learner, sat_of_device=assignment.f[topology.air_of_device],
+        config=cfg, round_cost=price_round(cfg, assignment, plan, m),
+        sync_plan=plan, warnings=warnings, topology=topology, graph=graph,
+        access=access, assignment=assignment, partition=pset,
+        samples=samples, learner=learner,
+        sat_of_device=assignment.f[topology.air_of_device],
         device_sizes=samples.class_counts.sum(axis=1))
     weights = trace.aggregation
 
@@ -223,16 +216,6 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     tau1, tau2 = cfg.training.tau1, cfg.training.tau2
     eta = cfg.training.learning_rate
     total_steps = cfg.training.global_rounds * tau1 * tau2
-    if cfg.run.sync_algo == "gossip":
-        t_sync = gossip_sync_time(n_sats, cfg, m)
-    else:
-        t_sync = sync_time(plan.phases, cfg, m)
-    # the cost of a global round is fixed by the run's set-up
-    breakdown = TimeBreakdown(
-        t_comm=comm_time(assignment, cfg, m),
-        t_comp=comp_time(cfg, m, assignment.max_assigned),
-        t_sync=t_sync, n_ss=relay_hops)
-
     batch_size = cfg.training.batch_size
     n_samples = samples.x.shape[2]
     for t in range(1, total_steps + 1):
@@ -269,5 +252,4 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
 
         acc = learner.accuracy(global_params, test_x, test_y)
         trace.accuracy.append((g_round, t, acc))
-        trace.breakdowns.append(breakdown)
     return trace

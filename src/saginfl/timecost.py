@@ -7,7 +7,8 @@ synchronization. Bandwidth is equal-split among simultaneous transmitters:
 a satellite's uplink capacity over the air nodes in its access cell, an air
 node's over its devices. The broadcast downlink is a single transmitter and
 is not split. Every cost is priced from the configuration and the model's
-parameter count ``m``.
+parameter count ``m``. On the static snapshot a run models, every global
+round costs the same, so ``price_round`` prices one round once per run.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allreduce import SyncPlan
 from .assignment import AssignmentMap
 from .config import ExperimentConfig
 
@@ -95,6 +97,20 @@ def gossip_sync_time(n_sats: int, cfg: ExperimentConfig, m: int) -> float:
     per_cycle = (m * cfg.training.bits_per_param / top.ss_rate_bps
                  + top.ss_prop_s + m / cfg.training.flops_satellite)
     return cycles * per_cycle
+
+
+def price_round(cfg: ExperimentConfig, assignment: AssignmentMap,
+                plan: SyncPlan, m: int) -> TimeBreakdown:
+    """The cost of one global round: communication, computation, and the
+    sync time of ``plan``'s rings, or the analytic gossip cost under
+    ``sync_algo = gossip``."""
+    gossip = cfg.run.sync_algo == "gossip"
+    return TimeBreakdown(
+        t_comm=comm_time(assignment, cfg, m),
+        t_comp=comp_time(cfg, m, assignment.max_assigned),
+        t_sync=(gossip_sync_time(cfg.topology.n_satellites, cfg, m) if gossip
+                else sync_time(plan.phases, cfg, m)),
+        n_ss=assignment.relay_hops())
 
 
 @dataclass(frozen=True)

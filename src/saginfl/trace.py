@@ -8,7 +8,7 @@ written with repr so reruns of the same configuration are byte-identical.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .diagnostics import BoundReport
@@ -24,6 +24,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row(values) -> str:
+    return ",".join(map(_fmt, values))
+
+
+def _section(name: str, header: str, rows: Iterable) -> Iterator[str]:
+    """A blank line, ``[name]``, the CSV header, then one line per row."""
+    yield from ("", f"[{name}]", header)
+    yield from map(_row, rows)
+
+
 def trace_lines(trace: TrainingTrace, report: BoundReport | None,
                 ) -> Iterator[str]:
     """The trace file's lines, without line ends.
@@ -31,66 +41,36 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
     A generator, so that writing a long communication log never holds the
     whole text in memory.
     """
-    cfg = trace.config
     yield from ("# saginfl trace v1", "", "[config]")
-    yield cfg.canonical_text().rstrip("\n")
+    yield trace.config.canonical_text().rstrip("\n")
     if trace.warnings:
-        yield ""
-        yield "[warnings]"
-        yield from trace.warnings
+        yield from ("", "[warnings]", *trace.warnings)
 
-    yield ""
-    yield "[accuracy]"
-    yield "round,t,accuracy"
-    for rnd, t, acc in trace.accuracy:
-        yield f"{rnd},{t},{_fmt(acc)}"
+    rounds = range(1, len(trace.accuracy) + 1)
+    cost = trace.round_cost
+    yield from _section("accuracy", "round,t,accuracy", trace.accuracy)
+    yield from _section("time", "round,t_comm,t_comp,t_sync,t_total,n_ss", [
+        (rnd, cost.t_comm, cost.t_comp, cost.t_sync, cost.t_total, cost.n_ss)
+        for rnd in rounds])
+    parts = [] if trace.partition is None else trace.partition.part_of.tolist()
+    yield from _section("partition", "satellite,part", enumerate(parts))
+    f, hops = trace.assignment.f.tolist(), trace.assignment.hops.tolist()
+    yield from _section("assignment", "air,satellite,hops",
+                        zip(range(len(f)), f, hops))
+    reports = [] if report is None else [report]
+    yield from _section("divergence", "delta_hat,Delta_hat,rho_hat,beta_hat", [
+        (r.delta_hat, r.Delta_hat, r.rho_hat, r.beta_hat) for r in reports])
+    yield from _section("bound", "interval,t,gap,bound,margin,holds", [
+        (c.interval, c.t_end, c.gap, c.bound, c.margin, int(c.holds))
+        for r in reports for c in r.intervals])
 
-    yield ""
-    yield "[time]"
-    yield "round,t_comm,t_comp,t_sync,t_total,n_ss"
-    for rnd, b in enumerate(trace.breakdowns, start=1):
-        yield (f"{rnd},{_fmt(b.t_comm)},{_fmt(b.t_comp)},"
-               f"{_fmt(b.t_sync)},{_fmt(b.t_total)},{b.n_ss}")
-
-    yield ""
-    yield "[partition]"
-    yield "satellite,part"
-    if trace.partition is not None:
-        for sat, part in enumerate(trace.partition.part_of.tolist()):
-            yield f"{sat},{part}"
-
-    yield ""
-    yield "[assignment]"
-    yield "air,satellite,hops"
-    assignment = trace.assignment
-    for air, (sat, hops) in enumerate(zip(assignment.f.tolist(),
-                                          assignment.hops.tolist())):
-        yield f"{air},{sat},{hops}"
-
-    yield ""
-    yield "[divergence]"
-    yield "delta_hat,Delta_hat,rho_hat,beta_hat"
-    if report is not None:
-        yield (f"{_fmt(report.delta_hat)},{_fmt(report.Delta_hat)},"
-               f"{_fmt(report.rho_hat)},{_fmt(report.beta_hat)}")
-
-    yield ""
-    yield "[bound]"
-    yield "interval,t,gap,bound,margin,holds"
-    if report is not None:
-        for c in report.intervals:
-            yield (f"{c.interval},{c.t_end},{_fmt(c.gap)},"
-                   f"{_fmt(c.bound)},{_fmt(c.margin)},{int(c.holds)}")
-
-    yield ""
-    yield "[commlog]"
-    yield "round,phase,step,src,dst,params"
+    # one schedule, formatted once as plain text, repeated for every round
+    yield from ("", "[commlog]", "round,phase,step,src,dst,params")
     if trace.sync_plan is not None:
-        # one schedule, formatted once, repeated for every global round
-        rows = [f",{phase},{step},{src},{dst},{params}" for phase, step, src,
-                dst, params in trace.sync_plan.transfers.tolist()]
-        for rnd in range(1, len(trace.breakdowns) + 1):
-            yield from map(str(rnd).__add__, rows)
+        schedule = [f",{phase},{step},{src},{dst},{params}" for phase, step,
+                    src, dst, params in trace.sync_plan.transfers.tolist()]
+        for rnd in rounds:
+            yield from map(str(rnd).__add__, schedule)
 
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,
@@ -115,8 +95,8 @@ def summary_row(trace: TrainingTrace, report: BoundReport | None) -> dict:
 
 def summary_text(row: dict) -> str:
     """The summary's header line and value line, each ending in a newline."""
-    values = ",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS)
-    return ",".join(SUMMARY_COLUMNS) + "\n" + values + "\n"
+    return (_row(SUMMARY_COLUMNS) + "\n"
+            + _row(row[c] for c in SUMMARY_COLUMNS) + "\n")
 
 
 def write_summary(row: dict, path: Path) -> None:

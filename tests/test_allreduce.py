@@ -18,13 +18,11 @@ from oracles import (
 )
 
 from saginfl.allreduce import (
-    chunk_model,
     multi_orbit_sync_states,
     plan_multi_orbit,
     plan_ring,
     ring_allreduce_states,
     ring_traffic_per_node,
-    stitch_chunks,
 )
 from saginfl.errors import InputError, TopologyError
 from saginfl.topology import build_walker, derive_isl_graph
@@ -50,25 +48,6 @@ def ring(params, weights):
 def multi(params, weights, graph):
     return multi_orbit_sync_states(params, weights,
                                    plan_multi_orbit(graph, params.shape[1]))
-
-
-class TestChunkModel:
-    def test_exact_division(self):
-        chunks = chunk_model(np.arange(8.0), 4)
-        assert [len(c) for c in chunks] == [2, 2, 2, 2]
-        assert (chunks[0] == [0.0, 1.0]).all()
-
-    def test_padding(self):
-        chunks = chunk_model(np.arange(7.0), 4)
-        assert [len(c) for c in chunks] == [2, 2, 2, 2]
-        assert chunks[3][1] == 0.0
-
-    @given(st.integers(1, 200), st.integers(1, 64))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, m, n):
-        params = np.random.default_rng(m * 64 + n).standard_normal(m)
-        chunks = chunk_model(params, n)
-        assert (stitch_chunks(chunks, m) == params).all()
 
 
 class TestRingAllreduce:

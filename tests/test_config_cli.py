@@ -132,6 +132,8 @@ class TestConfigParsing:
         ("data", "classes_per_device", 9),      # n_classes + 1
         ("data", "feature_dim", 7),             # below n_classes
         ("training", "learner", "tree"),
+        ("data", "geo_bin_deg", 1e-307),        # 360 / width overflows
+        ("data", "geo_bin_deg", 5e-324),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_run_rejects_value_naming_section_and_key(self, section, key,
                                                       value):
@@ -377,6 +379,9 @@ class TestCliSweep:
         with open(sweep_dir / "runs.csv", newline="") as fh:
             runs = list(csv.reader(fh))
         assert runs[0] == list(cli.RUNS_COLUMNS)
+        assert ",".join(runs[0]) == (
+            "axis,value,seed,final_accuracy,total_time_s,delta_hat,Delta_hat,"
+            "bound_margin,status")
         assert all(len(r) == len(cli.RUNS_COLUMNS) for r in runs)
         assert [r[1] for r in runs[1:]] == ["2", "5", "10"]
         assert [r[-1] for r in runs[1:]] == [

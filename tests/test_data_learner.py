@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from saginfl import learner as learner_module
-from saginfl.config import DataConfig, TrainingConfig
+from saginfl.config import (
+    DataConfig,
+    ExperimentConfig,
+    RunConfig,
+    TrainingConfig,
+    validate_config,
+)
 from saginfl.data import class_scales, generate_data
 from saginfl.learner import (
     MlpLearner,
@@ -163,14 +169,18 @@ class TestGenerateData:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_bin_width_keeps_labels_in_range(self):
-        # lon // 1e-300 is about 1e302, far beyond int64
+        # lon // 1e-300 is about 1e302, far beyond int64; 2.1e-306 is about
+        # the narrowest width validate_config accepts
         topology = build_single_orbit(4, 330.0, 8, 2)
-        data = DataConfig(n_classes=8, classes_per_device=2,
-                          samples_per_device=10, feature_dim=8,
-                          geo_bin_deg=1e-300)
-        _, labels, _, _ = generate_data(data, topology,
-                                        np.random.default_rng(0))
-        assert labels.min() >= 0 and labels.max() < 8
+        for width in (1e-300, 2.1e-306):
+            data = DataConfig(n_classes=8, classes_per_device=2,
+                              samples_per_device=10, feature_dim=8,
+                              geo_bin_deg=width)
+            validate_config(ExperimentConfig(data=data,
+                                             run=RunConfig(seed=0)))
+            _, labels, _, _ = generate_data(data, topology,
+                                            np.random.default_rng(0))
+            assert labels.min() >= 0 and labels.max() < 8
 
 
 class TestSoftmaxLearner:

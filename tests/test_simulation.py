@@ -17,9 +17,11 @@ from saginfl.config import (
     load_config,
 )
 from saginfl import simulation
+from saginfl.data import generate_data
 from saginfl.diagnostics import GradContext
 from saginfl.errors import ConfigurationError, TopologyError
 from saginfl.simulation import run_obl
+from saginfl.timecost import price_round
 from saginfl.trace import trace_lines
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,8 +119,12 @@ class TestIidCloseToCentralized:
         w = trace.global_models[0][1].copy()
         for _ in range(2 * 2 * 10):
             w = w - 0.1 * ctx.global_grad(w)
-        central = trace.learner.accuracy(w, trace.test_features,
-                                         trace.test_labels)
+        # the run's test set: its data stream is the first of five spawned
+        data_rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.run.seed).spawn(5)[0])
+        _, _, test_x, test_y = generate_data(cfg.data, trace.topology,
+                                             data_rng)
+        central = trace.learner.accuracy(w, test_x, test_y)
         assert abs(trace.final_accuracy - central) <= 0.02
 
 
@@ -203,9 +209,9 @@ class TestCommLog:
 class TestTimeAccounting:
     def test_breakdown_identity(self):
         trace = run_obl(make_config(policy="cnasa", n_geo=2))
-        for b in trace.breakdowns:
-            assert abs(b.t_total - (b.t_comm + b.t_comp + b.t_sync)) < 1e-15
-            assert b.n_ss == trace.assignment.relay_hops()
+        b = trace.round_cost
+        assert abs(b.t_total - (b.t_comm + b.t_comp + b.t_sync)) < 1e-15
+        assert b.n_ss == trace.assignment.relay_hops()
 
     def test_comm_time_policy_ordering_per_instance(self):
         # the communication term orders with the relay hop counts
@@ -218,7 +224,7 @@ class TestTimeAccounting:
             trace = run_obl(make_config(policy=policy, n_geo=ng, seed=2,
                                         topology=topo, data=data,
                                         training=training))
-            comm[policy] = trace.breakdowns[0].t_comm
+            comm[policy] = trace.round_cost.t_comm
         assert comm["gdo"] <= comm["cnasa"] <= comm["cdo"]
 
     def test_gossip_sync_costed_not_simulated(self):
@@ -230,7 +236,13 @@ class TestTimeAccounting:
         # same values, different sync time
         assert np.allclose(ring.global_models[-1][1],
                            gossip.global_models[-1][1])
-        assert gossip.breakdowns[0].t_sync > ring.breakdowns[0].t_sync
+        # the ring run's set-up, priced under gossip, differs only in t_sync
+        priced = price_round(gossip_cfg, ring.assignment, ring.sync_plan,
+                             ring.learner.n_params)
+        assert gossip.round_cost == priced
+        assert priced.t_sync > ring.round_cost.t_sync
+        assert dataclasses.replace(
+            priced, t_sync=ring.round_cost.t_sync) == ring.round_cost
 
     def test_gossip_trace_says_what_was_costed(self):
         ring_cfg = make_config(seed=5, training=TrainingConfig(global_rounds=1))

@@ -1,4 +1,6 @@
 """Per-link delays and the per-round time model."""
+from dataclasses import replace
+
 import numpy as np
 from oracles import isl_graph
 
@@ -7,6 +9,7 @@ from saginfl.assignment import AssignmentMap
 from saginfl.config import (
     DataConfig,
     ExperimentConfig,
+    RunConfig,
     TopologyConfig,
     TrainingConfig,
 )
@@ -17,6 +20,7 @@ from saginfl.timecost import (
     comp_time,
     end_to_end,
     gossip_sync_time,
+    price_round,
     sync_time,
 )
 
@@ -182,19 +186,38 @@ class TestSyncTime:
                    - ring) < 1e-15
 
 
-def total_time(breakdowns):
-    return TrainingTrace(config=ExperimentConfig(),
-                         breakdowns=list(breakdowns)).total_time
+class TestPriceRound:
+    def test_ring_round_is_its_three_terms(self):
+        cfg, a = config(), assignment([0, 3, 1], max_assigned=4)
+        plan = plan_ring(range(cfg.topology.n_satellites), M)
+        assert price_round(cfg, a, plan, M) == TimeBreakdown(
+            comm_time(a, cfg, M), comp_time(cfg, M, 4),
+            sync_time(plan.phases, cfg, M), 3)
+
+    def test_gossip_round_takes_the_analytic_sync_cost(self):
+        cfg = replace(config(), run=RunConfig(sync_algo="gossip"))
+        plan = plan_ring(range(cfg.topology.n_satellites), M)
+        cost = price_round(cfg, assignment([2]), plan, M)
+        assert cost.t_sync == gossip_sync_time(cfg.topology.n_satellites,
+                                               cfg, M)
+
+
+def total_time(cost, rounds):
+    """A trace's total time after ``rounds`` completed global rounds."""
+    accuracy = [(rnd, rnd, 0.5) for rnd in range(1, rounds + 1)]
+    return TrainingTrace(config=ExperimentConfig(), round_cost=cost,
+                         accuracy=accuracy).total_time
 
 
 class TestTotalTime:
     def test_empty_sum(self):
-        assert total_time([]) == 0.0
+        assert total_time(TimeBreakdown(1.0, 2.0, 3.0, 1), 0) == 0.0
 
     def test_single_round(self):
         b = TimeBreakdown(1.0, 2.0, 3.0, 1)
-        assert total_time([b]) == b.t_total == 6.0
+        assert total_time(b, 1) == b.t_total == 6.0
 
     def test_fifty_identical_rounds(self):
+        # the round cost added once per round, left to right
         b = TimeBreakdown(0.1, 0.2, 0.7, 2)
-        assert abs(total_time([b] * 50) - 50 * b.t_total) < 1e-9
+        assert total_time(b, 50) == sum([b.t_total] * 50)
