@@ -59,9 +59,27 @@ class Samples:
         y = one_hot(labels, n_classes).transpose(2, 0, 1)
         return cls(x=np.ascontiguousarray(x), y=np.ascontiguousarray(y))
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Sample-major features ``(D, n, d+1)``, contiguous: device i's
+        samples are the rows of ``rows[i]``."""
+        return np.ascontiguousarray(self.x.transpose(1, 2, 0))
+
+    @cached_property
+    def target_moments(self) -> np.ndarray:
+        """``Y_i X_i^T / n`` per device, class-major ``(D, C, d+1)``: the
+        part of the softmax gradient that no model changes."""
+        moments = self.y.transpose(1, 0, 2) @ self.rows
+        moments /= self.x.shape[2]
+        return moments
+
     @property
     def n_devices(self) -> int:
         return self.x.shape[1]
+
+    def astype(self, dtype) -> "Samples":
+        """A copy of the samples in ``dtype``."""
+        return Samples(x=self.x.astype(dtype), y=self.y.astype(dtype))
 
     def select(self, idx: np.ndarray) -> "Samples":
         """Per-device sample subsets; ``idx`` is ``(D, b)`` column indices."""
@@ -135,16 +153,37 @@ class SoftmaxLearner:
                   out=z.transpose(1, 0, 2))
         return z
 
+    def _probabilities(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Class-major softmax probabilities ``(C, D, n)``."""
+        return _softmax(self._logits(weights, x), axis=0)
+
     def grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
         """Per-device gradients ``(D, P)`` of the mean loss plus L2, in the
         dtype of ``flat`` and ``samples``."""
         weights = self._shape(flat)
         x = samples.x
-        resid = _softmax(self._logits(weights, x), axis=0)
+        resid = self._probabilities(weights, x)
         resid -= samples.y
         grads = x.transpose(1, 0, 2) @ resid.transpose(1, 2, 0)
         grads /= x.shape[2]
         grads += self.l2 * _l2_mask(weights)
+        return grads.reshape(samples.n_devices, -1)
+
+    def probe_grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+        """Every device's gradient of the mean loss at one shared model
+        ``(P,)``, without the L2 term and in class-major ``(C, d+1)`` order:
+        ``(D, P)`` in the dtype of ``flat`` and ``samples``.
+
+        At a shared model the L2 term is the same for every device, so it
+        cancels in every difference ``measure_divergence`` takes, and the
+        order of coordinates changes no norm or average. The samples'
+        cached ``rows`` and ``target_moments`` make the pass one softmax and
+        one reduction.
+        """
+        probs = self._probabilities(self._shape(flat), samples.x)
+        grads = probs.transpose(1, 0, 2) @ samples.rows
+        grads /= samples.x.shape[2]
+        grads -= samples.target_moments
         return grads.reshape(samples.n_devices, -1)
 
     def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:

@@ -13,7 +13,7 @@ order, so the trace is schedule-independent and fully determined by the seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -83,6 +83,12 @@ class AggregationWeights:
     def satellite_average(self, rows: np.ndarray) -> np.ndarray:
         """Data-weighted per-satellite averages of device rows, ``(N_S, P)``."""
         return self.sat_weight @ rows
+
+    def astype(self, dtype) -> "AggregationWeights":
+        """The weights with both averaging steps in ``dtype``, so that they
+        keep rows of ``dtype`` in ``dtype``."""
+        return replace(self, sat_weight=self.sat_weight.astype(dtype),
+                       sat_frac=self.sat_frac.astype(dtype))
 
 
 @dataclass

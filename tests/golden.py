@@ -26,12 +26,10 @@ from saginfl.config import ExperimentConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("golden.json")
-# each reference configuration with its variants. A Walker run takes
-# about 0.9 s, most of it the bound check, so the Walker keeps the graph
-# partition (cnasa) and the access map (gdo); cdo and gossip, which only
-# prices the sync time, run on the single orbit.
-RUNS = {"single_orbit.ini": ("cnasa", "cdo", "gdo", "gossip"),
-        "walker.ini": ("cnasa", "gdo")}
+# each reference configuration with the same four variants: the three
+# assignment policies, and gossip, which prices the sync time only
+VARIANTS = ("cnasa", "cdo", "gdo", "gossip")
+RUNS = {"single_orbit.ini": VARIANTS, "walker.ini": VARIANTS}
 NAMES = [f"{ini}:{variant}" for ini, variants in RUNS.items()
          for variant in variants]
 SUFFIXES = (".trace.txt", ".summary.csv", ".topology.tsv")

@@ -241,13 +241,12 @@ class TestSoftmaxLearner:
     @pytest.mark.parametrize("shared", [True, False],
                              ids=["shared", "per_device"])
     def test_float32_grad_matches_float64(self, shared):
-        # the convergence check takes its satellite-probe gradients in float32
+        # the gradient follows the dtype of its inputs
         rng = np.random.default_rng(12)
         learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0)
         samples = Samples.stack(rng.standard_normal((48, 30, 10)),
                                 rng.integers(0, 10, size=(48, 30)), 10)
-        samples32 = Samples(x=samples.x.astype(np.float32),
-                            y=samples.y.astype(np.float32))
+        samples32 = samples.astype(np.float32)
         flat = learner.init_params(rng)
         if not shared:
             flat = flat + 0.1 * rng.standard_normal((48, learner.n_params))
@@ -257,6 +256,26 @@ class TestSoftmaxLearner:
         assert got.dtype == np.float32
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_probe_grad_is_grad_without_l2_class_major(self, dtype):
+        # the convergence check's satellite probes: the gradient at one
+        # shared model without its L2 term, each device's (d+1, C) block
+        # stored transposed
+        rng = np.random.default_rng(13)
+        learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0)
+        unregularized = SoftmaxLearner(d=10, n_classes=10, l2=0.0,
+                                       init_scale=1.0)
+        samples = Samples.stack(rng.standard_normal((48, 30, 10)),
+                                rng.integers(0, 10, size=(48, 30)), 10)
+        flat = learner.init_params(rng)
+        want = (unregularized.grad(flat, samples).reshape(48, 11, 10)
+                .transpose(0, 2, 1).reshape(48, -1))
+        got = learner.probe_grad(flat.astype(dtype), samples.astype(dtype))
+        assert got.dtype == dtype
+        assert got.shape == want.shape
+        rel = 1e-12 if dtype == np.float64 else 1e-5
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
     def test_accuracy_on_separable_toy(self):
         rng = np.random.default_rng(5)

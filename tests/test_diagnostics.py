@@ -20,6 +20,7 @@ from saginfl.diagnostics import (
     BOUND_TOLERANCE,
     SAFETY_MARGIN,
     BoundReport,
+    DivergenceEstimate,
     GradContext,
     IntervalCheck,
     bound_inapplicable,
@@ -31,7 +32,7 @@ from saginfl.diagnostics import (
 )
 from saginfl.errors import InputError
 from saginfl.learner import Samples, SoftmaxLearner, augment
-from saginfl.simulation import run_obl
+from saginfl.simulation import AggregationWeights, run_obl
 
 
 def naive_softmax_grad(weights, features_aug, labels, l2):
@@ -65,25 +66,41 @@ def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,
 
 
 def serial_bound_check(trace, satellite_dtype=np.float32):
-    """The bound check composed serially from the public pieces, with the
-    satellite-aggregate probes' gradients taken in ``satellite_dtype``."""
+    """The bound check composed serially from the public pieces.
+
+    In float32 the satellite-aggregate probes go through the probe kernel
+    and are folded in float32, as the check does; in float64 they are taken
+    with ``learner.grad`` and folded with the other probes, all in float64.
+    """
     ctx = GradContext.from_trace(trace)
     training = trace.config.training
     sat_models = dict(trace.satellite_models)
     nonempty = np.flatnonzero(ctx.weights.nonempty)
-    samples = Samples(x=trace.samples.x.astype(satellite_dtype),
-                      y=trace.samples.y.astype(satellite_dtype))
+    samples32 = trace.samples.astype(np.float32)
+    weights32 = ctx.weights.astype(np.float32)
     virt = virtual_trajectories(trace, ctx)
     checks, rho_all, beta_all = [], 0.0, 0.0
     for (g, _, path), (t_end, w_end) in zip(virt.global_paths,
                                             trace.global_models[1:]):
         w_start, v_end = path[0], path[-1]
         grads = [ctx.device_grads(w) for w in (w_start, w_end, v_end)]
-        if t_end in sat_models:
-            satellites = [sat_models[t_end][k] for k in nonempty]
-            grads += [ctx.learner.grad(w.astype(satellite_dtype), samples)
-                      .astype(np.float64) for w in satellites]
-        div = measure_divergence(ctx.weights, grads)
+        satellites = [sat_models[t_end][k] for k in nonempty]
+        if satellite_dtype == np.float64:
+            div = measure_divergence(
+                ctx.weights, grads + [ctx.device_grads(w) for w in satellites])
+        else:
+            exact = measure_divergence(ctx.weights, grads)
+            probes = measure_divergence(weights32, [
+                ctx.learner.probe_grad(w.astype(np.float32), samples32)
+                for w in satellites])
+            delta = np.maximum(exact.delta_per_device,
+                               probes.delta_per_device)
+            Delta = np.maximum(exact.Delta_per_satellite,
+                               probes.Delta_per_satellite)
+            div = DivergenceEstimate(
+                delta_hat=float(ctx.weights.device_frac @ delta),
+                Delta_hat=float(ctx.weights.sat_frac @ Delta),
+                delta_per_device=delta, Delta_per_satellite=Delta)
         pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
         rho, beta = estimate_rho_beta(
             pair_models, [ctx.global_grad(w) for w in pair_models],
@@ -178,6 +195,43 @@ class TestMeasureDivergence:
         div = divergence_at_global_models(trace)
         manual_delta = float(ctx.weights.device_frac @ div.delta_per_device)
         assert abs(div.delta_hat - manual_delta) < 1e-15
+
+    def test_permuted_coordinates_same_estimate(self):
+        # the probe kernel stores each device's gradient (C, d+1), the
+        # learner (d+1, C); norms and averages do not see the order. Small
+        # integers and power-of-two weights make every sum exact, so the
+        # estimates are identical
+        rng = np.random.default_rng(7)
+        weights = AggregationWeights.build(np.repeat(np.arange(4), 2),
+                                           np.ones(8), 4)
+        grads = [rng.integers(-8, 9, size=(8, 15)).astype(float)
+                 for _ in range(3)]
+        permuted = [g.reshape(8, 5, 3).transpose(0, 2, 1).reshape(8, -1)
+                    for g in grads]
+        want = measure_divergence(weights, grads)
+        got = measure_divergence(weights, permuted)
+        assert want.Delta_hat > 0
+        assert got.delta_hat == want.delta_hat
+        assert got.Delta_hat == want.Delta_hat
+        assert (got.delta_per_device == want.delta_per_device).all()
+        assert (got.Delta_per_satellite == want.Delta_per_satellite).all()
+
+    def test_float32_fold_returns_float64_maxima(self):
+        trace = run_obl(small_config(policy="cnasa", n_geo=2, seed=3))
+        samples32 = trace.samples.astype(np.float32)
+        probes = [trace.learner.probe_grad(w.astype(np.float32), samples32)
+                  for _, w in trace.global_models]
+        assert all(p.dtype == np.float32 for p in probes)
+        weights32 = trace.aggregation.astype(np.float32)
+        # both averaging steps keep the fold in float32
+        sat_g = weights32.satellite_average(probes[0])
+        assert sat_g.dtype == (weights32.sat_frac @ sat_g).dtype == np.float32
+        got = measure_divergence(weights32, probes)
+        want = divergence_at_global_models(trace)
+        for name in ("delta_per_device", "Delta_per_satellite"):
+            assert getattr(got, name).dtype == np.float64
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name), rtol=1e-5)
 
     def test_no_probes_rejected(self):
         trace = run_obl(small_config(rounds=1))
