@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
+from .learner import make_learner
 
 POLICIES = ("gdo", "cdo", "cnasa")
 SYNC_ALGOS = ("ring", "gossip")
@@ -238,7 +239,37 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if d.feature_dim < d.n_classes:
         raise ConfigurationError(
             f"[data] feature_dim must be >= n_classes, got {d.feature_dim}")
+    _require_finite_times(cfg)
     return cfg
+
+
+def _require_finite_times(cfg: ExperimentConfig) -> None:
+    """Reject a rate or FLOP count for which one model transfer, one
+    aggregation or one local step takes non-finite time, as ``timecost``
+    prices it; a shared uplink is split among all its possible senders."""
+    t, tr = cfg.topology, cfg.training
+    m = make_learner(tr, cfg.data).n_params
+    bits = m * tr.bits_per_param
+    n_air = t.n_air if t.kind == "single" else t.n_satellites * t.air_per_cell
+    for section, key, work, split, rule in (
+            ("topology", "sg_rate_bps", bits, 1, "one model transfer"),
+            ("topology", "ga_rate_bps", bits, t.devices_per_air,
+             "one model transfer"),
+            ("topology", "as_rate_bps", bits, n_air, "one model transfer"),
+            ("topology", "ss_rate_bps", bits, 1, "one model transfer"),
+            ("training", "flops_air", m * t.devices_per_air, 1,
+             "one aggregation"),
+            ("training", "flops_satellite", m * n_air, 1, "one aggregation")):
+        value = getattr(getattr(cfg, section), key)
+        rate = value / split
+        _require(section, key, value, rate > 0 and math.isfinite(work / rate),
+                 f"large enough that {rule} takes finite time")
+    work = tr.flops_model * cfg.data.samples_per_device
+    _require("training", "flops_model", tr.flops_model, math.isfinite(work),
+             "small enough that one local step takes finite time")
+    _require("training", "flops_device", tr.flops_device,
+             math.isfinite(work / tr.flops_device),
+             "large enough that one local step takes finite time")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -92,20 +92,26 @@ def measure_divergence(weights: AggregationWeights,
     without devices carry zero divergence (their data weight is zero
     anyway). Raises InputError when given no probes.
     """
-    delta_dev = np.zeros(len(weights.device_frac))
+    # device maxima are kept in the weights' grouped order until the end
+    delta_grouped = np.zeros(len(weights.device_frac))
     delta_sat = np.zeros(len(weights.sat_frac))
     probes = 0
     for dev_g in device_grads:
-        sat_g = weights.satellite_average(dev_g)
+        grouped = dev_g.take(weights.order, axis=0)
+        sat_g = weights.grouped_average(grouped)
         glob_g = weights.sat_frac @ sat_g
-        dev_gap = _row_norms(dev_g - sat_g[weights.sat_of_device])
+        grouped = grouped.astype(sat_g.dtype, copy=False)
+        for sats, rows in weights.slots:
+            grouped[rows] -= sat_g[sats]
         sat_gap = _row_norms(sat_g - glob_g)
         sat_gap[~weights.nonempty] = 0.0
-        delta_dev = np.maximum(delta_dev, dev_gap)
+        delta_grouped = np.maximum(delta_grouped, _row_norms(grouped))
         delta_sat = np.maximum(delta_sat, sat_gap)
         probes += 1
     if not probes:
         raise InputError("need at least one probe's device gradients")
+    delta_dev = np.empty_like(delta_grouped)
+    delta_dev[weights.order] = delta_grouped
     return _weighted_divergence(delta_dev, delta_sat, weights)
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import DataConfig, TrainingConfig
+if TYPE_CHECKING:  # config imports this module to size the model
+    from .config import DataConfig, TrainingConfig
 
 
 def augment(features: np.ndarray) -> np.ndarray:
@@ -166,7 +168,8 @@ class SoftmaxLearner:
         resid -= samples.y
         grads = x.transpose(1, 0, 2) @ resid.transpose(1, 2, 0)
         grads /= x.shape[2]
-        grads += self.l2 * _l2_mask(weights)
+        # regularize everything except the bias row
+        grads[..., :-1, :] += self.l2 * weights[..., :-1, :]
         return grads.reshape(samples.n_devices, -1)
 
     def probe_grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:

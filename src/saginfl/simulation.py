@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from numpy.random import SeedSequence, default_rng
 
 from .allreduce import (
     SyncPlan,
@@ -52,15 +52,27 @@ from .topology import (
 class AggregationWeights:
     """Data-size weights of the device -> satellite -> global averages.
 
-    Row k of ``sat_weight`` holds |D_i| / |D_k| for every device i reporting
-    to satellite k, so it sums to 1 on satellites that hold data. Averaging
-    within each air node first and then across the air nodes of a satellite
+    Device i reporting to satellite k weighs |D_i| / |D_k| in k's average,
+    so a satellite's weights sum to 1 when it holds data. Averaging within
+    each air node first and then across the air nodes of a satellite
     re-associates the same sum, so this one operator also serves the air
     layer; the acceptance suite checks the two-level equality.
+
+    The devices are grouped by satellite in ``order``: slot j holds the
+    (j+1)-th device, by ascending id, of every satellite that has one, in
+    satellite order. Each entry of ``slots`` pairs the satellites of one
+    slot (a slice when they are consecutive) with its positions in
+    ``order``. ``satellite_average`` starts every sum from +0.0 and adds
+    the slots one by one, so each satellite adds ``share_i * row_i`` in
+    ascending device id, the order of a sparse ``(N_S, D)`` matrix product,
+    and no weight ever multiplies another satellite's row: a non-finite row
+    reaches only its own satellite, and satellites without devices stay 0.
     """
 
     sat_of_device: np.ndarray
-    sat_weight: csr_matrix       # (N_S, D)
+    order: np.ndarray            # (D,) device ids, slot by slot
+    share: np.ndarray            # (D, 1) |D_i| / |D_k| of each entry of order
+    slots: tuple[tuple[slice | np.ndarray, slice], ...]
     device_frac: np.ndarray      # |D_i| / |D|
     sat_frac: np.ndarray         # |D_k| / |D|
     nonempty: np.ndarray         # satellites holding data
@@ -72,22 +84,44 @@ class AggregationWeights:
                              minlength=n_satellites)
         nonempty = totals > 0
         share = device_sizes / np.where(nonempty, totals, 1.0)[sat_of_device]
-        n_devices = len(device_sizes)
-        sat_weight = csr_matrix((share, (sat_of_device, np.arange(n_devices))),
-                                shape=(n_satellites, n_devices))
+        counts = np.bincount(sat_of_device, minlength=n_satellites)
+        by_satellite = np.argsort(sat_of_device, kind="stable")
+        rank = np.empty_like(by_satellite)
+        rank[by_satellite] = (np.arange(len(by_satellite))
+                              - np.repeat(np.cumsum(counts) - counts, counts))
+        order = np.lexsort((sat_of_device, rank))
+        slots, start = [], 0
+        for j in range(counts.max(initial=0)):
+            sats = np.flatnonzero(counts > j)
+            span = slice(start, start + len(sats))
+            start = span.stop
+            # a slice adds in place; an index array gathers and scatters,
+            # which doubles the cost of an average
+            if sats[-1] - sats[0] + 1 == len(sats):
+                sats = slice(sats[0], sats[-1] + 1)
+            slots.append((sats, span))
         total = device_sizes.sum()
-        return cls(sat_of_device=sat_of_device, sat_weight=sat_weight,
+        return cls(sat_of_device=sat_of_device, order=order,
+                   share=share[order, None], slots=tuple(slots),
                    device_frac=device_sizes / total, sat_frac=totals / total,
                    nonempty=nonempty)
 
     def satellite_average(self, rows: np.ndarray) -> np.ndarray:
         """Data-weighted per-satellite averages of device rows, ``(N_S, P)``."""
-        return self.sat_weight @ rows
+        return self.grouped_average(rows.take(self.order, axis=0))
+
+    def grouped_average(self, grouped: np.ndarray) -> np.ndarray:
+        """``satellite_average`` of rows already taken in ``order``."""
+        scaled = self.share * grouped
+        out = np.zeros((len(self.sat_frac), scaled.shape[1]), scaled.dtype)
+        for sats, rows in self.slots:
+            out[sats] += scaled[rows]
+        return out
 
     def astype(self, dtype) -> "AggregationWeights":
         """The weights with both averaging steps in ``dtype``, so that they
         keep rows of ``dtype`` in ``dtype``."""
-        return replace(self, sat_weight=self.sat_weight.astype(dtype),
+        return replace(self, share=self.share.astype(dtype),
                        sat_frac=self.sat_frac.astype(dtype))
 
 
@@ -171,9 +205,9 @@ def select_assignment(cfg: ExperimentConfig, topology: NetworkTopology,
 def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     """Execute the configured number of global rounds; deterministic per seed."""
     validate_config(cfg)
-    seed_seq = np.random.SeedSequence(cfg.run.seed)
+    seed_seq = SeedSequence(cfg.run.seed)
     data_rng, policy_rng, partition_rng, learner_rng, batch_rng = (
-        np.random.default_rng(s) for s in seed_seq.spawn(5))
+        default_rng(s) for s in seed_seq.spawn(5))
 
     topology = build_topology(cfg)
     graph = derive_isl_graph(topology)
@@ -234,7 +268,8 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             step_samples = samples
         with np.errstate(over="ignore", invalid="ignore"):
             grads = learner.grad(device_params, step_samples)
-            device_params = device_params - eta * grads
+            grads *= eta
+            device_params -= grads
         if not np.all(np.isfinite(device_params)):
             raise TrainingError(f"non-finite device parameters at local round {t}")
 

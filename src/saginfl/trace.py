@@ -36,10 +36,11 @@ def _section(name: str, header: str, rows: Iterable) -> Iterator[str]:
 
 def trace_lines(trace: TrainingTrace, report: BoundReport | None,
                 ) -> Iterator[str]:
-    """The trace file's lines, without line ends.
+    """The trace file's text in pieces, each one line or, in ``[commlog]``,
+    one round's lines, without the last line end.
 
-    A generator, so that writing a long communication log never holds the
-    whole text in memory.
+    A generator, so that writing a long communication log holds one
+    round's text at a time.
     """
     yield from ("# saginfl trace v1", "", "[config]")
     yield trace.config.canonical_text().rstrip("\n")
@@ -64,13 +65,14 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
         (c.interval, c.t_end, c.gap, c.bound, c.margin, int(c.holds))
         for r in reports for c in r.intervals])
 
-    # one schedule, formatted once as plain text, repeated for every round
+    # one schedule, formatted once as plain text, joined once per round
     yield from ("", "[commlog]", "round,phase,step,src,dst,params")
-    if trace.sync_plan is not None:
-        schedule = [f",{phase},{step},{src},{dst},{params}" for phase, step,
-                    src, dst, params in trace.sync_plan.transfers.tolist()]
+    schedule = [] if trace.sync_plan is None else [
+        f",{phase},{step},{src},{dst},{params}"
+        for phase, step, src, dst, params in trace.sync_plan.transfers.tolist()]
+    if schedule:
         for rnd in rounds:
-            yield from map(str(rnd).__add__, schedule)
+            yield str(rnd) + f"\n{rnd}".join(schedule)
 
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,

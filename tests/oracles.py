@@ -2,7 +2,8 @@
 
 Each one is the slow, direct form of something the package computes another
 way (exhaustive matching, csgraph partition distances, per-step ring
-transfers, inverted access maps, per-element ``math`` geometry), or a
+transfers, inverted access maps, per-element ``math`` geometry, the
+aggregation as a sparse matrix product), or a
 quantity only the tests need (closed forms, the divergence at the recorded
 global models). None of them runs in a simulation.
 """
@@ -15,8 +16,14 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from saginfl.allreduce import SyncPlan
-from saginfl.diagnostics import DivergenceEstimate, GradContext, measure_divergence
+from saginfl.diagnostics import (
+    DivergenceEstimate,
+    GradContext,
+    _row_norms,
+    measure_divergence,
+)
 from saginfl.errors import InputError, TopologyError
+from saginfl.simulation import AggregationWeights
 from saginfl.topology import IslGraph, NetworkTopology
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -410,3 +417,37 @@ def divergence_at_global_models(trace) -> DivergenceEstimate:
     ctx = GradContext.from_trace(trace)
     return measure_divergence(
         ctx.weights, (ctx.device_grads(w) for _, w in trace.global_models))
+
+
+def sparse_average_operator(sat_of_device: np.ndarray, device_sizes: np.ndarray,
+                            n_satellites: int, dtype=float) -> sparse.csr_matrix:
+    """The device -> satellite average as a ``(N_S, D)`` CSR matrix: row k
+    holds |D_i| / |D_k| for every device i reporting to satellite k."""
+    totals = np.bincount(sat_of_device, weights=device_sizes,
+                         minlength=n_satellites)
+    share = device_sizes / np.where(totals > 0, totals, 1.0)[sat_of_device]
+    n_devices = len(device_sizes)
+    return sparse.csr_matrix(
+        (share, (sat_of_device, np.arange(n_devices))),
+        shape=(n_satellites, n_devices)).astype(dtype)
+
+
+def sparse_divergence(weights: AggregationWeights, operator: sparse.csr_matrix,
+                      device_grads) -> DivergenceEstimate:
+    """``measure_divergence`` with the satellite averages taken by the CSR
+    ``operator`` and each device compared with its satellite's row by a
+    gather, in device order."""
+    delta_dev = np.zeros(len(weights.device_frac))
+    delta_sat = np.zeros(len(weights.sat_frac))
+    for dev_g in device_grads:
+        sat_g = operator @ dev_g
+        glob_g = weights.sat_frac @ sat_g
+        dev_gap = _row_norms(dev_g - sat_g[weights.sat_of_device])
+        sat_gap = _row_norms(sat_g - glob_g)
+        sat_gap[~weights.nonempty] = 0.0
+        delta_dev = np.maximum(delta_dev, dev_gap)
+        delta_sat = np.maximum(delta_sat, sat_gap)
+    return DivergenceEstimate(
+        delta_hat=float(weights.device_frac @ delta_dev),
+        Delta_hat=float(weights.sat_frac @ delta_sat),
+        delta_per_device=delta_dev, Delta_per_satellite=delta_sat)

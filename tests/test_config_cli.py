@@ -157,6 +157,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=rf"\[{section}\] {key}"):
             saginfl.run_obl(cfg)
 
+    @pytest.mark.parametrize("section,key,value,rule", [
+        ("topology", "sg_rate_bps", 1e-310, "large .* one model transfer"),
+        ("topology", "ga_rate_bps", 5e-324, "large .* one model transfer"),
+        ("topology", "as_rate_bps", 1e-306, "large .* one model transfer"),
+        ("topology", "ss_rate_bps", 5e-324, "large .* one model transfer"),
+        ("training", "flops_air", 5e-324, "large .* one aggregation"),
+        ("training", "flops_satellite", 5e-324, "large .* one aggregation"),
+        ("training", "flops_model", 1e308, "small .* one local step"),
+        ("training", "flops_device", 5e-324, "large .* one local step"),
+    ], ids=lambda v: v if isinstance(v, str) and "_" in v else None)
+    def test_non_finite_transfer_or_step_time_names_key(self, section, key,
+                                                        value, rule):
+        # before, these ran to total_time_s = inf or failed inside CNASA's
+        # matching without naming a key
+        cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                               **{key: value})})
+        with pytest.raises(ConfigurationError, match=(
+                rf"\[{section}\] {key} must be {rule} takes finite time, "
+                rf"got {re.escape(repr(value))}")):
+            validate_config(cfg)
+
+    def test_slow_but_finite_rates_accepted(self):
+        cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(cfg, topology=replace(cfg.topology, ss_rate_bps=1e-300),
+                      training=replace(cfg.training, flops_device=1e-300))
+        assert validate_config(cfg) is cfg
+
     def test_zero_init_scale_rejected_only_under_mlp(self):
         text = SMALL_CONFIG.replace("[training]", "[training]\ninit_scale = 0")
         cfg = parse_config_text(text)

@@ -99,10 +99,12 @@ def assert_invariants(trace) -> None:
     if cfg.policy.name == "cnasa":
         assert trace.assignment.relay_hops() < cfg.policy.n_geo
 
+    # each satellite's weights sum to 1, or to exactly 0 without devices
     weights = trace.aggregation
-    rows = np.asarray(weights.sat_weight.sum(axis=1)).ravel()
+    rows = weights.satellite_average(np.ones((trace.topology.n_devices, 1)))[:, 0]
     assert np.allclose(rows[weights.nonempty], 1.0, rtol=0.0, atol=1e-12)
     assert not rows[~weights.nonempty].any()
+    assert not np.signbit(rows[~weights.nonempty]).any()
 
     # every satellite sends ring_traffic_per_node on each ring it joins
     m = trace.learner.n_params

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from oracles import sparse_average_operator
 
 from saginfl import learner as learner_module
 from saginfl.config import (
@@ -428,3 +429,74 @@ class TestSatelliteAggregate:
         a = (np.array([1.0]), 3)
         b = (np.array([5.0]), 1)
         assert np.isclose(satellite_average([a, b])[0, 0], 2.0)
+
+
+def assignments(rng):
+    """``(sat_of_device, n_satellites)`` cases for the aggregation operator."""
+    for n_sats, n_devices in ((9, 20), (5, 5), (30, 40), (3, 60)):
+        # random: unequal counts, and empty satellites where n_sats > 7
+        yield rng.integers(0, min(n_sats, 7), n_devices), n_sats
+    yield rng.permutation(np.repeat([0, 2, 3], [5, 1, 3])), 5
+    yield rng.permutation(12), 12                   # one device per satellite
+    yield np.full(10, 2), 4                         # all on one satellite
+    yield np.zeros(6, dtype=int), 1
+
+
+def signed_rows(rng, n_devices, dtype):
+    """Normal rows with scattered +0.0 and -0.0 and one row of -0.0."""
+    rows = rng.standard_normal((n_devices, 13))
+    rows[rng.random(rows.shape) < 0.15] = 0.0
+    rows[rng.random(rows.shape) < 0.15] = -0.0
+    rows[rng.integers(n_devices)] = -0.0
+    return rows.astype(dtype)
+
+
+def assert_same_values(got, want):
+    """Equal with ``==`` and in sign, nan where ``want`` is nan."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert (got[~nan] == want[~nan]).all()
+    assert (np.signbit(got[~nan]) == np.signbit(want[~nan])).all()
+
+
+class TestAgainstSparseOperator:
+    """The grouped numpy operator reproduces the CSR product bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_csr_product(self, dtype):
+        rng = np.random.default_rng(21)
+        for sat_of_device, n_sats in assignments(rng):
+            sizes = rng.integers(1, 50, len(sat_of_device)).astype(float)
+            weights = AggregationWeights.build(sat_of_device, sizes, n_sats)
+            operator = sparse_average_operator(sat_of_device, sizes, n_sats,
+                                               dtype)
+            rows = signed_rows(rng, len(sat_of_device), dtype)
+            got = weights.astype(dtype).satellite_average(rows)
+            assert_same_values(got, operator @ rows)
+            empty = got[~weights.nonempty]
+            assert not empty.any() and not np.signbit(empty).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_reaches_only_its_satellite(self, dtype, bad):
+        rng = np.random.default_rng(22)
+        for sat_of_device, n_sats in assignments(rng):
+            sizes = rng.integers(1, 50, len(sat_of_device)).astype(float)
+            weights = AggregationWeights.build(sat_of_device, sizes,
+                                               n_sats).astype(dtype)
+            operator = sparse_average_operator(sat_of_device, sizes, n_sats,
+                                               dtype)
+            rows = signed_rows(rng, len(sat_of_device), dtype)
+            clean = weights.satellite_average(rows)
+            device = rng.integers(len(sat_of_device))
+            rows[device] = bad
+            got = weights.satellite_average(rows)
+            assert_same_values(got, operator @ rows)
+            hit = sat_of_device[device]
+            assert (np.isnan(got[hit]) if np.isnan(bad)
+                    else got[hit] == bad).all()
+            others = np.arange(n_sats) != hit
+            assert_same_values(got[others], clean[others])
+            empty = got[~weights.nonempty]
+            assert not empty.any() and not np.signbit(empty).any()

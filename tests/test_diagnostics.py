@@ -5,7 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import divergence_at_global_models
+from oracles import (
+    divergence_at_global_models,
+    sparse_average_operator,
+    sparse_divergence,
+)
 
 from saginfl import diagnostics
 from saginfl.config import (
@@ -232,6 +236,37 @@ class TestMeasureDivergence:
             assert getattr(got, name).dtype == np.float64
             np.testing.assert_allclose(getattr(got, name),
                                        getattr(want, name), rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_sparse_fold(self, dtype):
+        # random assignments with empty satellites and unequal counts, and
+        # the probes of a run; every output equal to the CSR-based fold
+        rng = np.random.default_rng(23)
+        cases = []
+        for n_sats, n_devices in ((9, 20), (4, 4), (3, 30)):
+            sat_of_device = rng.integers(0, min(n_sats, 6), n_devices)
+            sizes = rng.integers(1, 40, n_devices).astype(float)
+            grads = [rng.standard_normal((n_devices, 11)).astype(dtype)
+                     for _ in range(3)]
+            cases.append((sat_of_device, sizes, n_sats, grads))
+        trace = run_obl(small_config(policy="cnasa", n_geo=2, seed=3))
+        samples = trace.samples.astype(dtype)
+        cases.append((trace.sat_of_device, trace.device_sizes,
+                      trace.topology.n_satellites,
+                      [trace.learner.probe_grad(w.astype(dtype), samples)
+                       for _, w in trace.global_models]))
+        for sat_of_device, sizes, n_sats, grads in cases:
+            weights = AggregationWeights.build(sat_of_device, sizes,
+                                               n_sats).astype(dtype)
+            operator = sparse_average_operator(sat_of_device, sizes, n_sats,
+                                               dtype)
+            got = measure_divergence(weights, grads)
+            want = sparse_divergence(weights, operator, grads)
+            assert got.delta_hat == want.delta_hat
+            assert got.Delta_hat == want.Delta_hat
+            for name in ("delta_per_device", "Delta_per_satellite"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert (getattr(got, name) == getattr(want, name)).all()
 
     def test_no_probes_rejected(self):
         trace = run_obl(small_config(rounds=1))

@@ -11,8 +11,9 @@ Range checks on configured values live in one layer: ``validate_config``
 and the command line's argument checks are the only code that raises a
 ``ConfigurationError``; the building blocks below them trust their inputs.
 
-Importing the command line stays light: of scipy, only ``scipy.sparse``
-(the aggregation operator) is loaded.
+Importing the command line stays light: it loads no scipy module, and
+neither does a run of a reference configuration; scipy serves the tests'
+reference implementations only.
 """
 import ast
 import os
@@ -132,14 +133,21 @@ def test_a_configuration_error_below_validation_is_flagged(tmp_path):
                                                         "topology.py:9"]
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_csgraph():
-    # each costs start-up time in every command; a fresh interpreter shows
-    # what one stray top-level import would bring back
-    heavy = ("scipy.optimize", "scipy.sparse.csgraph")
-    script = (f"import sys\nimport saginfl.cli\n"
-              f"print([m for m in {heavy!r} if m in sys.modules])")
+def test_cli_import_and_reference_runs_load_no_scipy(tmp_path):
+    # scipy costs start-up time and memory in every command; a fresh
+    # interpreter shows what one stray import would bring back
+    script = (
+        "import sys\nfrom dataclasses import replace\nimport saginfl.cli\n"
+        "from saginfl.config import load_config\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "for ini in ('single_orbit.ini', 'walker.ini'):\n"
+        "    cfg = load_config(sys.argv[1] + '/' + ini)\n"
+        "    cfg = replace(cfg, training=replace(cfg.training, global_rounds=1))\n"
+        "    saginfl.cli.execute_run(cfg, __import__('pathlib').Path(sys.argv[2]))\n"
+        "print(loaded, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "configs"), str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[] []"
