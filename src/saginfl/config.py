@@ -246,7 +246,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 def _require_finite_times(cfg: ExperimentConfig) -> None:
     """Reject a rate or FLOP count for which one model transfer, one
     aggregation or one local step takes non-finite time, as ``timecost``
-    prices it; a shared uplink is split among all its possible senders."""
+    prices it; a shared uplink is split among all its possible senders.
+    Then reject a config whose costliest possible run overflows (see
+    ``_worst_round_terms``), naming the key with the largest term."""
     t, tr = cfg.topology, cfg.training
     m = make_learner(tr, cfg.data).n_params
     bits = m * tr.bits_per_param
@@ -270,6 +272,52 @@ def _require_finite_times(cfg: ExperimentConfig) -> None:
     _require("training", "flops_device", tr.flops_device,
              math.isfinite(work / tr.flops_device),
              "large enough that one local step takes finite time")
+    terms = _worst_round_terms(cfg, m, n_air)
+    section, key = max(terms, key=terms.get)
+    value = getattr(getattr(cfg, section), key)
+    _require(section, key, value,
+             math.isfinite(sum(terms.values()) * tr.global_rounds),
+             f"{'small' if key.endswith('_prop_s') else 'large'} enough "
+             f"that the run's total time is finite")
+
+
+def _worst_round_terms(cfg: ExperimentConfig, m: int,
+                       n_air: int) -> dict[tuple[str, str], float]:
+    """An upper bound on one global round's cost, as ``timecost`` prices
+    it, split into one term per ``(section, key)`` that sets it.
+
+    It holds for any assignment and sync plan: every air node in one access
+    cell and on one satellite, relay paths of ``n_satellites`` hops, and
+    three sync phases whose largest rings hold every satellite (one phase
+    on a single orbit), or the analytic gossip cost. A local step's time is
+    the ``flops_device`` term.
+    """
+    t, tr = cfg.topology, cfg.training
+    bits = m * tr.bits_per_param
+    n = t.n_satellites
+    if cfg.run.sync_algo == "gossip":
+        sync_hops = sync_models = n * math.log2(n)
+    else:
+        sync_hops = (1 if t.kind == "single" else 3) * 2 * (n - 1)
+        sync_models = sync_hops / n
+    return {
+        ("topology", "sg_rate_bps"): tr.tau2 * (bits / t.sg_rate_bps),
+        ("topology", "sg_prop_s"): tr.tau2 * t.sg_prop_s,
+        ("topology", "ga_rate_bps"):
+            tr.tau2 * (bits / (t.ga_rate_bps / t.devices_per_air)),
+        ("topology", "ga_prop_s"): tr.tau2 * t.ga_prop_s,
+        ("topology", "as_rate_bps"): tr.tau2 * (bits / (t.as_rate_bps / n_air)),
+        ("topology", "as_prop_s"): tr.tau2 * t.as_prop_s,
+        ("topology", "ss_rate_bps"):
+            (tr.tau2 * n + sync_models) * (bits / t.ss_rate_bps),
+        ("topology", "ss_prop_s"): (tr.tau2 * n + sync_hops) * t.ss_prop_s,
+        ("training", "flops_device"): tr.tau2 * tr.tau1 * (
+            tr.flops_model * cfg.data.samples_per_device / tr.flops_device),
+        ("training", "flops_air"):
+            tr.tau2 * (m * t.devices_per_air / tr.flops_air),
+        ("training", "flops_satellite"):
+            (tr.tau2 * n_air + sync_models) * (m / tr.flops_satellite),
+    }
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -30,7 +30,6 @@ endpoints, the virtual path and the losses) is float64.
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import InputError
 from .learner import Samples
-from .simulation import AggregationWeights, TrainingTrace
+from .simulation import AggregationWeights, TrainingTrace, _available_cpus
 
 SAFETY_MARGIN = 1.5
 BOUND_TOLERANCE = 1.05
@@ -258,12 +257,6 @@ class BoundReport:
     @property
     def holds(self) -> bool:
         return all(c.holds for c in self.intervals)
-
-
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _check_interval(trace: TrainingTrace, ctx: GradContext,

@@ -1,20 +1,33 @@
 """The hierarchical training loop: local steps, satellite aggregation,
 inter-satellite synchronization, with per-round time accounting.
 
-Every local round all devices take one full-batch gradient step. Each tau1
-rounds, satellites take the data-weighted average of their devices' models
-(one operator, ``AggregationWeights``, which the diagnostics share) and
-broadcast back. Each tau1*tau2 rounds the satellite models are synchronized
-by ring allreduce (single orbit) or the three-phase multi-orbit variant, and
-the global model is broadcast to everyone; the synchronization's rings and
-transfers are fixed by the topology, so they are planned once per run, and
-the same plan prices the round's sync time. Devices step in ascending id
-order, so the trace is schedule-independent and fully determined by the seed.
+Every local round all devices take one gradient step, on their full local
+data or on a mini-batch. Each tau1 rounds, satellites take the data-weighted
+average of their devices' models (one operator, ``AggregationWeights``,
+which the diagnostics share) and broadcast back. Each tau1*tau2 rounds the
+satellite models are synchronized by ring allreduce (single orbit) or the
+three-phase multi-orbit variant, and the global model is broadcast to
+everyone; the synchronization's rings and transfers are fixed by the
+topology, so they are planned once per run, and the same plan prices the
+round's sync time.
+
+Between two satellite aggregations no device reads another's state, so the
+tau1 steps of such a segment run on a thread pool: the devices are split
+into contiguous blocks, one per CPU available to the process, and each
+block steps its own rows of the device parameters in place (numpy and BLAS
+release the GIL). Each device's gradient is its own GEMMs and its own
+per-sample softmax, and the mini-batches are drawn in the main thread in
+step order, so the trace is bit-identical whatever the block count and
+fully determined by the seed. Finiteness is checked once per segment; a
+segment that ends non-finite is replayed step by step to name its first
+non-finite round.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -170,6 +183,27 @@ class TrainingTrace:
         return self.aggregation.sat_frac
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _local_steps(learner, eta: float, params: np.ndarray, samples: Samples,
+                 batches: list[np.ndarray | None]) -> None:
+    """Take one device block's local steps, updating ``params`` in place:
+    one step per entry of ``batches``, on the mini-batch it indexes or on
+    all of ``samples``."""
+    # numpy's error state is per thread, so it is set where the steps run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in batches:
+            step = samples if idx is None else samples.select(idx)
+            grads = learner.grad(params, step)
+            grads *= eta
+            params -= grads
+
+
 def build_topology(cfg: ExperimentConfig) -> NetworkTopology:
     t = cfg.topology
     if t.kind == "single":
@@ -258,39 +292,49 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     total_steps = cfg.training.global_rounds * tau1 * tau2
     batch_size = cfg.training.batch_size
     n_samples = samples.x.shape[2]
-    for t in range(1, total_steps + 1):
-        if 0 < batch_size < n_samples:
-            # per-device sample without replacement (mini-batch mode)
-            idx = np.argsort(batch_rng.random((n_devices, n_samples)),
-                             axis=1)[:, :batch_size]
-            step_samples = samples.select(idx)
-        else:
-            step_samples = samples
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads = learner.grad(device_params, step_samples)
-            grads *= eta
-            device_params -= grads
-        if not np.all(np.isfinite(device_params)):
-            raise TrainingError(f"non-finite device parameters at local round {t}")
+    n_blocks = min(_available_cpus(), n_devices)
+    cuts = [n_devices * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    block_samples = [Samples(x=samples.x[:, b], y=samples.y[:, b])
+                     for b in blocks]
+    with ThreadPoolExecutor(max_workers=n_blocks) as pool:
+        for t in range(tau1, total_steps + 1, tau1):
+            if 0 < batch_size < n_samples:
+                # per-device sample without replacement (mini-batch mode)
+                batches = [np.argsort(batch_rng.random((n_devices, n_samples)),
+                                      axis=1)[:, :batch_size]
+                           for _ in range(tau1)]
+            else:
+                batches = [None] * tau1
+            start = device_params.copy()
+            list(pool.map(
+                partial(_local_steps, learner, eta),
+                [device_params[b] for b in blocks], block_samples,
+                [[i if i is None else i[b] for i in batches] for b in blocks]))
+            if not np.isfinite(device_params).all():
+                # params -= grads keeps a non-finite entry non-finite, so a
+                # step-by-step replay of the segment finds its first round
+                for r, idx in enumerate(batches, t - tau1 + 1):
+                    _local_steps(learner, eta, start, samples, [idx])
+                    if not np.isfinite(start).all():
+                        raise TrainingError(
+                            f"non-finite device parameters at local round {r}")
 
-        if t % tau1 != 0:
-            continue
+            sat_params = np.where(weights.nonempty[:, None],
+                                  weights.satellite_average(device_params),
+                                  sat_params)
+            trace.satellite_models.append((t, sat_params.copy()))
 
-        sat_params = np.where(weights.nonempty[:, None],
-                              weights.satellite_average(device_params),
-                              sat_params)
-        trace.satellite_models.append((t, sat_params.copy()))
+            if t % (tau1 * tau2) != 0:
+                device_params = sat_params[weights.sat_of_device]
+                continue
 
-        if t % (tau1 * tau2) != 0:
-            device_params = sat_params[weights.sat_of_device]
-            continue
+            g_round = t // (tau1 * tau2)
+            sat_params, _ = sync(sat_params, weights.sat_frac, plan)
+            global_params = sat_params[0]
+            device_params = np.tile(global_params, (n_devices, 1))
+            trace.global_models.append((t, global_params.copy()))
 
-        g_round = t // (tau1 * tau2)
-        sat_params, _ = sync(sat_params, weights.sat_frac, plan)
-        global_params = sat_params[0]
-        device_params = np.tile(global_params, (n_devices, 1))
-        trace.global_models.append((t, global_params.copy()))
-
-        acc = learner.accuracy(global_params, test_x, test_y)
-        trace.accuracy.append((g_round, t, acc))
+            acc = learner.accuracy(global_params, test_x, test_y)
+            trace.accuracy.append((g_round, t, acc))
     return trace

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import saginfl
-from saginfl import cli
+from saginfl import cli, simulation
 from saginfl.cli import main
 from saginfl.config import (
     AXES,
@@ -23,7 +23,7 @@ from saginfl.config import (
     unread_keys,
     validate_config,
 )
-from saginfl.errors import ConfigurationError
+from saginfl.errors import ConfigurationError, TrainingError
 
 SMALL_CONFIG = textwrap.dedent("""\
     [topology]
@@ -180,10 +180,35 @@ class TestConfigParsing:
             validate_config(cfg)
 
     def test_slow_but_finite_rates_accepted(self):
+        # flops_device = 1e-300 made three rounds of 6e307 s overflow, so
+        # the run's total time is now rejected; 1e-290 keeps it finite
         cfg = parse_config_text(SMALL_CONFIG)
         cfg = replace(cfg, topology=replace(cfg.topology, ss_rate_bps=1e-300),
-                      training=replace(cfg.training, flops_device=1e-300))
+                      training=replace(cfg.training, flops_device=1e-290))
         assert validate_config(cfg) is cfg
+        assert math.isfinite(saginfl.run_obl(cfg).total_time)
+
+    def test_overflowing_round_sum_names_key(self):
+        # every term of a round is finite, but tau2 * (T_SG + ...) is not
+        cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(cfg, topology=replace(cfg.topology, sg_prop_s=1e308))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "[topology] sg_prop_s must be small enough that the run's "
+                "total time is finite, got 1e+308")):
+            validate_config(cfg)
+
+    def test_overflowing_run_total_names_key(self):
+        # one round costs about 4.4e307 s; the 30 rounds overflow
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "single_orbit.ini")
+        cfg = replace(cfg, topology=replace(cfg.topology, ss_prop_s=1e306))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "[topology] ss_prop_s must be small enough that the run's "
+                "total time is finite, got 1e+306")):
+            validate_config(cfg)
+        # the one round alone is finite
+        validate_config(replace(cfg, training=replace(cfg.training,
+                                                      global_rounds=1)))
 
     def test_zero_init_scale_rejected_only_under_mlp(self):
         text = SMALL_CONFIG.replace("[training]", "[training]\ninit_scale = 0")
@@ -300,6 +325,26 @@ class TestCliRun:
         assert main(["run", str(p)]) == 3
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings,first_round", [
+        ("learning_rate = 1e80", 4),
+        # without L2 the devices overflow at rounds 1 and 2, so the first
+        # non-finite round lies inside a tau1 = 2 segment
+        ("learning_rate = 1e308\nl2 = 0", 1),
+    ])
+    def test_divergence_reported_alike_for_every_block_count(
+            self, settings, first_round, monkeypatch):
+        # the earliest non-finite local round over all devices
+        cfg = parse_config_text(SMALL_CONFIG.replace(
+            "[training]", f"[training]\n{settings}"))
+        messages = set()
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+            with pytest.raises(TrainingError) as exc:
+                simulation.run_obl(cfg)
+            messages.add(str(exc.value))
+        assert messages == {
+            f"non-finite device parameters at local round {first_round}"}
+
     def test_byte_identical_reruns(self, config_file, output_root):
         main(["run", str(config_file)])
         trace1 = next((output_root / "out").glob("*.trace.txt")).read_bytes()
@@ -327,7 +372,8 @@ class TestCliRun:
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs CPU affinity and two CPUs")
     def test_output_independent_of_worker_count(self, config_file, tmp_path):
-        # the bound check sizes its thread pool from the CPUs available
+        # the training loop's device blocks and the bound check's thread
+        # pool are both sized from the CPUs available
         src = Path(saginfl.__file__).resolve().parents[1]
         cpu = min(os.sched_getaffinity(0))
         digests = set()

@@ -2,6 +2,7 @@
 finite outputs that satisfy the model's invariants."""
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -150,3 +151,53 @@ def test_config_fails_fast_or_runs_to_valid_outputs(drawn):
         return
     assert all(math.isfinite(v) for v in (
         report.delta_hat, report.Delta_hat, report.rho_hat, report.beta_hat))
+
+
+# every key the time model reads a rate, delay or FLOP count from
+TIME_KEYS = tuple(
+    (section, f.name) for section in ("topology", "training")
+    for f in fields(getattr(ExperimentConfig(), section))
+    if f.name.endswith(("_prop_s", "_rate_bps")) or f.name.startswith("flops_"))
+# log-uniform over every binade of positive floats, subnormals included
+LOG_UNIFORM = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True),
+                        st.integers(sys.float_info.min_exp - 53,
+                                    sys.float_info.max_exp - 1))
+
+
+@st.composite
+def timed_configs(draw):
+    topology = draw(st.sampled_from([
+        TopologyConfig(n_sats=3, n_air=4, devices_per_air=2),
+        TopologyConfig(kind="walker", n_planes=2, sats_per_plane=3,
+                       air_per_cell=1, devices_per_air=1)]))
+    cfg = ExperimentConfig(
+        topology=topology,
+        data=DataConfig(n_classes=2, feature_dim=2, classes_per_device=1,
+                        samples_per_device=2, test_samples=5),
+        training=TrainingConfig(tau1=1, tau2=2, global_rounds=2),
+        policy=PolicyConfig(name=draw(st.sampled_from(["gdo", "cnasa"])),
+                            n_geo=2),
+        run=RunConfig(seed=0,
+                      sync_algo=draw(st.sampled_from(["ring", "gossip"]))))
+    drawn = {}
+    for section, key in TIME_KEYS:
+        # a delay may be 0; a rate or FLOP count must be positive
+        zero = st.just(0.0) if key.endswith("_prop_s") else st.nothing()
+        drawn[section, key] = draw(zero | LOG_UNIFORM)
+    for section in ("topology", "training"):
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{
+            key: value for (sec, key), value in drawn.items()
+            if sec == section})})
+    return cfg
+
+
+@given(timed_configs())
+@settings(max_examples=60, deadline=None)
+def test_time_keys_fail_fast_or_run_to_finite_total_time(cfg):
+    try:
+        trace = run_obl(cfg)
+    except ConfigurationError as exc:
+        match = re.search(r"\[(\w+)\] (\w+)", str(exc))
+        assert match is not None and match.groups() in TIME_KEYS, str(exc)
+        return
+    assert math.isfinite(trace.total_time)

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,41 @@ class TestDeterminism:
         b = run_obl(make_config(seed=2))
         assert a.final_accuracy != b.final_accuracy or \
             not np.allclose(a.global_models[-1][1], b.global_models[-1][1])
+
+
+class TestDeviceBlocks:
+    """Each tau1 segment steps contiguous device blocks, one per available
+    CPU, on a thread pool; no output depends on the block count."""
+
+    @pytest.mark.parametrize("training", [
+        TrainingConfig(tau1=2, tau2=2, global_rounds=3),
+        TrainingConfig(tau1=2, tau2=2, global_rounds=3, batch_size=5),
+        TrainingConfig(tau1=2, tau2=2, global_rounds=3, learner="mlp",
+                       hidden_dim=4, learning_rate=0.2),
+    ], ids=["softmax", "mini_batch", "mlp"])
+    def test_outputs_independent_of_block_count(self, training, monkeypatch):
+        # 16 devices: one block, two, three of unequal size, one per device;
+        # a short switch interval interleaves the block threads finely
+        cfg = make_config(policy="cnasa", n_geo=2, seed=3, training=training)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 16):
+                monkeypatch.setattr(simulation, "_available_cpus",
+                                    lambda: cpus)
+                runs.append(run_obl(cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        first = runs[0]
+        for trace in runs[1:]:
+            assert (list(trace_lines(trace, None))
+                    == list(trace_lines(first, None)))
+            for name in ("satellite_models", "global_models"):
+                got, want = getattr(trace, name), getattr(first, name)
+                assert [t for t, _ in got] == [t for t, _ in want]
+                for (_, a), (_, b) in zip(got, want, strict=True):
+                    assert (a == b).all()
 
 
 class TestWalkerRuns:
