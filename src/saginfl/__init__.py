@@ -12,6 +12,8 @@ loaders, and the errors. The ``saginfl`` command (``saginfl.cli``) runs,
 sweeps and validates configuration files. Building blocks live in their
 modules.
 """
+from importlib import import_module
+
 from .config import (
     AXES,
     DataConfig,
@@ -26,15 +28,21 @@ from .config import (
     validate_config,
     with_seed,
 )
-from .diagnostics import (
-    BoundReport,
-    check_convergence_bound,
-    measure_divergence,
-    theorem_bound,
-    virtual_trajectories,
-)
 from .errors import ConfigurationError, InputError, TopologyError, TrainingError
-from .simulation import TrainingTrace, run_obl
+
+# the exports that need the run's modules, loaded on first use so that
+# importing the configuration leaves the topology and assignment stack out
+_LAZY = {"BoundReport": "diagnostics", "check_convergence_bound": "diagnostics",
+         "measure_divergence": "diagnostics", "theorem_bound": "diagnostics",
+         "virtual_trajectories": "diagnostics", "TrainingTrace": "simulation",
+         "run_obl": "simulation"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "AXES",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
 from .learner import make_learner
+from .timecost import RoundShape, delivery_terms, price, unit_costs
 
 POLICIES = ("gdo", "cdo", "cnasa")
 SYNC_ALGOS = ("ring", "gossip")
@@ -52,6 +53,11 @@ class TopologyConfig:
     def n_satellites(self) -> int:
         return self.n_sats if self.kind == "single" else \
             self.n_planes * self.sats_per_plane
+
+    @property
+    def n_air_nodes(self) -> int:
+        return self.n_air if self.kind == "single" else \
+            self.n_satellites * self.air_per_cell
 
 
 @dataclass(frozen=True)
@@ -177,6 +183,14 @@ _UNREAD_UNDER = {
     ("policy", "name", "cdo"): "n_geo",
     ("training", "learner", "softmax"): "hidden_dim",
 }
+# the work a FLOP key prices in the finite-time rule; a rate key prices one
+# model transfer
+_UNIT_OF = dict(flops_air="one aggregation", flops_satellite="one aggregation",
+                flops_model="one local step", flops_device="one local step")
+# CNASA's matching solver (assignment._lsap) keeps potentials up to twice and
+# path lengths up to three times the largest matching total; a power of two
+# above three keeps every one of them finite
+_MATCHING_HEADROOM = 4.0
 
 
 def _require(section: str, key: str, value, ok: bool, rule: str) -> None:
@@ -185,8 +199,8 @@ def _require(section: str, key: str, value, ok: bool, rule: str) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check every key's range and the cross-field constraints; raises
-    naming the offending ``[section] key``."""
+    """Check every key's range and the cross-field constraints, the time
+    keys at ``timecost``'s worst-case prices; raises naming ``[section] key``."""
     t, d, tr, p, r = cfg.topology, cfg.data, cfg.training, cfg.policy, cfg.run
     for section in _SECTION_TYPES:
         block = getattr(cfg, section)
@@ -239,85 +253,29 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if d.feature_dim < d.n_classes:
         raise ConfigurationError(
             f"[data] feature_dim must be >= n_classes, got {d.feature_dim}")
-    _require_finite_times(cfg)
+    m = make_learner(tr, d).n_params
+    shape = RoundShape.worst(t)
+    for (section, key), cost in unit_costs(cfg, m, shape).items():
+        _require(section, key, getattr(getattr(cfg, section), key),
+                 math.isfinite(cost),
+                 f"{'small' if key == 'flops_model' else 'large'} enough that "
+                 f"{_UNIT_OF.get(key, 'one model transfer')} takes finite time")
+    _require_bounded(cfg, price(cfg, m, shape)[1], tr.global_rounds,
+                     "the run's total time is finite")
+    if p.name in ("cdo", "cnasa"):
+        _require_bounded(cfg, delivery_terms(cfg, m), _MATCHING_HEADROOM,
+                         "the cluster matching's costs stay finite")
     return cfg
 
 
-def _require_finite_times(cfg: ExperimentConfig) -> None:
-    """Reject a rate or FLOP count for which one model transfer, one
-    aggregation or one local step takes non-finite time, as ``timecost``
-    prices it; a shared uplink is split among all its possible senders.
-    Then reject a config whose costliest possible run overflows (see
-    ``_worst_round_terms``), naming the key with the largest term."""
-    t, tr = cfg.topology, cfg.training
-    m = make_learner(tr, cfg.data).n_params
-    bits = m * tr.bits_per_param
-    n_air = t.n_air if t.kind == "single" else t.n_satellites * t.air_per_cell
-    for section, key, work, split, rule in (
-            ("topology", "sg_rate_bps", bits, 1, "one model transfer"),
-            ("topology", "ga_rate_bps", bits, t.devices_per_air,
-             "one model transfer"),
-            ("topology", "as_rate_bps", bits, n_air, "one model transfer"),
-            ("topology", "ss_rate_bps", bits, 1, "one model transfer"),
-            ("training", "flops_air", m * t.devices_per_air, 1,
-             "one aggregation"),
-            ("training", "flops_satellite", m * n_air, 1, "one aggregation")):
-        value = getattr(getattr(cfg, section), key)
-        rate = value / split
-        _require(section, key, value, rate > 0 and math.isfinite(work / rate),
-                 f"large enough that {rule} takes finite time")
-    work = tr.flops_model * cfg.data.samples_per_device
-    _require("training", "flops_model", tr.flops_model, math.isfinite(work),
-             "small enough that one local step takes finite time")
-    _require("training", "flops_device", tr.flops_device,
-             math.isfinite(work / tr.flops_device),
-             "large enough that one local step takes finite time")
-    terms = _worst_round_terms(cfg, m, n_air)
+def _require_bounded(cfg: ExperimentConfig, terms: dict[tuple[str, str], float],
+                     factor: float, what: str) -> None:
+    """Reject ``terms`` whose sum times ``factor`` is not finite, naming
+    the key with the largest term."""
     section, key = max(terms, key=terms.get)
-    value = getattr(getattr(cfg, section), key)
-    _require(section, key, value,
-             math.isfinite(sum(terms.values()) * tr.global_rounds),
-             f"{'small' if key.endswith('_prop_s') else 'large'} enough "
-             f"that the run's total time is finite")
-
-
-def _worst_round_terms(cfg: ExperimentConfig, m: int,
-                       n_air: int) -> dict[tuple[str, str], float]:
-    """An upper bound on one global round's cost, as ``timecost`` prices
-    it, split into one term per ``(section, key)`` that sets it.
-
-    It holds for any assignment and sync plan: every air node in one access
-    cell and on one satellite, relay paths of ``n_satellites`` hops, and
-    three sync phases whose largest rings hold every satellite (one phase
-    on a single orbit), or the analytic gossip cost. A local step's time is
-    the ``flops_device`` term.
-    """
-    t, tr = cfg.topology, cfg.training
-    bits = m * tr.bits_per_param
-    n = t.n_satellites
-    if cfg.run.sync_algo == "gossip":
-        sync_hops = sync_models = n * math.log2(n)
-    else:
-        sync_hops = (1 if t.kind == "single" else 3) * 2 * (n - 1)
-        sync_models = sync_hops / n
-    return {
-        ("topology", "sg_rate_bps"): tr.tau2 * (bits / t.sg_rate_bps),
-        ("topology", "sg_prop_s"): tr.tau2 * t.sg_prop_s,
-        ("topology", "ga_rate_bps"):
-            tr.tau2 * (bits / (t.ga_rate_bps / t.devices_per_air)),
-        ("topology", "ga_prop_s"): tr.tau2 * t.ga_prop_s,
-        ("topology", "as_rate_bps"): tr.tau2 * (bits / (t.as_rate_bps / n_air)),
-        ("topology", "as_prop_s"): tr.tau2 * t.as_prop_s,
-        ("topology", "ss_rate_bps"):
-            (tr.tau2 * n + sync_models) * (bits / t.ss_rate_bps),
-        ("topology", "ss_prop_s"): (tr.tau2 * n + sync_hops) * t.ss_prop_s,
-        ("training", "flops_device"): tr.tau2 * tr.tau1 * (
-            tr.flops_model * cfg.data.samples_per_device / tr.flops_device),
-        ("training", "flops_air"):
-            tr.tau2 * (m * t.devices_per_air / tr.flops_air),
-        ("training", "flops_satellite"):
-            (tr.tau2 * n_air + sync_models) * (m / tr.flops_satellite),
-    }
+    _require(section, key, getattr(getattr(cfg, section), key),
+             math.isfinite(sum(terms.values()) * factor),
+             f"{'small' if key.endswith('_prop_s') else 'large'} enough that {what}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -367,11 +325,10 @@ def apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     t = cfg.topology
     updates = {key: value}
     if axis == "n_devices":
-        n_air = t.n_air if t.kind == "single" else t.n_satellites * t.air_per_cell
-        if value % n_air != 0:
+        if value % t.n_air_nodes != 0:
             raise ConfigurationError(
-                f"n_devices {value} not divisible by {n_air} air nodes")
-        updates[key] = value // n_air
+                f"n_devices {value} not divisible by {t.n_air_nodes} air nodes")
+        updates[key] = value // t.n_air_nodes
     elif axis == "orbits":
         if value < 1 or t.n_satellites % value != 0:
             raise ConfigurationError(

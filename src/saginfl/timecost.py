@@ -1,4 +1,4 @@
-"""End-to-end delay and per-round time accounting.
+"""End-to-end delay and per-round time accounting: the one time model.
 
 Per global round the total cost splits into communication (device uplink, air
 uplink with relay forwarding, satellite downlink broadcast), computation
@@ -6,20 +6,28 @@ uplink with relay forwarding, satellite downlink broadcast), computation
 synchronization. Bandwidth is equal-split among simultaneous transmitters:
 a satellite's uplink capacity over the air nodes in its access cell, an air
 node's over its devices. The broadcast downlink is a single transmitter and
-is not split. Every cost is priced from the configuration and the model's
-parameter count ``m``. On the static snapshot a run models, every global
-round costs the same, so ``price_round`` prices one round once per run.
+is not split. ``price`` prices a round from the configuration, the model's
+parameter count ``m`` and the round's ``RoundShape``: ``price_round`` at a
+run's shape (on the static snapshot a run models, every global round costs
+the same), ``validate_config`` at the worst shape a config allows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .allreduce import SyncPlan
-from .assignment import AssignmentMap
-from .config import ExperimentConfig
+if TYPE_CHECKING:  # config imports this module to validate the time keys
+    from .allreduce import SyncPlan
+    from .assignment import AssignmentMap
+    from .config import ExperimentConfig, TopologyConfig
+
+Key = tuple[str, str]   # the ``(section, key)`` that sets a cost
+SG, GA, AS, SS = (("topology", f"{link}_rate_bps") for link in ("sg", "ga", "as", "ss"))
+AIR, SAT = ("training", "flops_air"), ("training", "flops_satellite")
+MODEL, DEVICE = ("training", "flops_model"), ("training", "flops_device")
 
 
 @dataclass(frozen=True)
@@ -34,83 +42,99 @@ class TimeBreakdown:
         return self.t_comm + self.t_comp + self.t_sync
 
 
-def end_to_end(bits: float, rate_bps: float, prop_s: float) -> float:
-    """Transmission plus propagation delay of a payload over one link."""
-    return bits / rate_bps + prop_s
+@dataclass(frozen=True)
+class RoundShape:
+    """What a round's cost depends on beyond the config and ``m``."""
+
+    access_cell: int          # air nodes in the busiest access cell
+    airs_per_satellite: int   # air nodes on the busiest aggregation satellite
+    relay_hops: int           # the longest relay path, in ISL hops
+    rings: tuple[int, ...]    # the largest ring of each sync phase
+
+    @classmethod
+    def worst(cls, topology: TopologyConfig) -> RoundShape:
+        """A shape no run of ``topology`` exceeds: every air node in one
+        access cell and on one satellite, relay paths of ``n_satellites``
+        hops, and sync phases whose largest rings hold every satellite
+        (three phases on a Walker, one on a single orbit)."""
+        n_air, n = topology.n_air_nodes, topology.n_satellites
+        return cls(n_air, n_air, n, (n,) * (1 if topology.kind == "single" else 3))
 
 
-def comm_time(assignment: AssignmentMap, cfg: ExperimentConfig, m: int) -> float:
-    """Communication time of one global round.
+def _shared(bits: float, rate: float, senders: int) -> float:
+    """Transmission time over ``rate`` split among ``senders``; infinite
+    when the share underflows to zero."""
+    share = rate / senders
+    return bits / share if share > 0 else math.inf
 
-    tau2 * (T_SG + T_GA + T_AS + N_SS * T_SS) with worst-case per-class
-    delays: the device and air uplinks see their bandwidth equal-split among
-    the busiest cell's transmitters.
+
+def unit_costs(cfg: ExperimentConfig, m: int, shape: RoundShape) -> dict[Key, float]:
+    """The cost of one unit of each rate or FLOP key's work, keyed by that
+    key: one model's transmission over each link, one aggregation at each
+    aggregator, in seconds; and one local step, as its FLOPs under
+    ``flops_model`` and its time under ``flops_device``."""
+    t, tr = cfg.topology, cfg.training
+    bits = m * tr.bits_per_param
+    step = tr.flops_model * cfg.data.samples_per_device
+    return {SG: bits / t.sg_rate_bps,
+            GA: _shared(bits, t.ga_rate_bps, t.devices_per_air),
+            AS: _shared(bits, t.as_rate_bps, shape.access_cell),
+            SS: bits / t.ss_rate_bps,
+            AIR: m * t.devices_per_air / tr.flops_air,
+            SAT: m * shape.airs_per_satellite / tr.flops_satellite,
+            MODEL: step,
+            DEVICE: step / tr.flops_device}
+
+
+def price(cfg: ExperimentConfig, m: int,
+          shape: RoundShape) -> tuple[TimeBreakdown, dict[Key, float]]:
+    """One global round's cost at ``shape``: its breakdown, and the same
+    cost split into one term per ``(section, key)`` that sets it.
+
+    Communication is tau2 * (T_SG + T_GA + T_AS + N_SS * T_SS), computation
+    tau2 * (tau1 * T_train + T_agg_air + T_agg_satellite). One sync ring of
+    N satellites takes 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS)); phases run
+    in turn, each costing its largest ring. Gossip sync is N*log2(N)
+    full-model deliveries per satellite.
     """
-    top = cfg.topology
-    bits = m * cfg.training.bits_per_param
-    t_sg = end_to_end(bits, top.sg_rate_bps, top.sg_prop_s)
-    t_ga = end_to_end(bits, top.ga_rate_bps / top.devices_per_air,
-                      top.ga_prop_s)
-    t_as = end_to_end(bits, top.as_rate_bps / assignment.max_access_cell,
-                      top.as_prop_s)
-    t_ss = end_to_end(bits, top.ss_rate_bps, top.ss_prop_s)
-    n_ss = assignment.relay_hops()
-    return cfg.training.tau2 * (t_sg + t_ga + t_as + n_ss * t_ss)
-
-
-def comp_time(cfg: ExperimentConfig, m: int, airs_per_satellite: int) -> float:
-    """Computation time of one global round.
-
-    tau2 * (tau1 * T_train + T_agg_air + T_agg_satellite); training cost is
-    FLOPs * samples / device FLOPS (one epoch per local round), aggregation
-    cost is params * received models / aggregator FLOPS.
-    """
-    tr = cfg.training
-    t_train = tr.flops_model * cfg.data.samples_per_device / tr.flops_device
-    t_agg_air = m * cfg.topology.devices_per_air / tr.flops_air
-    t_agg_sat = m * airs_per_satellite / tr.flops_satellite
-    return tr.tau2 * (tr.tau1 * t_train + t_agg_air + t_agg_sat)
-
-
-def sync_time(phases: tuple[tuple[tuple[int, ...], ...], ...],
-              cfg: ExperimentConfig, m: int) -> float:
-    """Ring allreduce time of a synchronization plan's ``phases``.
-
-    One ring of N satellites takes 2(N-1)(T_trans/N + T_prop + M/(N*FLOPS)).
-    Phases run one after another; the rings of a phase run in parallel, so
-    its largest ring sets the phase's cost.
-    """
-    top = cfg.topology
-    t_trans = m * cfg.training.bits_per_param / top.ss_rate_bps
-
-    def ring(n: int) -> float:
-        return 2.0 * (n - 1) * (t_trans / n + top.ss_prop_s
-                                + m / (n * cfg.training.flops_satellite))
-
-    return sum(max(ring(len(r)) for r in rings) for rings in phases)
-
-
-def gossip_sync_time(n_sats: int, cfg: ExperimentConfig, m: int) -> float:
-    """Analytic gossip cost: N*log2(N) full-model deliveries per satellite."""
-    top = cfg.topology
-    cycles = n_sats * math.log2(n_sats)
-    per_cycle = (m * cfg.training.bits_per_param / top.ss_rate_bps
-                 + top.ss_prop_s + m / cfg.training.flops_satellite)
-    return cycles * per_cycle
+    t, tr = cfg.topology, cfg.training
+    u = unit_costs(cfg, m, shape)
+    t_sg, t_ga = u[SG] + t.sg_prop_s, u[GA] + t.ga_prop_s
+    t_as, t_ss = u[AS] + t.as_prop_s, u[SS] + t.ss_prop_s
+    if cfg.run.sync_algo == "gossip":
+        n = t.n_satellites
+        sync_hops = sync_models = n * math.log2(n)
+        t_sync = sync_hops * (t_ss + m / tr.flops_satellite)
+    else:
+        sync_hops = sum(2 * (n - 1) for n in shape.rings)
+        sync_models = sum(2 * (n - 1) / n for n in shape.rings)
+        t_sync = sum(2.0 * (n - 1) * (u[SS] / n + t.ss_prop_s
+                                      + m / (n * tr.flops_satellite))
+                     for n in shape.rings)
+    relayed = tr.tau2 * shape.relay_hops
+    cost = TimeBreakdown(
+        t_comm=tr.tau2 * (t_sg + t_ga + t_as + shape.relay_hops * t_ss),
+        t_comp=tr.tau2 * (tr.tau1 * u[DEVICE] + u[AIR] + u[SAT]),
+        t_sync=t_sync, n_ss=shape.relay_hops)
+    terms = {SG: tr.tau2 * u[SG], ("topology", "sg_prop_s"): tr.tau2 * t.sg_prop_s,
+             GA: tr.tau2 * u[GA], ("topology", "ga_prop_s"): tr.tau2 * t.ga_prop_s,
+             AS: tr.tau2 * u[AS], ("topology", "as_prop_s"): tr.tau2 * t.as_prop_s,
+             SS: (relayed + sync_models) * u[SS],
+             ("topology", "ss_prop_s"): (relayed + sync_hops) * t.ss_prop_s,
+             DEVICE: tr.tau2 * tr.tau1 * u[DEVICE],
+             AIR: tr.tau2 * u[AIR],
+             SAT: tr.tau2 * u[SAT] + sync_models * (m / tr.flops_satellite)}
+    return cost, terms
 
 
 def price_round(cfg: ExperimentConfig, assignment: AssignmentMap,
                 plan: SyncPlan, m: int) -> TimeBreakdown:
-    """The cost of one global round: communication, computation, and the
-    sync time of ``plan``'s rings, or the analytic gossip cost under
-    ``sync_algo = gossip``."""
-    gossip = cfg.run.sync_algo == "gossip"
-    return TimeBreakdown(
-        t_comm=comm_time(assignment, cfg, m),
-        t_comp=comp_time(cfg, m, assignment.max_assigned),
-        t_sync=(gossip_sync_time(cfg.topology.n_satellites, cfg, m) if gossip
-                else sync_time(plan.phases, cfg, m)),
-        n_ss=assignment.relay_hops())
+    """The cost of one global round of a run: ``assignment`` sets the
+    shared cells and relay hops, ``plan``'s phases the rings."""
+    return price(cfg, m, RoundShape(
+        assignment.max_access_cell, assignment.max_assigned,
+        assignment.relay_hops(),
+        tuple(max(len(ring) for ring in rings) for rings in plan.phases)))[0]
 
 
 @dataclass(frozen=True)
@@ -131,13 +155,23 @@ class DeliveryTimeModel:
         return self.t_as_s + int(self.hops[src, target_sat]) * self.t_ss_s
 
 
+# one air node uploads at a time: the air-satellite rate is not shared
+_ONE_SENDER = RoundShape(1, 1, 0, ())
+
+
 def make_delivery_model(hops: np.ndarray, access: np.ndarray,
                         cfg: ExperimentConfig, m: int) -> DeliveryTimeModel:
-    top = cfg.topology
-    bits = m * cfg.training.bits_per_param
-    return DeliveryTimeModel(
-        hops=hops,
-        access=access,
-        t_as_s=end_to_end(bits, top.as_rate_bps, top.as_prop_s),
-        t_ss_s=end_to_end(bits, top.ss_rate_bps, top.ss_prop_s),
-    )
+    u, t = unit_costs(cfg, m, _ONE_SENDER), cfg.topology
+    return DeliveryTimeModel(hops=hops, access=access,
+                             t_as_s=u[AS] + t.as_prop_s,
+                             t_ss_s=u[SS] + t.ss_prop_s)
+
+
+def delivery_terms(cfg: ExperimentConfig, m: int) -> dict[Key, float]:
+    """An upper bound on any cluster's summed delivery times, and so on any
+    matching's total, split into one term per ``(section, key)``: every air
+    node delivers over ``n_satellites`` hops, n_air * (t_AS + N * t_SS)."""
+    u, t = unit_costs(cfg, m, _ONE_SENDER), cfg.topology
+    n_air, hops = t.n_air_nodes, t.n_air_nodes * t.n_satellites
+    return {AS: n_air * u[AS], ("topology", "as_prop_s"): n_air * t.as_prop_s,
+            SS: hops * u[SS], ("topology", "ss_prop_s"): hops * t.ss_prop_s}

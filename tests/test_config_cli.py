@@ -206,9 +206,33 @@ class TestConfigParsing:
                 "[topology] ss_prop_s must be small enough that the run's "
                 "total time is finite, got 1e+306")):
             validate_config(cfg)
-        # the one round alone is finite
-        validate_config(replace(cfg, training=replace(cfg.training,
-                                                      global_rounds=1)))
+        # the one round alone is finite; CNASA's cluster sums are bounded
+        # by 100 air nodes * 20 hops * 1e306 s, which is not, so the round
+        # is checked under GDO, which does no matching
+        one = replace(cfg, training=replace(cfg.training, global_rounds=1))
+        validate_config(replace(one, policy=replace(one.policy, name="gdo")))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "[topology] ss_prop_s must be small enough that the cluster "
+                "matching's costs stay finite, got 1e+306")):
+            validate_config(one)
+
+    def test_overflowing_matching_costs_name_key(self):
+        # 400 air nodes over 2 single-satellite parts: one cluster's summed
+        # delivery times, 200 uploads of 1e306 s, used to overflow inside
+        # CNASA's matching with an InputError naming no key
+        cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(
+            cfg, topology=replace(cfg.topology, n_sats=2, n_air=400,
+                                  devices_per_air=1, as_prop_s=1e306),
+            training=replace(cfg.training, global_rounds=1),
+            policy=replace(cfg.policy, n_geo=1))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "[topology] as_prop_s must be small enough that the cluster "
+                "matching's costs stay finite, got 1e+306")):
+            validate_config(cfg)
+        gdo = replace(cfg, policy=replace(cfg.policy, name="gdo"))
+        assert validate_config(gdo) is gdo
+        assert math.isfinite(saginfl.run_obl(gdo).total_time)
 
     def test_zero_init_scale_rejected_only_under_mlp(self):
         text = SMALL_CONFIG.replace("[training]", "[training]\ninit_scale = 0")

@@ -4,7 +4,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from saginfl.config import (
 from saginfl.diagnostics import bound_inapplicable, check_convergence_bound
 from saginfl.errors import ConfigurationError, InputError
 from saginfl.simulation import run_obl
+from saginfl.timecost import RoundShape, price
 
 # values that no run accepts, each with the field it sets
 INVALID = [
@@ -201,3 +202,6 @@ def test_time_keys_fail_fast_or_run_to_finite_total_time(cfg):
         assert match is not None and match.groups() in TIME_KEYS, str(exc)
         return
     assert math.isfinite(trace.total_time)
+    # the worst-case shape validate_config prices bounds the run's round
+    worst, _ = price(cfg, trace.learner.n_params, RoundShape.worst(cfg.topology))
+    assert all(a <= b for a, b in zip(astuple(trace.round_cost), astuple(worst)))

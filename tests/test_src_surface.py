@@ -13,7 +13,8 @@ and the command line's argument checks are the only code that raises a
 
 Importing the command line stays light: it loads no scipy module, and
 neither does a run of a reference configuration; scipy serves the tests'
-reference implementations only.
+reference implementations only. Importing the configuration loads no part
+of the topology, partition, assignment or sync stack.
 """
 import ast
 import os
@@ -134,10 +135,14 @@ def test_a_configuration_error_below_validation_is_flagged(tmp_path):
 
 
 def test_cli_import_and_reference_runs_load_no_scipy(tmp_path):
-    # scipy costs start-up time and memory in every command; a fresh
-    # interpreter shows what one stray import would bring back
+    # scipy costs start-up time and memory in every command, and the
+    # topology stack every configuration check; a fresh interpreter shows
+    # what one stray import would bring back
     script = (
-        "import sys\nfrom dataclasses import replace\nimport saginfl.cli\n"
+        "import sys\nfrom dataclasses import replace\nimport saginfl.config\n"
+        "print([m for m in ('saginfl.allreduce', 'saginfl.assignment', "
+        "'saginfl.partition', 'saginfl.topology') if m in sys.modules])\n"
+        "import saginfl.cli\n"
         "from saginfl.config import load_config\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "for ini in ('single_orbit.ini', 'walker.ini'):\n"
@@ -150,4 +155,6 @@ def test_cli_import_and_reference_runs_load_no_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "configs"), str(tmp_path)],
         env=env, check=True, capture_output=True, text=True)
-    assert out.stdout.strip() == "[] []"
+    config_loads, scipy_loads = out.stdout.splitlines()
+    assert config_loads == "[]"
+    assert scipy_loads == "[] []"
