@@ -12,9 +12,16 @@ reads only models already recorded in the trace. The tasks run concurrently
 on a thread pool of up to the CPUs available to the process (numpy and BLAS
 release the GIL). Results are collected and folded in interval order, and
 the only cross-interval steps are maxima, so every output is bit-identical
-whatever the worker count. The check computes only what it reports: the
-virtual satellite trajectories (``satellite_ends``) are computed by
-``virtual_trajectories`` alone.
+whatever the worker count. The check computes only what it reports, and
+each loss it reads comes out of the float64 gradient pass it makes at the
+same model (``SoftmaxLearner.loss_and_grad``).
+
+``virtual_trajectories`` is not part of the check. It replays the
+centralized paths of every global interval, and the per-satellite virtual
+descent (``satellite_ends``) of each tau1 segment that starts at a
+recorded global model: every segment when tau2 = 1, the first segment of
+each global interval otherwise, since the trace keeps no aggregate from
+inside a global interval.
 
 The satellite-aggregate probes are 2,400 of the 2,520 gradient passes on
 the Walker reference run, so they take a cheaper pass than the others:
@@ -26,7 +33,9 @@ difference the fold takes, subtracts the samples' model-independent
 norm or average depends on the order of coordinates. On the Walker
 reference run (seed 1, one BLAS thread, two workers on a 2-core x86-64
 box) this took the check from 1.62 s to 0.98 s. Every other pass (the
-endpoints, the virtual path and the losses) is float64.
+endpoints and the virtual path, with their losses) is float64, and so is
+the satellite-probe pass of an interval whose float32 pass could overflow
+(``_probes_fit_float32``).
 """
 from __future__ import annotations
 
@@ -38,12 +47,13 @@ from functools import partial
 import numpy as np
 
 from .errors import InputError
-from .learner import Samples
+from .learner import ProbeSamples, Samples
 from .simulation import AggregationWeights, TrainingTrace, _available_cpus
 
 SAFETY_MARGIN = 1.5
 BOUND_TOLERANCE = 1.05
 _MIN_PAIR_DIST = 1e-12
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -63,12 +73,14 @@ class GradContext:
         """Every device's gradient at one shared model, ``(D, P)``."""
         return self.learner.grad(w, self.samples)
 
-    def global_loss(self, w: np.ndarray) -> float:
-        return float(self.weights.device_frac
-                     @ self.learner.loss(w, self.samples))
-
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         return self.weights.device_frac @ self.device_grads(w)
+
+    def loss_and_grads(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """The global loss and every device's gradient ``(D, P)`` at one
+        shared model, from one pass."""
+        losses, grads = self.learner.loss_and_grad(w, self.samples)
+        return float(self.weights.device_frac @ losses), grads
 
 
 @dataclass(frozen=True)
@@ -144,24 +156,36 @@ class VirtualTrajectories:
 
     # (interval index g, start t, path of tau1*tau2+1 models)
     global_paths: list[tuple[int, int, np.ndarray]]
-    # (interval index s, end t, per-satellite end models (N_S, P))
+    # (segment index s, end t, per-satellite end models (N_S, P)) of each
+    # tau1 segment that starts at a recorded global model
     satellite_ends: list[tuple[int, int, np.ndarray]]
 
 
 def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
-                 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+                 loss_at: int = 0,
+                 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray,
+                            dict[int, float]]:
     """Centralized gradient descent from ``w0``.
 
     Returns the ``steps + 1`` models, the global gradient at each model but
-    the last, and the device gradients at ``w0``.
+    the last, the device gradients at ``w0``, and the global losses at
+    ``w0`` and at model ``loss_at`` when it is below ``steps``, keyed by
+    model index. Each loss comes from its model's gradient pass, and the
+    other passes take no loss.
     """
-    start_grads = ctx.device_grads(w0)
+    start_loss, start_grads = ctx.loss_and_grads(w0)
+    losses = {0: start_loss}
     grads = [ctx.weights.device_frac @ start_grads]
     path = [w0.copy(), w0 - eta * grads[0]]
-    for _ in range(steps - 1):
-        grads.append(ctx.global_grad(path[-1]))
-        path.append(path[-1] - eta * grads[-1])
-    return np.stack(path), grads, start_grads
+    for i in range(1, steps):
+        if i == loss_at:
+            losses[i], dev_g = ctx.loss_and_grads(path[i])
+            grads.append(ctx.weights.device_frac @ dev_g)
+            del dev_g
+        else:
+            grads.append(ctx.global_grad(path[i]))
+        path.append(path[i] - eta * grads[i])
+    return np.stack(path), grads, start_grads, losses
 
 
 def virtual_trajectories(trace: TrainingTrace,
@@ -175,25 +199,20 @@ def virtual_trajectories(trace: TrainingTrace,
         (g, t0, _global_path(ctx, w0, tau1 * tau2, eta)[0])
         for g, (t0, w0) in enumerate(trace.global_models[:-1], start=1)]
 
-    # satellite interval [s] starts from the post-broadcast model at (s-1)*tau1
-    sat_models = dict(trace.satellite_models)
-    glob_models = dict(trace.global_models)
+    # segment s runs from (s-1)*tau1 to s*tau1; one that starts at a global
+    # model starts every satellite from the broadcast model
     satellite_ends = []
     weights = ctx.weights
     n_sats = len(weights.sat_frac)
-    for s, (t_end, _) in enumerate(trace.satellite_models, start=1):
-        t_start = t_end - tau1
-        if t_start in glob_models:
-            starts = np.tile(glob_models[t_start], (n_sats, 1))
-        else:
-            starts = sat_models[t_start]
-        v = starts.copy()
+    for t_start, w0 in trace.global_models[:-1]:
+        v = np.tile(w0, (n_sats, 1))
         for _ in range(tau1):
             # one batched pass: device i's gradient at its satellite's point
             dev_g = ctx.learner.grad(v[weights.sat_of_device], ctx.samples)
             sat_g = weights.satellite_average(dev_g)
             v = np.where(weights.nonempty[:, None], v - eta * sat_g, v)
-        satellite_ends.append((s, t_end, v))
+        t_end = t_start + tau1
+        satellite_ends.append((t_end // tau1, t_end, v))
     return VirtualTrajectories(global_paths=global_paths,
                                satellite_ends=satellite_ends)
 
@@ -259,8 +278,34 @@ class BoundReport:
         return all(c.holds for c in self.intervals)
 
 
+def _magnitude(a: np.ndarray) -> float:
+    """The largest absolute entry of ``a`` (nan if it holds a nan), without
+    an absolute-value copy."""
+    return float(max(a.max(), -a.min()))
+
+
+def _probes_fit_float32(model_scale: float, x_scale: float,
+                        samples: Samples) -> bool:
+    """Whether the float32 probe pass stays finite at models and features
+    of at most these magnitudes.
+
+    The bounds cover its largest intermediates: the models and features
+    themselves; the logits shifted by their class maximum, at most
+    2(d+1) times model times feature; a device's sums over its n samples
+    before the mean; and the squares a norm adds in the fold, where a
+    gradient, an average or a difference of two stays within 4 times the
+    largest feature.
+    """
+    f, _, n = samples.x.shape
+    n_params = f * samples.y.shape[0]
+    bounds = (model_scale, x_scale, 2.0 * f * model_scale * x_scale,
+              n * x_scale, n_params * (4.0 * x_scale) * (4.0 * x_scale))
+    return all(b <= _FLOAT32_MAX for b in bounds)
+
+
 def _check_interval(trace: TrainingTrace, ctx: GradContext,
-                    weights32: AggregationWeights, samples32: Samples,
+                    weights32: AggregationWeights,
+                    samples32: ProbeSamples | None, x_scale: float,
                     sat_models: dict[int, np.ndarray], g: int,
                     ) -> tuple[IntervalCheck, float, float, DivergenceEstimate]:
     """Global interval ``g``'s check, its rho and beta, and the divergence
@@ -268,44 +313,54 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
 
     The satellite-aggregate probes, most of the check's gradient passes,
     run through ``SoftmaxLearner.probe_grad`` on ``samples32`` and are
-    folded with ``weights32``, all in float32; every other pass stays
-    float64, since the gap and beta's gradient differences are prone to
-    cancellation.
+    folded with ``weights32``, all in float32, unless that pass could
+    overflow at the interval's aggregates (``_probes_fit_float32``); then
+    they take the float64 ``learner.grad`` and weights. Every other pass
+    stays float64, since the gap and beta's gradient differences are prone
+    to cancellation. The four pair models' passes (start, end, virtual end
+    and the virtual path's midpoint) yield their losses as well.
     """
     training = trace.config.training
     tau1, tau2 = training.tau1, training.tau2
     eta = training.learning_rate
     weights = ctx.weights
     t_end, w_end = trace.global_models[g]
-    path, path_grads, start_grads = _global_path(
-        ctx, trace.global_models[g - 1][1], tau1 * tau2, eta)
+    # the virtual path's midpoint is a pair model; it is v_end itself when
+    # tau1 * tau2 = 1, whose loss comes from v_end's own pass below
+    mid = (tau1 * tau2 + 1) // 2
+    path, path_grads, start_grads, losses = _global_path(
+        ctx, trace.global_models[g - 1][1], tau1 * tau2, eta, loss_at=mid)
     w_start, v_end = path[0], path[-1]
 
     # Each probe's device gradients are folded into the estimates as soon as
     # they exist and then dropped: concurrent tasks keep little memory.
-    end_grads = ctx.device_grads(w_end)
+    end_loss, end_grads = ctx.loss_and_grads(w_end)
     endpoints = measure_divergence(weights, (start_grads, end_grads))
     end_grad = weights.device_frac @ end_grads
     del start_grads, end_grads
-    v_end_grads = ctx.device_grads(v_end)
+    v_end_loss, v_end_grads = ctx.loss_and_grads(v_end)
+    losses[len(path) - 1] = v_end_loss
     path_grads.append(weights.device_frac @ v_end_grads)
     virtual_end = measure_divergence(weights, (v_end_grads,))
     del v_end_grads
-    satellites = measure_divergence(weights32, (
-        ctx.learner.probe_grad(w, samples32)
-        for w in sat_models[t_end][weights.nonempty].astype(np.float32)))
+    sats = sat_models[t_end][weights.nonempty]
+    if _probes_fit_float32(_magnitude(sats), x_scale, ctx.samples):
+        satellites = measure_divergence(weights32, (
+            ctx.learner.probe_grad(w, samples32)
+            for w in sats.astype(np.float32)))
+    else:
+        satellites = measure_divergence(weights, (
+            ctx.learner.grad(w, ctx.samples) for w in sats))
     div = _union_divergence([endpoints, virtual_end, satellites], weights)
 
-    mid = len(path) // 2
-    pair_models = [w_start, w_end, v_end, path[mid]]
-    losses = [ctx.global_loss(w) for w in pair_models]
     rho, beta = estimate_rho_beta(
-        pair_models,
-        [path_grads[0], end_grad, path_grads[-1], path_grads[mid]], losses)
+        [w_start, w_end, v_end, path[mid]],
+        [path_grads[0], end_grad, path_grads[-1], path_grads[mid]],
+        [losses[0], end_loss, v_end_loss, losses[mid]])
     bound = theorem_bound(div.delta_hat, div.Delta_hat,
                           SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
                           eta, tau1, tau2)
-    gap = abs(losses[1] - losses[2])
+    gap = abs(end_loss - v_end_loss)
     if bound > 0:
         margin = gap / bound
     else:
@@ -336,7 +391,7 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
 
     Estimates are taken over each interval's own models (its endpoints, the
     virtual endpoint, and the nonempty satellites' aggregates recorded at
-    the interval's end, not those of the rounds inside it), then
+    the interval's end, the only ones the trace keeps), then
     the Lipschitz/smoothness constants are inflated by the safety margin.
     A margin of at most 1.05 counts as holding; beyond that the interval is
     flagged as a violation. Intervals are checked concurrently and folded in
@@ -348,11 +403,11 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     if reason is not None:
         raise InputError(reason)
     ctx = GradContext.from_trace(trace)
-    samples32 = ctx.samples.astype(np.float32)
-    # the probe kernel's cached views, built once before the tasks share them
-    samples32.target_moments
+    x_scale = _magnitude(ctx.samples.x)
+    samples32 = (ProbeSamples.of(ctx.samples, np.float32)
+                 if _probes_fit_float32(0.0, x_scale, ctx.samples) else None)
     task = partial(_check_interval, trace, ctx,
-                   ctx.weights.astype(np.float32), samples32,
+                   ctx.weights.astype(np.float32), samples32, x_scale,
                    dict(trace.satellite_models))
     intervals = range(1, len(trace.global_models))
     workers = min(_available_cpus(), len(intervals))

@@ -5,7 +5,9 @@ region, so the convergence diagnostics apply to it. Parameters travel as flat
 vectors; each learner knows how to reshape them. Every kernel steps all
 devices at once with stacked ``@``, taking either per-device parameters
 ``(D, P)`` or one shared model ``(P,)``; the shared softmax model runs as a
-single GEMM over the pooled samples.
+single GEMM over the pooled samples. The softmax learner's ``grad`` and
+``loss`` share one softmax, and ``loss_and_grad`` gives both from one pass,
+equal to theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -61,20 +63,6 @@ class Samples:
         y = one_hot(labels, n_classes).transpose(2, 0, 1)
         return cls(x=np.ascontiguousarray(x), y=np.ascontiguousarray(y))
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """Sample-major features ``(D, n, d+1)``, contiguous: device i's
-        samples are the rows of ``rows[i]``."""
-        return np.ascontiguousarray(self.x.transpose(1, 2, 0))
-
-    @cached_property
-    def target_moments(self) -> np.ndarray:
-        """``Y_i X_i^T / n`` per device, class-major ``(D, C, d+1)``: the
-        part of the softmax gradient that no model changes."""
-        moments = self.y.transpose(1, 0, 2) @ self.rows
-        moments /= self.x.shape[2]
-        return moments
-
     @property
     def n_devices(self) -> int:
         return self.x.shape[1]
@@ -89,22 +77,47 @@ class Samples:
                        y=np.take_along_axis(self.y, idx[None], axis=2))
 
 
-def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax over the class axis, in place."""
-    z -= z.max(axis=axis, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=axis, keepdims=True)
-    return z
+@dataclass(frozen=True)
+class ProbeSamples:
+    """What ``SoftmaxLearner.probe_grad`` reads of the samples, all in one
+    dtype: the features ``x`` ``(d+1, D, n)``, the same features
+    sample-major and contiguous in ``rows`` ``(D, n, d+1)``, and
+    ``target_moments``, ``Y_i X_i^T / n`` per device, class-major
+    ``(D, C, d+1)``: the part of the softmax gradient that no model
+    changes. Unlike ``Samples`` it holds no one-hot targets."""
+
+    x: np.ndarray
+    rows: np.ndarray
+    target_moments: np.ndarray
+
+    @classmethod
+    def of(cls, samples: Samples, dtype) -> "ProbeSamples":
+        """``samples`` cast to ``dtype``; the moments are taken from the
+        cast targets, which are then let go."""
+        cast = samples.astype(dtype)
+        rows = np.ascontiguousarray(cast.x.transpose(1, 2, 0))
+        moments = cast.y.transpose(1, 0, 2) @ rows
+        moments /= cast.x.shape[2]
+        return cls(x=cast.x, rows=rows, target_moments=moments)
 
 
-def _nll(z: np.ndarray, labels: np.ndarray, axis: int) -> np.ndarray:
-    """Per-sample cross-entropy of logits ``z`` (overwritten) against class
-    indices ``labels``, which have ``z``'s shape without ``axis``."""
+def _softmax(z: np.ndarray, axis: int, labels: np.ndarray | None = None):
+    """Softmax of logits ``z`` over the class axis, in place.
+
+    Given class indices ``labels`` (``z``'s shape without ``axis``), returns
+    the probabilities and each sample's cross-entropy, taken from the same
+    shifted logits and exponential sums; otherwise the probabilities alone.
+    """
     z -= z.max(axis=axis, keepdims=True)
-    target_logit = np.take_along_axis(
-        z, np.expand_dims(labels, axis), axis=axis).squeeze(axis)
+    if labels is not None:
+        target_logit = np.take_along_axis(
+            z, np.expand_dims(labels, axis), axis=axis).squeeze(axis)
     np.exp(z, out=z)
-    return np.log(z.sum(axis=axis)) - target_logit
+    total = z.sum(axis=axis, keepdims=True)
+    z /= total
+    if labels is None:
+        return z
+    return z, np.log(total.squeeze(axis)) - target_logit
 
 
 def _l2_mask(weights: np.ndarray) -> np.ndarray:
@@ -159,20 +172,27 @@ class SoftmaxLearner:
         """Class-major softmax probabilities ``(C, D, n)``."""
         return _softmax(self._logits(weights, x), axis=0)
 
-    def grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
-        """Per-device gradients ``(D, P)`` of the mean loss plus L2, in the
-        dtype of ``flat`` and ``samples``."""
-        weights = self._shape(flat)
+    def _residual_grad(self, weights: np.ndarray, samples: Samples,
+                       probs: np.ndarray) -> np.ndarray:
+        """Per-device gradients ``(D, P)`` of the mean loss plus L2 from the
+        class-major probabilities, which become the residuals."""
         x = samples.x
-        resid = self._probabilities(weights, x)
-        resid -= samples.y
-        grads = x.transpose(1, 0, 2) @ resid.transpose(1, 2, 0)
+        probs -= samples.y
+        grads = x.transpose(1, 0, 2) @ probs.transpose(1, 2, 0)
         grads /= x.shape[2]
         # regularize everything except the bias row
         grads[..., :-1, :] += self.l2 * weights[..., :-1, :]
         return grads.reshape(samples.n_devices, -1)
 
-    def probe_grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+    def grad(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
+        """Per-device gradients ``(D, P)`` of the mean loss plus L2, in the
+        dtype of ``flat`` and ``samples``."""
+        weights = self._shape(flat)
+        return self._residual_grad(weights, samples,
+                                   self._probabilities(weights, samples.x))
+
+    def probe_grad(self, flat: np.ndarray,
+                   samples: ProbeSamples) -> np.ndarray:
         """Every device's gradient of the mean loss at one shared model
         ``(P,)``, without the L2 term and in class-major ``(C, d+1)`` order:
         ``(D, P)`` in the dtype of ``flat`` and ``samples``.
@@ -180,20 +200,30 @@ class SoftmaxLearner:
         At a shared model the L2 term is the same for every device, so it
         cancels in every difference ``measure_divergence`` takes, and the
         order of coordinates changes no norm or average. The samples'
-        cached ``rows`` and ``target_moments`` make the pass one softmax and
-        one reduction.
+        ``rows`` and ``target_moments`` make the pass one softmax and one
+        reduction.
         """
         probs = self._probabilities(self._shape(flat), samples.x)
         grads = probs.transpose(1, 0, 2) @ samples.rows
         grads /= samples.x.shape[2]
         grads -= samples.target_moments
-        return grads.reshape(samples.n_devices, -1)
+        return grads.reshape(samples.x.shape[1], -1)
 
     def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
         """Per-device mean cross-entropy plus (l2/2)*||W||^2, shape ``(D,)``."""
         weights = self._shape(flat)
-        nll = _nll(self._logits(weights, samples.x), samples.labels, axis=0)
+        _, nll = _softmax(self._logits(weights, samples.x), 0, samples.labels)
         return nll.mean(axis=1) + self.l2 * _l2_penalty(weights)
+
+    def loss_and_grad(self, flat: np.ndarray, samples: Samples,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """``loss`` and ``grad`` from one pass, equal to theirs bit for bit:
+        both read the same logits and the same softmax."""
+        weights = self._shape(flat)
+        probs, nll = _softmax(self._logits(weights, samples.x), 0,
+                              samples.labels)
+        return (nll.mean(axis=1) + self.l2 * _l2_penalty(weights),
+                self._residual_grad(weights, samples, probs))
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray) -> float:
@@ -255,8 +285,13 @@ class MlpLearner:
     def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
         """Per-device mean cross-entropy plus L2, shape ``(D,)``."""
         w1, w2, _, _, logits = self._forward(flat, samples.x)
-        nll = _nll(logits, samples.labels, axis=1)
+        _, nll = _softmax(logits, 1, samples.labels)
         return nll.mean(axis=1) + self.l2 * (_l2_penalty(w1) + _l2_penalty(w2))
+
+    def loss_and_grad(self, flat: np.ndarray, samples: Samples,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """``loss`` and ``grad``, from one forward pass each."""
+        return self.loss(flat, samples), self.grad(flat, samples)
 
     def accuracy(self, flat: np.ndarray, features: np.ndarray,
                  labels: np.ndarray) -> float:

@@ -140,10 +140,19 @@ class AggregationWeights:
 
 @dataclass
 class TrainingTrace:
-    """Complete record of one run, sufficient for diagnostics and replay."""
+    """One run's results and the context its diagnostics read.
+
+    The trace keeps the models the bound check reads: the global model at
+    t = 0 and after every global round, and the satellite aggregates at
+    each global round's end, before synchronization. The tau1 aggregates
+    inside a global round are not kept, so the run cannot be replayed
+    aggregate by aggregate from its trace.
+    """
 
     config: ExperimentConfig
+    # (t, (N_S, P) aggregates) at each global round's end
     satellite_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    # (t, (P,) global model) at t = 0 and after each global round
     global_models: list[tuple[int, np.ndarray]] = field(default_factory=list)
     accuracy: list[tuple[int, int, float]] = field(default_factory=list)
     # the cost of every global round, fixed by the run's set-up
@@ -323,13 +332,13 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             sat_params = np.where(weights.nonempty[:, None],
                                   weights.satellite_average(device_params),
                                   sat_params)
-            trace.satellite_models.append((t, sat_params.copy()))
-
             if t % (tau1 * tau2) != 0:
                 device_params = sat_params[weights.sat_of_device]
                 continue
 
             g_round = t // (tau1 * tau2)
+            # each aggregate is a new array, and the sync writes new ones
+            trace.satellite_models.append((t, sat_params))
             sat_params, _ = sync(sat_params, weights.sat_frac, plan)
             global_params = sat_params[0]
             device_params = np.tile(global_params, (n_devices, 1))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
+import numpy as np
+
 from .diagnostics import BoundReport
 from .simulation import TrainingTrace
 
@@ -32,6 +34,44 @@ def _section(name: str, header: str, rows: Iterable) -> Iterator[str]:
     """A blank line, ``[name]``, the CSV header, then one line per row."""
     yield from ("", f"[{name}]", header)
     yield from map(_row, rows)
+
+
+def _ascii_cells(col: np.ndarray) -> np.ndarray:
+    """A column's text as a ``(n, width)`` byte matrix in which the bytes
+    that are not part of a cell's text are zero.
+
+    A string column gives its code points, zero after each cell's end. An
+    integer column, whose values are non-negative, gives its decimal
+    digits right-aligned, with zero in place of each leading zero.
+    """
+    if col.dtype.kind == "U":
+        points = np.ascontiguousarray(col).view(np.uint32)
+        return points.reshape(len(col), -1).astype(np.uint8)
+    width = len(str(col.max()))
+    cells = np.empty((len(col), width), np.uint8)
+    for k in range(width):
+        power = 10 ** (width - 1 - k)
+        cells[:, k] = col // power % 10 + ord("0")
+        if power > 1:
+            cells[col < power, k] = 0
+    return cells
+
+
+def _schedule(transfers: np.ndarray) -> str:
+    """The transfers' ``[commlog]`` lines without the round: each line
+    starts with its comma, and the lines are joined by line ends.
+
+    Formatted from the columns, not row by row: the columns' byte matrices
+    are laid side by side with the separators, and the zero bytes are
+    dropped from the whole table at once. So no row becomes a Python
+    object, and the text is built in one piece.
+    """
+    comma = np.full((len(transfers), 1), ord(","), np.uint8)
+    cells = []
+    for name in transfers.dtype.names:
+        cells += [comma, _ascii_cells(transfers[name])]
+    table = np.concatenate(cells + [np.full_like(comma, ord("\n"))], axis=1)
+    return table[table != 0][:-1].tobytes().decode("ascii")
 
 
 def trace_lines(trace: TrainingTrace, report: BoundReport | None,
@@ -65,14 +105,12 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
         (c.interval, c.t_end, c.gap, c.bound, c.margin, int(c.holds))
         for r in reports for c in r.intervals])
 
-    # one schedule, formatted once as plain text, joined once per round
+    # one schedule, formatted once as plain text, numbered once per round
     yield from ("", "[commlog]", "round,phase,step,src,dst,params")
-    schedule = [] if trace.sync_plan is None else [
-        f",{phase},{step},{src},{dst},{params}"
-        for phase, step, src, dst, params in trace.sync_plan.transfers.tolist()]
-    if schedule:
+    if trace.sync_plan is not None and len(trace.sync_plan.transfers):
+        schedule = _schedule(trace.sync_plan.transfers)
         for rnd in rounds:
-            yield str(rnd) + f"\n{rnd}".join(schedule)
+            yield str(rnd) + schedule.replace("\n", f"\n{rnd}")
 
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,

@@ -3,9 +3,10 @@
 Each one is the slow, direct form of something the package computes another
 way (exhaustive matching, csgraph partition distances, per-step ring
 transfers, inverted access maps, per-element ``math`` geometry, the
-aggregation as a sparse matrix product), or a
-quantity only the tests need (closed forms, the divergence at the recorded
-global models). None of them runs in a simulation.
+aggregation as a sparse matrix product, a standalone loss pass, the
+communication log formatted row by row), or a quantity only the
+tests need (closed forms, the divergence at the recorded global models).
+None of them runs in a simulation.
 """
 import itertools
 import math
@@ -411,12 +412,29 @@ def naive_three_phase(params, weights, graph):
     return states, transfers, reps
 
 
+def global_loss(ctx: GradContext, w: np.ndarray) -> float:
+    """The data-weighted global loss at one model, from a standalone
+    ``learner.loss`` pass."""
+    return float(ctx.weights.device_frac @ ctx.learner.loss(w, ctx.samples))
+
+
 def divergence_at_global_models(trace) -> DivergenceEstimate:
     """The divergence estimate with the run's recorded global models as
     probes, as the bound check reports it overall."""
     ctx = GradContext.from_trace(trace)
     return measure_divergence(
         ctx.weights, (ctx.device_grads(w) for _, w in trace.global_models))
+
+
+def commlog_pieces(plan: SyncPlan, n_rounds: int) -> list[str]:
+    """The ``[commlog]`` rows after the header, one piece per round as
+    ``trace_lines`` yields them, formatted row by row with f-strings."""
+    schedule = [f",{phase},{step},{src},{dst},{params}"
+                for phase, step, src, dst, params in plan.transfers.tolist()]
+    if not schedule:
+        return []
+    return [str(rnd) + f"\n{rnd}".join(schedule)
+            for rnd in range(1, n_rounds + 1)]
 
 
 def sparse_average_operator(sat_of_device: np.ndarray, device_sizes: np.ndarray,

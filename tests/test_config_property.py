@@ -132,6 +132,11 @@ def assert_invariants(trace) -> None:
     assert all(math.isfinite(v) for v in outputs)
     assert all(np.isfinite(w).all() for _, w in trace.global_models)
 
+    # the trace keeps the satellite aggregates at global-round ends only
+    assert ([t for t, _ in trace.satellite_models]
+            == [t for t, _ in trace.global_models[1:]])
+    assert len(trace.satellite_models) == cfg.training.global_rounds
+
 
 @given(configs())
 @settings(max_examples=30, deadline=None)

@@ -16,6 +16,7 @@ from saginfl.config import (
 from saginfl.data import class_scales, generate_data
 from saginfl.learner import (
     MlpLearner,
+    ProbeSamples,
     Samples,
     SoftmaxLearner,
     augment,
@@ -272,7 +273,8 @@ class TestSoftmaxLearner:
         flat = learner.init_params(rng)
         want = (unregularized.grad(flat, samples).reshape(48, 11, 10)
                 .transpose(0, 2, 1).reshape(48, -1))
-        got = learner.probe_grad(flat.astype(dtype), samples.astype(dtype))
+        got = learner.probe_grad(flat.astype(dtype),
+                                 ProbeSamples.of(samples, dtype))
         assert got.dtype == dtype
         assert got.shape == want.shape
         rel = 1e-12 if dtype == np.float64 else 1e-5
@@ -308,15 +310,20 @@ def test_shared_model_equals_broadcast_stack(learner):
                   - learner.loss(stack, samples)).max() < 1e-12
 
 
-def one_hot_nll(z, labels, axis):
-    """The former cross-entropy: the target logit as the class-axis sum of
-    the full one-hot * logits product."""
-    targets = np.moveaxis(labels[..., None] == np.arange(z.shape[axis]),
-                          -1, axis).astype(float)
+def one_hot_softmax(z, axis, labels=None):
+    """The softmax with the former cross-entropy: the target logit as the
+    class-axis sum of the full one-hot * logits product."""
     z -= z.max(axis=axis, keepdims=True)
-    target_logit = (targets * z).sum(axis=axis)
+    if labels is not None:
+        targets = np.moveaxis(labels[..., None] == np.arange(z.shape[axis]),
+                              -1, axis).astype(float)
+        target_logit = (targets * z).sum(axis=axis)
     np.exp(z, out=z)
-    return np.log(z.sum(axis=axis)) - target_logit
+    total = z.sum(axis=axis, keepdims=True)
+    z /= total
+    if labels is None:
+        return z
+    return z, np.log(total.squeeze(axis)) - target_logit
 
 
 @pytest.mark.parametrize("learner", [
@@ -331,10 +338,38 @@ def test_loss_equals_one_hot_formula(learner, monkeypatch):
     flat = learner.init_params(rng)
     models = (flat, flat + 0.1 * rng.standard_normal((48, learner.n_params)))
     got = [learner.loss(w, samples) for w in models]
-    monkeypatch.setattr(learner_module, "_nll", one_hot_nll)
+    monkeypatch.setattr(learner_module, "_softmax", one_hot_softmax)
     want = [learner.loss(w, samples) for w in models]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("learner", [
+    SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0),
+    MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8, init_scale=1.0),
+], ids=["softmax", "mlp"])
+def test_loss_and_grad_equal_loss_and_grad(learner, dtype):
+    # the one pass the convergence check makes at each float64 model gives
+    # the standalone passes' values bit for bit, at shared models far apart
+    # and at per-device models
+    rng = np.random.default_rng(14)
+    samples = Samples.stack(rng.standard_normal((48, 30, 10)),
+                            rng.integers(0, 10, size=(48, 30)),
+                            10).astype(dtype)
+    flat = learner.init_params(rng)
+    models = [flat, np.zeros_like(flat), 30.0 * flat,
+              flat + 0.1 * rng.standard_normal(learner.n_params),
+              flat + 0.1 * rng.standard_normal((48, learner.n_params))]
+    for w in models:
+        w = w.astype(dtype)
+        losses, grads = learner.loss_and_grad(w, samples)
+        want_losses = learner.loss(w, samples)
+        want_grads = learner.grad(w, samples)
+        assert losses.dtype == want_losses.dtype
+        assert grads.dtype == want_grads.dtype
+        assert (losses == want_losses).all()
+        assert (grads == want_grads).all()
 
 
 class TestMlpLearner:

@@ -1,12 +1,14 @@
 """Divergence estimation, virtual trajectories, and the convergence bound."""
 
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import (
     divergence_at_global_models,
+    global_loss,
     sparse_average_operator,
     sparse_divergence,
 )
@@ -35,7 +37,7 @@ from saginfl.diagnostics import (
     virtual_trajectories,
 )
 from saginfl.errors import InputError
-from saginfl.learner import Samples, SoftmaxLearner, augment
+from saginfl.learner import ProbeSamples, Samples, SoftmaxLearner, augment
 from saginfl.simulation import AggregationWeights, run_obl
 
 
@@ -80,7 +82,7 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
     training = trace.config.training
     sat_models = dict(trace.satellite_models)
     nonempty = np.flatnonzero(ctx.weights.nonempty)
-    samples32 = trace.samples.astype(np.float32)
+    samples32 = ProbeSamples.of(trace.samples, np.float32)
     weights32 = ctx.weights.astype(np.float32)
     virt = virtual_trajectories(trace, ctx)
     checks, rho_all, beta_all = [], 0.0, 0.0
@@ -108,13 +110,13 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
         pair_models = [w_start, w_end, v_end, path[len(path) // 2]]
         rho, beta = estimate_rho_beta(
             pair_models, [ctx.global_grad(w) for w in pair_models],
-            [ctx.global_loss(w) for w in pair_models])
+            [global_loss(ctx, w) for w in pair_models])
         rho_all, beta_all = max(rho_all, rho), max(beta_all, beta)
         bound = theorem_bound(div.delta_hat, div.Delta_hat,
                               SAFETY_MARGIN * rho, SAFETY_MARGIN * beta,
                               training.learning_rate, training.tau1,
                               training.tau2)
-        gap = abs(ctx.global_loss(w_end) - ctx.global_loss(v_end))
+        gap = abs(global_loss(ctx, w_end) - global_loss(ctx, v_end))
         if bound > 0:
             margin = gap / bound
         else:
@@ -222,7 +224,7 @@ class TestMeasureDivergence:
 
     def test_float32_fold_returns_float64_maxima(self):
         trace = run_obl(small_config(policy="cnasa", n_geo=2, seed=3))
-        samples32 = trace.samples.astype(np.float32)
+        samples32 = ProbeSamples.of(trace.samples, np.float32)
         probes = [trace.learner.probe_grad(w.astype(np.float32), samples32)
                   for _, w in trace.global_models]
         assert all(p.dtype == np.float32 for p in probes)
@@ -250,7 +252,7 @@ class TestMeasureDivergence:
                      for _ in range(3)]
             cases.append((sat_of_device, sizes, n_sats, grads))
         trace = run_obl(small_config(policy="cnasa", n_geo=2, seed=3))
-        samples = trace.samples.astype(dtype)
+        samples = ProbeSamples.of(trace.samples, dtype)
         cases.append((trace.sat_of_device, trace.device_sizes,
                       trace.topology.n_satellites,
                       [trace.learner.probe_grad(w.astype(dtype), samples)
@@ -288,6 +290,16 @@ class TestGradContext:
             expected = ctx.weights.device_frac @ device_grads
             assert np.abs(ctx.global_grad(w) - expected).max() < 1e-12
             assert np.abs(ctx.device_grads(w) - device_grads).max() < 1e-12
+
+    def test_one_pass_equals_standalone_loss_and_grads(self):
+        # the check's passes give the losses and device gradients of the
+        # standalone passes, bit for bit
+        trace = run_obl(small_config(seed=4))
+        ctx = GradContext.from_trace(trace)
+        for _, w in trace.global_models:
+            loss, grads = ctx.loss_and_grads(w)
+            assert loss == global_loss(ctx, w)
+            assert (grads == ctx.device_grads(w)).all()
 
 
 class TestVirtualTrajectories:
@@ -343,6 +355,34 @@ class TestVirtualTrajectories:
                 vk = vk - 0.2 * sat_g[k]
             assert np.abs(v_sats[k] - vk).max() < 1e-12
 
+    def test_satellite_ends_of_segments_that_start_at_global_models(self):
+        # tau2 = 2: the trace keeps no aggregate inside a global interval, so
+        # only each interval's first segment gets its satellite descent
+        cfg = ExperimentConfig(
+            topology=TopologyConfig(n_sats=2, n_air=4, devices_per_air=1),
+            data=DataConfig(n_classes=4, feature_dim=4, classes_per_device=2,
+                            samples_per_device=10, test_samples=100),
+            training=TrainingConfig(tau1=2, tau2=2, global_rounds=3,
+                                    learning_rate=0.2),
+            policy=PolicyConfig(name="gdo", n_geo=1),
+            run=RunConfig(seed=6),
+        )
+        trace = run_obl(cfg)
+        ctx = GradContext.from_trace(trace)
+        virt = virtual_trajectories(trace)
+        assert [(s, t) for s, t, _ in virt.satellite_ends] == [
+            (1, 2), (3, 6), (5, 10)]
+        assert ctx.weights.nonempty.all()
+        for (_, _, v_sats), (_, start) in zip(
+                virt.satellite_ends, trace.global_models[:-1], strict=True):
+            for k in range(2):
+                vk = start.copy()
+                for _ in range(2):
+                    sat_g = ctx.weights.satellite_average(
+                        ctx.device_grads(vk))
+                    vk = vk - 0.2 * sat_g[k]
+                assert np.abs(v_sats[k] - vk).max() < 1e-12
+
 
 class TestRhoBetaEstimation:
     def test_positive_on_generic_trajectory(self):
@@ -351,7 +391,7 @@ class TestRhoBetaEstimation:
         models = [gm for _, gm in trace.global_models]
         rho, beta = estimate_rho_beta(
             models, [ctx.global_grad(w) for w in models],
-            [ctx.global_loss(w) for w in models])
+            [global_loss(ctx, w) for w in models])
         assert rho > 0
         assert beta > 0
 
@@ -361,10 +401,10 @@ class TestRhoBetaEstimation:
         models = [gm for _, gm in trace.global_models]
         rho, beta = estimate_rho_beta(
             models, [ctx.global_grad(w) for w in models],
-            [ctx.global_loss(w) for w in models])
+            [global_loss(ctx, w) for w in models])
         a, b = models[0], models[-1]
         dist = np.linalg.norm(a - b)
-        assert abs(ctx.global_loss(a) - ctx.global_loss(b)) <= rho * dist + 1e-12
+        assert abs(global_loss(ctx, a) - global_loss(ctx, b)) <= rho * dist + 1e-12
         assert np.linalg.norm(ctx.global_grad(a) - ctx.global_grad(b)) <= \
             beta * dist + 1e-12
 
@@ -431,21 +471,74 @@ class TestBoundCheck:
             sys.setswitchinterval(interval)
         assert report == expected
 
-    def test_four_loss_passes_per_interval(self, monkeypatch):
-        # the gap reuses the losses the rho estimate takes at the interval's
-        # end and virtual-end models
-        trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
-        calls = []
-        loss = SoftmaxLearner.loss
+    @pytest.mark.parametrize("tau1,tau2,fused,plain", [
+        (2, 2, 4, 2), (3, 1, 4, 1), (1, 1, 3, 0)])
+    def test_losses_come_from_the_gradient_passes(self, monkeypatch, tau1,
+                                                  tau2, fused, plain):
+        # the rho estimate and the gap read the losses of the float64
+        # gradient passes at the pair models: the interval's start, the
+        # virtual path's midpoint, the end and the virtual end, where the
+        # midpoint is the virtual end when tau1 * tau2 = 1. No standalone
+        # loss pass is left, and the other steps of the virtual path take
+        # plain gradient passes
+        cfg = small_config(policy="cnasa", n_geo=2, rounds=3, tau1=tau1,
+                           tau2=tau2)
+        trace = run_obl(cfg)
+        calls = {"loss": 0, "grad": 0, "loss_and_grad": 0}
 
-        def counted(self, flat, samples):
-            calls.append(flat.shape)
-            return loss(self, flat, samples)
+        def counted(name):
+            method = getattr(SoftmaxLearner, name)
 
-        monkeypatch.setattr(SoftmaxLearner, "loss", counted)
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(SoftmaxLearner, name, counted(name))
         report = check_convergence_bound(trace)
         assert len(report.intervals) == 3
-        assert len(calls) == 4 * 3
+        assert calls == {"loss": 0, "grad": plain * 3,
+                         "loss_and_grad": fused * 3}
+        assert report == serial_bound_check(trace)
+
+    @pytest.mark.parametrize("init_scale", [1e38, 1e39])
+    def test_probes_past_float32_range_take_float64(self, init_scale,
+                                                    monkeypatch):
+        # at 1e39 the aggregates do not fit float32; at 1e38 they do, but
+        # their float32 logits would overflow. Either way the interval's
+        # satellite probes go through the float64 pass instead of dropping
+        # out as nan
+        cfg = small_config(policy="cnasa", n_geo=2, rounds=2)
+        trace = run_obl(replace(cfg, training=replace(
+            cfg.training, init_scale=init_scale)))
+        # one worker checks the intervals in order
+        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 1)
+        unions = []
+        union = diagnostics._union_divergence
+
+        def recorded(estimates, weights):
+            out = union(estimates, weights)
+            unions.append((len(estimates), out))
+            return out
+
+        monkeypatch.setattr(diagnostics, "_union_divergence", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_convergence_bound(trace)
+        per_interval = [out for n, out in unions if n == 3]
+        ctx = GradContext.from_trace(trace)
+        sat_models = dict(trace.satellite_models)
+        for (t_end, _), div in zip(trace.global_models[1:], per_interval,
+                                   strict=True):
+            fold = measure_divergence(ctx.weights, [
+                ctx.device_grads(w)
+                for w in sat_models[t_end][ctx.weights.nonempty]])
+            assert div.delta_hat >= fold.delta_hat > 0
+            assert div.Delta_hat >= fold.Delta_hat > 0
+        all64 = serial_bound_check(trace, satellite_dtype=np.float64)
+        assert report == all64
+        assert all(0 < c.bound < np.inf for c in report.intervals)
 
     def test_mini_batch_run_rejected(self):
         # one device, so the divergence estimates are 0 and the bound is 0,

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import commlog_pieces, isl_graph
 
+from saginfl.allreduce import plan_multi_orbit, plan_ring
 from saginfl.config import (
     DataConfig,
     ExperimentConfig,
@@ -23,6 +25,7 @@ from saginfl.diagnostics import GradContext
 from saginfl.errors import ConfigurationError, TopologyError
 from saginfl.simulation import run_obl
 from saginfl.timecost import price_round
+from saginfl.topology import build_walker, derive_isl_graph
 from saginfl.trace import trace_lines
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,13 +62,15 @@ class TestDegenerate:
         assert np.allclose(trace.global_models[-1][1], w, atol=1e-12)
 
     def test_satellite_and_global_model_cadence(self):
+        # the aggregates are kept at global-round ends only, where the
+        # bound check reads them
         cfg = make_config(training=TrainingConfig(tau1=2, tau2=3,
                                                   global_rounds=2))
         trace = run_obl(cfg)
         sat_ts = [t for t, _ in trace.satellite_models]
-        assert sat_ts == [2, 4, 6, 8, 10, 12]
         glob_ts = [t for t, _ in trace.global_models]
         assert glob_ts == [0, 6, 12]
+        assert sat_ts == glob_ts[1:]
 
 
 class TestAggregationConservation:
@@ -241,6 +246,24 @@ class TestCommLog:
                     for rnd, log in enumerate(logs, start=1)
                     for phase, step, src, dst, params in log.transfers.tolist()]
         assert written == expected and len(expected) > 0
+
+    @pytest.mark.parametrize("plan", [
+        plan_multi_orbit(derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1,
+                                                       1)), 72),
+        # a one-member orbit has no transfers; m = 2 is below the rings'
+        # sizes, so every chunk holds one parameter
+        plan_multi_orbit(isl_graph(
+            [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4),
+             (0, 1), (0, 4), (3, 5)],
+            [(0,), (1, 2, 3), (4, 5, 6, 7, 8)]), 2),
+        plan_ring([0], 5),
+    ], ids=["walker", "single_member_ring", "no_transfers"])
+    def test_log_equals_row_by_row_formatting(self, plan):
+        trace = run_obl(make_config(training=TrainingConfig(global_rounds=3)))
+        trace.sync_plan = plan
+        pieces = list(trace_lines(trace, None))
+        written = pieces[pieces.index("round,phase,step,src,dst,params") + 1:]
+        assert written == commlog_pieces(plan, 3)
 
 
 class TestTimeAccounting:
