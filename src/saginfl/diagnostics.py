@@ -297,7 +297,7 @@ def _probes_fit_float32(model_scale: float, x_scale: float,
     largest feature.
     """
     f, _, n = samples.x.shape
-    n_params = f * samples.y.shape[0]
+    n_params = f * samples.n_classes
     bounds = (model_scale, x_scale, 2.0 * f * model_scale * x_scale,
               n * x_scale, n_params * (4.0 * x_scale) * (4.0 * x_scale))
     return all(b <= _FLOAT32_MAX for b in bounds)

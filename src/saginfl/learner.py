@@ -5,9 +5,11 @@ region, so the convergence diagnostics apply to it. Parameters travel as flat
 vectors; each learner knows how to reshape them. Every kernel steps all
 devices at once with stacked ``@``, taking either per-device parameters
 ``(D, P)`` or one shared model ``(P,)``; the shared softmax model runs as a
-single GEMM over the pooled samples. The softmax learner's ``grad`` and
-``loss`` share one softmax, and ``loss_and_grad`` gives both from one pass,
-equal to theirs bit for bit.
+single GEMM over the pooled samples. The samples carry class labels, not
+one-hot targets: a gradient subtracts 1 from each sample's probability at
+its label, which gives ``probs - Y`` bit for bit. The softmax learner's
+``grad`` and ``loss`` share one softmax, and ``loss_and_grad`` gives both
+from one pass, equal to theirs bit for bit.
 """
 from __future__ import annotations
 
@@ -27,54 +29,57 @@ def augment(features: np.ndarray) -> np.ndarray:
     return np.concatenate([features, ones], axis=-1)
 
 
-def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Indicator rows along a new last axis, for labels of any shape."""
-    return (labels[..., None] == np.arange(n_classes)).astype(float)
-
-
 @dataclass(frozen=True)
 class Samples:
     """Every device's samples in the layout the kernels read.
 
     Column j of device i is its sample j: ``x`` is ``(d+1, D, n)`` augmented
-    features, ``y`` is ``(C, D, n)`` one-hot targets. Device i's matrices are
-    ``x[:, i]`` and ``y[:, i]``, and reshaping to ``(., D*n)`` pools all
-    samples without a copy, so the class axis is made of whole rows.
+    features and ``labels`` ``(D, n)`` their class indices, out of
+    ``n_classes``. Device i's samples are ``x[:, i]`` and ``labels[i]``, and
+    reshaping ``x`` to ``(d+1, D*n)`` pools all samples without a copy, so
+    the class-major ``(C, D, n)`` logits are made of whole rows. No one-hot
+    targets are kept: the gradient subtracts 1 at each sample's label.
     """
 
     x: np.ndarray
-    y: np.ndarray
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Class indices ``(D, n)`` of the one-hot targets."""
-        return self.y.argmax(axis=0)
+    labels: np.ndarray
+    n_classes: int
 
     @cached_property
     def class_counts(self) -> np.ndarray:
-        """Samples of each class per device, ``(D, C)``."""
-        return self.y.sum(axis=2).T
+        """Samples of each class per device, ``(D, C)``, as floats."""
+        n_dev, n_classes = self.n_devices, self.n_classes
+        keys = self.labels + n_classes * np.arange(n_dev)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=n_dev * n_classes)
+        return counts.reshape(n_dev, n_classes).astype(float)
+
+    @cached_property
+    def target_index(self) -> np.ndarray:
+        """Flat indices ``(D, n)`` of each sample's label entry in a
+        contiguous class-major ``(C, D, n)`` array."""
+        n_dev, n = self.labels.shape
+        return (self.labels * (n_dev * n)
+                + np.arange(n_dev * n).reshape(n_dev, n))
 
     @classmethod
     def stack(cls, features: np.ndarray, labels: np.ndarray,
               n_classes: int) -> "Samples":
         """From ``(D, n, d)`` features and ``(D, n)`` labels."""
-        x = augment(features).transpose(2, 0, 1)
-        y = one_hot(labels, n_classes).transpose(2, 0, 1)
-        return cls(x=np.ascontiguousarray(x), y=np.ascontiguousarray(y))
+        n_dev, n, d = features.shape
+        x = np.empty((d + 1, n_dev, n))
+        x[:-1] = features.transpose(2, 0, 1)
+        x[-1] = 1.0
+        return cls(x=x, labels=labels, n_classes=n_classes)
 
     @property
     def n_devices(self) -> int:
         return self.x.shape[1]
 
-    def astype(self, dtype) -> "Samples":
-        """A copy of the samples in ``dtype``."""
-        return Samples(x=self.x.astype(dtype), y=self.y.astype(dtype))
-
     def select(self, idx: np.ndarray) -> "Samples":
         """Per-device sample subsets; ``idx`` is ``(D, b)`` column indices."""
         return Samples(x=np.take_along_axis(self.x, idx[None], axis=2),
-                       y=np.take_along_axis(self.y, idx[None], axis=2))
+                       labels=np.take_along_axis(self.labels, idx, axis=1),
+                       n_classes=self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class ProbeSamples:
     sample-major and contiguous in ``rows`` ``(D, n, d+1)``, and
     ``target_moments``, ``Y_i X_i^T / n`` per device, class-major
     ``(D, C, d+1)``: the part of the softmax gradient that no model
-    changes. Unlike ``Samples`` it holds no one-hot targets."""
+    changes."""
 
     x: np.ndarray
     rows: np.ndarray
@@ -92,13 +97,15 @@ class ProbeSamples:
 
     @classmethod
     def of(cls, samples: Samples, dtype) -> "ProbeSamples":
-        """``samples`` cast to ``dtype``; the moments are taken from the
-        cast targets, which are then let go."""
-        cast = samples.astype(dtype)
-        rows = np.ascontiguousarray(cast.x.transpose(1, 2, 0))
-        moments = cast.y.transpose(1, 0, 2) @ rows
-        moments /= cast.x.shape[2]
-        return cls(x=cast.x, rows=rows, target_moments=moments)
+        """``samples`` cast to ``dtype``; the moments are taken from
+        transient class-major one-hot targets in ``dtype``."""
+        x = samples.x.astype(dtype)
+        rows = np.ascontiguousarray(x.transpose(1, 2, 0))
+        classes = np.arange(samples.n_classes)[:, None, None]
+        targets = (samples.labels == classes).astype(dtype)
+        moments = targets.transpose(1, 0, 2) @ rows
+        moments /= x.shape[2]
+        return cls(x=x, rows=rows, target_moments=moments)
 
 
 def _softmax(z: np.ndarray, axis: int, labels: np.ndarray | None = None):
@@ -177,7 +184,8 @@ class SoftmaxLearner:
         """Per-device gradients ``(D, P)`` of the mean loss plus L2 from the
         class-major probabilities, which become the residuals."""
         x = samples.x
-        probs -= samples.y
+        # probs - Y, Y the one-hot targets: only the label entries move
+        probs.reshape(-1, copy=False)[samples.target_index] -= 1.0
         grads = x.transpose(1, 0, 2) @ probs.transpose(1, 2, 0)
         grads /= x.shape[2]
         # regularize everything except the bias row
@@ -263,7 +271,8 @@ class MlpLearner:
         """Per-device activations ``(D, hidden, n)`` and logits ``(D, C, n)``."""
         w1, w2 = self._split(flat)
         h = np.tanh(np.swapaxes(w1, -1, -2) @ x.transpose(1, 0, 2))
-        h_aug = np.concatenate([h, np.ones((h.shape[0], 1, h.shape[2]))], axis=1)
+        ones = np.ones((h.shape[0], 1, h.shape[2]), dtype=h.dtype)
+        h_aug = np.concatenate([h, ones], axis=1)
         logits = np.swapaxes(w2, -1, -2) @ h_aug
         return w1, w2, h, h_aug, logits
 
@@ -272,7 +281,8 @@ class MlpLearner:
         w1, w2, h, h_aug, logits = self._forward(flat, samples.x)
         n = samples.x.shape[2]
         diff = _softmax(logits, axis=1)
-        diff -= samples.y.transpose(1, 0, 2)
+        diff[np.arange(samples.n_devices)[:, None], samples.labels,
+             np.arange(n)] -= 1.0
         g2 = h_aug @ diff.transpose(0, 2, 1) / n
         back = (w2[..., :-1, :] @ diff) * (1 - h ** 2)
         g1 = samples.x.transpose(1, 0, 2) @ back.transpose(0, 2, 1) / n

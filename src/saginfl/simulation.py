@@ -19,8 +19,8 @@ release the GIL). Each device's gradient is its own GEMMs and its own
 per-sample softmax, and the mini-batches are drawn in the main thread in
 step order, so the trace is bit-identical whatever the block count and
 fully determined by the seed. Finiteness is checked once per segment; a
-segment that ends non-finite is replayed step by step to name its first
-non-finite round.
+segment that ends non-finite is replayed step by step, from its devices'
+satellite models, to name its first non-finite round.
 """
 from __future__ import annotations
 
@@ -260,6 +260,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     features, labels, test_x, test_y = generate_data(cfg.data, topology,
                                                      data_rng)
     samples = Samples.stack(features, labels, cfg.data.n_classes)
+    del features  # the samples hold the augmented copy
     learner = make_learner(cfg.training, cfg.data)
     m = learner.n_params
 
@@ -304,8 +305,8 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     n_blocks = min(_available_cpus(), n_devices)
     cuts = [n_devices * k // n_blocks for k in range(n_blocks + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    block_samples = [Samples(x=samples.x[:, b], y=samples.y[:, b])
-                     for b in blocks]
+    block_samples = [Samples(x=samples.x[:, b], labels=samples.labels[b],
+                             n_classes=samples.n_classes) for b in blocks]
     with ThreadPoolExecutor(max_workers=n_blocks) as pool:
         for t in range(tau1, total_steps + 1, tau1):
             if 0 < batch_size < n_samples:
@@ -315,14 +316,17 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
                            for _ in range(tau1)]
             else:
                 batches = [None] * tau1
-            start = device_params.copy()
             list(pool.map(
                 partial(_local_steps, learner, eta),
                 [device_params[b] for b in blocks], block_samples,
                 [[i if i is None else i[b] for i in batches] for b in blocks]))
             if not np.isfinite(device_params).all():
                 # params -= grads keeps a non-finite entry non-finite, so a
-                # step-by-step replay of the segment finds its first round
+                # step-by-step replay of the segment finds its first round.
+                # Every segment starts from its devices' satellite models:
+                # tile(w0), the previous segment's broadcast, or the synced
+                # models, whose rows all equal the global model bit for bit
+                start = sat_params[weights.sat_of_device]
                 for r, idx in enumerate(batches, t - tau1 + 1):
                     _local_steps(learner, eta, start, samples, [idx])
                     if not np.isfinite(start).all():

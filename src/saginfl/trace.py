@@ -116,7 +116,11 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
 def write_trace(trace: TrainingTrace, report: BoundReport | None,
                 path: Path) -> None:
     with path.open("w") as fh:
-        fh.writelines(f"{line}\n" for line in trace_lines(trace, report))
+        # a [commlog] round is one long piece: its line end is written
+        # after it, not appended to a copy of it
+        for piece in trace_lines(trace, report):
+            fh.write(piece)
+            fh.write("\n")
 
 
 def summary_row(trace: TrainingTrace, report: BoundReport | None) -> dict:

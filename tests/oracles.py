@@ -4,13 +4,15 @@ Each one is the slow, direct form of something the package computes another
 way (exhaustive matching, csgraph partition distances, per-step ring
 transfers, inverted access maps, per-element ``math`` geometry, the
 aggregation as a sparse matrix product, a standalone loss pass, the
-communication log formatted row by row), or a quantity only the
-tests need (closed forms, the divergence at the recorded global models).
-None of them runs in a simulation.
+communication log formatted row by row, the learners' residuals and probe
+moments from dense one-hot targets), or a quantity only the tests need
+(closed forms, the divergence at the recorded global models). None of them
+runs in a simulation.
 """
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +26,14 @@ from saginfl.diagnostics import (
     measure_divergence,
 )
 from saginfl.errors import InputError, TopologyError
+from saginfl.learner import (
+    MlpLearner,
+    ProbeSamples,
+    Samples,
+    SoftmaxLearner,
+    _l2_mask,
+    _softmax,
+)
 from saginfl.simulation import AggregationWeights
 from saginfl.topology import IslGraph, NetworkTopology
 
@@ -469,3 +479,83 @@ def sparse_divergence(weights: AggregationWeights, operator: sparse.csr_matrix,
         delta_hat=float(weights.device_frac @ delta_dev),
         Delta_hat=float(weights.sat_frac @ delta_sat),
         delta_per_device=delta_dev, Delta_per_satellite=delta_sat)
+
+
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Indicator rows along a new last axis, for labels of any shape."""
+    return (labels[..., None] == np.arange(n_classes)).astype(float)
+
+
+def one_hot_softmax(z, axis, labels=None):
+    """The softmax with the cross-entropy's target logit taken as the
+    class-axis sum of the full one-hot * logits product."""
+    z -= z.max(axis=axis, keepdims=True)
+    if labels is not None:
+        targets = np.moveaxis(labels[..., None] == np.arange(z.shape[axis]),
+                              -1, axis).astype(float)
+        target_logit = (targets * z).sum(axis=axis)
+    np.exp(z, out=z)
+    total = z.sum(axis=axis, keepdims=True)
+    z /= total
+    if labels is None:
+        return z
+    return z, np.log(total.squeeze(axis)) - target_logit
+
+
+@dataclass(frozen=True)
+class OneHotSamples:
+    """Samples with dense one-hot targets ``y`` ``(C, D, n)`` in the
+    features' dtype, beside the same augmented features ``x``."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def of(cls, samples: Samples) -> "OneHotSamples":
+        y = one_hot(samples.labels, samples.n_classes).transpose(2, 0, 1)
+        return cls(x=samples.x,
+                   y=np.ascontiguousarray(y.astype(samples.x.dtype)))
+
+    @property
+    def class_counts(self) -> np.ndarray:
+        """Samples of each class per device, ``(D, C)``."""
+        return self.y.sum(axis=2).T
+
+    def select(self, idx: np.ndarray) -> "OneHotSamples":
+        """Per-device sample subsets; ``idx`` is ``(D, b)`` column indices."""
+        return OneHotSamples(x=np.take_along_axis(self.x, idx[None], axis=2),
+                             y=np.take_along_axis(self.y, idx[None], axis=2))
+
+    def probe_samples(self, dtype) -> ProbeSamples:
+        """``ProbeSamples.of`` with the moments from the cast ``y``."""
+        x, y = self.x.astype(dtype), self.y.astype(dtype)
+        rows = np.ascontiguousarray(x.transpose(1, 2, 0))
+        moments = y.transpose(1, 0, 2) @ rows
+        moments /= x.shape[2]
+        return ProbeSamples(x=x, rows=rows, target_moments=moments)
+
+
+def one_hot_grad(learner, flat: np.ndarray,
+                 samples: OneHotSamples) -> np.ndarray:
+    """``learner.grad`` with the residual taken as the probabilities minus
+    the dense one-hot targets."""
+    x, n_dev, n = samples.x, samples.x.shape[1], samples.x.shape[2]
+    if isinstance(learner, SoftmaxLearner):
+        weights = learner._shape(flat)
+        probs = learner._probabilities(weights, x)
+        probs -= samples.y
+        grads = x.transpose(1, 0, 2) @ probs.transpose(1, 2, 0)
+        grads /= n
+        grads[..., :-1, :] += learner.l2 * weights[..., :-1, :]
+        return grads.reshape(n_dev, -1)
+    assert isinstance(learner, MlpLearner)
+    w1, w2, h, h_aug, logits = learner._forward(flat, x)
+    diff = _softmax(logits, axis=1)
+    diff -= samples.y.transpose(1, 0, 2)
+    g2 = h_aug @ diff.transpose(0, 2, 1) / n
+    back = (w2[..., :-1, :] @ diff) * (1 - h ** 2)
+    g1 = x.transpose(1, 0, 2) @ back.transpose(0, 2, 1) / n
+    g1 += learner.l2 * _l2_mask(w1)
+    g2 += learner.l2 * _l2_mask(w2)
+    return np.concatenate([g1.reshape(n_dev, -1), g2.reshape(n_dev, -1)],
+                          axis=1)

@@ -1,9 +1,14 @@
 """Synthetic data generation and the local learners."""
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
-from oracles import sparse_average_operator
+from oracles import (
+    OneHotSamples,
+    one_hot_grad,
+    one_hot_softmax,
+    sparse_average_operator,
+)
 
 from saginfl import learner as learner_module
 from saginfl.config import (
@@ -248,7 +253,7 @@ class TestSoftmaxLearner:
         learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0)
         samples = Samples.stack(rng.standard_normal((48, 30, 10)),
                                 rng.integers(0, 10, size=(48, 30)), 10)
-        samples32 = samples.astype(np.float32)
+        samples32 = replace(samples, x=samples.x.astype(np.float32))
         flat = learner.init_params(rng)
         if not shared:
             flat = flat + 0.1 * rng.standard_normal((48, learner.n_params))
@@ -310,22 +315,6 @@ def test_shared_model_equals_broadcast_stack(learner):
                   - learner.loss(stack, samples)).max() < 1e-12
 
 
-def one_hot_softmax(z, axis, labels=None):
-    """The softmax with the former cross-entropy: the target logit as the
-    class-axis sum of the full one-hot * logits product."""
-    z -= z.max(axis=axis, keepdims=True)
-    if labels is not None:
-        targets = np.moveaxis(labels[..., None] == np.arange(z.shape[axis]),
-                              -1, axis).astype(float)
-        target_logit = (targets * z).sum(axis=axis)
-    np.exp(z, out=z)
-    total = z.sum(axis=axis, keepdims=True)
-    z /= total
-    if labels is None:
-        return z
-    return z, np.log(total.squeeze(axis)) - target_logit
-
-
 @pytest.mark.parametrize("learner", [
     SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0),
     MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8, init_scale=1.0),
@@ -355,8 +344,8 @@ def test_loss_and_grad_equal_loss_and_grad(learner, dtype):
     # and at per-device models
     rng = np.random.default_rng(14)
     samples = Samples.stack(rng.standard_normal((48, 30, 10)),
-                            rng.integers(0, 10, size=(48, 30)),
-                            10).astype(dtype)
+                            rng.integers(0, 10, size=(48, 30)), 10)
+    samples = replace(samples, x=samples.x.astype(dtype))
     flat = learner.init_params(rng)
     models = [flat, np.zeros_like(flat), 30.0 * flat,
               flat + 0.1 * rng.standard_normal(learner.n_params),
@@ -366,10 +355,91 @@ def test_loss_and_grad_equal_loss_and_grad(learner, dtype):
         losses, grads = learner.loss_and_grad(w, samples)
         want_losses = learner.loss(w, samples)
         want_grads = learner.grad(w, samples)
-        assert losses.dtype == want_losses.dtype
-        assert grads.dtype == want_grads.dtype
+        assert losses.dtype == want_losses.dtype == dtype
+        assert grads.dtype == want_grads.dtype == dtype
         assert (losses == want_losses).all()
         assert (grads == want_grads).all()
+
+
+def one_hot_cases(samples):
+    """``(labelled, one-hot, devices)`` triples of the same samples, with
+    the device rows they hold: all samples, a mini-batch drawn as
+    ``run_obl`` draws one, and ``run_obl``'s device block views."""
+    dense = OneHotSamples.of(samples)
+    yield samples, dense, slice(None)
+    n_dev, n = samples.labels.shape
+    rng = np.random.default_rng(15)
+    idx = np.argsort(rng.random((n_dev, n)), axis=1)[:, :7]
+    yield samples.select(idx), dense.select(idx), slice(None)
+    cut = n_dev // 3
+    for block in (slice(0, cut), slice(cut, n_dev)):
+        yield (Samples(x=samples.x[:, block], labels=samples.labels[block],
+                       n_classes=samples.n_classes),
+               OneHotSamples(x=dense.x[:, block], y=dense.y[:, block]),
+               block)
+
+
+def oracle_samples(dtype):
+    """48 devices of 30 samples; some devices miss some classes."""
+    rng = np.random.default_rng(16)
+    labels = rng.integers(0, 10, size=(48, 30))
+    labels[:6] %= 3
+    samples = Samples.stack(rng.standard_normal((48, 30, 10)), labels, 10)
+    return replace(samples, x=samples.x.astype(dtype))
+
+
+def oracle_models(learner, dtype):
+    """Shared models near, at and far from the start, and per-device
+    models ``(48, P)``."""
+    rng = np.random.default_rng(17)
+    flat = learner.init_params(rng)
+    models = [flat, np.zeros_like(flat), 30.0 * flat,
+              flat + 0.1 * rng.standard_normal((48, learner.n_params))]
+    return [w.astype(dtype) for w in models]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestAgainstOneHotTargets:
+    """Labels in place of one-hot targets change no bit: each pass equals
+    the dense formulation's, on full batches, mini-batches and the
+    training loop's device blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("learner", [
+        SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0),
+        MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8, init_scale=1.0),
+    ], ids=["softmax", "mlp"])
+    def test_grad(self, learner, dtype):
+        samples = oracle_samples(dtype)
+        for w in oracle_models(learner, dtype):
+            for labelled, dense, devices in one_hot_cases(samples):
+                model = w if w.ndim == 1 else w[devices]
+                want = one_hot_grad(learner, model, dense)
+                assert want.dtype == dtype
+                assert_same_bits(learner.grad(model, labelled), want)
+                losses, grads = learner.loss_and_grad(model, labelled)
+                assert_same_bits(grads, want)
+                assert_same_bits(losses, learner.loss(model, labelled))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_probe_samples(self, dtype):
+        samples = oracle_samples(np.float64)
+        got = ProbeSamples.of(samples, dtype)
+        want = OneHotSamples.of(samples).probe_samples(dtype)
+        for name in ("x", "rows", "target_moments"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+
+    def test_class_counts(self):
+        for labelled, dense, _ in one_hot_cases(oracle_samples(np.float64)):
+            assert_same_bits(labelled.class_counts, dense.class_counts)
+
+    def test_samples_hold_no_one_hot_targets(self):
+        assert [f.name for f in fields(Samples)] == ["x", "labels",
+                                                      "n_classes"]
 
 
 class TestMlpLearner:

@@ -55,7 +55,7 @@ def naive_softmax_grad(weights, features_aug, labels, l2):
 def device_data(samples):
     """Each device's raw features ``(n, d)`` and labels ``(n,)``, in id order."""
     for i in range(samples.n_devices):
-        yield samples.x[:-1, i].T, samples.y[:, i].argmax(0)
+        yield samples.x[:-1, i].T, samples.labels[i]
 
 
 def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,

@@ -22,7 +22,7 @@ from saginfl.config import (
 from saginfl import simulation
 from saginfl.data import generate_data
 from saginfl.diagnostics import GradContext
-from saginfl.errors import ConfigurationError, TopologyError
+from saginfl.errors import ConfigurationError, TopologyError, TrainingError
 from saginfl.simulation import run_obl
 from saginfl.timecost import price_round
 from saginfl.topology import build_walker, derive_isl_graph
@@ -181,6 +181,29 @@ class TestDeviceBlocks:
                 assert [t for t, _ in got] == [t for t, _ in want]
                 for (_, a), (_, b) in zip(got, want, strict=True):
                     assert (a == b).all()
+
+
+    @pytest.mark.parametrize("learning_rate,first_round", [
+        (1e70, 5),     # the first step after a synchronization
+        (1e55, 6),     # the second step after a synchronization
+        (1e50, 7),     # the first step after a satellite broadcast
+        (1e35, 10),    # the second step after the second synchronization
+    ])
+    def test_replay_names_the_first_non_finite_round(
+            self, learning_rate, first_round, monkeypatch):
+        # a segment that ends non-finite is replayed from its devices'
+        # satellite models; the rounds are those the replay from a copy of
+        # the segment's start named
+        cfg = make_config(policy="cnasa", n_geo=2, seed=3,
+                          training=TrainingConfig(
+                              tau1=2, tau2=2, global_rounds=3,
+                              learning_rate=learning_rate))
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+            with pytest.raises(TrainingError, match=(
+                    f"non-finite device parameters at local round "
+                    f"{first_round}$")):
+                run_obl(cfg)
 
 
 class TestWalkerRuns:
