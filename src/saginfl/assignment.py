@@ -122,24 +122,17 @@ def build_clusters(groups: list[list[int]], n_geo: int,
     def draw(pool: list[int]) -> int:
         return pool.pop(int(rng.integers(len(pool))))
 
-    def largest_pool() -> list[int] | None:
-        best = None
-        for pool in pools:
-            if pool and (best is None or len(pool) > len(best)):
-                best = pool
-        return best
-
     for cluster in clusters:
         for pool in pools:
             if pool:
                 cluster.append(draw(pool))
             else:
-                fallback = largest_pool()
-                if fallback is not None:
+                fallback = max(pools, key=len)
+                if fallback:
                     cluster.append(draw(fallback))
     while any(pools):
         target = min(clusters, key=len)
-        target.append(draw(largest_pool()))
+        target.append(draw(max(pools, key=len)))
     return tuple(tuple(c) for c in clusters)
 
 

@@ -113,9 +113,14 @@ class ExperimentConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
+    @property
+    def mini_batch(self) -> bool:
+        """Whether a local step reads a mini-batch, not all local samples."""
+        return 0 < self.training.batch_size < self.data.samples_per_device
+
     def canonical_text(self) -> str:
         lines = []
-        for section_name in ("topology", "data", "training", "policy", "run"):
+        for section_name in _SECTION_TYPES:
             block = getattr(self, section_name)
             lines.append(f"[{section_name}]")
             for f in fields(block):
@@ -123,13 +128,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-_SECTION_TYPES = {
-    "topology": TopologyConfig,
-    "data": DataConfig,
-    "training": TrainingConfig,
-    "policy": PolicyConfig,
-    "run": RunConfig,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def key_type(section: str, key: str) -> type:
@@ -168,7 +167,7 @@ _POSITIVE = {
 }
 _NON_NEGATIVE = {
     "topology": ("sg_prop_s", "ga_prop_s", "as_prop_s", "ss_prop_s"),
-    "data": ("geo_bin_deg",),
+    "data": ("geo_bin_deg", "class_scale_min", "class_scale_max"),
     "training": ("l2",),
 }
 # topology keys checked under one kind only, with their least value
@@ -218,8 +217,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require("data", "geo_bin_deg", d.geo_bin_deg,
              d.geo_bin_deg == 0 or math.isfinite(360.0 / d.geo_bin_deg),
              "0 or so wide that 360 / geo_bin_deg is finite")
-    if t.kind not in _KIND_MINIMUM:
-        raise ConfigurationError(f"[topology] kind must be single|walker, got {t.kind!r}")
+    _require("topology", "kind", t.kind, t.kind in _KIND_MINIMUM, "single|walker")
     for key, least in _KIND_MINIMUM[t.kind].items():
         value = getattr(t, key)
         _require("topology", key, value, value >= least, f">= {least}")
@@ -228,31 +226,26 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  0.0 < t.inclination_deg < 180.0, "in (0, 180)")
     if r.seed < 0:
         raise ConfigurationError("[run] seed is mandatory and must be >= 0")
-    if p.name not in POLICIES:
-        raise ConfigurationError(f"[policy] name must be one of {POLICIES}, got {p.name!r}")
-    if p.name == "cnasa" and not 1 <= p.n_geo <= t.n_satellites:
-        raise ConfigurationError(
-            f"[policy] n_geo must be in [1, {t.n_satellites}], got {p.n_geo}")
-    if r.sync_algo not in SYNC_ALGOS:
-        raise ConfigurationError(
-            f"[run] sync_algo must be one of {SYNC_ALGOS}, got {r.sync_algo!r}")
-    if tr.learner not in ("softmax", "mlp"):
-        raise ConfigurationError(f"[training] learner must be softmax|mlp, got {tr.learner!r}")
+    _require("policy", "name", p.name, p.name in POLICIES,
+             f"one of {POLICIES}")
+    _require("policy", "n_geo", p.n_geo,
+             p.name != "cnasa" or 1 <= p.n_geo <= t.n_satellites,
+             f"in [1, {t.n_satellites}]")
+    _require("run", "sync_algo", r.sync_algo, r.sync_algo in SYNC_ALGOS,
+             f"one of {SYNC_ALGOS}")
+    _require("training", "learner", tr.learner,
+             tr.learner in ("softmax", "mlp"), "softmax|mlp")
     # a zero MLP never trains its hidden layer: tanh(0) = 0 zeroes its gradient
     if tr.learner == "mlp":
         _require("training", "init_scale", tr.init_scale, tr.init_scale != 0.0,
                  "nonzero under learner = mlp")
-    if not 1 <= d.classes_per_device <= d.n_classes:
-        raise ConfigurationError(
-            f"[data] classes_per_device must be in [1, {d.n_classes}], "
-            f"got {d.classes_per_device}")
-    if tr.batch_size < 0 or tr.batch_size > d.samples_per_device:
-        raise ConfigurationError(
-            f"[training] batch_size must be in [0, {d.samples_per_device}], "
-            f"got {tr.batch_size}")
-    if d.feature_dim < d.n_classes:
-        raise ConfigurationError(
-            f"[data] feature_dim must be >= n_classes, got {d.feature_dim}")
+    _require("data", "classes_per_device", d.classes_per_device,
+             1 <= d.classes_per_device <= d.n_classes, f"in [1, {d.n_classes}]")
+    _require("training", "batch_size", tr.batch_size,
+             0 <= tr.batch_size <= d.samples_per_device,
+             f"in [0, {d.samples_per_device}]")
+    _require("data", "feature_dim", d.feature_dim,
+             d.feature_dim >= d.n_classes, ">= n_classes")
     m = make_learner(tr, d).n_params
     shape = RoundShape.worst(t)
     for (section, key), cost in unit_costs(cfg, m, shape).items():

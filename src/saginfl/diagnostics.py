@@ -380,7 +380,7 @@ def bound_inapplicable(trace: TrainingTrace) -> str | None:
         return (f"[training] learner = {trace.learner.name!r} is not convex; "
                 f"the bound needs a convex loss")
     batch = trace.config.training.batch_size
-    if 0 < batch < trace.samples.x.shape[2]:
+    if trace.config.mini_batch:
         return (f"[training] batch_size = {batch} takes mini-batch steps; "
                 f"the bound covers full-batch local steps only")
     return None

@@ -23,12 +23,6 @@ if TYPE_CHECKING:  # config imports this module to size the model
     from .config import DataConfig, TrainingConfig
 
 
-def augment(features: np.ndarray) -> np.ndarray:
-    """Append the constant bias feature."""
-    ones = np.ones(features.shape[:-1] + (1,))
-    return np.concatenate([features, ones], axis=-1)
-
-
 @dataclass(frozen=True)
 class Samples:
     """Every device's samples in the layout the kernels read.
@@ -125,13 +119,6 @@ def _softmax(z: np.ndarray, axis: int, labels: np.ndarray | None = None):
     if labels is None:
         return z
     return z, np.log(total.squeeze(axis)) - target_logit
-
-
-def _l2_mask(weights: np.ndarray) -> np.ndarray:
-    """Regularize everything except the bias row."""
-    mask = np.ones_like(weights)
-    mask[..., -1, :] = 0.0
-    return mask * weights
 
 
 def _l2_penalty(weights: np.ndarray) -> np.ndarray:
@@ -233,10 +220,10 @@ class SoftmaxLearner:
         return (nll.mean(axis=1) + self.l2 * _l2_penalty(weights),
                 self._residual_grad(weights, samples, probs))
 
-    def accuracy(self, flat: np.ndarray, features: np.ndarray,
-                 labels: np.ndarray) -> float:
-        pred = np.argmax(augment(features) @ self._shape(flat), axis=-1)
-        return float(np.mean(pred == labels))
+    def accuracy(self, flat: np.ndarray, samples: Samples) -> float:
+        """The share of ``samples`` whose largest logit is at their label."""
+        pred = np.argmax(self._logits(self._shape(flat), samples.x), axis=0)
+        return float(np.mean(pred == samples.labels))
 
 
 class MlpLearner:
@@ -286,8 +273,8 @@ class MlpLearner:
         g2 = h_aug @ diff.transpose(0, 2, 1) / n
         back = (w2[..., :-1, :] @ diff) * (1 - h ** 2)
         g1 = samples.x.transpose(1, 0, 2) @ back.transpose(0, 2, 1) / n
-        g1 += self.l2 * _l2_mask(w1)
-        g2 += self.l2 * _l2_mask(w2)
+        g1[..., :-1, :] += self.l2 * w1[..., :-1, :]
+        g2[..., :-1, :] += self.l2 * w2[..., :-1, :]
         n_dev = samples.n_devices
         return np.concatenate([g1.reshape(n_dev, -1), g2.reshape(n_dev, -1)],
                               axis=1)
@@ -298,17 +285,9 @@ class MlpLearner:
         _, nll = _softmax(logits, 1, samples.labels)
         return nll.mean(axis=1) + self.l2 * (_l2_penalty(w1) + _l2_penalty(w2))
 
-    def loss_and_grad(self, flat: np.ndarray, samples: Samples,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """``loss`` and ``grad``, from one forward pass each."""
-        return self.loss(flat, samples), self.grad(flat, samples)
-
-    def accuracy(self, flat: np.ndarray, features: np.ndarray,
-                 labels: np.ndarray) -> float:
-        x = augment(features).T[:, None, :]
-        _, _, _, _, logits = self._forward(flat, x)
-        pred = np.argmax(logits[0], axis=0)
-        return float(np.mean(pred == labels))
+    def accuracy(self, flat: np.ndarray, samples: Samples) -> float:
+        _, _, _, _, logits = self._forward(flat, samples.x)
+        return float(np.mean(np.argmax(logits, axis=1) == samples.labels))
 
 
 def make_learner(training: TrainingConfig, data: DataConfig):

@@ -260,7 +260,8 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     features, labels, test_x, test_y = generate_data(cfg.data, topology,
                                                      data_rng)
     samples = Samples.stack(features, labels, cfg.data.n_classes)
-    del features  # the samples hold the augmented copy
+    test = Samples.stack(test_x[None], test_y[None], cfg.data.n_classes)
+    del features, test_x  # the samples hold the augmented copies
     learner = make_learner(cfg.training, cfg.data)
     m = learner.n_params
 
@@ -309,7 +310,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
                              n_classes=samples.n_classes) for b in blocks]
     with ThreadPoolExecutor(max_workers=n_blocks) as pool:
         for t in range(tau1, total_steps + 1, tau1):
-            if 0 < batch_size < n_samples:
+            if cfg.mini_batch:
                 # per-device sample without replacement (mini-batch mode)
                 batches = [np.argsort(batch_rng.random((n_devices, n_samples)),
                                       axis=1)[:, :batch_size]
@@ -348,6 +349,6 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             device_params = np.tile(global_params, (n_devices, 1))
             trace.global_models.append((t, global_params.copy()))
 
-            acc = learner.accuracy(global_params, test_x, test_y)
+            acc = learner.accuracy(global_params, test)
             trace.accuracy.append((g_round, t, acc))
     return trace

@@ -63,11 +63,6 @@ class NetworkTopology:
         return len(self.air_lat)
 
     @property
-    def orbits(self) -> np.ndarray:
-        """Satellite ids per plane in slot order, ``(n_planes, per_plane)``."""
-        return np.arange(self.n_satellites).reshape(self.n_planes, -1)
-
-    @property
     def air_units(self) -> np.ndarray:
         """Unit position of each air node's ground point, ``(N_A, 3)``."""
         lat, lon = np.radians(self.air_lat), np.radians(self.air_lon)
@@ -201,8 +196,8 @@ def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
     per pair), joining the satellites nearest that region; ties break to
     the lowest satellite id.
     """
-    orbits = topology.orbits
     n = topology.n_satellites
+    orbits = np.arange(n).reshape(topology.n_planes, -1)
     adj = np.zeros((n, n), dtype=bool)
     nxt = np.roll(orbits, -1, axis=1)
     adj[orbits, nxt] = adj[nxt, orbits] = True

@@ -36,42 +36,18 @@ def _section(name: str, header: str, rows: Iterable) -> Iterator[str]:
     yield from map(_row, rows)
 
 
-def _ascii_cells(col: np.ndarray) -> np.ndarray:
-    """A column's text as a ``(n, width)`` byte matrix in which the bytes
-    that are not part of a cell's text are zero.
-
-    A string column gives its code points, zero after each cell's end. An
-    integer column, whose values are non-negative, gives its decimal
-    digits right-aligned, with zero in place of each leading zero.
-    """
-    if col.dtype.kind == "U":
-        points = np.ascontiguousarray(col).view(np.uint32)
-        return points.reshape(len(col), -1).astype(np.uint8)
-    width = len(str(col.max()))
-    cells = np.empty((len(col), width), np.uint8)
-    for k in range(width):
-        power = 10 ** (width - 1 - k)
-        cells[:, k] = col // power % 10 + ord("0")
-        if power > 1:
-            cells[col < power, k] = 0
-    return cells
-
-
 def _schedule(transfers: np.ndarray) -> str:
     """The transfers' ``[commlog]`` lines without the round: each line
     starts with its comma, and the lines are joined by line ends.
 
-    Formatted from the columns, not row by row: the columns' byte matrices
-    are laid side by side with the separators, and the zero bytes are
-    dropped from the whole table at once. So no row becomes a Python
-    object, and the text is built in one piece.
+    Formatted from the columns 1,024 rows at a time: a block's cells and
+    lines are small Python objects, which take fresh pages in larger blocks.
     """
-    comma = np.full((len(transfers), 1), ord(","), np.uint8)
-    cells = []
-    for name in transfers.dtype.names:
-        cells += [comma, _ascii_cells(transfers[name])]
-    table = np.concatenate(cells + [np.full_like(comma, ord("\n"))], axis=1)
-    return table[table != 0][:-1].tobytes().decode("ascii")
+    line = ",{}" * len(transfers.dtype.names)
+    return "\n".join(
+        "\n".join(map(line.format, *(block[name].tolist()
+                                     for name in block.dtype.names)))
+        for block in np.split(transfers, range(1024, len(transfers), 1024)))
 
 
 def trace_lines(trace: TrainingTrace, report: BoundReport | None,

@@ -5,7 +5,8 @@ way (exhaustive matching, csgraph partition distances, per-step ring
 transfers, inverted access maps, per-element ``math`` geometry, the
 aggregation as a sparse matrix product, a standalone loss pass, the
 communication log formatted row by row, the learners' residuals and probe
-moments from dense one-hot targets), or a quantity only the tests need
+moments from dense one-hot targets, their L2 term through a bias mask, the
+bias feature appended row by row), or a quantity only the tests need
 (closed forms, the divergence at the recorded global models). None of them
 runs in a simulation.
 """
@@ -31,7 +32,6 @@ from saginfl.learner import (
     ProbeSamples,
     Samples,
     SoftmaxLearner,
-    _l2_mask,
     _softmax,
 )
 from saginfl.simulation import AggregationWeights
@@ -481,6 +481,20 @@ def sparse_divergence(weights: AggregationWeights, operator: sparse.csr_matrix,
         delta_per_device=delta_dev, Delta_per_satellite=delta_sat)
 
 
+def augment(features: np.ndarray) -> np.ndarray:
+    """Append the constant bias feature to row-major ``(..., d)`` features."""
+    ones = np.ones(features.shape[:-1] + (1,))
+    return np.concatenate([features, ones], axis=-1)
+
+
+def l2_mask(weights: np.ndarray) -> np.ndarray:
+    """The weights with their bias row zeroed: what the L2 term of a
+    gradient regularizes."""
+    mask = np.ones_like(weights)
+    mask[..., -1, :] = 0.0
+    return mask * weights
+
+
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """Indicator rows along a new last axis, for labels of any shape."""
     return (labels[..., None] == np.arange(n_classes)).astype(float)
@@ -555,7 +569,7 @@ def one_hot_grad(learner, flat: np.ndarray,
     g2 = h_aug @ diff.transpose(0, 2, 1) / n
     back = (w2[..., :-1, :] @ diff) * (1 - h ** 2)
     g1 = x.transpose(1, 0, 2) @ back.transpose(0, 2, 1) / n
-    g1 += learner.l2 * _l2_mask(w1)
-    g2 += learner.l2 * _l2_mask(w2)
+    g1 += learner.l2 * l2_mask(w1)
+    g2 += learner.l2 * l2_mask(w2)
     return np.concatenate([g1.reshape(n_dev, -1), g2.reshape(n_dev, -1)],
                           axis=1)

@@ -234,6 +234,40 @@ class TestConfigParsing:
         assert validate_config(gdo) is gdo
         assert math.isfinite(saginfl.run_obl(gdo).total_time)
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("topology", "kind", "ring",
+         "[topology] kind must be single|walker, got 'ring'"),
+        ("policy", "name", "best",
+         "[policy] name must be one of ('gdo', 'cdo', 'cnasa'), got 'best'"),
+        ("policy", "n_geo", 5, "[policy] n_geo must be in [1, 4], got 5"),
+        ("run", "sync_algo", "tree",
+         "[run] sync_algo must be one of ('ring', 'gossip'), got 'tree'"),
+        ("training", "learner", "tree",
+         "[training] learner must be softmax|mlp, got 'tree'"),
+        ("data", "classes_per_device", 9,
+         "[data] classes_per_device must be in [1, 8], got 9"),
+        ("training", "batch_size", 16,
+         "[training] batch_size must be in [0, 15], got 16"),
+        ("training", "batch_size", -1,
+         "[training] batch_size must be in [0, 15], got -1"),
+        ("data", "feature_dim", 7,
+         "[data] feature_dim must be >= n_classes, got 7"),
+        ("data", "class_scale_min", -1.0,
+         "[data] class_scale_min must be >= 0, got -1.0"),
+        ("data", "class_scale_max", -2.0,
+         "[data] class_scale_max must be >= 0, got -2.0"),
+    ], ids=["kind", "name", "n_geo", "sync_algo", "learner",
+            "classes_per_device", "batch_size_above", "batch_size_below",
+            "feature_dim", "class_scale_min", "class_scale_max"])
+    def test_range_message_names_rule_and_value(self, section, key, value,
+                                                message):
+        cfg = parse_config_text(SMALL_CONFIG)
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                               **{key: value})})
+        with pytest.raises(ConfigurationError) as info:
+            validate_config(cfg)
+        assert str(info.value) == message
+
     def test_zero_init_scale_rejected_only_under_mlp(self):
         text = SMALL_CONFIG.replace("[training]", "[training]\ninit_scale = 0")
         cfg = parse_config_text(text)

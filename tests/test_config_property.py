@@ -32,6 +32,7 @@ INVALID = [
     ("topology", "sg_rate_bps", 0.0),
     ("topology", "ss_prop_s", -1.0),
     ("data", "geo_bin_deg", -5.0),
+    ("data", "class_scale_min", -1.0),
     ("topology", "altitude_km", math.nan),
     ("data", "blob_scale", math.nan),
     ("training", "learning_rate", math.inf),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import (
     OneHotSamples,
+    augment,
     one_hot_grad,
     one_hot_softmax,
     sparse_average_operator,
@@ -24,7 +25,6 @@ from saginfl.learner import (
     ProbeSamples,
     Samples,
     SoftmaxLearner,
-    augment,
     make_learner,
 )
 from saginfl.simulation import AggregationWeights
@@ -295,7 +295,7 @@ class TestSoftmaxLearner:
         samples = Samples.stack(X[None], y[None], 2)
         for _ in range(50):
             flat = flat - 0.5 * learner.grad(flat[None], samples)[0]
-        assert learner.accuracy(flat, X, y) > 0.95
+        assert learner.accuracy(flat, samples) > 0.95
 
 
 @pytest.mark.parametrize("learner", [
@@ -313,6 +313,28 @@ def test_shared_model_equals_broadcast_stack(learner):
                   - learner.grad(stack, samples)).max() < 1e-12
     assert np.abs(learner.loss(flat, samples)
                   - learner.loss(stack, samples)).max() < 1e-12
+
+
+@pytest.mark.parametrize("learner", [
+    SoftmaxLearner(d=5, n_classes=4, l2=0.03, init_scale=1.0),
+    MlpLearner(d=5, n_classes=4, l2=0.03, hidden=6, init_scale=1.0),
+], ids=["softmax", "mlp"])
+def test_accuracy_equals_row_major_argmax(learner):
+    # the run stacks its test set once as one device's samples; the
+    # accuracy reads it class-major and must equal the row-major argmax
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((500, 5))
+    y = rng.integers(0, 4, size=500)
+    test = Samples.stack(X[None], y[None], 4)
+    flat = learner.init_params(rng)
+    for w in (flat, np.zeros_like(flat), 5.0 * flat):
+        if isinstance(learner, SoftmaxLearner):
+            logits = augment(X) @ learner._shape(w)
+        else:
+            w1, w2 = learner._split(w)
+            logits = augment(np.tanh(augment(X) @ w1)) @ w2
+        want = float(np.mean(np.argmax(logits, axis=1) == y))
+        assert learner.accuracy(w, test) == want
 
 
 @pytest.mark.parametrize("learner", [
@@ -336,8 +358,7 @@ def test_loss_equals_one_hot_formula(learner, monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("learner", [
     SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0),
-    MlpLearner(d=10, n_classes=10, l2=1e-3, hidden=8, init_scale=1.0),
-], ids=["softmax", "mlp"])
+], ids=["softmax"])
 def test_loss_and_grad_equal_loss_and_grad(learner, dtype):
     # the one pass the convergence check makes at each float64 model gives
     # the standalone passes' values bit for bit, at shared models far apart
@@ -421,6 +442,8 @@ class TestAgainstOneHotTargets:
                 want = one_hot_grad(learner, model, dense)
                 assert want.dtype == dtype
                 assert_same_bits(learner.grad(model, labelled), want)
+                if isinstance(learner, MlpLearner):
+                    continue  # the check's fused pass is softmax only
                 losses, grads = learner.loss_and_grad(model, labelled)
                 assert_same_bits(grads, want)
                 assert_same_bits(losses, learner.loss(model, labelled))

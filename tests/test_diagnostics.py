@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
+    augment,
     divergence_at_global_models,
     global_loss,
     sparse_average_operator,
@@ -37,7 +38,7 @@ from saginfl.diagnostics import (
     virtual_trajectories,
 )
 from saginfl.errors import InputError
-from saginfl.learner import ProbeSamples, Samples, SoftmaxLearner, augment
+from saginfl.learner import ProbeSamples, Samples, SoftmaxLearner
 from saginfl.simulation import AggregationWeights, run_obl
 
 

@@ -23,6 +23,7 @@ from saginfl import simulation
 from saginfl.data import generate_data
 from saginfl.diagnostics import GradContext
 from saginfl.errors import ConfigurationError, TopologyError, TrainingError
+from saginfl.learner import Samples
 from saginfl.simulation import run_obl
 from saginfl.timecost import price_round
 from saginfl.topology import build_walker, derive_isl_graph
@@ -130,7 +131,8 @@ class TestIidCloseToCentralized:
             np.random.SeedSequence(cfg.run.seed).spawn(5)[0])
         _, _, test_x, test_y = generate_data(cfg.data, trace.topology,
                                              data_rng)
-        central = trace.learner.accuracy(w, test_x, test_y)
+        test = Samples.stack(test_x[None], test_y[None], cfg.data.n_classes)
+        central = trace.learner.accuracy(w, test)
         assert abs(trace.final_accuracy - central) <= 0.02
 
 
@@ -273,6 +275,9 @@ class TestCommLog:
     @pytest.mark.parametrize("plan", [
         plan_multi_orbit(derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1,
                                                        1)), 72),
+        # configs/walker.ini's plan: 14,820 rows, 15 formatting blocks
+        plan_multi_orbit(derive_isl_graph(build_walker(15, 16, 85.0, 330.0,
+                                                       1, 1)), 110),
         # a one-member orbit has no transfers; m = 2 is below the rings'
         # sizes, so every chunk holds one parameter
         plan_multi_orbit(isl_graph(
@@ -280,7 +285,7 @@ class TestCommLog:
              (0, 1), (0, 4), (3, 5)],
             [(0,), (1, 2, 3), (4, 5, 6, 7, 8)]), 2),
         plan_ring([0], 5),
-    ], ids=["walker", "single_member_ring", "no_transfers"])
+    ], ids=["walker", "walker_15x16", "single_member_ring", "no_transfers"])
     def test_log_equals_row_by_row_formatting(self, plan):
         trace = run_obl(make_config(training=TrainingConfig(global_rounds=3)))
         trace.sync_plan = plan

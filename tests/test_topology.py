@@ -306,7 +306,7 @@ class TestGeometry:
     def test_vectorized_angles_match_one_pair_rule_on_plane_pair(self):
         topo = build_walker(15, 16, 85.0, 330.0, 1, 1)
         pos = topo.sat_units
-        planes = topo.orbits[:2].tolist()
+        planes = [list(orbit) for orbit in derive_isl_graph(topo).orbits[:2]]
         normals = [plane_normal(p * 360.0 / 15, 85.0) for p in (0, 1)]
         cross = np.cross(*normals)
         cross /= np.linalg.norm(cross)
