@@ -34,8 +34,7 @@ from .errors import ConfigurationError, InputError, TopologyError, TrainingError
 # importing the configuration leaves the topology and assignment stack out
 _LAZY = {"BoundReport": "diagnostics", "check_convergence_bound": "diagnostics",
          "measure_divergence": "diagnostics", "theorem_bound": "diagnostics",
-         "virtual_trajectories": "diagnostics", "TrainingTrace": "simulation",
-         "run_obl": "simulation"}
+         "TrainingTrace": "simulation", "run_obl": "simulation"}
 
 
 def __getattr__(name: str):
@@ -66,7 +65,6 @@ __all__ = [
     "run_obl",
     "theorem_bound",
     "validate_config",
-    "virtual_trajectories",
     "with_seed",
 ]
 

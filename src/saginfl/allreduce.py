@@ -215,9 +215,8 @@ def multi_orbit_sync_states(params: np.ndarray, weights: np.ndarray,
 
 
 def ring_traffic_per_node(n: int, m: int) -> int:
-    """Closed-form chunked ring traffic per node: 2(n-1)*ceil(m/n)."""
+    """Closed-form chunked ring traffic per node: 2(n-1) chunks of the
+    plan's size."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 0
-    return 2 * (n - 1) * math.ceil(m / n)
+    return 2 * (n - 1) * _chunk_size(m, n)

@@ -23,6 +23,7 @@ from .config import (
     apply_axis,
     key_type,
     load_config,
+    run_stem,
     validate_config,
     with_seed,
 )
@@ -47,13 +48,6 @@ AGG_COLUMNS = ("axis", "value", "n_seeds", "accuracy_mean", "accuracy_std",
 def output_dir(cfg: ExperimentConfig) -> Path:
     root = Path(os.environ.get("SAGINFL_OUTPUT_ROOT", "."))
     return root / cfg.run.output_dir
-
-
-def run_stem(cfg: ExperimentConfig) -> str:
-    policy = cfg.policy.name
-    if policy == "cnasa":
-        policy = f"cnasa-{cfg.policy.n_geo}"
-    return f"{cfg.run.label}_{policy}_seed{cfg.run.seed}"
 
 
 def execute_run(cfg: ExperimentConfig, out: Path) -> dict:

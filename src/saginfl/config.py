@@ -192,6 +192,19 @@ _UNIT_OF = dict(flops_air="one aggregation", flops_satellite="one aggregation",
 _MATCHING_HEADROOM = 4.0
 
 
+# the longest file name a common file system takes, in bytes; a run writes
+# <stem>.topology.tsv, its longest name
+_NAME_MAX = 255
+
+
+def run_stem(cfg: ExperimentConfig) -> str:
+    """The name every output file of the run starts with."""
+    policy = cfg.policy.name
+    if policy == "cnasa":
+        policy = f"cnasa-{cfg.policy.n_geo}"
+    return f"{cfg.run.label}_{policy}_seed{cfg.run.seed}"
+
+
 def _require(section: str, key: str, value, ok: bool, rule: str) -> None:
     if not ok:
         raise ConfigurationError(f"[{section}] {key} must be {rule}, got {value!r}")
@@ -233,6 +246,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              f"in [1, {t.n_satellites}]")
     _require("run", "sync_algo", r.sync_algo, r.sync_algo in SYNC_ALGOS,
              f"one of {SYNC_ALGOS}")
+    stem = run_stem(cfg)
+    _require("run", "label", r.label, "/" not in stem and "\0" not in stem
+             and len(f"{stem}.topology.tsv".encode()) <= _NAME_MAX,
+             f"free of '/' and NUL, and short enough that "
+             f"<label>_<policy>_seed<seed>.topology.tsv fits in {_NAME_MAX} bytes")
     _require("training", "learner", tr.learner,
              tr.learner in ("softmax", "mlp"), "softmax|mlp")
     # a zero MLP never trains its hidden layer: tanh(0) = 0 zeroes its gradient
@@ -277,6 +295,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
+    for section in parser.sections():
+        if section not in _SECTION_TYPES:
+            raise ConfigurationError(f"unknown config section [{section}]")
     cfg = ExperimentConfig(**{
         section: _parse_section(parser, section) for section in _SECTION_TYPES
     })

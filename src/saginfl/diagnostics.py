@@ -16,13 +16,6 @@ whatever the worker count. The check computes only what it reports, and
 each loss it reads comes out of the float64 gradient pass it makes at the
 same model (``SoftmaxLearner.loss_and_grad``).
 
-``virtual_trajectories`` is not part of the check. It replays the
-centralized paths of every global interval, and the per-satellite virtual
-descent (``satellite_ends``) of each tau1 segment that starts at a
-recorded global model: every segment when tau2 = 1, the first segment of
-each global interval otherwise, since the trace keeps no aggregate from
-inside a global interval.
-
 The satellite-aggregate probes are 2,400 of the 2,520 gradient passes on
 the Walker reference run, so they take a cheaper pass than the others:
 ``SoftmaxLearner.probe_grad`` in float32, folded in float32 with float32
@@ -150,17 +143,6 @@ def _union_divergence(estimates: Iterable[DivergenceEstimate],
         weights)
 
 
-@dataclass(frozen=True)
-class VirtualTrajectories:
-    """Centralized oracle trajectories, re-synchronized at interval starts."""
-
-    # (interval index g, start t, path of tau1*tau2+1 models)
-    global_paths: list[tuple[int, int, np.ndarray]]
-    # (segment index s, end t, per-satellite end models (N_S, P)) of each
-    # tau1 segment that starts at a recorded global model
-    satellite_ends: list[tuple[int, int, np.ndarray]]
-
-
 def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
                  loss_at: int = 0,
                  ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray,
@@ -188,33 +170,15 @@ def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
     return np.stack(path), grads, start_grads, losses
 
 
-def virtual_trajectories(trace: TrainingTrace,
-                         ctx: GradContext | None = None) -> VirtualTrajectories:
+def virtual_trajectories(trace: TrainingTrace, ctx: GradContext | None = None,
+                         ) -> list[tuple[int, int, np.ndarray]]:
+    """The centralized path of every global interval, re-synchronized at its
+    start: ``(interval g, start t, path of tau1*tau2+1 models)``."""
     ctx = ctx or GradContext.from_trace(trace)
-    cfg = trace.config
-    tau1, tau2 = cfg.training.tau1, cfg.training.tau2
-    eta = cfg.training.learning_rate
-
-    global_paths = [
-        (g, t0, _global_path(ctx, w0, tau1 * tau2, eta)[0])
-        for g, (t0, w0) in enumerate(trace.global_models[:-1], start=1)]
-
-    # segment s runs from (s-1)*tau1 to s*tau1; one that starts at a global
-    # model starts every satellite from the broadcast model
-    satellite_ends = []
-    weights = ctx.weights
-    n_sats = len(weights.sat_frac)
-    for t_start, w0 in trace.global_models[:-1]:
-        v = np.tile(w0, (n_sats, 1))
-        for _ in range(tau1):
-            # one batched pass: device i's gradient at its satellite's point
-            dev_g = ctx.learner.grad(v[weights.sat_of_device], ctx.samples)
-            sat_g = weights.satellite_average(dev_g)
-            v = np.where(weights.nonempty[:, None], v - eta * sat_g, v)
-        t_end = t_start + tau1
-        satellite_ends.append((t_end // tau1, t_end, v))
-    return VirtualTrajectories(global_paths=global_paths,
-                               satellite_ends=satellite_ends)
+    training = trace.config.training
+    return [(g, t0, _global_path(ctx, w0, training.tau1 * training.tau2,
+                                 training.learning_rate)[0])
+            for g, (t0, w0) in enumerate(trace.global_models[:-1], start=1)]
 
 
 def theorem_bound(delta: float, Delta: float, rho: float, beta: float,
@@ -272,10 +236,6 @@ class BoundReport:
     @property
     def max_margin(self) -> float:
         return max((c.margin for c in self.intervals), default=0.0)
-
-    @property
-    def holds(self) -> bool:
-        return all(c.holds for c in self.intervals)
 
 
 def _magnitude(a: np.ndarray) -> float:

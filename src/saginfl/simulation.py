@@ -295,8 +295,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     w0 = learner.init_params(learner_rng)
     device_params = np.tile(w0, (n_devices, 1))
     sat_params = np.tile(w0, (n_sats, 1))
-    global_params = w0.copy()
-    trace.global_models.append((0, global_params.copy()))
+    trace.global_models.append((0, w0))
 
     tau1, tau2 = cfg.training.tau1, cfg.training.tau2
     eta = cfg.training.learning_rate
@@ -337,18 +336,14 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
             sat_params = np.where(weights.nonempty[:, None],
                                   weights.satellite_average(device_params),
                                   sat_params)
-            if t % (tau1 * tau2) != 0:
-                device_params = sat_params[weights.sat_of_device]
-                continue
-
-            g_round = t // (tau1 * tau2)
-            # each aggregate is a new array, and the sync writes new ones
-            trace.satellite_models.append((t, sat_params))
-            sat_params, _ = sync(sat_params, weights.sat_frac, plan)
-            global_params = sat_params[0]
-            device_params = np.tile(global_params, (n_devices, 1))
-            trace.global_models.append((t, global_params.copy()))
-
-            acc = learner.accuracy(global_params, test)
-            trace.accuracy.append((g_round, t, acc))
+            if t % (tau1 * tau2) == 0:
+                # each aggregate is a new array, and the sync writes new
+                # ones whose rows all equal the global model bit for bit
+                trace.satellite_models.append((t, sat_params))
+                sat_params, _ = sync(sat_params, weights.sat_frac, plan)
+                trace.global_models.append((t, sat_params[0].copy()))
+            device_params = sat_params[weights.sat_of_device]
+    trace.accuracy = [
+        (g, t, learner.accuracy(w, test))
+        for g, (t, w) in enumerate(trace.global_models[1:], start=1)]
     return trace

@@ -53,6 +53,10 @@ SMALL_CONFIG = textwrap.dedent("""\
     output_dir = out
 """)
 
+LABEL_RULE = ("[run] label must be free of '/' and NUL, and short enough "
+              "that <label>_<policy>_seed<seed>.topology.tsv fits in 255 "
+              "bytes, got ")
+
 WALKER_CONFIG = SMALL_CONFIG.replace("kind = single", "kind = walker").replace(
     "n_sats = 4", "n_planes = 4\nsats_per_plane = 6")
 
@@ -91,6 +95,24 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             parse_config_text(SMALL_CONFIG + "\nwarp_speed = 9\n")
+
+    def test_unknown_section_rejected(self):
+        text = SMALL_CONFIG + "\n[trainig]\nlearning_rate = 5\n"
+        with pytest.raises(ConfigurationError) as info:
+            parse_config_text(text)
+        assert str(info.value) == "unknown config section [trainig]"
+
+    def test_label_stem_fits_a_file_name_in_bytes(self):
+        # <label>_cnasa-2_seed7.topology.tsv takes 27 bytes besides the label
+        for label, fits in (("a" * 228, True), ("a" * 229, False),
+                            ("\u00e9" * 114, True), ("\u00e9" * 115, False)):
+            text = SMALL_CONFIG + f"label = {label}\n"
+            if fits:
+                assert parse_config_text(text).run.label == label
+                continue
+            with pytest.raises(ConfigurationError) as info:
+                parse_config_text(text)
+            assert str(info.value) == LABEL_RULE + repr(label)
 
     def test_bad_value_names_field(self):
         text = SMALL_CONFIG.replace("n_sats = 4", "n_sats = many")
@@ -256,9 +278,12 @@ class TestConfigParsing:
          "[data] class_scale_min must be >= 0, got -1.0"),
         ("data", "class_scale_max", -2.0,
          "[data] class_scale_max must be >= 0, got -2.0"),
+        ("run", "label", "a/b", LABEL_RULE + "'a/b'"),
+        ("run", "label", "a\0b", LABEL_RULE + "'a\\x00b'"),
     ], ids=["kind", "name", "n_geo", "sync_algo", "learner",
             "classes_per_device", "batch_size_above", "batch_size_below",
-            "feature_dim", "class_scale_min", "class_scale_max"])
+            "feature_dim", "class_scale_min", "class_scale_max",
+            "label_slash", "label_nul"])
     def test_range_message_names_rule_and_value(self, section, key, value,
                                                 message):
         cfg = parse_config_text(SMALL_CONFIG)
@@ -454,6 +479,22 @@ class TestCliRun:
         assert main(["validate", str(config_file)]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, message", [
+        ("\n[trainig]\nlearning_rate = 5\n",
+         "unknown config section [trainig]"),
+        ("label = sub/x\n", LABEL_RULE + "'sub/x'"),
+        ("label = " + "a" * 250 + "\n", LABEL_RULE + repr("a" * 250)),
+    ], ids=["unknown_section", "label_slash", "label_too_long"])
+    def test_validate_rejects_before_any_run(self, tmp_path, output_root,
+                                             capsys, extra, message):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(SMALL_CONFIG + extra)
+        assert main(["validate", str(bad)]) == 2
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {message}\n" * 2
+        assert not (output_root / "out").exists()
+
 
 class TestCliSweep:
     def test_single_cell(self, config_file, output_root):
@@ -535,6 +576,18 @@ class TestCliSweep:
                    "--values", "2,9", "--seeds", "0,1"])
         assert rc == 2
         assert "n_geo" in capsys.readouterr().err
+        assert not (output_root / "out").exists()
+
+    def test_cell_label_too_long_fails_before_any_cell_runs(
+            self, tmp_path, output_root, capsys):
+        # the base stem takes 249 of 255 bytes; the cell label adds _n_geo-2
+        base = tmp_path / "long.ini"
+        base.write_text(SMALL_CONFIG + "label = " + "a" * 222 + "\n")
+        assert main(["validate", str(base)]) == 0
+        rc = main(["sweep", str(base), "--axis", "n_geo", "--values", "2",
+                   "--seeds", "7"])
+        assert rc == 2
+        assert LABEL_RULE + repr("a" * 222 + "_n_geo-2") in capsys.readouterr().err
         assert not (output_root / "out").exists()
 
     @pytest.mark.parametrize("flag, values, seeds", [

@@ -36,6 +36,7 @@ INVALID = [
     ("topology", "altitude_km", math.nan),
     ("data", "blob_scale", math.nan),
     ("training", "learning_rate", math.inf),
+    ("run", "label", "a/b"),
 ]
 
 
