@@ -290,7 +290,9 @@ def _require_bounded(cfg: ExperimentConfig, terms: dict[tuple[str, str], float],
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no header names the empty section, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

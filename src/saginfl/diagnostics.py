@@ -26,9 +26,12 @@ difference the fold takes, subtracts the samples' model-independent
 norm or average depends on the order of coordinates. On the Walker
 reference run (seed 1, one BLAS thread, two workers on a 2-core x86-64
 box) this took the check from 1.62 s to 0.98 s. Every other pass (the
-endpoints and the virtual path, with their losses) is float64, and so is
-the satellite-probe pass of an interval whose float32 pass could overflow
-(``_probes_fit_float32``).
+endpoints and the virtual path, with their losses) is float64. As in
+training, overflow is read from the results: the float32 probes run with
+overflow and invalid-value warnings off, and an interval whose float32
+maxima are not all finite takes its satellite probes again in float64. An
+overflow always reaches those maxima: an infinite logit turns nan at the
+max shift, an overflowing sum or norm is inf, ``np.maximum`` keeps a nan.
 """
 from __future__ import annotations
 
@@ -46,7 +49,6 @@ from .simulation import AggregationWeights, TrainingTrace, _available_cpus
 SAFETY_MARGIN = 1.5
 BOUND_TOLERANCE = 1.05
 _MIN_PAIR_DIST = 1e-12
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -238,34 +240,8 @@ class BoundReport:
         return max((c.margin for c in self.intervals), default=0.0)
 
 
-def _magnitude(a: np.ndarray) -> float:
-    """The largest absolute entry of ``a`` (nan if it holds a nan), without
-    an absolute-value copy."""
-    return float(max(a.max(), -a.min()))
-
-
-def _probes_fit_float32(model_scale: float, x_scale: float,
-                        samples: Samples) -> bool:
-    """Whether the float32 probe pass stays finite at models and features
-    of at most these magnitudes.
-
-    The bounds cover its largest intermediates: the models and features
-    themselves; the logits shifted by their class maximum, at most
-    2(d+1) times model times feature; a device's sums over its n samples
-    before the mean; and the squares a norm adds in the fold, where a
-    gradient, an average or a difference of two stays within 4 times the
-    largest feature.
-    """
-    f, _, n = samples.x.shape
-    n_params = f * samples.n_classes
-    bounds = (model_scale, x_scale, 2.0 * f * model_scale * x_scale,
-              n * x_scale, n_params * (4.0 * x_scale) * (4.0 * x_scale))
-    return all(b <= _FLOAT32_MAX for b in bounds)
-
-
 def _check_interval(trace: TrainingTrace, ctx: GradContext,
-                    weights32: AggregationWeights,
-                    samples32: ProbeSamples | None, x_scale: float,
+                    weights32: AggregationWeights, samples32: ProbeSamples,
                     sat_models: dict[int, np.ndarray], g: int,
                     ) -> tuple[IntervalCheck, float, float, DivergenceEstimate]:
     """Global interval ``g``'s check, its rho and beta, and the divergence
@@ -273,9 +249,9 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
 
     The satellite-aggregate probes, most of the check's gradient passes,
     run through ``SoftmaxLearner.probe_grad`` on ``samples32`` and are
-    folded with ``weights32``, all in float32, unless that pass could
-    overflow at the interval's aggregates (``_probes_fit_float32``); then
-    they take the float64 ``learner.grad`` and weights. Every other pass
+    folded with ``weights32``, all in float32. If that fold's maxima are
+    not all finite, an overflow reached them, and the probes are taken
+    again with the float64 ``learner.grad`` and weights. Every other pass
     stays float64, since the gap and beta's gradient differences are prone
     to cancellation. The four pair models' passes (start, end, virtual end
     and the virtual path's midpoint) yield their losses as well.
@@ -304,13 +280,13 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
     virtual_end = measure_divergence(weights, (v_end_grads,))
     del v_end_grads
     sats = sat_models[t_end][weights.nonempty]
-    if _probes_fit_float32(_magnitude(sats), x_scale, ctx.samples):
+    with np.errstate(over="ignore", invalid="ignore"):
         satellites = measure_divergence(weights32, (
             ctx.learner.probe_grad(w, samples32)
             for w in sats.astype(np.float32)))
-    else:
-        satellites = measure_divergence(weights, (
-            ctx.learner.grad(w, ctx.samples) for w in sats))
+    if not (np.isfinite(satellites.delta_per_device).all()
+            and np.isfinite(satellites.Delta_per_satellite).all()):
+        satellites = measure_divergence(weights, map(ctx.device_grads, sats))
     div = _union_divergence([endpoints, virtual_end, satellites], weights)
 
     rho, beta = estimate_rho_beta(
@@ -363,11 +339,12 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     if reason is not None:
         raise InputError(reason)
     ctx = GradContext.from_trace(trace)
-    x_scale = _magnitude(ctx.samples.x)
-    samples32 = (ProbeSamples.of(ctx.samples, np.float32)
-                 if _probes_fit_float32(0.0, x_scale, ctx.samples) else None)
+    # features past float32's range leave non-finite samples, and so every
+    # interval's probes take the float64 pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples32 = ProbeSamples.of(ctx.samples, np.float32)
     task = partial(_check_interval, trace, ctx,
-                   ctx.weights.astype(np.float32), samples32, x_scale,
+                   ctx.weights.astype(np.float32), samples32,
                    dict(trace.satellite_models))
     intervals = range(1, len(trace.global_models))
     workers = min(_available_cpus(), len(intervals))

@@ -102,6 +102,14 @@ class TestConfigParsing:
             parse_config_text(text)
         assert str(info.value) == "unknown config section [trainig]"
 
+    @pytest.mark.parametrize("key", ["learning_rate = 5", "seed = 3", ""])
+    def test_default_section_rejected(self, key):
+        # configparser would merge [DEFAULT] into every section, and the
+        # error would then name a section the file never wrote
+        with pytest.raises(ConfigurationError) as info:
+            parse_config_text(f"[DEFAULT]\n{key}\n" + SMALL_CONFIG)
+        assert str(info.value) == "unknown config section [DEFAULT]"
+
     def test_label_stem_fits_a_file_name_in_bytes(self):
         # <label>_cnasa-2_seed7.topology.tsv takes 27 bytes besides the label
         for label, fits in (("a" * 228, True), ("a" * 229, False),

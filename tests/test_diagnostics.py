@@ -502,6 +502,25 @@ class TestBoundCheck:
         assert report == all64
         assert all(0 < c.bound < np.inf for c in report.intervals)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_probe_fold_takes_float64(self, bad, monkeypatch):
+        # a non-finite float32 probe gradient leaves a non-finite maximum in
+        # the fold, without a warning, and the interval's satellite probes
+        # are taken again in float64
+        trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
+        probe_grad = SoftmaxLearner.probe_grad
+
+        def poisoned(self, flat, samples):
+            grads = probe_grad(self, flat, samples)
+            grads[0, 0] = bad
+            return grads
+
+        monkeypatch.setattr(SoftmaxLearner, "probe_grad", poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = check_convergence_bound(trace)
+        assert report == serial_bound_check(trace, satellite_dtype=np.float64)
+
     def test_mini_batch_run_rejected(self):
         # one device, so the divergence estimates are 0 and the bound is 0,
         # while mini-batch noise keeps the gap positive: the bound does not
