@@ -16,16 +16,15 @@ whatever the worker count. The check computes only what it reports, and
 each loss it reads comes out of the float64 gradient pass it makes at the
 same model (``SoftmaxLearner.loss_and_grad``).
 
-The satellite-aggregate probes are 2,400 of the 2,520 gradient passes on
-the Walker reference run, so they take a cheaper pass than the others:
-``SoftmaxLearner.probe_grad`` in float32, folded in float32 with float32
-averaging weights, and only the per-device and per-satellite maxima are
-upcast. That kernel leaves out the L2 term, which cancels in every
+Every computation takes the dtype of its data. The satellite-aggregate
+probes are 2,400 of the 2,520 gradient passes on the Walker reference run,
+so they take a cheaper pass: ``GradContext.probe_grads`` runs
+``SoftmaxLearner.probe_grad`` on float32 samples, so the probes and their
+fold are float32, and only the per-device and per-satellite maxima are
+float64. That kernel leaves out the L2 term, which cancels in every
 difference the fold takes, subtracts the samples' model-independent
 ``target_moments``, and keeps each device's gradient class-major, since no
-norm or average depends on the order of coordinates. On the Walker
-reference run (seed 1, one BLAS thread, two workers on a 2-core x86-64
-box) this took the check from 1.62 s to 0.98 s. Every other pass (the
+norm or average depends on the order of coordinates. Every other pass (the
 endpoints and the virtual path, with their losses) is float64. As in
 training, overflow is read from the results: the float32 probes run with
 overflow and invalid-value warnings off, and an interval whose float32
@@ -53,20 +52,28 @@ _MIN_PAIR_DIST = 1e-12
 
 @dataclass
 class GradContext:
-    """Loss/gradient evaluation over the run's device samples."""
+    """The run's float64 gradient and loss passes, and its float32 probes."""
 
     learner: object
     samples: Samples
     weights: AggregationWeights
+    probe_samples: ProbeSamples
 
     @classmethod
     def from_trace(cls, trace: TrainingTrace) -> "GradContext":
+        # non-finite float32 samples send every probe to the float64 pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            probe_samples = ProbeSamples.of(trace.samples, np.float32)
         return cls(learner=trace.learner, samples=trace.samples,
-                   weights=trace.aggregation)
+                   weights=trace.aggregation, probe_samples=probe_samples)
 
     def device_grads(self, w: np.ndarray) -> np.ndarray:
         """Every device's gradient at one shared model, ``(D, P)``."""
         return self.learner.grad(w, self.samples)
+
+    def probe_grads(self, w: np.ndarray) -> np.ndarray:
+        """``SoftmaxLearner.probe_grad`` at one shared model, ``(D, P)``."""
+        return self.learner.probe_grad(w, self.probe_samples)
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         return self.weights.device_frac @ self.device_grads(w)
@@ -92,38 +99,21 @@ def measure_divergence(weights: AggregationWeights,
     probe's ``(D, P)`` device gradients.
 
     ``device_grads`` is read once, one probe at a time, so a generator keeps
-    only the probe being folded. The averages, differences and norms are
-    taken in the dtype of the gradients and of ``weights`` (see
-    ``AggregationWeights.astype``); the maxima are float64. Satellites
-    without devices carry zero divergence (their data weight is zero
+    only the probe being folded. ``AggregationWeights.divergences`` gives
+    each probe's distances in the dtype of its gradients; the maxima are
+    float64, and 0 for satellites without devices (their data weight is 0
     anyway). Raises InputError when given no probes.
     """
-    # device maxima are kept in the weights' grouped order until the end
-    delta_grouped = np.zeros(len(weights.device_frac))
+    delta_dev = np.zeros(len(weights.device_frac))
     delta_sat = np.zeros(len(weights.sat_frac))
     probes = 0
-    for dev_g in device_grads:
-        grouped = dev_g.take(weights.order, axis=0)
-        sat_g = weights.grouped_average(grouped)
-        glob_g = weights.sat_frac @ sat_g
-        grouped = grouped.astype(sat_g.dtype, copy=False)
-        for sats, rows in weights.slots:
-            grouped[rows] -= sat_g[sats]
-        sat_gap = _row_norms(sat_g - glob_g)
-        sat_gap[~weights.nonempty] = 0.0
-        delta_grouped = np.maximum(delta_grouped, _row_norms(grouped))
+    for probes, dev_g in enumerate(device_grads, start=1):
+        dev_gap, sat_gap = weights.divergences(dev_g)
+        delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
-        probes += 1
     if not probes:
         raise InputError("need at least one probe's device gradients")
-    delta_dev = np.empty_like(delta_grouped)
-    delta_dev[weights.order] = delta_grouped
     return _weighted_divergence(delta_dev, delta_sat, weights)
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array."""
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def _weighted_divergence(delta_dev: np.ndarray, delta_sat: np.ndarray,
@@ -189,13 +179,16 @@ def theorem_bound(delta: float, Delta: float, rho: float, beta: float,
     if beta <= 0:
         raise InputError(f"beta must be positive, got {beta}")
 
-    def h(t: int) -> float:
+    def term(divergence: float, t: int) -> float:
+        # a zero divergence contributes 0, even where h(t) overflows
+        if not divergence:
+            return 0.0
         try:
-            return (eta * beta + 1.0) ** t - 1.0
+            return divergence * ((eta * beta + 1.0) ** t - 1.0)
         except OverflowError:
-            return float("inf")
+            return divergence * float("inf")
 
-    return (rho / beta) * (delta * h(tau1) + Delta * h(tau1 * tau2))
+    return (rho / beta) * (term(delta, tau1) + term(Delta, tau1 * tau2))
 
 
 def estimate_rho_beta(models: list[np.ndarray], grads: list[np.ndarray],
@@ -240,21 +233,18 @@ class BoundReport:
         return max((c.margin for c in self.intervals), default=0.0)
 
 
-def _check_interval(trace: TrainingTrace, ctx: GradContext,
-                    weights32: AggregationWeights, samples32: ProbeSamples,
-                    sat_models: dict[int, np.ndarray], g: int,
+def _check_interval(trace: TrainingTrace, ctx: GradContext, g: int,
                     ) -> tuple[IntervalCheck, float, float, DivergenceEstimate]:
     """Global interval ``g``'s check, its rho and beta, and the divergence
     at its two recorded global models.
 
-    The satellite-aggregate probes, most of the check's gradient passes,
-    run through ``SoftmaxLearner.probe_grad`` on ``samples32`` and are
-    folded with ``weights32``, all in float32. If that fold's maxima are
-    not all finite, an overflow reached them, and the probes are taken
-    again with the float64 ``learner.grad`` and weights. Every other pass
-    stays float64, since the gap and beta's gradient differences are prone
-    to cancellation. The four pair models' passes (start, end, virtual end
-    and the virtual path's midpoint) yield their losses as well.
+    The satellite aggregates at the interval's end, most of the check's
+    gradient passes, take the float32 ``ctx.probe_grads``, and so their
+    fold is float32. If its maxima are not all finite, an overflow reached
+    them, and the same fold runs again over ``ctx.device_grads``. Every
+    other pass is float64, since the gap and beta's gradient differences
+    are prone to cancellation. The four pair models' passes (start, end,
+    virtual end and the virtual path's midpoint) yield their losses too.
     """
     training = trace.config.training
     tau1, tau2 = training.tau1, training.tau2
@@ -279,11 +269,10 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext,
     path_grads.append(weights.device_frac @ v_end_grads)
     virtual_end = measure_divergence(weights, (v_end_grads,))
     del v_end_grads
-    sats = sat_models[t_end][weights.nonempty]
+    # satellite_models runs parallel to global_models[1:]
+    sats = trace.satellite_models[g - 1][1][weights.nonempty]
     with np.errstate(over="ignore", invalid="ignore"):
-        satellites = measure_divergence(weights32, (
-            ctx.learner.probe_grad(w, samples32)
-            for w in sats.astype(np.float32)))
+        satellites = measure_divergence(weights, map(ctx.probe_grads, sats))
     if not (np.isfinite(satellites.delta_per_device).all()
             and np.isfinite(satellites.Delta_per_satellite).all()):
         satellites = measure_divergence(weights, map(ctx.device_grads, sats))
@@ -339,17 +328,11 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     if reason is not None:
         raise InputError(reason)
     ctx = GradContext.from_trace(trace)
-    # features past float32's range leave non-finite samples, and so every
-    # interval's probes take the float64 pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples32 = ProbeSamples.of(ctx.samples, np.float32)
-    task = partial(_check_interval, trace, ctx,
-                   ctx.weights.astype(np.float32), samples32,
-                   dict(trace.satellite_models))
     intervals = range(1, len(trace.global_models))
     workers = min(_available_cpus(), len(intervals))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        checks, rhos, betas, endpoints = zip(*pool.map(task, intervals))
+        checks, rhos, betas, endpoints = zip(
+            *pool.map(partial(_check_interval, trace, ctx), intervals))
     overall = _union_divergence(endpoints, ctx.weights)
     return BoundReport(intervals=list(checks), delta_hat=overall.delta_hat,
                        Delta_hat=overall.Delta_hat, rho_hat=max(0.0, *rhos),

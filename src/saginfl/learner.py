@@ -190,7 +190,7 @@ class SoftmaxLearner:
                    samples: ProbeSamples) -> np.ndarray:
         """Every device's gradient of the mean loss at one shared model
         ``(P,)``, without the L2 term and in class-major ``(C, d+1)`` order:
-        ``(D, P)`` in the dtype of ``flat`` and ``samples``.
+        ``(D, P)`` in the dtype of ``samples``, to which ``flat`` is cast.
 
         At a shared model the L2 term is the same for every device, so it
         cancels in every difference ``measure_divergence`` takes, and the
@@ -198,7 +198,8 @@ class SoftmaxLearner:
         ``rows`` and ``target_moments`` make the pass one softmax and one
         reduction.
         """
-        probs = self._probabilities(self._shape(flat), samples.x)
+        weights = self._shape(flat.astype(samples.x.dtype, copy=False))
+        probs = self._probabilities(weights, samples.x)
         grads = probs.transpose(1, 0, 2) @ samples.rows
         grads /= samples.x.shape[2]
         grads -= samples.target_moments

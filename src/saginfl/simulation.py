@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -80,6 +80,7 @@ class AggregationWeights:
     ascending device id, the order of a sparse ``(N_S, D)`` matrix product,
     and no weight ever multiplies another satellite's row: a non-finite row
     reaches only its own satellite, and satellites without devices stay 0.
+    Every average and distance is taken in the dtype of the rows given.
     """
 
     sat_of_device: np.ndarray
@@ -121,21 +122,36 @@ class AggregationWeights:
 
     def satellite_average(self, rows: np.ndarray) -> np.ndarray:
         """Data-weighted per-satellite averages of device rows, ``(N_S, P)``."""
-        return self.grouped_average(rows.take(self.order, axis=0))
+        return self._grouped_average(rows.take(self.order, axis=0))
 
-    def grouped_average(self, grouped: np.ndarray) -> np.ndarray:
+    def _grouped_average(self, grouped: np.ndarray) -> np.ndarray:
         """``satellite_average`` of rows already taken in ``order``."""
-        scaled = self.share * grouped
+        scaled = self.share.astype(grouped.dtype, copy=False) * grouped
         out = np.zeros((len(self.sat_frac), scaled.shape[1]), scaled.dtype)
         for sats, rows in self.slots:
             out[sats] += scaled[rows]
         return out
 
-    def astype(self, dtype) -> "AggregationWeights":
-        """The weights with both averaging steps in ``dtype``, so that they
-        keep rows of ``dtype`` in ``dtype``."""
-        return replace(self, share=self.share.astype(dtype),
-                       sat_frac=self.sat_frac.astype(dtype))
+    def divergences(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For device rows ``(D, P)``: each device's distance to its
+        satellite's average, by device id, and each satellite's distance to
+        the data-weighted mean of the satellites, 0 for satellites without
+        devices."""
+        grouped = rows.take(self.order, axis=0)
+        sat = self._grouped_average(grouped)
+        for sats, span in self.slots:
+            grouped[span] -= sat[sats]
+        device = np.empty(len(self.order), grouped.dtype)
+        device[self.order] = _row_norms(grouped)
+        satellite = _row_norms(
+            sat - self.sat_frac.astype(sat.dtype, copy=False) @ sat)
+        satellite[~self.nonempty] = 0.0
+        return device, satellite
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 @dataclass

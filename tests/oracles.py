@@ -23,7 +23,6 @@ from saginfl.allreduce import SyncPlan
 from saginfl.diagnostics import (
     DivergenceEstimate,
     GradContext,
-    _row_norms,
     measure_divergence,
 )
 from saginfl.errors import InputError, TopologyError
@@ -34,7 +33,7 @@ from saginfl.learner import (
     SoftmaxLearner,
     _softmax,
 )
-from saginfl.simulation import AggregationWeights
+from saginfl.simulation import AggregationWeights, _row_norms
 from saginfl.topology import IslGraph, NetworkTopology
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -469,7 +468,7 @@ def sparse_divergence(weights: AggregationWeights, operator: sparse.csr_matrix,
     delta_sat = np.zeros(len(weights.sat_frac))
     for dev_g in device_grads:
         sat_g = operator @ dev_g
-        glob_g = weights.sat_frac @ sat_g
+        glob_g = weights.sat_frac.astype(dev_g.dtype) @ sat_g
         dev_gap = _row_norms(dev_g - sat_g[weights.sat_of_device])
         sat_gap = _row_norms(sat_g - glob_g)
         sat_gap[~weights.nonempty] = 0.0

@@ -600,7 +600,7 @@ class TestAgainstSparseOperator:
             operator = sparse_average_operator(sat_of_device, sizes, n_sats,
                                                dtype)
             rows = signed_rows(rng, len(sat_of_device), dtype)
-            got = weights.astype(dtype).satellite_average(rows)
+            got = weights.satellite_average(rows)
             assert_same_values(got, operator @ rows)
             empty = got[~weights.nonempty]
             assert not empty.any() and not np.signbit(empty).any()
@@ -611,8 +611,7 @@ class TestAgainstSparseOperator:
         rng = np.random.default_rng(22)
         for sat_of_device, n_sats in assignments(rng):
             sizes = rng.integers(1, 50, len(sat_of_device)).astype(float)
-            weights = AggregationWeights.build(sat_of_device, sizes,
-                                               n_sats).astype(dtype)
+            weights = AggregationWeights.build(sat_of_device, sizes, n_sats)
             operator = sparse_average_operator(sat_of_device, sizes, n_sats,
                                                dtype)
             rows = signed_rows(rng, len(sat_of_device), dtype)

@@ -1,8 +1,10 @@
 """Divergence estimation, virtual trajectories, and the convergence bound."""
 
 import sys
+import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from saginfl.config import (
     RunConfig,
     TopologyConfig,
     TrainingConfig,
+    load_config,
 )
 from saginfl.diagnostics import (
     BOUND_TOLERANCE,
@@ -40,6 +43,8 @@ from saginfl.diagnostics import (
 from saginfl.errors import InputError
 from saginfl.learner import ProbeSamples, Samples, SoftmaxLearner
 from saginfl.simulation import AggregationWeights, run_obl
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def naive_softmax_grad(weights, features_aug, labels, l2):
@@ -72,6 +77,26 @@ def small_config(policy="gdo", n_geo=1, seed=0, cpd=2, tau1=2, tau2=2,
     )
 
 
+def count_passes(monkeypatch, names):
+    """Count the calls of each named ``SoftmaxLearner`` method, from any
+    thread, into the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    lock = threading.Lock()
+
+    def counted(name):
+        method = getattr(SoftmaxLearner, name)
+
+        def wrapper(self, *args):
+            with lock:
+                calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(SoftmaxLearner, name, counted(name))
+    return calls
+
+
 def serial_bound_check(trace, satellite_dtype=np.float32):
     """The bound check composed serially from the public pieces.
 
@@ -84,7 +109,6 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
     sat_models = dict(trace.satellite_models)
     nonempty = np.flatnonzero(ctx.weights.nonempty)
     samples32 = ProbeSamples.of(trace.samples, np.float32)
-    weights32 = ctx.weights.astype(np.float32)
     virt = virtual_trajectories(trace, ctx)
     checks, rho_all, beta_all = [], 0.0, 0.0
     for (g, _, path), (t_end, w_end) in zip(virt, trace.global_models[1:]):
@@ -96,7 +120,7 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
                 ctx.weights, grads + [ctx.device_grads(w) for w in satellites])
         else:
             exact = measure_divergence(ctx.weights, grads)
-            probes = measure_divergence(weights32, [
+            probes = measure_divergence(ctx.weights, [
                 ctx.learner.probe_grad(w.astype(np.float32), samples32)
                 for w in satellites])
             delta = np.maximum(exact.delta_per_device,
@@ -153,6 +177,13 @@ class TestTheoremBound:
     def test_extreme_growth_saturates_to_infinity(self):
         value = theorem_bound(1.0, 1.0, 1.0, 50.0, 1.0, 1000, 10)
         assert value == float("inf")
+
+    def test_zero_divergence_adds_zero_where_growth_overflows(self):
+        # h(1100) = 2^1100 - 1 overflows; a zero divergence times it is 0,
+        # not nan
+        assert theorem_bound(0.0, 1.0, 1.0, 1.0, 1.0, 1100, 1) == float("inf")
+        assert theorem_bound(1.0, 0.0, 1.0, 1.0, 1.0, 1, 1100) == 1.0
+        assert theorem_bound(0.0, 0.0, 1.0, 1.0, 1.0, 1100, 1) == 0.0
 
 
 class TestMeasureDivergence:
@@ -228,11 +259,12 @@ class TestMeasureDivergence:
         probes = [trace.learner.probe_grad(w.astype(np.float32), samples32)
                   for _, w in trace.global_models]
         assert all(p.dtype == np.float32 for p in probes)
-        weights32 = trace.aggregation.astype(np.float32)
+        weights = trace.aggregation
         # both averaging steps keep the fold in float32
-        sat_g = weights32.satellite_average(probes[0])
-        assert sat_g.dtype == (weights32.sat_frac @ sat_g).dtype == np.float32
-        got = measure_divergence(weights32, probes)
+        assert weights.satellite_average(probes[0]).dtype == np.float32
+        assert all(gap.dtype == np.float32
+                   for gap in weights.divergences(probes[0]))
+        got = measure_divergence(weights, probes)
         want = divergence_at_global_models(trace)
         for name in ("delta_per_device", "Delta_per_satellite"):
             assert getattr(got, name).dtype == np.float64
@@ -258,8 +290,7 @@ class TestMeasureDivergence:
                       [trace.learner.probe_grad(w.astype(dtype), samples)
                        for _, w in trace.global_models]))
         for sat_of_device, sizes, n_sats, grads in cases:
-            weights = AggregationWeights.build(sat_of_device, sizes,
-                                               n_sats).astype(dtype)
+            weights = AggregationWeights.build(sat_of_device, sizes, n_sats)
             operator = sparse_average_operator(sat_of_device, sizes, n_sats,
                                                dtype)
             got = measure_divergence(weights, grads)
@@ -446,23 +477,45 @@ class TestBoundCheck:
         cfg = small_config(policy="cnasa", n_geo=2, rounds=3, tau1=tau1,
                            tau2=tau2)
         trace = run_obl(cfg)
-        calls = {"loss": 0, "grad": 0, "loss_and_grad": 0}
-
-        def counted(name):
-            method = getattr(SoftmaxLearner, name)
-
-            def wrapper(self, *args):
-                calls[name] += 1
-                return method(self, *args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(SoftmaxLearner, name, counted(name))
+        calls = count_passes(monkeypatch, ("loss", "grad", "loss_and_grad"))
         report = check_convergence_bound(trace)
         assert len(report.intervals) == 3
         assert calls == {"loss": 0, "grad": plain * 3,
                          "loss_and_grad": fused * 3}
         assert report == serial_bound_check(trace)
+
+    @pytest.mark.parametrize("ini,passes", [
+        ("single_orbit.ini",
+         {"grad": 540, "loss_and_grad": 120, "probe_grad": 600, "loss": 0}),
+        ("walker.ini",
+         {"grad": 80, "loss_and_grad": 40, "probe_grad": 2400, "loss": 0}),
+    ], ids=["single_orbit", "walker"])
+    def test_reference_pass_counts(self, monkeypatch, ini, passes):
+        # the check's gradient passes on the reference configs: per
+        # interval, tau1 * tau2 - 2 plain float64 passes along the virtual
+        # path, 4 with their losses (start, midpoint, end and virtual end),
+        # and one float32 probe per satellite holding data
+        trace = run_obl(load_config(CONFIGS / ini))
+        calls = count_passes(monkeypatch, passes)
+        check_convergence_bound(trace)
+        assert calls == passes
+
+    def test_zero_satellite_divergence_where_growth_overflows(self):
+        # one satellite, so Delta_hat = 0, and h(tau1 * tau2) = h(4000)
+        # overflows: the bound is the delta term alone, and it holds
+        cfg = ExperimentConfig(
+            topology=TopologyConfig(n_sats=1, n_air=2, devices_per_air=2),
+            data=DataConfig(n_classes=4, feature_dim=4, samples_per_device=20,
+                            test_samples=100),
+            training=TrainingConfig(tau1=100, tau2=40, global_rounds=1),
+            policy=PolicyConfig(name="gdo", n_geo=1),
+            run=RunConfig(seed=0))
+        report = check_convergence_bound(run_obl(cfg))
+        [check] = report.intervals
+        assert report.Delta_hat == 0.0 < report.delta_hat
+        assert 0 < check.bound < np.inf
+        assert check.margin == check.gap / check.bound
+        assert check.holds
 
     @pytest.mark.parametrize("init_scale", [1e38, 1e39])
     def test_probes_past_float32_range_take_float64(self, init_scale,
