@@ -11,7 +11,8 @@ distribution of the resulting global sum.
 
 A synchronization's rings and transfers depend only on the topology and the
 model size, so they are planned once (``plan_ring``, ``plan_multi_orbit``)
-and the plan serves every round: it holds the transfer schedule as arrays.
+and the plan serves every round. The plan holds the rings; its transfers
+are generated from them, ring step by ring step, where they are read.
 The equal-size rings of a phase are summed together as one stacked array;
 every chunk is summed in the same order as on a ring of its own, so
 stacking moves no bit.
@@ -19,7 +20,7 @@ stacking moves no bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,59 +38,71 @@ def _chunk_size(m: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SyncPlan:
-    """One synchronization's rings, phase by phase, and its transfers.
+    """One synchronization's rings, phase by phase.
 
     ``phases`` holds each phase's rings in execution order; a ring is its
     members' ids in ring order (member k sends to member k+1 mod n).
-    ``transfers`` is a record array in execution order with fields
-    ``phase``, ``step``, ``src``, ``dst`` and ``params``: in ring step
-    ``step`` of ``phase``, satellite ``src`` sends a chunk of ``params``
-    parameters to ``dst``.
+    ``names`` holds each phase's name, the prefix of its transfers' phase
+    (``""`` for a plain ring). Rings run one after another in the listed
+    order; each runs all its scatter steps, then all its gather steps,
+    every member sending once per step.
     """
 
     m: int
     phases: tuple[tuple[tuple[int, ...], ...], ...]
-    transfers: np.ndarray
+    names: tuple[str, ...]
+
+    @classmethod
+    def of(cls, m: int, phases: Sequence[tuple[str, Sequence[Sequence[int]]]],
+           ) -> "SyncPlan":
+        """A plan from ``(name, rings)`` per phase, in execution order."""
+        return cls(m=m, names=tuple(name for name, _ in phases),
+                   phases=tuple(tuple(map(tuple, rings)) for _, rings in phases))
+
+    def steps(self) -> Iterator[tuple[str, int, tuple[int, ...],
+                                      tuple[int, ...], int]]:
+        """The transfers in execution order, one ring step at a time, as
+        columns ``(phase, step, src, dst, params)``: in ring step ``step``
+        of ``phase``, each satellite ``src[k]`` sends a chunk of ``params``
+        parameters to ``dst[k]``. ``src`` is the ring and ``dst`` its
+        members' successors; one-member rings send nothing."""
+        for name, rings in zip(self.names, self.phases):
+            for ring in rings:
+                dst = ring[1:] + ring[:1]
+                params = _chunk_size(self.m, len(ring))
+                for half in ("scatter", "gather"):
+                    for step in range(len(ring) - 1):
+                        yield name + half, step, ring, dst, params
+
+    @cached_property
+    def transfers(self) -> np.ndarray:
+        """``steps`` as one record array, one transfer per row, with fields
+        ``phase``, ``step``, ``src``, ``dst`` and ``params``."""
+        width = max(map(len, self.names)) + len("scatter")
+        return np.array(
+            [(phase, step, s, d, params)
+             for phase, step, src, dst, params in self.steps()
+             for s, d in zip(src, dst)],
+            dtype=[("phase", f"U{width}"), ("step", np.int64),
+                   ("src", np.int64), ("dst", np.int64),
+                   ("params", np.int64)])
 
     @cached_property
     def params_sent(self) -> dict[int, int]:
-        """Parameters each satellite sends, summed over its transfers."""
-        ids, where = np.unique(self.transfers["src"], return_inverse=True)
-        totals = np.zeros(len(ids), dtype=np.int64)
-        np.add.at(totals, where, self.transfers["params"])
-        return dict(zip(ids.tolist(), totals.tolist()))
-
-
-def _plan(m: int, phases: list[tuple[str, list[tuple[int, ...]]]]) -> SyncPlan:
-    """Rings run one after another in the listed order; each runs all its
-    scatter steps, then all its gather steps, every member sending once per
-    step."""
-    width = max(len(prefix) for prefix, _ in phases) + len("scatter")
-    dtype = np.dtype([("phase", f"U{width}"), ("step", np.int64),
-                      ("src", np.int64), ("dst", np.int64),
-                      ("params", np.int64)])
-    blocks = [np.zeros(0, dtype)]
-    for prefix, rings in phases:
-        for ring in rings:
-            n = len(ring)
-            if n == 1:
-                continue
-            ids = np.asarray(ring)
-            for half in ("scatter", "gather"):
-                block = np.empty((n - 1) * n, dtype)
-                block["phase"] = prefix + half
-                block["step"] = np.repeat(np.arange(n - 1), n)
-                block["src"] = np.tile(ids, n - 1)
-                block["dst"] = np.tile(np.roll(ids, -1), n - 1)
-                block["params"] = _chunk_size(m, n)
-                blocks.append(block)
-    return SyncPlan(m=m, phases=tuple(tuple(rings) for _, rings in phases),
-                    transfers=np.concatenate(blocks))
+        """Parameters each satellite sends, summed over the rings it sends
+        in, by satellite id; satellites that send nothing are left out."""
+        sent: dict[int, int] = {}
+        for rings in self.phases:
+            for ring in rings:
+                for s in ring:
+                    sent[s] = (sent.get(s, 0)
+                               + ring_traffic_per_node(len(ring), self.m))
+        return {s: v for s, v in sorted(sent.items()) if v}
 
 
 def plan_ring(ids: Sequence[int], m: int) -> SyncPlan:
     """One ring over ``ids`` for a model of ``m`` parameters."""
-    return _plan(m, [("", [tuple(ids)])])
+    return SyncPlan.of(m, [("", [ids])])
 
 
 def _orbit_representatives(graph: IslGraph) -> list[int]:
@@ -115,10 +128,9 @@ def plan_multi_orbit(graph: IslGraph, m: int) -> SyncPlan:
     """
     if len(graph.orbits) == 1:
         return plan_ring(graph.orbits[0], m)
-    orbits = [tuple(orbit) for orbit in graph.orbits]
-    reps = tuple(_orbit_representatives(graph))
-    return _plan(m, [("phase1-", orbits), ("phase2-", [reps]),
-                     ("phase3-", orbits)])
+    reps = _orbit_representatives(graph)
+    return SyncPlan.of(m, [("phase1-", graph.orbits), ("phase2-", [reps]),
+                           ("phase3-", graph.orbits)])
 
 
 def _ring_sums(vectors: np.ndarray) -> np.ndarray:

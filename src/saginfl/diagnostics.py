@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -57,15 +57,18 @@ class GradContext:
     learner: object
     samples: Samples
     weights: AggregationWeights
-    probe_samples: ProbeSamples
 
     @classmethod
     def from_trace(cls, trace: TrainingTrace) -> "GradContext":
+        return cls(learner=trace.learner, samples=trace.samples,
+                   weights=trace.aggregation)
+
+    @cached_property
+    def probe_samples(self) -> ProbeSamples:
+        """The float32 samples of ``probe_grads``, cast on first use."""
         # non-finite float32 samples send every probe to the float64 pass
         with np.errstate(over="ignore", invalid="ignore"):
-            probe_samples = ProbeSamples.of(trace.samples, np.float32)
-        return cls(learner=trace.learner, samples=trace.samples,
-                   weights=trace.aggregation, probe_samples=probe_samples)
+            return ProbeSamples.of(self.samples, np.float32)
 
     def device_grads(self, w: np.ndarray) -> np.ndarray:
         """Every device's gradient at one shared model, ``(D, P)``."""
@@ -107,8 +110,11 @@ def measure_divergence(weights: AggregationWeights,
     delta_dev = np.zeros(len(weights.device_frac))
     delta_sat = np.zeros(len(weights.sat_frac))
     probes = 0
-    for probes, dev_g in enumerate(device_grads, start=1):
+    for dev_g in device_grads:
+        probes += 1
         dev_gap, sat_gap = weights.divergences(dev_g)
+        # let go of this probe before the next one is computed
+        del dev_g
         delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
     if not probes:
@@ -137,19 +143,23 @@ def _union_divergence(estimates: Iterable[DivergenceEstimate],
 
 def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
                  loss_at: int = 0,
-                 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray,
+                 ) -> tuple[np.ndarray, list[np.ndarray], DivergenceEstimate,
                             dict[int, float]]:
     """Centralized gradient descent from ``w0``.
 
     Returns the ``steps + 1`` models, the global gradient at each model but
-    the last, the device gradients at ``w0``, and the global losses at
-    ``w0`` and at model ``loss_at`` when it is below ``steps``, keyed by
-    model index. Each loss comes from its model's gradient pass, and the
-    other passes take no loss.
+    the last, the divergence estimate with ``w0`` as its one probe, and the
+    global losses at ``w0`` and at model ``loss_at`` when it is below
+    ``steps``, keyed by model index. Each loss comes from its model's
+    gradient pass, and the other passes take no loss. The device gradients
+    at ``w0`` are folded into the estimate right after their pass and
+    dropped, so the path holds one pass's device gradients at a time.
     """
     start_loss, start_grads = ctx.loss_and_grads(w0)
     losses = {0: start_loss}
     grads = [ctx.weights.device_frac @ start_grads]
+    start = measure_divergence(ctx.weights, (start_grads,))
+    del start_grads
     path = [w0.copy(), w0 - eta * grads[0]]
     for i in range(1, steps):
         if i == loss_at:
@@ -159,7 +169,7 @@ def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
         else:
             grads.append(ctx.global_grad(path[i]))
         path.append(path[i] - eta * grads[i])
-    return np.stack(path), grads, start_grads, losses
+    return np.stack(path), grads, start, losses
 
 
 def virtual_trajectories(trace: TrainingTrace, ctx: GradContext | None = None,
@@ -254,16 +264,18 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext, g: int,
     # the virtual path's midpoint is a pair model; it is v_end itself when
     # tau1 * tau2 = 1, whose loss comes from v_end's own pass below
     mid = (tau1 * tau2 + 1) // 2
-    path, path_grads, start_grads, losses = _global_path(
+    path, path_grads, start, losses = _global_path(
         ctx, trace.global_models[g - 1][1], tau1 * tau2, eta, loss_at=mid)
     w_start, v_end = path[0], path[-1]
 
     # Each probe's device gradients are folded into the estimates as soon as
-    # they exist and then dropped: concurrent tasks keep little memory.
+    # they exist and then dropped: a task holds one probe's at a time. The
+    # fold takes maxima, which are exact in any grouping.
     end_loss, end_grads = ctx.loss_and_grads(w_end)
-    endpoints = measure_divergence(weights, (start_grads, end_grads))
+    endpoints = _union_divergence(
+        [start, measure_divergence(weights, (end_grads,))], weights)
     end_grad = weights.device_frac @ end_grads
-    del start_grads, end_grads
+    del end_grads
     v_end_loss, v_end_grads = ctx.loss_and_grads(v_end)
     losses[len(path) - 1] = v_end_loss
     path_grads.append(weights.device_frac @ v_end_grads)
@@ -328,6 +340,8 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     if reason is not None:
         raise InputError(reason)
     ctx = GradContext.from_trace(trace)
+    # cast once, before the workers that read it start
+    ctx.probe_samples
     intervals = range(1, len(trace.global_models))
     workers = min(_available_cpus(), len(intervals))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -9,10 +9,10 @@ written with repr so reruns of the same configuration are byte-identical.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
-import numpy as np
-
+from .allreduce import SyncPlan
 from .diagnostics import BoundReport
 from .simulation import TrainingTrace
 
@@ -36,27 +36,31 @@ def _section(name: str, header: str, rows: Iterable) -> Iterator[str]:
     yield from map(_row, rows)
 
 
-def _schedule(transfers: np.ndarray) -> str:
-    """The transfers' ``[commlog]`` lines without the round: each line
-    starts with its comma, and the lines are joined by line ends.
+def _schedule(plan: SyncPlan) -> list[str]:
+    """The plan's ``[commlog]`` lines without the round, in pieces of at
+    most 1,024 lines: each line starts with its comma, and a piece's lines
+    are joined by line ends.
 
-    Formatted from the columns 1,024 rows at a time: a block's cells and
-    lines are small Python objects, which take fresh pages in larger blocks.
+    Formatted from ``plan.steps()``, straight from the ring ids. A piece's
+    lines are small Python objects, which take fresh pages in larger
+    pieces.
     """
-    line = ",{}" * len(transfers.dtype.names)
-    return "\n".join(
-        "\n".join(map(line.format, *(block[name].tolist()
-                                     for name in block.dtype.names)))
-        for block in np.split(transfers, range(1024, len(transfers), 1024)))
+    lines = (line for phase, step, src, dst, params in plan.steps()
+             for line in map(f",{phase},{step},{{}},{{}},{params}".format,
+                             src, dst))
+    pieces = []
+    while block := list(islice(lines, 1024)):
+        pieces.append("\n".join(block))
+    return pieces
 
 
 def trace_lines(trace: TrainingTrace, report: BoundReport | None,
                 ) -> Iterator[str]:
     """The trace file's text in pieces, each one line or, in ``[commlog]``,
-    one round's lines, without the last line end.
+    up to 1,024 lines of one round, without the last line end.
 
-    A generator, so that writing a long communication log holds one
-    round's text at a time.
+    A generator, so that writing a long communication log holds the
+    schedule's text once and one numbered piece at a time.
     """
     yield from ("# saginfl trace v1", "", "[config]")
     yield trace.config.canonical_text().rstrip("\n")
@@ -83,16 +87,16 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
 
     # one schedule, formatted once as plain text, numbered once per round
     yield from ("", "[commlog]", "round,phase,step,src,dst,params")
-    if trace.sync_plan is not None and len(trace.sync_plan.transfers):
-        schedule = _schedule(trace.sync_plan.transfers)
-        for rnd in rounds:
-            yield str(rnd) + schedule.replace("\n", f"\n{rnd}")
+    schedule = [] if trace.sync_plan is None else _schedule(trace.sync_plan)
+    for rnd in rounds:
+        for piece in schedule:
+            yield str(rnd) + piece.replace("\n", f"\n{rnd}")
 
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,
                 path: Path) -> None:
     with path.open("w") as fh:
-        # a [commlog] round is one long piece: its line end is written
+        # a [commlog] piece is up to 1,024 lines: its line end is written
         # after it, not appended to a copy of it
         for piece in trace_lines(trace, report):
             fh.write(piece)

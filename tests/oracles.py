@@ -436,14 +436,14 @@ def divergence_at_global_models(trace) -> DivergenceEstimate:
 
 
 def commlog_pieces(plan: SyncPlan, n_rounds: int) -> list[str]:
-    """The ``[commlog]`` rows after the header, one piece per round as
-    ``trace_lines`` yields them, formatted row by row with f-strings."""
-    schedule = [f",{phase},{step},{src},{dst},{params}"
-                for phase, step, src, dst, params in plan.transfers.tolist()]
-    if not schedule:
-        return []
-    return [str(rnd) + f"\n{rnd}".join(schedule)
-            for rnd in range(1, n_rounds + 1)]
+    """The ``[commlog]`` rows after the header, each round in pieces of
+    1,024 rows (the last piece holds the rest) as ``trace_lines`` yields
+    them, formatted row by row with f-strings."""
+    rows = plan.transfers.tolist()
+    return ["\n".join(f"{rnd},{phase},{step},{src},{dst},{params}"
+                      for phase, step, src, dst, params in rows[lo:lo + 1024])
+            for rnd in range(1, n_rounds + 1)
+            for lo in range(0, len(rows), 1024)]
 
 
 def sparse_average_operator(sat_of_device: np.ndarray, device_sizes: np.ndarray,

@@ -3,6 +3,7 @@
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -301,6 +302,29 @@ class TestMeasureDivergence:
                 assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert (getattr(got, name) == getattr(want, name)).all()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_union_of_single_probe_folds_is_the_joint_fold(self, dtype):
+        # satellite 2 has no devices; probe b ties a on devices 0, 1 and 5,
+        # and the all-zero probe ties nothing but the zero start
+        weights = AggregationWeights.build(np.array([0, 0, 1, 1, 1, 3]),
+                                           np.array([3.0, 1, 2, 2, 5, 4]), 4)
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 7)).astype(dtype)
+        b = rng.standard_normal((6, 7)).astype(dtype)
+        b[[0, 1, 5]] = a[[0, 1, 5]]
+        zero = np.zeros_like(a)
+        for first, second in ((a, b), (a, a), (zero, a), (b, zero),
+                              (zero, zero)):
+            got = diagnostics._union_divergence(
+                [measure_divergence(weights, (first,)),
+                 measure_divergence(weights, (second,))], weights)
+            want = measure_divergence(weights, (first, second))
+            assert got.delta_hat == want.delta_hat
+            assert got.Delta_hat == want.Delta_hat
+            for name in ("delta_per_device", "Delta_per_satellite"):
+                assert (getattr(got, name) == getattr(want, name)).all()
+        assert want.Delta_per_satellite[2] == 0.0
+
     def test_no_probes_rejected(self):
         trace = run_obl(small_config(rounds=1))
         with pytest.raises(InputError, match="probe"):
@@ -321,6 +345,22 @@ class TestGradContext:
             expected = ctx.weights.device_frac @ device_grads
             assert np.abs(ctx.global_grad(w) - expected).max() < 1e-12
             assert np.abs(ctx.device_grads(w) - device_grads).max() < 1e-12
+
+    def test_probe_samples_cast_only_where_probes_run(self, monkeypatch):
+        trace = run_obl(small_config(rounds=2))
+        of = ProbeSamples.of
+        casts = []
+
+        def counted(samples, dtype):
+            casts.append(dtype)
+            return of(samples, dtype)
+
+        monkeypatch.setattr(ProbeSamples, "of", counted)
+        virtual_trajectories(trace)
+        divergence_at_global_models(trace)
+        assert casts == []
+        check_convergence_bound(trace)
+        assert casts == [np.float32]
 
     def test_one_pass_equals_standalone_loss_and_grads(self):
         # the check's passes give the losses and device gradients of the
@@ -573,6 +613,57 @@ class TestBoundCheck:
             warnings.simplefilter("error", RuntimeWarning)
             report = check_convergence_bound(trace)
         assert report == serial_bound_check(trace, satellite_dtype=np.float64)
+
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["float32_probes", "float64_fallback"])
+    def test_one_device_gradient_array_at_a_time(self, fallback,
+                                                 monkeypatch):
+        # with one worker, at most one float64 (D, P) device-gradient array
+        # from the check's passes is alive at any time, also where the
+        # satellite probes fall back to float64
+        trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
+        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 1)
+        if fallback:
+            probe_grad = SoftmaxLearner.probe_grad
+
+            def poisoned(self, flat, samples):
+                grads = probe_grad(self, flat, samples)
+                grads[0, 0] = np.inf
+                return grads
+
+            monkeypatch.setattr(SoftmaxLearner, "probe_grad", poisoned)
+        shape = (trace.samples.n_devices, trace.global_models[0][1].size)
+        live, peak, seen = [0], [0], [0]
+        lock = threading.Lock()
+
+        def released():
+            with lock:
+                live[0] -= 1
+
+        def tracked(name, pick):
+            method = getattr(GradContext, name)
+
+            def wrapper(self, w):
+                out = method(self, w)
+                grads = pick(out)
+                assert grads.dtype == np.float64 and grads.shape == shape
+                with lock:
+                    live[0] += 1
+                    seen[0] += 1
+                    peak[0] = max(peak[0], live[0])
+                weakref.finalize(grads, released)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(GradContext, "device_grads",
+                            tracked("device_grads", lambda out: out))
+        monkeypatch.setattr(GradContext, "loss_and_grads",
+                            tracked("loss_and_grads", lambda out: out[1]))
+        check_convergence_bound(trace)
+        # 3 intervals of 4 path passes, 2 endpoint passes, and the 4
+        # satellite aggregates' passes when they fall back
+        assert seen[0] == 3 * (6 + (4 if fallback else 0))
+        assert peak[0] == 1 and live[0] == 0
 
     def test_mini_batch_run_rejected(self):
         # one device, so the divergence estimates are 0 and the bound is 0,

@@ -19,7 +19,7 @@ from saginfl.config import (
     TrainingConfig,
     load_config,
 )
-from saginfl import simulation
+from saginfl import cli, simulation
 from saginfl.data import generate_data
 from saginfl.diagnostics import GradContext
 from saginfl.errors import ConfigurationError, TopologyError, TrainingError
@@ -271,6 +271,35 @@ class TestCommLog:
                     for rnd, log in enumerate(logs, start=1)
                     for phase, step, src, dst, params in log.transfers.tolist()]
         assert written == expected and len(expected) > 0
+
+    def test_run_writes_the_log_without_the_transfer_table(
+            self, tmp_path, monkeypatch):
+        # a run, its check and its files read the plan's rings only; the
+        # record array is built here, after the run, when first read
+        traces = []
+
+        def recorded(cfg, _run=cli.run_obl):
+            traces.append(_run(cfg))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run_obl", recorded)
+        cfg = make_config(
+            policy="cnasa", n_geo=2,
+            topology=TopologyConfig(kind="walker", n_planes=3,
+                                    sats_per_plane=4, inclination_deg=85.0,
+                                    air_per_cell=1, devices_per_air=1),
+            data=DataConfig(n_classes=6, feature_dim=6, classes_per_device=2,
+                            samples_per_device=15, test_samples=300),
+            training=TrainingConfig(tau1=2, tau2=2, global_rounds=3))
+        cli.execute_run(cfg, tmp_path)
+        [trace] = traces
+        plan = trace.sync_plan
+        assert "transfers" not in vars(plan)
+        [path] = tmp_path.glob("*.trace.txt")
+        lines = path.read_text().split("\n")
+        written = lines[lines.index("[commlog]") + 2:-1]
+        assert written == "\n".join(commlog_pieces(plan, 3)).split("\n")
+        assert len(plan.transfers) == len(written) // 3 > 0
 
     @pytest.mark.parametrize("plan", [
         plan_multi_orbit(derive_isl_graph(build_walker(3, 4, 85.0, 330.0, 1,

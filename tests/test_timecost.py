@@ -57,7 +57,7 @@ def cost(cfg, m, access=5, assigned=5, hops=0, rings=()):
 
 def sync_time(phases, cfg, m):
     """The sync cost of a plan's ``phases``, as ``price_round`` takes it."""
-    plan = SyncPlan(m=m, phases=phases, transfers=None)
+    plan = SyncPlan.of(m, [("", rings) for rings in phases])
     return price_round(cfg, assignment([0]), plan, m).t_sync
 
 
