@@ -17,20 +17,23 @@ each loss it reads comes out of the float64 gradient pass it makes at the
 same model (``SoftmaxLearner.loss_and_grad``).
 
 Every computation takes the dtype of its data. The satellite-aggregate
-probes are 2,400 of the 2,520 gradient passes on the Walker reference run,
-so they take a cheaper pass: ``GradContext.probe_grads`` runs
-``SoftmaxLearner.probe_grad`` on float32 samples, so the probes and their
-fold are float32, and only the per-device and per-satellite maxima are
-float64. That kernel leaves out the L2 term, which cancels in every
-difference the fold takes, subtracts the samples' model-independent
-``target_moments``, and keeps each device's gradient class-major, since no
-norm or average depends on the order of coordinates. Every other pass (the
-endpoints and the virtual path, with their losses) is float64. As in
-training, overflow is read from the results: the float32 probes run with
-overflow and invalid-value warnings off, and an interval whose float32
-maxima are not all finite takes its satellite probes again in float64. An
-overflow always reaches those maxima: an infinite logit turns nan at the
-max shift, an overflowing sum or norm is inf, ``np.maximum`` keeps a nan.
+probes are 2,400 of the 2,520 models the check takes gradients at on the
+Walker reference run, so they take a cheaper pass:
+``GradContext.probe_grads`` runs ``SoftmaxLearner.probe_grad`` on float32
+samples in the fold's grouped order, two models a pass, whose logits and
+gradients take the bytes of one float64 pass's. The probes and their fold are
+float32, and only the per-device and per-satellite maxima are float64.
+That kernel leaves out the L2 term, which cancels in every difference the
+fold takes, subtracts the samples' model-independent ``target_moments``,
+and keeps each device's gradient class-major, since no norm or average
+depends on the order of coordinates. Every other pass (the endpoints and
+the virtual path, with their losses) is float64. As in training, overflow
+is read from the results: the float32 probes run with overflow and
+invalid-value warnings off, and an interval whose float32 maxima are not
+all finite takes its satellite probes again in float64. An overflow
+always reaches those maxima: an infinite logit turns nan at the max
+shift, an overflowing sum or squared norm is inf, and ``np.maximum`` and
+``sqrt`` keep a nan.
 """
 from __future__ import annotations
 
@@ -65,18 +68,20 @@ class GradContext:
 
     @cached_property
     def probe_samples(self) -> ProbeSamples:
-        """The float32 samples of ``probe_grads``, cast on first use."""
+        """The float32 samples of ``probe_grads`` in the grouped order,
+        cast on first use."""
         # non-finite float32 samples send every probe to the float64 pass
         with np.errstate(over="ignore", invalid="ignore"):
-            return ProbeSamples.of(self.samples, np.float32)
+            return ProbeSamples.of(self.samples, np.float32,
+                                   self.weights.order)
 
     def device_grads(self, w: np.ndarray) -> np.ndarray:
         """Every device's gradient at one shared model, ``(D, P)``."""
         return self.learner.grad(w, self.samples)
 
-    def probe_grads(self, w: np.ndarray) -> np.ndarray:
-        """``SoftmaxLearner.probe_grad`` at one shared model, ``(D, P)``."""
-        return self.learner.probe_grad(w, self.probe_samples)
+    def probe_grads(self, ws: np.ndarray) -> np.ndarray:
+        """``SoftmaxLearner.probe_grad`` at K models: ``(K, D, P)``."""
+        return self.learner.probe_grad(ws, self.probe_samples)
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         return self.weights.device_frac @ self.device_grads(w)
@@ -97,29 +102,37 @@ class DivergenceEstimate:
 
 
 def measure_divergence(weights: AggregationWeights,
-                       device_grads: Iterable[np.ndarray]) -> DivergenceEstimate:
-    """Gradient divergence maxima over probe models, folded from each
-    probe's ``(D, P)`` device gradients.
-
-    ``device_grads`` is read once, one probe at a time, so a generator keeps
-    only the probe being folded. ``AggregationWeights.divergences`` gives
-    each probe's distances in the dtype of its gradients; the maxima are
-    float64, and 0 for satellites without devices (their data weight is 0
-    anyway). Raises InputError when given no probes.
+                       grouped_grads: Iterable[np.ndarray],
+                       ) -> DivergenceEstimate:
+    """Gradient divergence maxima over probe models, folded from the
+    ``(K, D, P)`` device gradients of K probes at a time, with the rows in
+    ``weights.order``; the fold overwrites them, and a generator is read
+    one array at a time. The running maxima are of squared distances
+    (``AggregationWeights.squared_gaps``) in the gradients' dtype; they
+    are returned as float64 distances by device id and satellite, 0 for
+    satellites without devices. ``sqrt`` is monotone and correctly
+    rounded, so the root of a maximum is the maximum of the roots, and a
+    nan stays nan. Raises InputError when given no probes.
     """
-    delta_dev = np.zeros(len(weights.device_frac))
-    delta_sat = np.zeros(len(weights.sat_frac))
-    probes = 0
-    for dev_g in device_grads:
-        probes += 1
-        dev_gap, sat_gap = weights.divergences(dev_g)
-        # let go of this probe before the next one is computed
-        del dev_g
-        delta_dev = np.maximum(delta_dev, dev_gap)
-        delta_sat = np.maximum(delta_sat, sat_gap)
-    if not probes:
+    dev_sq = sat_sq = 0.0  # a Python float: the maxima take the gaps' dtype
+    for grouped in grouped_grads:
+        dev_gap, sat_gap = weights.squared_gaps(grouped)
+        del grouped  # let go of these probes before the next are computed
+        dev_sq = np.maximum(dev_sq, dev_gap).max(axis=0)
+        sat_sq = np.maximum(sat_sq, sat_gap).max(axis=0)
+    if isinstance(dev_sq, float):
         raise InputError("need at least one probe's device gradients")
+    delta_dev = np.empty(len(weights.order))
+    delta_dev[weights.order] = np.sqrt(dev_sq)
+    delta_sat = np.sqrt(sat_sq).astype(float)
+    delta_sat[~weights.nonempty] = 0.0
     return _weighted_divergence(delta_dev, delta_sat, weights)
+
+
+def _one_probe(weights: AggregationWeights,
+               grads: np.ndarray) -> DivergenceEstimate:
+    """One probe's estimate, its ``(D, P)`` rows copied into order."""
+    return measure_divergence(weights, (grads.take(weights.order, 0)[None],))
 
 
 def _weighted_divergence(delta_dev: np.ndarray, delta_sat: np.ndarray,
@@ -158,7 +171,7 @@ def _global_path(ctx: GradContext, w0: np.ndarray, steps: int, eta: float,
     start_loss, start_grads = ctx.loss_and_grads(w0)
     losses = {0: start_loss}
     grads = [ctx.weights.device_frac @ start_grads]
-    start = measure_divergence(ctx.weights, (start_grads,))
+    start = _one_probe(ctx.weights, start_grads)
     del start_grads
     path = [w0.copy(), w0 - eta * grads[0]]
     for i in range(1, steps):
@@ -269,25 +282,27 @@ def _check_interval(trace: TrainingTrace, ctx: GradContext, g: int,
     w_start, v_end = path[0], path[-1]
 
     # Each probe's device gradients are folded into the estimates as soon as
-    # they exist and then dropped: a task holds one probe's at a time. The
-    # fold takes maxima, which are exact in any grouping.
+    # they exist and then dropped: a task holds one float64 probe's or one
+    # float32 pair's at a time. The fold takes maxima, exact in any grouping.
     end_loss, end_grads = ctx.loss_and_grads(w_end)
     endpoints = _union_divergence(
-        [start, measure_divergence(weights, (end_grads,))], weights)
+        [start, _one_probe(weights, end_grads)], weights)
     end_grad = weights.device_frac @ end_grads
     del end_grads
     v_end_loss, v_end_grads = ctx.loss_and_grads(v_end)
     losses[len(path) - 1] = v_end_loss
     path_grads.append(weights.device_frac @ v_end_grads)
-    virtual_end = measure_divergence(weights, (v_end_grads,))
+    virtual_end = _one_probe(weights, v_end_grads)
     del v_end_grads
     # satellite_models runs parallel to global_models[1:]
     sats = trace.satellite_models[g - 1][1][weights.nonempty]
     with np.errstate(over="ignore", invalid="ignore"):
-        satellites = measure_divergence(weights, map(ctx.probe_grads, sats))
+        satellites = measure_divergence(weights, (
+            ctx.probe_grads(sats[k:k + 2]) for k in range(0, len(sats), 2)))
     if not (np.isfinite(satellites.delta_per_device).all()
             and np.isfinite(satellites.Delta_per_satellite).all()):
-        satellites = measure_divergence(weights, map(ctx.device_grads, sats))
+        satellites = measure_divergence(weights, (
+            ctx.device_grads(w).take(weights.order, 0)[None] for w in sats))
     div = _union_divergence([endpoints, virtual_end, satellites], weights)
 
     rho, beta = estimate_rho_beta(

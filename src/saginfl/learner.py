@@ -79,9 +79,9 @@ class Samples:
 @dataclass(frozen=True)
 class ProbeSamples:
     """What ``SoftmaxLearner.probe_grad`` reads of the samples, all in one
-    dtype: the features ``x`` ``(d+1, D, n)``, the same features
-    sample-major and contiguous in ``rows`` ``(D, n, d+1)``, and
-    ``target_moments``, ``Y_i X_i^T / n`` per device, class-major
+    dtype and one device order: the features ``x`` ``(d+1, D, n)``, the
+    same features sample-major and contiguous in ``rows`` ``(D, n, d+1)``,
+    and ``target_moments``, ``Y_i X_i^T / n`` per device, class-major
     ``(D, C, d+1)``: the part of the softmax gradient that no model
     changes."""
 
@@ -90,13 +90,16 @@ class ProbeSamples:
     target_moments: np.ndarray
 
     @classmethod
-    def of(cls, samples: Samples, dtype) -> "ProbeSamples":
-        """``samples`` cast to ``dtype``; the moments are taken from
-        transient class-major one-hot targets in ``dtype``."""
-        x = samples.x.astype(dtype)
+    def of(cls, samples: Samples, dtype, order: np.ndarray) -> "ProbeSamples":
+        """``samples`` cast to ``dtype``, device ``order[i]`` as device i,
+        one feature row at a time; the moments are taken from transient
+        class-major one-hot targets in ``dtype``."""
+        x = np.empty(samples.x.shape, dtype)
+        for row, src in zip(x, samples.x):
+            row[...] = src[order]
         rows = np.ascontiguousarray(x.transpose(1, 2, 0))
         classes = np.arange(samples.n_classes)[:, None, None]
-        targets = (samples.labels == classes).astype(dtype)
+        targets = (samples.labels[order] == classes).astype(dtype)
         moments = targets.transpose(1, 0, 2) @ rows
         moments /= x.shape[2]
         return cls(x=x, rows=rows, target_moments=moments)
@@ -118,7 +121,8 @@ def _softmax(z: np.ndarray, axis: int, labels: np.ndarray | None = None):
     z /= total
     if labels is None:
         return z
-    return z, np.log(total.squeeze(axis)) - target_logit
+    nll = np.log(total, out=total).squeeze(axis)
+    return z, np.subtract(nll, target_logit, out=nll)
 
 
 def _l2_penalty(weights: np.ndarray) -> np.ndarray:
@@ -188,22 +192,27 @@ class SoftmaxLearner:
 
     def probe_grad(self, flat: np.ndarray,
                    samples: ProbeSamples) -> np.ndarray:
-        """Every device's gradient of the mean loss at one shared model
-        ``(P,)``, without the L2 term and in class-major ``(C, d+1)`` order:
-        ``(D, P)`` in the dtype of ``samples``, to which ``flat`` is cast.
+        """Every device's gradient of the mean loss at K shared models
+        ``(K, P)``, without the L2 term and in class-major ``(C, d+1)``
+        order: ``(K, D, P)`` in the dtype and device order of ``samples``.
 
         At a shared model the L2 term is the same for every device, so it
         cancels in every difference ``measure_divergence`` takes, and the
-        order of coordinates changes no norm or average. The samples'
-        ``rows`` and ``target_moments`` make the pass one softmax and one
-        reduction.
+        order of coordinates changes no norm or average. The K models share
+        one logits product, one softmax and one reduction per device with
+        their class axes stacked, and each model's gradients equal its pass
+        alone bit for bit.
         """
+        f, n_dev, n = samples.x.shape
         weights = self._shape(flat.astype(samples.x.dtype, copy=False))
-        probs = self._probabilities(weights, samples.x)
-        grads = probs.transpose(1, 0, 2) @ samples.rows
-        grads /= samples.x.shape[2]
-        grads -= samples.target_moments
-        return grads.reshape(samples.x.shape[1], -1)
+        logits = (weights.transpose(0, 2, 1).reshape(-1, f)
+                  @ samples.x.reshape(f, -1))
+        probs = _softmax(logits.reshape(len(flat), self.n_classes, -1), 1)
+        grads = probs.reshape(-1, n_dev, n).transpose(1, 0, 2) @ samples.rows
+        grads /= n
+        grads = grads.reshape(n_dev, len(flat), self.n_classes, f)
+        grads -= samples.target_moments[:, None]
+        return grads.reshape(n_dev, len(flat), -1).transpose(1, 0, 2)
 
     def loss(self, flat: np.ndarray, samples: Samples) -> np.ndarray:
         """Per-device mean cross-entropy plus (l2/2)*||W||^2, shape ``(D,)``."""
@@ -218,8 +227,9 @@ class SoftmaxLearner:
         weights = self._shape(flat)
         probs, nll = _softmax(self._logits(weights, samples.x), 0,
                               samples.labels)
-        return (nll.mean(axis=1) + self.l2 * _l2_penalty(weights),
-                self._residual_grad(weights, samples, probs))
+        losses = nll.mean(axis=1) + self.l2 * _l2_penalty(weights)
+        del nll  # let go of the per-sample losses before the residual pass
+        return losses, self._residual_grad(weights, samples, probs)
 
     def accuracy(self, flat: np.ndarray, samples: Samples) -> float:
         """The share of ``samples`` whose largest logit is at their label."""

@@ -85,7 +85,7 @@ class AggregationWeights:
 
     sat_of_device: np.ndarray
     order: np.ndarray            # (D,) device ids, slot by slot
-    share: np.ndarray            # (D, 1) |D_i| / |D_k| of each entry of order
+    share: np.ndarray            # (D, 1, 1) |D_i| / |D_k| per entry of order
     slots: tuple[tuple[slice | np.ndarray, slice], ...]
     device_frac: np.ndarray      # |D_i| / |D|
     sat_frac: np.ndarray         # |D_k| / |D|
@@ -116,42 +116,37 @@ class AggregationWeights:
             slots.append((sats, span))
         total = device_sizes.sum()
         return cls(sat_of_device=sat_of_device, order=order,
-                   share=share[order, None], slots=tuple(slots),
+                   share=share[order, None, None], slots=tuple(slots),
                    device_frac=device_sizes / total, sat_frac=totals / total,
                    nonempty=nonempty)
 
     def satellite_average(self, rows: np.ndarray) -> np.ndarray:
         """Data-weighted per-satellite averages of device rows, ``(N_S, P)``."""
-        return self._grouped_average(rows.take(self.order, axis=0))
+        return self._grouped_average(rows.take(self.order, 0)[:, None])[:, 0]
 
     def _grouped_average(self, grouped: np.ndarray) -> np.ndarray:
-        """``satellite_average`` of rows already taken in ``order``."""
+        """``satellite_average`` of K sets of rows ``(D, K, P)`` already
+        taken in ``order``, ``(N_S, K, P)``."""
         scaled = self.share.astype(grouped.dtype, copy=False) * grouped
-        out = np.zeros((len(self.sat_frac), scaled.shape[1]), scaled.dtype)
+        out = np.zeros((len(self.sat_frac),) + scaled.shape[1:], scaled.dtype)
         for sats, rows in self.slots:
             out[sats] += scaled[rows]
         return out
 
-    def divergences(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For device rows ``(D, P)``: each device's distance to its
-        satellite's average, by device id, and each satellite's distance to
-        the data-weighted mean of the satellites, 0 for satellites without
-        devices."""
-        grouped = rows.take(self.order, axis=0)
-        sat = self._grouped_average(grouped)
+    def squared_gaps(self, grouped: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """For K probes' rows ``(K, D, P)`` in ``order``, which it
+        overwrites, device-major as ``SoftmaxLearner.probe_grad`` lays them
+        out: each device's squared distance to its satellite's average,
+        ``(K, D)`` in ``order``, and each satellite's to the mean."""
+        rows = grouped.transpose(1, 0, 2)
+        sat = self._grouped_average(rows)
         for sats, span in self.slots:
-            grouped[span] -= sat[sats]
-        device = np.empty(len(self.order), grouped.dtype)
-        device[self.order] = _row_norms(grouped)
-        satellite = _row_norms(
-            sat - self.sat_frac.astype(sat.dtype, copy=False) @ sat)
-        satellite[~self.nonempty] = 0.0
-        return device, satellite
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array."""
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+            rows[span] -= sat[sats]
+        sat -= (self.sat_frac.astype(sat.dtype, copy=False)
+                @ sat.transpose(1, 0, 2))
+        return (np.einsum("dkp,dkp->kd", rows, rows),
+                np.einsum("skp,skp->ks", sat, sat))
 
 
 @dataclass

@@ -33,7 +33,7 @@ from saginfl.learner import (
     SoftmaxLearner,
     _softmax,
 )
-from saginfl.simulation import AggregationWeights, _row_norms
+from saginfl.simulation import AggregationWeights
 from saginfl.topology import IslGraph, NetworkTopology
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
@@ -432,7 +432,8 @@ def divergence_at_global_models(trace) -> DivergenceEstimate:
     probes, as the bound check reports it overall."""
     ctx = GradContext.from_trace(trace)
     return measure_divergence(
-        ctx.weights, (ctx.device_grads(w) for _, w in trace.global_models))
+        ctx.weights, (ctx.device_grads(w).take(ctx.weights.order, axis=0)[None]
+                      for _, w in trace.global_models))
 
 
 def commlog_pieces(plan: SyncPlan, n_rounds: int) -> list[str]:
@@ -459,18 +460,25 @@ def sparse_average_operator(sat_of_device: np.ndarray, device_sizes: np.ndarray,
         shape=(n_satellites, n_devices)).astype(dtype)
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
 def sparse_divergence(weights: AggregationWeights, operator: sparse.csr_matrix,
                       device_grads) -> DivergenceEstimate:
-    """``measure_divergence`` with the satellite averages taken by the CSR
-    ``operator`` and each device compared with its satellite's row by a
-    gather, in device order."""
+    """``measure_divergence`` over each probe's ``(D, P)`` device gradients
+    in device order, with the satellite averages taken by the CSR
+    ``operator``, each device compared with its satellite's row by a
+    gather, and each probe's distances taken and zeroed for satellites
+    without devices before the running maxima."""
     delta_dev = np.zeros(len(weights.device_frac))
     delta_sat = np.zeros(len(weights.sat_frac))
     for dev_g in device_grads:
         sat_g = operator @ dev_g
         glob_g = weights.sat_frac.astype(dev_g.dtype) @ sat_g
-        dev_gap = _row_norms(dev_g - sat_g[weights.sat_of_device])
-        sat_gap = _row_norms(sat_g - glob_g)
+        dev_gap = row_norms(dev_g - sat_g[weights.sat_of_device])
+        sat_gap = row_norms(sat_g - glob_g)
         sat_gap[~weights.nonempty] = 0.0
         delta_dev = np.maximum(delta_dev, dev_gap)
         delta_sat = np.maximum(delta_sat, sat_gap)
@@ -539,9 +547,11 @@ class OneHotSamples:
         return OneHotSamples(x=np.take_along_axis(self.x, idx[None], axis=2),
                              y=np.take_along_axis(self.y, idx[None], axis=2))
 
-    def probe_samples(self, dtype) -> ProbeSamples:
-        """``ProbeSamples.of`` with the moments from the cast ``y``."""
-        x, y = self.x.astype(dtype), self.y.astype(dtype)
+    def probe_samples(self, dtype, order: np.ndarray) -> ProbeSamples:
+        """``ProbeSamples.of`` with the devices gathered in one take and the
+        moments from the cast ``y``."""
+        x = self.x.astype(dtype).take(order, axis=1)
+        y = self.y.astype(dtype).take(order, axis=1)
         rows = np.ascontiguousarray(x.transpose(1, 2, 0))
         moments = y.transpose(1, 0, 2) @ rows
         moments /= x.shape[2]

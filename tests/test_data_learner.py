@@ -268,7 +268,7 @@ class TestSoftmaxLearner:
     def test_probe_grad_is_grad_without_l2_class_major(self, dtype):
         # the convergence check's satellite probes: the gradient at one
         # shared model without its L2 term, each device's (d+1, C) block
-        # stored transposed
+        # stored transposed, the devices in the samples' order
         rng = np.random.default_rng(13)
         learner = SoftmaxLearner(d=10, n_classes=10, l2=1e-3, init_scale=1.0)
         unregularized = SoftmaxLearner(d=10, n_classes=10, l2=0.0,
@@ -276,10 +276,11 @@ class TestSoftmaxLearner:
         samples = Samples.stack(rng.standard_normal((48, 30, 10)),
                                 rng.integers(0, 10, size=(48, 30)), 10)
         flat = learner.init_params(rng)
+        order = rng.permutation(48)
         want = (unregularized.grad(flat, samples).reshape(48, 11, 10)
-                .transpose(0, 2, 1).reshape(48, -1))
-        got = learner.probe_grad(flat.astype(dtype),
-                                 ProbeSamples.of(samples, dtype))
+                .transpose(0, 2, 1).reshape(48, -1))[order]
+        [got] = learner.probe_grad(flat[None].astype(dtype),
+                                   ProbeSamples.of(samples, dtype, order))
         assert got.dtype == dtype
         assert got.shape == want.shape
         rel = 1e-12 if dtype == np.float64 else 1e-5
@@ -451,8 +452,9 @@ class TestAgainstOneHotTargets:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_probe_samples(self, dtype):
         samples = oracle_samples(np.float64)
-        got = ProbeSamples.of(samples, dtype)
-        want = OneHotSamples.of(samples).probe_samples(dtype)
+        order = np.random.default_rng(18).permutation(samples.n_devices)
+        got = ProbeSamples.of(samples, dtype, order)
+        want = OneHotSamples.of(samples).probe_samples(dtype, order)
         for name in ("x", "rows", "target_moments"):
             assert_same_bits(getattr(got, name), getattr(want, name))
 

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -98,18 +99,25 @@ def count_passes(monkeypatch, names):
     return calls
 
 
+def grouped(weights, *probes):
+    """Device-order ``(D, P)`` probes as one ``measure_divergence`` input:
+    a ``(K, D, P)`` copy with the rows in ``weights.order``."""
+    return np.stack(probes)[:, weights.order]
+
+
 def serial_bound_check(trace, satellite_dtype=np.float32):
     """The bound check composed serially from the public pieces.
 
     In float32 the satellite-aggregate probes go through the probe kernel
-    and are folded in float32, as the check does; in float64 they are taken
-    with ``learner.grad`` and folded with the other probes, all in float64.
+    one model at a time and are folded in float32, as the check does in
+    pairs; in float64 they are taken with ``learner.grad`` and folded with
+    the other probes, all in float64.
     """
     ctx = GradContext.from_trace(trace)
     training = trace.config.training
     sat_models = dict(trace.satellite_models)
     nonempty = np.flatnonzero(ctx.weights.nonempty)
-    samples32 = ProbeSamples.of(trace.samples, np.float32)
+    samples32 = ProbeSamples.of(trace.samples, np.float32, ctx.weights.order)
     virt = virtual_trajectories(trace, ctx)
     checks, rho_all, beta_all = [], 0.0, 0.0
     for (g, _, path), (t_end, w_end) in zip(virt, trace.global_models[1:]):
@@ -118,11 +126,13 @@ def serial_bound_check(trace, satellite_dtype=np.float32):
         satellites = [sat_models[t_end][k] for k in nonempty]
         if satellite_dtype == np.float64:
             div = measure_divergence(
-                ctx.weights, grads + [ctx.device_grads(w) for w in satellites])
+                ctx.weights, [grouped(ctx.weights, g) for g in grads
+                              + [ctx.device_grads(w) for w in satellites]])
         else:
-            exact = measure_divergence(ctx.weights, grads)
+            exact = measure_divergence(
+                ctx.weights, [grouped(ctx.weights, g) for g in grads])
             probes = measure_divergence(ctx.weights, [
-                ctx.learner.probe_grad(w.astype(np.float32), samples32)
+                ctx.learner.probe_grad(w[None].astype(np.float32), samples32)
                 for w in satellites])
             delta = np.maximum(exact.delta_per_device,
                                probes.delta_per_device)
@@ -222,7 +232,8 @@ class TestMeasureDivergence:
         sat = 0.5 * grads[0] + 0.5 * grads[1]
         expect_dev0 = np.linalg.norm(grads[0] - sat)
         ctx = GradContext.from_trace(trace)
-        div = measure_divergence(ctx.weights, [ctx.device_grads(w_flat)])
+        div = measure_divergence(
+            ctx.weights, [grouped(ctx.weights, ctx.device_grads(w_flat))])
         assert abs(div.delta_per_device[0] - expect_dev0) < 1e-12
         # single satellite: its gradient is the global gradient
         assert div.Delta_hat < 1e-12
@@ -246,8 +257,8 @@ class TestMeasureDivergence:
                  for _ in range(3)]
         permuted = [g.reshape(8, 5, 3).transpose(0, 2, 1).reshape(8, -1)
                     for g in grads]
-        want = measure_divergence(weights, grads)
-        got = measure_divergence(weights, permuted)
+        want = measure_divergence(weights, [grouped(weights, *grads)])
+        got = measure_divergence(weights, [grouped(weights, *permuted)])
         assert want.Delta_hat > 0
         assert got.delta_hat == want.delta_hat
         assert got.Delta_hat == want.Delta_hat
@@ -256,16 +267,16 @@ class TestMeasureDivergence:
 
     def test_float32_fold_returns_float64_maxima(self):
         trace = run_obl(small_config(policy="cnasa", n_geo=2, seed=3))
-        samples32 = ProbeSamples.of(trace.samples, np.float32)
-        probes = [trace.learner.probe_grad(w.astype(np.float32), samples32)
-                  for _, w in trace.global_models]
-        assert all(p.dtype == np.float32 for p in probes)
         weights = trace.aggregation
+        samples32 = ProbeSamples.of(trace.samples, np.float32, weights.order)
+        models = np.stack([w for _, w in trace.global_models])
+        probes = trace.learner.probe_grad(models, samples32)
+        assert probes.dtype == np.float32
         # both averaging steps keep the fold in float32
         assert weights.satellite_average(probes[0]).dtype == np.float32
         assert all(gap.dtype == np.float32
-                   for gap in weights.divergences(probes[0]))
-        got = measure_divergence(weights, probes)
+                   for gap in weights.squared_gaps(probes[:1].copy()))
+        got = measure_divergence(weights, [probes])
         want = divergence_at_global_models(trace)
         for name in ("delta_per_device", "Delta_per_satellite"):
             assert getattr(got, name).dtype == np.float64
@@ -285,16 +296,17 @@ class TestMeasureDivergence:
                      for _ in range(3)]
             cases.append((sat_of_device, sizes, n_sats, grads))
         trace = run_obl(small_config(policy="cnasa", n_geo=2, seed=3))
-        samples = ProbeSamples.of(trace.samples, dtype)
+        samples = ProbeSamples.of(trace.samples, dtype,
+                                  np.arange(trace.samples.n_devices))
+        models = np.stack([w for _, w in trace.global_models])
         cases.append((trace.sat_of_device, trace.device_sizes,
                       trace.topology.n_satellites,
-                      [trace.learner.probe_grad(w.astype(dtype), samples)
-                       for _, w in trace.global_models]))
+                      list(trace.learner.probe_grad(models, samples))))
         for sat_of_device, sizes, n_sats, grads in cases:
             weights = AggregationWeights.build(sat_of_device, sizes, n_sats)
             operator = sparse_average_operator(sat_of_device, sizes, n_sats,
                                                dtype)
-            got = measure_divergence(weights, grads)
+            got = measure_divergence(weights, [grouped(weights, *grads)])
             want = sparse_divergence(weights, operator, grads)
             assert got.delta_hat == want.delta_hat
             assert got.Delta_hat == want.Delta_hat
@@ -316,14 +328,60 @@ class TestMeasureDivergence:
         for first, second in ((a, b), (a, a), (zero, a), (b, zero),
                               (zero, zero)):
             got = diagnostics._union_divergence(
-                [measure_divergence(weights, (first,)),
-                 measure_divergence(weights, (second,))], weights)
-            want = measure_divergence(weights, (first, second))
+                [measure_divergence(weights, (grouped(weights, first),)),
+                 measure_divergence(weights, (grouped(weights, second),))],
+                weights)
+            want = measure_divergence(weights,
+                                      (grouped(weights, first, second),))
             assert got.delta_hat == want.delta_hat
             assert got.Delta_hat == want.Delta_hat
             for name in ("delta_per_device", "Delta_per_satellite"):
                 assert (getattr(got, name) == getattr(want, name)).all()
         assert want.Delta_per_satellite[2] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_pairs_equal_device_order_fold(self, dtype):
+        # satellite 2 has no devices and satellite 4 one; b ties a on
+        # devices 0, 3 and 6. Folded in pairs, with a one-probe tail, every
+        # output equals the device-order fold that takes each probe's
+        # distances and zeroes satellites without devices before its
+        # running maxima. An inf or nan row reaches only its own
+        # satellite's average, so the other satellites' devices stay finite
+        sat_of_device = np.array([0, 3, 0, 1, 1, 4, 1, 3, 0])
+        sizes = np.array([3.0, 1, 2, 2, 5, 4, 1, 6, 2])
+        weights = AggregationWeights.build(sat_of_device, sizes, 5)
+        operator = sparse_average_operator(sat_of_device, sizes, 5, dtype)
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((9, 7)).astype(dtype)
+        b = rng.standard_normal((9, 7)).astype(dtype)
+        b[[0, 3, 6]] = a[[0, 3, 6]]
+        zero = np.zeros_like(a)
+        inf_row, nan_row = a.copy(), b.copy()
+        inf_row[5] = np.inf
+        nan_row[3, 2] = np.nan
+        cases = [[a, b, zero], [a, a], [zero], [zero, zero, zero],
+                 [b, zero, a, b, a], [a, b, inf_row], [nan_row, a, b]]
+        for probes in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = measure_divergence(weights, [
+                    grouped(weights, *probes[k:k + 2])
+                    for k in range(0, len(probes), 2)])
+                want = sparse_divergence(weights, operator, probes)
+            for name in ("delta_hat", "Delta_hat", "delta_per_device",
+                         "Delta_per_satellite"):
+                assert (np.asarray(getattr(got, name)).dtype
+                        == np.asarray(getattr(want, name)).dtype)
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+            assert got.Delta_per_satellite[2] == 0.0
+        poisoned = [inf_row, nan_row]
+        for probe, sat in zip(poisoned, (4, 1)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = measure_divergence(weights, [grouped(weights, probe)])
+            assert not np.isfinite(got.delta_per_device[sat_of_device == sat]
+                                   ).all()
+            assert np.isfinite(got.delta_per_device[sat_of_device != sat]
+                               ).all()
 
     def test_no_probes_rejected(self):
         trace = run_obl(small_config(rounds=1))
@@ -351,9 +409,9 @@ class TestGradContext:
         of = ProbeSamples.of
         casts = []
 
-        def counted(samples, dtype):
+        def counted(samples, dtype, order):
             casts.append(dtype)
-            return of(samples, dtype)
+            return of(samples, dtype, order)
 
         monkeypatch.setattr(ProbeSamples, "of", counted)
         virtual_trajectories(trace)
@@ -371,6 +429,76 @@ class TestGradContext:
             loss, grads = ctx.loss_and_grads(w)
             assert loss == global_loss(ctx, w)
             assert (grads == ctx.device_grads(w)).all()
+
+
+def reference_trace(ini):
+    """A one-round run of a reference configuration."""
+    cfg = load_config(CONFIGS / ini)
+    return run_obl(replace(cfg, training=replace(cfg.training,
+                                                 global_rounds=1)))
+
+
+def odd_shape_trace():
+    """A run whose data sits on 5 satellites, with 21 devices of 13
+    samples: D * n = 273 is not a multiple of 16."""
+    return run_obl(ExperimentConfig(
+        topology=TopologyConfig(n_sats=5, n_air=7, devices_per_air=3),
+        data=DataConfig(n_classes=8, feature_dim=8, classes_per_device=2,
+                        samples_per_device=13, test_samples=100),
+        training=TrainingConfig(tau1=2, tau2=2, global_rounds=1),
+        policy=PolicyConfig(name="gdo", n_geo=1),
+        run=RunConfig(seed=0)))
+
+
+class TestProbePairs:
+    @pytest.mark.parametrize("ini", ["single_orbit.ini", "walker.ini", None],
+                             ids=["single_orbit", "walker", "odd_shape"])
+    def test_pair_pass_equals_one_model_passes(self, ini):
+        # each model of a pair pass has the gradients of its pass alone,
+        # bit for bit, and samples laid out in the grouped order give the
+        # device-order rows permuted by that order
+        trace = reference_trace(ini) if ini else odd_shape_trace()
+        weights = trace.aggregation
+        sats = trace.satellite_models[-1][1][weights.nonempty]
+        if ini is None:
+            assert len(sats) % 2 == 1
+            assert trace.samples.x[0].size % 16 != 0
+        in_order = ProbeSamples.of(trace.samples, np.float32, weights.order)
+        by_id = ProbeSamples.of(trace.samples, np.float32,
+                                np.arange(trace.samples.n_devices))
+        for k in range(0, len(sats), 2):
+            pair = trace.learner.probe_grad(sats[k:k + 2], in_order)
+            assert pair.shape[0] == min(2, len(sats) - k)
+            for probe, w in zip(pair, sats[k:k + 2], strict=True):
+                [alone] = trace.learner.probe_grad(w[None], by_id)
+                assert probe.dtype == alone.dtype == np.float32
+                assert probe.tobytes() == alone[weights.order].tobytes()
+
+    @pytest.mark.parametrize("ini", ["single_orbit.ini", "walker.ini"],
+                             ids=["single_orbit", "walker"])
+    def test_pair_pass_peaks_no_higher_than_a_float64_pass(self, ini):
+        # a pair's float32 logits and gradients take the bytes of one
+        # float64 pass's, so the check's probes raise no peak that its
+        # float64 passes do not
+        trace = reference_trace(ini)
+        ctx = GradContext.from_trace(trace)
+        w = trace.global_models[-1][1]
+        pair = trace.satellite_models[-1][1][ctx.weights.nonempty][:2]
+        # the cached arrays are built before the measurements
+        ctx.probe_samples, ctx.samples.target_index
+
+        def peak(pass_at, model):
+            tracemalloc.start()
+            try:
+                pass_at(model)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pair_peak = peak(ctx.probe_grads, pair)
+        float64_peak = peak(ctx.loss_and_grads, w)
+        logits_bytes = trace.samples.labels.size * trace.learner.n_classes * 8
+        assert logits_bytes <= pair_peak <= float64_peak
 
 
 class TestVirtualTrajectories:
@@ -524,21 +652,35 @@ class TestBoundCheck:
                          "loss_and_grad": fused * 3}
         assert report == serial_bound_check(trace)
 
-    @pytest.mark.parametrize("ini,passes", [
+    @pytest.mark.parametrize("ini,passes,probe_models", [
         ("single_orbit.ini",
-         {"grad": 540, "loss_and_grad": 120, "probe_grad": 600, "loss": 0}),
+         {"grad": 540, "loss_and_grad": 120, "probe_grad": 300, "loss": 0},
+         600),
         ("walker.ini",
-         {"grad": 80, "loss_and_grad": 40, "probe_grad": 2400, "loss": 0}),
+         {"grad": 80, "loss_and_grad": 40, "probe_grad": 1200, "loss": 0},
+         2400),
     ], ids=["single_orbit", "walker"])
-    def test_reference_pass_counts(self, monkeypatch, ini, passes):
+    def test_reference_pass_counts(self, monkeypatch, ini, passes,
+                                   probe_models):
         # the check's gradient passes on the reference configs: per
         # interval, tau1 * tau2 - 2 plain float64 passes along the virtual
         # path, 4 with their losses (start, midpoint, end and virtual end),
-        # and one float32 probe per satellite holding data
+        # and one float32 probe per satellite holding data, two models to a
+        # pass; both configs hold data on an even number of satellites
         trace = run_obl(load_config(CONFIGS / ini))
         calls = count_passes(monkeypatch, passes)
+        probe_grad = SoftmaxLearner.probe_grad
+        sizes = []
+
+        def sized(self, flat, samples):
+            sizes.append(len(flat))
+            return probe_grad(self, flat, samples)
+
+        monkeypatch.setattr(SoftmaxLearner, "probe_grad", sized)
         check_convergence_bound(trace)
         assert calls == passes
+        assert sum(sizes) == probe_models
+        assert set(sizes) == {2}
 
     def test_zero_satellite_divergence_where_growth_overflows(self):
         # one satellite, so Delta_hat = 0, and h(tau1 * tau2) = h(4000)
@@ -587,7 +729,7 @@ class TestBoundCheck:
         for (t_end, _), div in zip(trace.global_models[1:], per_interval,
                                    strict=True):
             fold = measure_divergence(ctx.weights, [
-                ctx.device_grads(w)
+                grouped(ctx.weights, ctx.device_grads(w))
                 for w in sat_models[t_end][ctx.weights.nonempty]])
             assert div.delta_hat >= fold.delta_hat > 0
             assert div.Delta_hat >= fold.Delta_hat > 0
@@ -597,21 +739,26 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_probe_fold_takes_float64(self, bad, monkeypatch):
-        # a non-finite float32 probe gradient leaves a non-finite maximum in
-        # the fold, without a warning, and the interval's satellite probes
+        # a non-finite float32 probe gradient of one model of a pair leaves
+        # a non-finite maximum in the fold, without a warning, and all of
+        # the interval's satellite probes, the pair's other model included,
         # are taken again in float64
         trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
         probe_grad = SoftmaxLearner.probe_grad
+        poisoned_pairs = [0]
 
         def poisoned(self, flat, samples):
             grads = probe_grad(self, flat, samples)
-            grads[0, 0] = bad
+            if len(flat) == 2:
+                poisoned_pairs[0] += 1
+                grads[1, 0, 0] = bad
             return grads
 
         monkeypatch.setattr(SoftmaxLearner, "probe_grad", poisoned)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = check_convergence_bound(trace)
+        assert poisoned_pairs[0] >= 3
         assert report == serial_bound_check(trace, satellite_dtype=np.float64)
 
     @pytest.mark.parametrize("fallback", [False, True],
@@ -620,19 +767,30 @@ class TestBoundCheck:
                                                  monkeypatch):
         # with one worker, at most one float64 (D, P) device-gradient array
         # from the check's passes is alive at any time, also where the
-        # satellite probes fall back to float64
+        # satellite probes fall back to float64, and at most one float32
+        # (K, D, P) array of a pair's probes
         trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
         monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 1)
-        if fallback:
-            probe_grad = SoftmaxLearner.probe_grad
-
-            def poisoned(self, flat, samples):
-                grads = probe_grad(self, flat, samples)
-                grads[0, 0] = np.inf
-                return grads
-
-            monkeypatch.setattr(SoftmaxLearner, "probe_grad", poisoned)
         shape = (trace.samples.n_devices, trace.global_models[0][1].size)
+        probe_grad = SoftmaxLearner.probe_grad
+        probes_live, probes_peak, pairs = [0], [0], [0]
+
+        def probes_released():
+            probes_live[0] -= 1
+
+        def tracked_probes(self, flat, samples):
+            grads = probe_grad(self, flat, samples)
+            assert grads.dtype == np.float32
+            assert grads.shape == (len(flat),) + shape
+            probes_live[0] += 1
+            probes_peak[0] = max(probes_peak[0], probes_live[0])
+            pairs[0] += len(flat) == 2
+            weakref.finalize(grads, probes_released)
+            if fallback:
+                grads[0, 0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(SoftmaxLearner, "probe_grad", tracked_probes)
         live, peak, seen = [0], [0], [0]
         lock = threading.Lock()
 
@@ -664,6 +822,9 @@ class TestBoundCheck:
         # satellite aggregates' passes when they fall back
         assert seen[0] == 3 * (6 + (4 if fallback else 0))
         assert peak[0] == 1 and live[0] == 0
+        # the 4 aggregates of each interval in two pairs
+        assert pairs[0] == 3 * 2
+        assert probes_peak[0] == 1 and probes_live[0] == 0
 
     def test_mini_batch_run_rejected(self):
         # one device, so the divergence estimates are 0 and the bound is 0,
