@@ -3,13 +3,15 @@
 ``tests/golden.json`` holds, for each reference configuration and variant
 in ``RUNS``, the SHA-256 of the trace, summary and topology files that
 ``execute_run`` writes with ``global_rounds = 2`` and seed 1, one digest
-per trace section, and the versions of the numpy and BLAS build that
-produced them. ``tests/test_golden.py`` reruns every entry and compares.
+per trace section, and the versions of the numpy and BLAS build and the
+OpenBLAS kernel that produced them. ``tests/test_golden.py`` reruns every
+entry and compares.
 
 A change that moves float results on purpose regenerates the manifest:
 
     PYTHONPATH=src python tests/golden.py
 """
+import ctypes
 import hashlib
 import json
 import platform
@@ -52,7 +54,21 @@ def environment() -> dict:
     return {"python": sys.version.split()[0], "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "openblas_core": openblas_core(),
             "machine": platform.machine()}
+
+
+def openblas_core() -> str:
+    """The kernel the OpenBLAS bundled with numpy runs on this CPU (or
+    under ``OPENBLAS_CORETYPE``), or ``"unknown"`` without that library."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
 
 
 def trace_sections(text: str) -> dict[str, str]:

@@ -463,8 +463,8 @@ class TestCliRun:
                         or len(os.sched_getaffinity(0)) < 2,
                         reason="needs CPU affinity and two CPUs")
     def test_output_independent_of_worker_count(self, config_file, tmp_path):
-        # the training loop's device blocks and the bound check's thread
-        # pool are both sized from the CPUs available
+        # the training loop's device blocks and the bound check's workers
+        # are both sized from the CPUs available
         src = Path(saginfl.__file__).resolve().parents[1]
         cpu = min(os.sched_getaffinity(0))
         digests = set()

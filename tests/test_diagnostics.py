@@ -18,7 +18,7 @@ from oracles import (
     sparse_divergence,
 )
 
-from saginfl import diagnostics
+from saginfl import diagnostics, simulation
 from saginfl.config import (
     DataConfig,
     ExperimentConfig,
@@ -623,7 +623,7 @@ class TestBoundCheck:
     def test_more_workers_than_cores_same_report(self, monkeypatch):
         trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=6))
         expected = check_convergence_bound(trace)
-        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 16)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 16)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -710,7 +710,7 @@ class TestBoundCheck:
         trace = run_obl(replace(cfg, training=replace(
             cfg.training, init_scale=init_scale)))
         # one worker checks the intervals in order
-        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
         unions = []
         union = diagnostics._union_divergence
 
@@ -770,7 +770,7 @@ class TestBoundCheck:
         # satellite probes fall back to float64, and at most one float32
         # (K, D, P) array of a pair's probes
         trace = run_obl(small_config(policy="cnasa", n_geo=2, rounds=3))
-        monkeypatch.setattr(diagnostics, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
         shape = (trace.samples.n_devices, trace.global_models[0][1].size)
         probe_grad = SoftmaxLearner.probe_grad
         probes_live, probes_peak, pairs = [0], [0], [0]

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,9 @@ from saginfl.config import (
     TrainingConfig,
     load_config,
 )
-from saginfl import cli, simulation
+from saginfl import cli, diagnostics, simulation
 from saginfl.data import generate_data
-from saginfl.diagnostics import GradContext
+from saginfl.diagnostics import GradContext, check_convergence_bound
 from saginfl.errors import ConfigurationError, TopologyError, TrainingError
 from saginfl.learner import Samples
 from saginfl.simulation import run_obl
@@ -152,7 +154,8 @@ class TestDeterminism:
 
 class TestDeviceBlocks:
     """Each tau1 segment steps contiguous device blocks, one per available
-    CPU, on a thread pool; no output depends on the block count."""
+    CPU, on the calling thread and a pool of one thread fewer; no output
+    depends on the block count."""
 
     @pytest.mark.parametrize("training", [
         TrainingConfig(tau1=2, tau2=2, global_rounds=3),
@@ -206,6 +209,114 @@ class TestDeviceBlocks:
                     f"non-finite device parameters at local round "
                     f"{first_round}$")):
                 run_obl(cfg)
+
+
+class TestWorkerThreads:
+    """Both parallel phases run on the calling thread plus a pool of one
+    thread fewer; one worker starts no pool thread."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_calling_thread_takes_a_share(self, cpus, monkeypatch):
+        # tasks record their thread; satellite_average, called on the
+        # calling thread after each segment's blocks, closes a segment
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+        events = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                events.append((threading.get_ident(),
+                               threading.active_count()))
+                return fn(*args)
+            return wrapper
+
+        average = simulation.AggregationWeights.satellite_average
+
+        def segment_end(self, rows):
+            events.append(None)
+            return average(self, rows)
+
+        monkeypatch.setattr(simulation, "_local_steps",
+                            recorded(simulation._local_steps))
+        monkeypatch.setattr(simulation.AggregationWeights,
+                            "satellite_average", segment_end)
+        monkeypatch.setattr(diagnostics, "_check_interval",
+                            recorded(diagnostics._check_interval))
+        cfg = make_config(policy="cnasa", n_geo=2, seed=3)
+        caller = threading.get_ident()
+        threads_before = threading.active_count()
+        trace = run_obl(cfg)
+        training = [list(g) for end, g in itertools.groupby(
+            events, key=lambda e: e is None) if not end]
+        events.clear()
+        check_convergence_bound(trace)
+        assert len(training) == (cfg.training.global_rounds
+                                 * cfg.training.tau2)
+        for phase in [[e for seg in training for e in seg], events]:
+            others = {ident for ident, _ in phase} - {caller}
+            assert len(others) <= cpus - 1
+            assert {n for _, n in phase} <= {threads_before, threads_before
+                                              + cpus - 1}
+        for segment in training:
+            assert len(segment) == cpus
+            assert caller in {ident for ident, _ in segment}
+        assert len(events) == cfg.training.global_rounds
+        assert caller in {ident for ident, _ in events}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_map_keeps_item_order_and_earliest_failure(self, cpus,
+                                                       monkeypatch):
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+
+        def square(i, fail):
+            if i in fail:
+                raise ValueError(i)
+            time.sleep(0.001 * (i % 3))
+            return i * i
+
+        with simulation.WorkerThreads(8) as threads:
+            assert threads.workers == cpus
+            assert threads.map(square, range(8), [()] * 8) == [
+                i * i for i in range(8)]
+            with pytest.raises(ValueError) as exc:
+                threads.map(square, range(8), [(3, 6)] * 8)
+            assert exc.value.args == (3,)
+
+    def test_caller_runs_every_item_no_pool_thread_started(self,
+                                                          monkeypatch):
+        # the one pool thread holds item 0 until the caller, working from
+        # the back, has run item 1
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
+        released = threading.Event()
+        ran_on = {}
+
+        def task(i):
+            if i == 0:
+                assert released.wait(timeout=10)
+            ran_on[i] = threading.get_ident()
+            if i == 1:
+                released.set()
+            return i
+
+        with simulation.WorkerThreads(8) as threads:
+            assert threads.map(task, range(6)) == list(range(6))
+        assert {ran_on[i] for i in range(1, 6)} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_error_state_leaves_the_trace_alone(self, cpus,
+                                                       monkeypatch):
+        # at init_scale 10 the softmax underflows in exp; the tasks run
+        # under numpy's default error state whichever thread runs them
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+        cfg = make_config(policy="cnasa", n_geo=2, seed=3,
+                          training=TrainingConfig(tau1=2, tau2=2,
+                                                  global_rounds=3,
+                                                  init_scale=10.0))
+        trace = run_obl(cfg)
+        expected = list(trace_lines(trace, check_convergence_bound(trace)))
+        with np.errstate(all="raise"):
+            trace = run_obl(cfg)
+            got = list(trace_lines(trace, check_convergence_bound(trace)))
+        assert got == expected
 
 
 class TestWalkerRuns:
