@@ -13,9 +13,6 @@ A synchronization's rings and transfers depend only on the topology and the
 model size, so they are planned once (``plan_ring``, ``plan_multi_orbit``)
 and the plan serves every round. The plan holds the rings; its transfers
 are generated from them, ring step by ring step, where they are read.
-The equal-size rings of a phase are summed together as one stacked array;
-every chunk is summed in the same order as on a ring of its own, so
-stacking moves no bit.
 """
 from __future__ import annotations
 
@@ -134,35 +131,21 @@ def plan_multi_orbit(graph: IslGraph, m: int) -> SyncPlan:
 
 
 def _ring_sums(vectors: np.ndarray) -> np.ndarray:
-    """Each ring's element-wise sum, as its chunked ring allreduce leaves it.
+    """One ring's element-wise sum, as its chunked ring allreduce leaves it.
 
-    ``vectors`` is ``(rings, n, M)``: member k of each ring holds
-    ``vectors[:, k]``. Chunk c (entry j is in chunk j // ceil(M/n)) starts
-    at member c and each later member in ring order adds its own chunk c, so
-    n - 1 adds in that order give the ring's bits. The caller is responsible
-    for any weighting (fold it into the inputs). Returns ``(rings, M)``.
+    ``vectors`` is ``(n, M)``: member k of the ring holds ``vectors[k]``.
+    Chunk c (entry j is in chunk j // ceil(M/n)) starts at member c and
+    each later member in ring order adds its own chunk c, so n - 1 adds in
+    that order give the ring's bits. The caller is responsible for any
+    weighting (fold it into the inputs). Returns ``(M,)``.
     """
-    n, m = vectors.shape[1:]
+    n, m = vectors.shape
     entries = np.arange(m)
     chunk = entries // _chunk_size(m, n)
-    acc = vectors[:, chunk, entries]
+    acc = vectors[chunk, entries]
     for k in range(1, n):
-        acc = acc + vectors[:, (chunk + k) % n, entries]
+        acc = acc + vectors[(chunk + k) % n, entries]
     return acc
-
-
-def _phase_sums(vectors: np.ndarray, rings) -> np.ndarray:
-    """One phase: every row of ``vectors`` (row k is satellite k) replaced
-    by its ring's sum, equal-size rings stacked into one call. The rings
-    cover every row."""
-    out = np.empty_like(vectors)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for ring in rings:
-        by_size.setdefault(len(ring), []).append(ring)
-    for same in by_size.values():
-        idx = np.array(same)                  # (rings, n)
-        out[idx] = _ring_sums(vectors[idx])[:, None]
-    return out
 
 
 def _weighted(params: np.ndarray, weights: np.ndarray,
@@ -190,40 +173,35 @@ def _weighted(params: np.ndarray, weights: np.ndarray,
 
 def ring_allreduce_states(params: np.ndarray, weights: np.ndarray,
                           plan: SyncPlan) -> tuple[np.ndarray, SyncPlan]:
-    """Weighted-average synchronization over one ring.
-
-    Row k of ``params`` ``(N, M)`` is satellite k's model and ``weights[k]``
-    its share of the data; ``plan`` is ``plan_ring`` over ids 0..N-1. Each
-    vector is pre-scaled by its weight, so the chunked sum-reduce yields the
-    weighted average in a single pass. Returns every satellite's final
-    vector as ``(N, M)``, all rows bit-identical, and the plan, whose
-    transfers the synchronization made.
-    """
-    scaled = _weighted(params, weights, plan)
+    """``multi_orbit_sync_states`` over a plan of exactly one ring, such as
+    ``plan_ring`` over ids 0..N-1; any other plan is an ``InputError``."""
     if len(plan.phases) != 1 or len(plan.phases[0]) != 1:
         raise InputError(f"ring_allreduce_states runs one ring, the plan has "
                          f"{[len(rings) for rings in plan.phases]} per phase")
-    return _phase_sums(scaled, plan.phases[0]), plan
+    return multi_orbit_sync_states(params, weights, plan)
 
 
 def multi_orbit_sync_states(params: np.ndarray, weights: np.ndarray,
                             plan: SyncPlan) -> tuple[np.ndarray, SyncPlan]:
-    """Three-phase synchronization; inputs and outputs as for
-    ``ring_allreduce_states``, with ``plan`` from ``plan_multi_orbit``.
+    """Weighted-average synchronization over ``plan``: one ring, or the
+    three phases of ``plan_multi_orbit``.
 
-    Phase 1 reduces within every orbit (weights pre-scaled globally) and
-    phase 2 rings over one representative per orbit. Phase 3 only carries
-    that sum round each orbit, so every satellite gets it as is; a ring in
-    which the other members add zero vectors could differ from it only in
-    the sign of an exact zero. A one-orbit plan is its single ring.
+    Row k of ``params`` ``(N, M)`` is satellite k's model and ``weights[k]``
+    its share of the data. Each model is pre-scaled by its weight, so the
+    chunked sum-reduce yields the weighted average in a single pass. Phase 1
+    sums every orbit's ring; phase 2 rings over one representative per
+    orbit, listed in orbit order, so it sums the orbits' sums in that order.
+    Phase 3 only carries that sum round each orbit, so every satellite gets
+    it as is; a ring in which the other members add zero vectors could
+    differ from it only in the sign of an exact zero. Returns every
+    satellite's final vector as ``(N, M)``, all rows bit-identical, and the
+    plan, whose transfers the synchronization made.
     """
     scaled = _weighted(params, weights, plan)
-    if len(plan.phases) == 1:
-        return _phase_sums(scaled, plan.phases[0]), plan
-    orbits, (reps,), _ = plan.phases
-    orbit_sums = _phase_sums(scaled, orbits)
-    global_vec = _ring_sums(orbit_sums[list(reps)][None])[0]
-    return np.tile(global_vec, (len(scaled), 1)), plan
+    sums = np.array([_ring_sums(scaled[list(ring)]) for ring in plan.phases[0]])
+    if len(plan.phases) == 3:
+        sums = _ring_sums(sums)
+    return np.tile(sums, (len(scaled), 1)), plan
 
 
 def ring_traffic_per_node(n: int, m: int) -> int:

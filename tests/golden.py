@@ -1,20 +1,25 @@
 """The golden manifest: digests of the reference configurations' outputs.
 
-``tests/golden.json`` holds, for each reference configuration and variant
-in ``RUNS``, the SHA-256 of the trace, summary and topology files that
-``execute_run`` writes with ``global_rounds = 2`` and seed 1, one digest
-per trace section, and the versions of the numpy and BLAS build and the
-OpenBLAS kernel that produced them. ``tests/test_golden.py`` reruns every
-entry and compares.
+``tests/golden.json`` holds one digest set per OpenBLAS kernel, keyed by
+the kernel's name. A set holds, for each reference configuration and
+variant in ``RUNS``, the SHA-256 of the trace, summary and topology files
+that ``execute_run`` writes with ``global_rounds = 2`` and seed 1, one
+digest per trace section, and the versions of the numpy and BLAS build and
+the kernel that produced them. OpenBLAS picks its kernel when it loads, and
+kernels round some float32 products differently, so ``tests/test_golden.py``
+reruns every entry of the running kernel's set and compares.
 
-A change that moves float results on purpose regenerates the manifest:
+A change that moves float results on purpose regenerates the manifest,
+one subprocess per kernel this CPU can run, with ``OPENBLAS_CORETYPE`` set:
 
     PYTHONPATH=src python tests/golden.py
 """
 import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -35,6 +40,8 @@ RUNS = {"single_orbit.ini": VARIANTS, "walker.ini": VARIANTS}
 NAMES = [f"{ini}:{variant}" for ini, variants in RUNS.items()
          for variant in variants]
 SUFFIXES = (".trace.txt", ".summary.csv", ".topology.tsv")
+# the CPU features each kernel of the manifest needs, by numpy's names
+KERNEL_FEATURES = {"SkylakeX": ("AVX512_SKX",), "Haswell": ("AVX2", "FMA3")}
 
 
 def golden_config(ini: str, variant: str) -> ExperimentConfig:
@@ -71,6 +78,16 @@ def openblas_core() -> str:
     return "unknown"
 
 
+def cpu_runs(kernel: str) -> bool:
+    """Whether this CPU has every feature ``kernel`` needs."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return kernel in KERNEL_FEATURES and all(
+        __cpu_features__.get(f, False) for f in KERNEL_FEATURES[kernel])
+
+
 def trace_sections(text: str) -> dict[str, str]:
     """SHA-256 of each blank-line-separated block of a trace, by its first
     line: the header, then ``[config]``, ``[accuracy]`` and so on."""
@@ -92,13 +109,34 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main() -> None:
+def digest_set() -> dict:
+    """This process's environment and the digests of every run."""
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_digests(golden_config(*name.split(":")),
                                   Path(tmp) / name) for name in NAMES}
-    MANIFEST.write_text(json.dumps(
-        {"environment": environment(), "runs": runs}, indent=1) + "\n")
-    print(f"wrote {MANIFEST} ({len(runs)} runs)")
+    return {"environment": environment(), "runs": runs}
+
+
+def main() -> None:
+    if sys.argv[1:] == ["--this-kernel"]:
+        print(json.dumps(digest_set()))
+        return
+    kernels = [k for k in KERNEL_FEATURES if cpu_runs(k)]
+    if openblas_core() == "unknown" or not kernels:
+        sys.exit("need numpy's bundled OpenBLAS and a CPU that runs one of "
+                 f"{sorted(KERNEL_FEATURES)}")
+    sets = {}
+    for kernel in kernels:
+        child = subprocess.run(
+            [sys.executable, __file__, "--this-kernel"], check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": kernel})
+        sets[kernel] = json.loads(child.stdout.splitlines()[-1])
+        got = sets[kernel]["environment"]["openblas_core"]
+        if got != kernel:
+            sys.exit(f"OPENBLAS_CORETYPE={kernel} loaded the {got} kernel")
+    MANIFEST.write_text(json.dumps(sets, indent=1) + "\n")
+    print(f"wrote {MANIFEST}: kernels {', '.join(sets)}, {len(NAMES)} runs each")
 
 
 if __name__ == "__main__":

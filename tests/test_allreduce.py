@@ -217,7 +217,8 @@ class TestMultiOrbitSync:
 
 
 class TestStackedRings:
-    """The stacked phases against the per-ring, per-step reference."""
+    """The synchronization's sums, ring by ring and phase by phase, against
+    the per-ring, per-step reference."""
 
     def assert_matches_reference(self, graph, m, seed):
         params, weights = random_models(np.random.default_rng(seed),
@@ -258,6 +259,16 @@ class TestStackedRings:
         # the lone satellite of orbit 0 sends only on the representatives' ring
         sent_in = set(plan.transfers["phase"][plan.transfers["src"] == 0].tolist())
         assert sent_in == {"phase2-scatter", "phase2-gather"}
+
+    @pytest.mark.parametrize("m", [7, 10, 23])
+    @pytest.mark.parametrize("seed", [15, 16])
+    def test_orbits_out_of_id_order(self, m, seed):
+        # orbits of unequal sizes, listed out of id order: phase-1 order,
+        # the representatives' ring and id order all differ
+        graph = isl_graph(((3, 4), (4, 5), (3, 5), (1, 2), (0, 3), (2, 5),
+                           (0, 1)), orbits=((3, 4, 5), (0,), (1, 2)))
+        plan = self.assert_matches_reference(graph, m, seed)
+        assert plan.phases[1] == ((3, 0, 1),)
 
     def test_one_satellite_ring(self):
         params, weights = random_models(np.random.default_rng(15), 1, 5)
