@@ -12,7 +12,6 @@ import argparse
 import csv
 import os
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -103,12 +102,18 @@ def _cmd_sweep(args) -> int:
 
     out = output_dir(base) / f"sweep_{args.axis}"
     out.mkdir(parents=True, exist_ok=True)
+    # errors.log holds this sweep's failed cells only
+    (out / "errors.log").unlink(missing_ok=True)
     rows = []
     for value, seed, cfg in cells:
         try:
             summary, status = execute_run(cfg, out), "ok"
         except Exception as exc:  # keep sweeping on per-cell failures
+            import traceback
             summary, status = {}, f"error: {exc}"
+            with open(out / "errors.log", "a") as fh:
+                fh.write(f"{args.axis}={_fmt(value)} seed={seed}\n"
+                         f"{traceback.format_exc()}\n")
         results = [summary.get(c, "") for c in RUNS_COLUMNS[3:-1]]
         rows.append(dict(zip(RUNS_COLUMNS,
                              [args.axis, value, seed, *results, status])))
@@ -175,6 +180,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
         print(f"runtime error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3

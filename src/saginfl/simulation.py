@@ -16,16 +16,20 @@ tau1 steps of such a segment run in parallel: the devices are split into
 contiguous blocks, one per CPU available to the process, and each block
 steps its own rows of the device parameters in place (numpy and BLAS
 release the GIL). ``WorkerThreads`` runs the blocks, and the bound check's
-intervals, on the calling thread plus a pool of one thread fewer: the pool
-takes them from the front and the caller from the back, so a phase on N
-CPUs starts N - 1 threads, and one on a single CPU starts none. With the
-caller idle behind a pool of N, each pool thread grew a malloc arena of its
-own; on a shared 2-core x86-64 box the caller's share took the Walker
-benchmark's peak RSS from 50.92 to 49.53 MB and the single orbit's from
-45.80 to 45.24 MB, wall time unchanged (``BENCH_31.json``). Each device's
-gradient is its own GEMMs and its own per-sample softmax, and the
-mini-batches are drawn in the main thread in step order, so the trace is
-bit-identical whatever the block count and fully determined by the seed.
+intervals, on the calling thread plus a pool of one thread fewer, so N CPUs
+start N - 1 threads and a single CPU none. The pool is ``threading`` alone:
+its threads run jobs from a queue until a sentinel, and each ``map`` hands
+them one job that takes items from the front of a deque while the caller
+takes them from the back. With the caller idle behind a pool of N, each
+pool thread grew a malloc arena of its own; on a shared 2-core x86-64 box
+the caller's share took the Walker benchmark's peak RSS from 50.92 to
+49.53 MB and the single orbit's from 45.80 to 45.24 MB, wall time unchanged
+(``BENCH_31.json``). A pool without ``concurrent.futures``, and so without
+the ``logging`` it loads, with ``cli`` importing ``traceback`` only on
+failure, took about 0.5 MB more off the single orbit's (``BENCH_33.json``).
+Each device's gradient is its own GEMMs and its own per-sample softmax, and
+the mini-batches are drawn in the main thread in step order, so the trace
+is bit-identical whatever the block count and fully determined by the seed.
 Finiteness is checked once per segment; a segment that ends non-finite is
 replayed step by step, from its devices' satellite models, to name its
 first non-finite round.
@@ -34,7 +38,9 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+import queue
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -219,52 +225,76 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_here(fn, args: tuple) -> Future:
-    """``fn(*args)`` run on the calling thread, in a fresh context as on a
-    new thread (so under numpy's default error state), as a done future."""
-    done = Future()
-    try:
-        done.set_result(contextvars.Context().run(fn, *args))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
-
-
 class WorkerThreads:
     """Up to ``limit`` workers, one per CPU available to the process, the
     calling thread counted: ``workers - 1`` pool threads, and none for one
-    worker. Used as a context manager, which shuts the pool down."""
+    worker. The pool threads run jobs from a queue until they get the
+    sentinel ``None``. Used as a context manager, which stops and joins
+    them."""
 
     def __init__(self, limit: int):
         self.workers = max(1, min(_available_cpus(), limit))
-        self._pool = (ThreadPoolExecutor(max_workers=self.workers - 1)
-                      if self.workers > 1 else None)
+        self._jobs = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=self._serve, daemon=True)
+                         for _ in range(self.workers - 1)]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self) -> None:
+        for job in iter(self._jobs.get, None):
+            job()
 
     def __enter__(self) -> WorkerThreads:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
+        for _ in self._threads:
+            self._jobs.put(None)
+        for thread in self._threads:
+            thread.join()
 
     def map(self, fn, *iterables) -> list:
-        """``fn`` over the zipped ``iterables``, like ``Executor.map``: the
-        results in item order, and the earliest item's exception raised.
+        """``fn`` over the zipped ``iterables``: once every item has run,
+        the results in item order, or the earliest failed item's exception
+        raised.
 
-        The caller runs the last item, then, from the back, every item no
-        pool thread has started, while the pool takes them from the front.
-        With no pool the caller runs them all, in order.
+        The pool threads take items from the front and the caller from the
+        back; with no pool the caller runs them all, in order. Every item
+        runs in a fresh context, as on a new thread, so under numpy's
+        default error state.
         """
         items = list(zip(*iterables))
-        if self._pool is None:
-            return [_run_here(fn, args).result() for args in items]
-        futures = [self._pool.submit(fn, *args) for args in items[:-1]]
-        futures.append(_run_here(fn, items[-1]))
-        for i in range(len(items) - 2, -1, -1):
-            if not futures[i].cancel():
-                break
-            futures[i] = _run_here(fn, items[i])
-        return [future.result() for future in futures]
+        results = [None] * len(items)
+        errors = {}
+        todo = deque(range(len(items)))
+
+        def run(pop) -> None:
+            while True:
+                try:
+                    i = pop()
+                except IndexError:
+                    return
+                try:
+                    results[i] = contextvars.Context().run(fn, *items[i])
+                except BaseException as exc:
+                    errors[i] = exc
+
+        done = queue.SimpleQueue()
+
+        def pool_share() -> None:
+            try:
+                run(todo.popleft)
+            finally:
+                done.put(None)
+
+        for _ in self._threads:
+            self._jobs.put(pool_share)
+        run(todo.pop if self._threads else todo.popleft)
+        for _ in self._threads:
+            done.get()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
 
 def _local_steps(learner, eta: float, params: np.ndarray, samples: Samples,

@@ -573,6 +573,31 @@ class TestCliSweep:
         assert [(r[1], r[2]) for r in summary[1:]] == [
             ("2", "1"), ("5", "0"), ("10", "1")]
 
+    def test_failed_cells_keep_their_tracebacks(self, tmp_path, output_root):
+        # every cell diverges at run time; a later sweep without failures
+        # leaves no errors.log behind
+        config = tmp_path / "diverge.ini"
+        config.write_text(SMALL_CONFIG.replace(
+            "[training]", "[training]\nlearning_rate = 1e70"))
+        rc = main(["sweep", str(config), "--axis", "n_geo",
+                   "--values", "3,2", "--seeds", "1"])
+        assert rc == 0
+        sweep_dir = output_root / "out" / "sweep_n_geo"
+        with open(sweep_dir / "runs.csv", newline="") as fh:
+            runs = list(csv.reader(fh))
+        assert all(r[-1].startswith("error: non-finite device parameters")
+                   for r in runs[1:])
+        log = (sweep_dir / "errors.log").read_text()
+        headers = re.findall(r"^n_geo=(\d+) seed=(\d+)$", log, re.M)
+        assert headers == [("3", "1"), ("2", "1")]
+        assert log.count("Traceback (most recent call last):") == 2
+        assert log.count("saginfl.errors.TrainingError: non-finite") == 2
+        assert "in run_obl" in log
+        config.write_text(SMALL_CONFIG)
+        assert main(["sweep", str(config), "--axis", "n_geo",
+                     "--values", "2", "--seeds", "1"]) == 0
+        assert not (sweep_dir / "errors.log").exists()
+
     def test_bad_axis_exit_two(self, config_file):
         assert main(["sweep", str(config_file), "--axis", "n_geo",
                      "--values", "two", "--seeds", "1"]) == 2

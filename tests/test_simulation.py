@@ -280,6 +280,7 @@ class TestWorkerThreads:
             with pytest.raises(ValueError) as exc:
                 threads.map(square, range(8), [(3, 6)] * 8)
             assert exc.value.args == (3,)
+            assert threads.map(square, [], []) == []
 
     def test_caller_runs_every_item_no_pool_thread_started(self,
                                                           monkeypatch):
@@ -300,6 +301,57 @@ class TestWorkerThreads:
         with simulation.WorkerThreads(8) as threads:
             assert threads.map(task, range(6)) == list(range(6))
         assert {ran_on[i] for i in range(1, 6)} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing, expected", [
+        ("pool_exception", ValueError(0)),
+        ("caller_base_exception", KeyboardInterrupt(3))])
+    def test_earliest_failure_raised_and_pool_joined(self, failing, expected,
+                                                     monkeypatch):
+        # item 0 runs on the one pool thread and item 3 on the caller, which
+        # holds item 3 until item 0 has started; map runs every item, then
+        # raises the failure of the earliest item, and the block joins the
+        # pool whichever exception leaves it
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
+        started = threading.Event()
+        ran_on = {}
+
+        def task(i):
+            ran_on[i] = threading.get_ident()
+            if i == 0:
+                started.set()
+                if failing == "pool_exception":
+                    raise ValueError(0)
+            if i == 3:
+                assert started.wait(timeout=10)
+                raise (ValueError(3) if failing == "pool_exception"
+                       else KeyboardInterrupt(3))
+            return i
+
+        threads_before = threading.active_count()
+        with pytest.raises(type(expected)) as exc:
+            with simulation.WorkerThreads(8) as threads:
+                assert threading.active_count() == threads_before + 1
+                threads.map(task, range(4))
+        assert exc.value.args == expected.args
+        assert sorted(ran_on) == [0, 1, 2, 3]
+        assert ran_on[0] != threading.get_ident() == ran_on[3]
+        assert threading.active_count() == threads_before
+
+    def test_every_item_runs_once_under_contention(self, monkeypatch):
+        # more pool threads than cores and a short switch interval: an item
+        # popped twice, or never, would show in the counts
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with simulation.WorkerThreads(8) as threads:
+                for _ in range(20):
+                    ran = []
+                    assert threads.map(lambda i: ran.append(i) or -i,
+                                       range(300)) == [-i for i in range(300)]
+                    assert sorted(ran) == list(range(300))
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_caller_error_state_leaves_the_trace_alone(self, cpus,

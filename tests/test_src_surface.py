@@ -14,7 +14,8 @@ and the command line's argument checks are the only code that raises a
 Importing the command line stays light: it loads no scipy module, and
 neither does a run of a reference configuration; scipy serves the tests'
 reference implementations only. Importing the configuration loads no part
-of the topology, partition, assignment or sync stack.
+of the topology, partition, assignment or sync stack. A run loads neither
+``concurrent.futures`` nor ``logging``, and ``traceback`` only on failure.
 """
 import ast
 import os
@@ -158,3 +159,27 @@ def test_cli_import_and_reference_runs_load_no_scipy(tmp_path):
     config_loads, scipy_loads = out.stdout.splitlines()
     assert config_loads == "[]"
     assert scipy_loads == "[] []"
+
+
+def test_cli_run_loads_no_executor_logging_or_traceback(tmp_path):
+    # the worker pool is plain threading, and traceback serves the error
+    # paths only; each module stays out of every run's memory
+    config = tmp_path / "small.ini"
+    config.write_text(
+        "[topology]\nkind = single\nn_sats = 4\nn_air = 8\n"
+        "devices_per_air = 2\n\n[data]\nsamples_per_device = 15\n"
+        "test_samples = 300\n\n[training]\ntau1 = 2\ntau2 = 2\n"
+        "global_rounds = 2\n\n[policy]\nname = cnasa\nn_geo = 2\n\n"
+        "[run]\nseed = 7\noutput_dir = out\n")
+    script = (
+        "import sys\nimport saginfl.cli\n"
+        "rc = saginfl.cli.main(['run', sys.argv[1]])\n"
+        "print(rc, [m for m in ('concurrent.futures', 'logging', "
+        "'traceback') if m in sys.modules])")
+    env = dict(os.environ, SAGINFL_OUTPUT_ROOT=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script, str(config)],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert list((tmp_path / "out").glob("*.trace.txt"))
