@@ -2,9 +2,10 @@
 
 Subcommands: ``run <config>`` executes one configuration and writes the trace,
 summary, and topology table; ``sweep <config> --axis --values --seeds`` runs
-the cross product and aggregates per-cell statistics; ``validate <config>``
-checks a configuration without running. Exit codes: 0 ok, 2 configuration
-error, 3 runtime error. SAGINFL_OUTPUT_ROOT overrides the output root.
+the cross product, reports each finished cell on stderr, and aggregates
+per-cell statistics; ``validate <config>`` checks a configuration without
+running. Exit codes: 0 ok, 2 configuration error, 3 runtime error.
+SAGINFL_OUTPUT_ROOT overrides the output root.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import argparse
 import csv
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +107,8 @@ def _cmd_sweep(args) -> int:
     # errors.log holds this sweep's failed cells only
     (out / "errors.log").unlink(missing_ok=True)
     rows = []
-    for value, seed, cfg in cells:
+    for i, (value, seed, cfg) in enumerate(cells, start=1):
+        start = time.perf_counter()
         try:
             summary, status = execute_run(cfg, out), "ok"
         except Exception as exc:  # keep sweeping on per-cell failures
@@ -114,6 +117,10 @@ def _cmd_sweep(args) -> int:
             with open(out / "errors.log", "a") as fh:
                 fh.write(f"{args.axis}={_fmt(value)} seed={seed}\n"
                          f"{traceback.format_exc()}\n")
+        # progress goes to stderr, so stdout keeps its one closing line
+        print(f"[{i}/{len(cells)}] {args.axis}={_fmt(value)} seed={seed} "
+              f"{'ok' if status == 'ok' else 'error'} "
+              f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
         results = [summary.get(c, "") for c in RUNS_COLUMNS[3:-1]]
         rows.append(dict(zip(RUNS_COLUMNS,
                              [args.axis, value, seed, *results, status])))

@@ -79,9 +79,10 @@ class Samples:
 @dataclass(frozen=True)
 class ProbeSamples:
     """What ``SoftmaxLearner.probe_grad`` reads of the samples, all in one
-    dtype and one device order: the features ``x`` ``(d+1, D, n)``, the
-    same features sample-major and contiguous in ``rows`` ``(D, n, d+1)``,
-    and ``target_moments``, ``Y_i X_i^T / n`` per device, class-major
+    dtype and one device order: the features sample-major and contiguous in
+    ``rows`` ``(D, n, d+1)``, the same array seen feature-major as ``x``
+    ``(d+1, D, n)`` (a transposed view, so the features are held once), and
+    ``target_moments``, ``Y_i X_i^T / n`` per device, class-major
     ``(D, C, d+1)``: the part of the softmax gradient that no model
     changes."""
 
@@ -92,16 +93,17 @@ class ProbeSamples:
     @classmethod
     def of(cls, samples: Samples, dtype, order: np.ndarray) -> "ProbeSamples":
         """``samples`` cast to ``dtype``, device ``order[i]`` as device i,
-        one feature row at a time; the moments are taken from transient
-        class-major one-hot targets in ``dtype``."""
-        x = np.empty(samples.x.shape, dtype)
+        one feature row at a time into ``rows`` through ``x``; the moments
+        are taken from transient class-major one-hot targets in ``dtype``."""
+        f, n_dev, n = samples.x.shape
+        rows = np.empty((n_dev, n, f), dtype)
+        x = rows.transpose(2, 0, 1)
         for row, src in zip(x, samples.x):
             row[...] = src[order]
-        rows = np.ascontiguousarray(x.transpose(1, 2, 0))
         classes = np.arange(samples.n_classes)[:, None, None]
         targets = (samples.labels[order] == classes).astype(dtype)
         moments = targets.transpose(1, 0, 2) @ rows
-        moments /= x.shape[2]
+        moments /= n
         return cls(x=x, rows=rows, target_moments=moments)
 
 
@@ -200,8 +202,10 @@ class SoftmaxLearner:
         cancels in every difference ``measure_divergence`` takes, and the
         order of coordinates changes no norm or average. The K models share
         one logits product, one softmax and one reduction per device with
-        their class axes stacked, and each model's gradients equal its pass
-        alone bit for bit.
+        their class axes stacked. On OpenBLAS's SkylakeX (AVX-512) sgemm
+        each model's gradients equal its pass alone bit for bit; on its
+        Haswell (AVX2) sgemm a row of both products depends on how many rows
+        the stack has, so they differ in the last bits (ROADMAP item 1).
         """
         f, n_dev, n = samples.x.shape
         weights = self._shape(flat.astype(samples.x.dtype, copy=False))

@@ -598,6 +598,33 @@ class TestCliSweep:
                      "--values", "2", "--seeds", "1"]) == 0
         assert not (sweep_dir / "errors.log").exists()
 
+    def test_progress_line_per_cell_on_stderr(self, config_file, output_root,
+                                              monkeypatch, capsys):
+        # one line per finished cell, in run order, failed cells included;
+        # stdout keeps its one closing line
+        real_run = cli.execute_run
+
+        def failing_cell(cfg, out):
+            if cfg.policy.n_geo == 3 and cfg.run.seed == 1:
+                raise RuntimeError("cell failed, on purpose")
+            return real_run(cfg, out)
+
+        monkeypatch.setattr(cli, "execute_run", failing_cell)
+        rc = main(["sweep", str(config_file), "--axis", "n_geo",
+                   "--values", "3,2", "--seeds", "1,0"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        progress = [re.fullmatch(
+            r"\[(\d)/4\] n_geo=(\d) seed=(\d) (ok|error) \d+\.\d\d s",
+            line) for line in err.splitlines()]
+        assert all(progress)
+        assert [m.groups() for m in progress] == [
+            ("1", "3", "1", "error"), ("2", "3", "0", "ok"),
+            ("3", "2", "1", "ok"), ("4", "2", "0", "ok")]
+        sweep_dir = output_root / "out" / "sweep_n_geo"
+        assert out == (f"wrote {sweep_dir / 'runs.csv'} and "
+                       f"{sweep_dir / 'summary.csv'} (4 runs)\n")
+
     def test_bad_axis_exit_two(self, config_file):
         assert main(["sweep", str(config_file), "--axis", "n_geo",
                      "--values", "two", "--seeds", "1"]) == 2

@@ -457,6 +457,9 @@ class TestAgainstOneHotTargets:
         want = OneHotSamples.of(samples).probe_samples(dtype, order)
         for name in ("x", "rows", "target_moments"):
             assert_same_bits(getattr(got, name), getattr(want, name))
+        # the features are held once: x is a transposed view of rows
+        assert got.rows.flags.c_contiguous
+        assert np.shares_memory(got.x, got.rows)
 
     def test_class_counts(self):
         for labelled, dense, _ in one_hot_cases(oracle_samples(np.float64)):

@@ -74,6 +74,15 @@ class TestDegenerate:
         glob_ts = [t for t, _ in trace.global_models]
         assert glob_ts == [0, 6, 12]
         assert sat_ts == glob_ts[1:]
+        # the record is one (global_rounds, N_S, P) block, slot r holding
+        # global round r + 1
+        block = trace.satellite_models[0][1].base
+        assert block.shape == (2, trace.topology.n_satellites,
+                               trace.learner.n_params)
+        for r, (_, model) in enumerate(trace.satellite_models):
+            assert model.base is block
+            assert model.ctypes.data == block[r].ctypes.data
+            assert model.shape == block.shape[1:]
 
 
 class TestAggregationConservation:
