@@ -114,7 +114,7 @@ def _cmd_sweep(args) -> int:
         except Exception as exc:  # keep sweeping on per-cell failures
             import traceback
             summary, status = {}, f"error: {exc}"
-            with open(out / "errors.log", "a") as fh:
+            with open(out / "errors.log", "a", encoding="utf-8") as fh:
                 fh.write(f"{args.axis}={_fmt(value)} seed={seed}\n"
                          f"{traceback.format_exc()}\n")
         # progress goes to stderr, so stdout keeps its one closing line
@@ -127,12 +127,12 @@ def _cmd_sweep(args) -> int:
 
     # one axis has one value type, so the native order is total
     rows.sort(key=lambda r: (r["value"], r["seed"]))
-    with open(out / "runs.csv", "w", newline="") as fh:
+    with open(out / "runs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RUNS_COLUMNS)
         writer.writerows([_fmt(r[c]) for c in RUNS_COLUMNS] for r in rows)
 
-    with open(out / "summary.csv", "w", newline="") as fh:
+    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGG_COLUMNS)
         for value in sorted({r["value"] for r in rows}):

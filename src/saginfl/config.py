@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigurationError
@@ -205,6 +206,17 @@ def run_stem(cfg: ExperimentConfig) -> str:
     return f"{cfg.run.label}_{policy}_seed{cfg.run.seed}"
 
 
+def _is_file_name(name: str) -> bool:
+    """Whether ``name`` is one file name of at most ``_NAME_MAX`` bytes in
+    the file system's encoding; a name it cannot encode (non-ASCII under an
+    ASCII locale) fits in none."""
+    try:
+        return ("/" not in name and "\0" not in name
+                and len(os.fsencode(name)) <= _NAME_MAX)
+    except UnicodeEncodeError:
+        return False
+
+
 def _require(section: str, key: str, value, ok: bool, rule: str) -> None:
     if not ok:
         raise ConfigurationError(f"[{section}] {key} must be {rule}, got {value!r}")
@@ -247,8 +259,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require("run", "sync_algo", r.sync_algo, r.sync_algo in SYNC_ALGOS,
              f"one of {SYNC_ALGOS}")
     stem = run_stem(cfg)
-    _require("run", "label", r.label, "/" not in stem and "\0" not in stem
-             and len(f"{stem}.topology.tsv".encode()) <= _NAME_MAX,
+    _require("run", "label", r.label, _is_file_name(f"{stem}.topology.tsv"),
              f"free of '/' and NUL, and short enough that "
              f"<label>_<policy>_seed<seed>.topology.tsv fits in {_NAME_MAX} bytes")
     _require("training", "learner", tr.learner,
@@ -308,9 +319,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 

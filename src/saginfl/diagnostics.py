@@ -10,15 +10,15 @@ pairs and inflated by a safety margin before entering the bound.
 ``check_convergence_bound`` checks each global interval as one task that
 reads only models already recorded in the trace. The tasks run concurrently
 on up to one worker per CPU available to the process, the calling thread
-and a pool of one thread fewer (``simulation.WorkerThreads``, which also
-runs training's device blocks; numpy and BLAS release the GIL). Against a
-pool of one thread per CPU with the caller waiting, the caller's share in
-both phases took the Walker benchmark's peak RSS from 50.92 to 49.53 MB on
-2 cores (``BENCH_31.json``). Results are collected and folded in interval
-order, and the only cross-interval steps are maxima, so every output is
-bit-identical whatever the worker count. The check computes only what it
-reports, and each loss it reads comes out of the float64 gradient pass it
-makes at the same model (``SoftmaxLearner.loss_and_grad``).
+and one thread fewer started for the call (``simulation.parallel_map``,
+which also runs training's device blocks; numpy and BLAS release the GIL).
+Against a pool of one thread per CPU with the caller waiting, the caller's
+share in both phases took the Walker benchmark's peak RSS from 50.92 to
+49.53 MB on 2 cores (``BENCH_31.json``). Results are collected and folded
+in interval order, and the only cross-interval steps are maxima, so every
+output is bit-identical whatever the worker count. The check computes only
+what it reports, and each loss it reads comes out of the float64 gradient
+pass it makes at the same model (``SoftmaxLearner.loss_and_grad``).
 
 Every computation takes the dtype of its data. The satellite-aggregate
 probes are 2,400 of the 2,520 models the check takes gradients at on the
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InputError
 from .learner import ProbeSamples, Samples
-from .simulation import AggregationWeights, TrainingTrace, WorkerThreads
+from .simulation import AggregationWeights, TrainingTrace, parallel_map
 
 SAFETY_MARGIN = 1.5
 BOUND_TOLERANCE = 1.05
@@ -361,9 +361,8 @@ def check_convergence_bound(trace: TrainingTrace) -> BoundReport:
     # cast once, before the workers that read it start
     ctx.probe_samples
     intervals = range(1, len(trace.global_models))
-    with WorkerThreads(len(intervals)) as threads:
-        checks, rhos, betas, endpoints = zip(
-            *threads.map(partial(_check_interval, trace, ctx), intervals))
+    checks, rhos, betas, endpoints = zip(
+        *parallel_map(partial(_check_interval, trace, ctx), intervals))
     overall = _union_divergence(endpoints, ctx.weights)
     return BoundReport(intervals=list(checks), delta_hat=overall.delta_hat,
                        Delta_hat=overall.Delta_hat, rho_hat=max(0.0, *rhos),

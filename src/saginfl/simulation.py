@@ -15,18 +15,20 @@ Between two satellite aggregations no device reads another's state, so the
 tau1 steps of such a segment run in parallel: the devices are split into
 contiguous blocks, one per CPU available to the process, and each block
 steps its own rows of the device parameters in place (numpy and BLAS
-release the GIL). ``WorkerThreads`` runs the blocks, and the bound check's
-intervals, on the calling thread plus a pool of one thread fewer, so N CPUs
-start N - 1 threads and a single CPU none. The pool is ``threading`` alone:
-its threads run jobs from a queue until a sentinel, and each ``map`` hands
-them one job that takes items from the front of a deque while the caller
-takes them from the back. With the caller idle behind a pool of N, each
+release the GIL). ``parallel_map`` runs the blocks, and the bound check's
+intervals, on the calling thread plus threads it starts for that one call,
+one fewer than the workers, so N CPUs start N - 1 threads a call and a
+single CPU none. The threads are plain ``threading`` threads that take items
+from the front of a deque while the caller takes them from the back, and
+each call joins its own. With the caller idle behind a pool of N, each
 pool thread grew a malloc arena of its own; on a shared 2-core x86-64 box
 the caller's share took the Walker benchmark's peak RSS from 50.92 to
 49.53 MB and the single orbit's from 45.80 to 45.24 MB, wall time unchanged
-(``BENCH_31.json``). A pool without ``concurrent.futures``, and so without
-the ``logging`` it loads, with ``cli`` importing ``traceback`` only on
-failure, took about 0.5 MB more off the single orbit's (``BENCH_33.json``).
+(``BENCH_31.json``). Dropping ``concurrent.futures``, and so the
+``logging`` it loads, with ``cli`` importing ``traceback`` only on failure,
+took about 0.5 MB more off the single orbit's (``BENCH_33.json``), and
+starting threads per call, with no job queue, keeps ``queue`` and
+``heapq`` out of a run (``BENCH_35.json``).
 Each device's gradient is its own GEMMs and its own per-sample softmax, and
 the mini-batches are drawn in the main thread in step order, so the trace
 is bit-identical whatever the block count and fully determined by the seed.
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import contextvars
 import os
-import queue
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -227,76 +228,52 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class WorkerThreads:
+def worker_count(limit: int) -> int:
     """Up to ``limit`` workers, one per CPU available to the process, the
-    calling thread counted: ``workers - 1`` pool threads, and none for one
-    worker. The pool threads run jobs from a queue until they get the
-    sentinel ``None``. Used as a context manager, which stops and joins
-    them."""
+    calling thread counted."""
+    return max(1, min(_available_cpus(), limit))
 
-    def __init__(self, limit: int):
-        self.workers = max(1, min(_available_cpus(), limit))
-        self._jobs = queue.SimpleQueue()
-        self._threads = [threading.Thread(target=self._serve, daemon=True)
-                         for _ in range(self.workers - 1)]
-        for thread in self._threads:
-            thread.start()
 
-    def _serve(self) -> None:
-        for job in iter(self._jobs.get, None):
-            job()
+def parallel_map(fn, *iterables) -> list:
+    """``fn`` over the zipped ``iterables``: once every item has run, the
+    results in item order, or the earliest failed item's exception raised.
 
-    def __enter__(self) -> WorkerThreads:
-        return self
+    The call starts ``worker_count(len(items)) - 1`` threads, none for one
+    worker, that take items from the front while the caller takes them from
+    the back; with no thread the caller runs them all, in order. The threads
+    are joined before the call returns or raises. Every item runs in a fresh
+    context, as on a new thread, so under numpy's default error state.
+    """
+    items = list(zip(*iterables))
+    results = [None] * len(items)
+    errors = {}
+    todo = deque(range(len(items)))
 
-    def __exit__(self, *exc_info) -> None:
-        for _ in self._threads:
-            self._jobs.put(None)
-        for thread in self._threads:
-            thread.join()
-
-    def map(self, fn, *iterables) -> list:
-        """``fn`` over the zipped ``iterables``: once every item has run,
-        the results in item order, or the earliest failed item's exception
-        raised.
-
-        The pool threads take items from the front and the caller from the
-        back; with no pool the caller runs them all, in order. Every item
-        runs in a fresh context, as on a new thread, so under numpy's
-        default error state.
-        """
-        items = list(zip(*iterables))
-        results = [None] * len(items)
-        errors = {}
-        todo = deque(range(len(items)))
-
-        def run(pop) -> None:
-            while True:
-                try:
-                    i = pop()
-                except IndexError:
-                    return
-                try:
-                    results[i] = contextvars.Context().run(fn, *items[i])
-                except BaseException as exc:
-                    errors[i] = exc
-
-        done = queue.SimpleQueue()
-
-        def pool_share() -> None:
+    def run(pop) -> None:
+        while True:
             try:
-                run(todo.popleft)
-            finally:
-                done.put(None)
+                i = pop()
+            except IndexError:
+                return
+            try:
+                results[i] = contextvars.Context().run(fn, *items[i])
+            except BaseException as exc:
+                errors[i] = exc
 
-        for _ in self._threads:
-            self._jobs.put(pool_share)
-        run(todo.pop if self._threads else todo.popleft)
-        for _ in self._threads:
-            done.get()
-        if errors:
-            raise errors[min(errors)]
-        return results
+    threads = []
+    try:
+        for _ in range(worker_count(len(items)) - 1):
+            thread = threading.Thread(target=run, args=(todo.popleft,),
+                                      daemon=True)
+            thread.start()
+            threads.append(thread)
+        run(todo.pop if threads else todo.popleft)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _local_steps(learner, eta: float, params: np.ndarray, samples: Samples,
@@ -408,49 +385,48 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     # the check's peak RSS on both configs, where the block alone raised
     # the single orbit's (BENCH_34.json)
     record = np.empty((cfg.training.global_rounds, n_sats, m))
-    with WorkerThreads(n_devices) as threads:
-        n_blocks = threads.workers
-        cuts = [n_devices * k // n_blocks for k in range(n_blocks + 1)]
-        blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        block_samples = [Samples(x=samples.x[:, b], labels=samples.labels[b],
-                                 n_classes=samples.n_classes) for b in blocks]
-        for t in range(tau1, total_steps + 1, tau1):
-            if cfg.mini_batch:
-                # per-device sample without replacement (mini-batch mode)
-                batches = [np.argsort(batch_rng.random((n_devices, n_samples)),
-                                      axis=1)[:, :batch_size]
-                           for _ in range(tau1)]
-            else:
-                batches = [None] * tau1
-            threads.map(
-                partial(_local_steps, learner, eta),
-                [device_params[b] for b in blocks], block_samples,
-                [[i if i is None else i[b] for i in batches] for b in blocks])
-            if not np.isfinite(device_params).all():
-                # params -= grads keeps a non-finite entry non-finite, so a
-                # step-by-step replay of the segment finds its first round.
-                # Every segment starts from its devices' satellite models:
-                # tile(w0), the previous segment's broadcast, or the synced
-                # models, whose rows all equal the global model bit for bit
-                start = sat_params[weights.sat_of_device]
-                for r, idx in enumerate(batches, t - tau1 + 1):
-                    _local_steps(learner, eta, start, samples, [idx])
-                    if not np.isfinite(start).all():
-                        raise TrainingError(
-                            f"non-finite device parameters at local round {r}")
+    n_blocks = worker_count(n_devices)
+    cuts = [n_devices * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    block_samples = [Samples(x=samples.x[:, b], labels=samples.labels[b],
+                             n_classes=samples.n_classes) for b in blocks]
+    for t in range(tau1, total_steps + 1, tau1):
+        if cfg.mini_batch:
+            # per-device sample without replacement (mini-batch mode)
+            batches = [np.argsort(batch_rng.random((n_devices, n_samples)),
+                                  axis=1)[:, :batch_size]
+                       for _ in range(tau1)]
+        else:
+            batches = [None] * tau1
+        parallel_map(
+            partial(_local_steps, learner, eta),
+            [device_params[b] for b in blocks], block_samples,
+            [[i if i is None else i[b] for i in batches] for b in blocks])
+        if not np.isfinite(device_params).all():
+            # params -= grads keeps a non-finite entry non-finite, so a
+            # step-by-step replay of the segment finds its first round.
+            # Every segment starts from its devices' satellite models:
+            # tile(w0), the previous segment's broadcast, or the synced
+            # models, whose rows all equal the global model bit for bit
+            start = sat_params[weights.sat_of_device]
+            for r, idx in enumerate(batches, t - tau1 + 1):
+                _local_steps(learner, eta, start, samples, [idx])
+                if not np.isfinite(start).all():
+                    raise TrainingError(
+                        f"non-finite device parameters at local round {r}")
 
-            sat_params = np.where(weights.nonempty[:, None],
-                                  weights.satellite_average(device_params),
-                                  sat_params)
-            if t % (tau1 * tau2) == 0:
-                # the record keeps a copy of the aggregates; the sync writes
-                # new ones whose rows all equal the global model bit for bit
-                slot = record[len(trace.satellite_models)]
-                slot[...] = sat_params
-                trace.satellite_models.append((t, slot))
-                sat_params, _ = sync(sat_params, weights.sat_frac, plan)
-                trace.global_models.append((t, sat_params[0].copy()))
-            device_params = sat_params[weights.sat_of_device]
+        sat_params = np.where(weights.nonempty[:, None],
+                              weights.satellite_average(device_params),
+                              sat_params)
+        if t % (tau1 * tau2) == 0:
+            # the record keeps a copy of the aggregates; the sync writes
+            # new ones whose rows all equal the global model bit for bit
+            slot = record[len(trace.satellite_models)]
+            slot[...] = sat_params
+            trace.satellite_models.append((t, slot))
+            sat_params, _ = sync(sat_params, weights.sat_frac, plan)
+            trace.global_models.append((t, sat_params[0].copy()))
+        device_params = sat_params[weights.sat_of_device]
     trace.accuracy = [
         (g, t, learner.accuracy(w, test))
         for g, (t, w) in enumerate(trace.global_models[1:], start=1)]

@@ -263,5 +263,5 @@ def write_topology_table(topology: NetworkTopology, path,
         lines.append(f"{air}\tair\t{la!r}\t{lo!r}\t{AIR_ALTITUDE_M!r}\t{parent}")
     for dev, air in enumerate(topology.air_of_device.tolist()):
         lines.append(f"{dev}\tdevice\t{air_lat[air]!r}\t{air_lon[air]!r}\t0.0\t{air}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -95,7 +95,7 @@ def trace_lines(trace: TrainingTrace, report: BoundReport | None,
 
 def write_trace(trace: TrainingTrace, report: BoundReport | None,
                 path: Path) -> None:
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         # a [commlog] piece is up to 1,024 lines: its line end is written
         # after it, not appended to a copy of it
         for piece in trace_lines(trace, report):
@@ -124,4 +124,4 @@ def summary_text(row: dict) -> str:
 
 
 def write_summary(row: dict, path: Path) -> None:
-    path.write_text(summary_text(row))
+    path.write_text(summary_text(row), encoding="utf-8")

@@ -503,6 +503,50 @@ class TestCliRun:
         assert err == f"configuration error: {message}\n" * 2
         assert not (output_root / "out").exists()
 
+    def test_config_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale, with UTF-8 mode and locale coercion off, makes
+        # Python's default encoding ASCII: a non-ASCII comment still runs,
+        # to the bytes of a UTF-8 run; a non-ASCII label, which no ASCII
+        # file name holds, and a file that is not UTF-8 are config errors
+        src = Path(saginfl.__file__).resolve().parents[1]
+        utf8 = {"PYTHONUTF8": "1"}
+        ascii_c = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+        def run(name, text, locale):
+            config = tmp_path / f"{name}.ini"
+            config.write_bytes(text)
+            root = tmp_path / f"{name}_{locale['PYTHONUTF8']}"
+            env = dict(os.environ, **locale, SAGINFL_OUTPUT_ROOT=str(root),
+                       PYTHONPATH=os.pathsep.join(
+                           [str(src), os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "saginfl.cli", "run",
+                                   str(config)], env=env, capture_output=True)
+            return proc, root / "out"
+
+        commented = SMALL_CONFIG.replace(
+            "output_dir = out", "output_dir = out ; sortie \u00e9t\u00e9")
+        outputs = []
+        for locale in (utf8, ascii_c):
+            proc, out = run("commented", commented.encode(), locale)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
+
+        proc, out = run("label", (SMALL_CONFIG + "label = caf\u00e9\n").encode(),
+                        ascii_c)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            b"configuration error: [run] label must be")
+        assert not out.exists()
+        for locale in (utf8, ascii_c):
+            proc, out = run("invalid", SMALL_CONFIG.encode() + b"; \xff\n",
+                            locale)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(
+                b"configuration error: cannot read config ")
+            assert not out.exists()
+
 
 class TestCliSweep:
     def test_single_cell(self, config_file, output_root):

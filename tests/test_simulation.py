@@ -163,8 +163,8 @@ class TestDeterminism:
 
 class TestDeviceBlocks:
     """Each tau1 segment steps contiguous device blocks, one per available
-    CPU, on the calling thread and a pool of one thread fewer; no output
-    depends on the block count."""
+    CPU, on the calling thread and threads started for the segment, one
+    fewer than the blocks; no output depends on the block count."""
 
     @pytest.mark.parametrize("training", [
         TrainingConfig(tau1=2, tau2=2, global_rounds=3),
@@ -220,9 +220,9 @@ class TestDeviceBlocks:
                 run_obl(cfg)
 
 
-class TestWorkerThreads:
-    """Both parallel phases run on the calling thread plus a pool of one
-    thread fewer; one worker starts no pool thread."""
+class TestParallelMap:
+    """Both parallel phases run on the calling thread plus threads started
+    for the call, one fewer than the workers; one worker starts none."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_calling_thread_takes_a_share(self, cpus, monkeypatch):
@@ -260,7 +260,7 @@ class TestWorkerThreads:
         check_convergence_bound(trace)
         assert len(training) == (cfg.training.global_rounds
                                  * cfg.training.tau2)
-        for phase in [[e for seg in training for e in seg], events]:
+        for phase in [*training, events]:
             others = {ident for ident, _ in phase} - {caller}
             assert len(others) <= cpus - 1
             assert {n for _, n in phase} <= {threads_before, threads_before
@@ -270,10 +270,10 @@ class TestWorkerThreads:
             assert caller in {ident for ident, _ in segment}
         assert len(events) == cfg.training.global_rounds
         assert caller in {ident for ident, _ in events}
+        assert threading.active_count() == threads_before
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_map_keeps_item_order_and_earliest_failure(self, cpus,
-                                                       monkeypatch):
+    def test_keeps_item_order_and_earliest_failure(self, cpus, monkeypatch):
         monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
 
         def square(i, fail):
@@ -282,19 +282,18 @@ class TestWorkerThreads:
             time.sleep(0.001 * (i % 3))
             return i * i
 
-        with simulation.WorkerThreads(8) as threads:
-            assert threads.workers == cpus
-            assert threads.map(square, range(8), [()] * 8) == [
-                i * i for i in range(8)]
-            with pytest.raises(ValueError) as exc:
-                threads.map(square, range(8), [(3, 6)] * 8)
-            assert exc.value.args == (3,)
-            assert threads.map(square, [], []) == []
+        assert simulation.worker_count(8) == cpus
+        assert simulation.worker_count(0) == 1
+        assert simulation.parallel_map(square, range(8), [()] * 8) == [
+            i * i for i in range(8)]
+        with pytest.raises(ValueError) as exc:
+            simulation.parallel_map(square, range(8), [(3, 6)] * 8)
+        assert exc.value.args == (3,)
+        assert simulation.parallel_map(square, [], []) == []
 
-    def test_caller_runs_every_item_no_pool_thread_started(self,
-                                                          monkeypatch):
-        # the one pool thread holds item 0 until the caller, working from
-        # the back, has run item 1
+    def test_caller_takes_items_from_the_back(self, monkeypatch):
+        # the one started thread holds item 0 until the caller, working
+        # from the back, has run item 1
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
         released = threading.Event()
         ran_on = {}
@@ -307,58 +306,75 @@ class TestWorkerThreads:
                 released.set()
             return i
 
-        with simulation.WorkerThreads(8) as threads:
-            assert threads.map(task, range(6)) == list(range(6))
+        assert simulation.parallel_map(task, range(6)) == list(range(6))
         assert {ran_on[i] for i in range(1, 6)} == {threading.get_ident()}
 
+    def test_one_worker_runs_every_item_on_the_caller(self, monkeypatch):
+        # no thread is started: the items run in order on the caller
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
+        threads_before = threading.active_count()
+        ran = []
+
+        def task(i):
+            ran.append((i, threading.get_ident(), threading.active_count()))
+            return -i
+
+        assert simulation.parallel_map(task, range(5)) == [
+            -i for i in range(5)]
+        assert ran == [(i, threading.get_ident(), threads_before)
+                       for i in range(5)]
+
     @pytest.mark.parametrize("failing, expected", [
-        ("pool_exception", ValueError(0)),
+        ("thread_exception", ValueError(0)),
         ("caller_base_exception", KeyboardInterrupt(3))])
-    def test_earliest_failure_raised_and_pool_joined(self, failing, expected,
-                                                     monkeypatch):
-        # item 0 runs on the one pool thread and item 3 on the caller, which
-        # holds item 3 until item 0 has started; map runs every item, then
-        # raises the failure of the earliest item, and the block joins the
-        # pool whichever exception leaves it
+    def test_earliest_failure_raised_and_threads_joined(self, failing,
+                                                        expected,
+                                                        monkeypatch):
+        # item 0 runs on the one started thread and item 3 on the caller:
+        # each holds until the other has started; parallel_map runs every
+        # item, joins the thread, then raises the failure of the earliest
+        # item
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
-        started = threading.Event()
+        started = {0: threading.Event(), 3: threading.Event()}
         ran_on = {}
+        threads_before = threading.active_count()
 
         def task(i):
             ran_on[i] = threading.get_ident()
-            if i == 0:
-                started.set()
-                if failing == "pool_exception":
-                    raise ValueError(0)
+            if i in started:
+                assert threading.active_count() == threads_before + 1
+                started[i].set()
+                assert started[3 - i].wait(timeout=10)
+            if i == 0 and failing == "thread_exception":
+                raise ValueError(0)
             if i == 3:
-                assert started.wait(timeout=10)
-                raise (ValueError(3) if failing == "pool_exception"
+                raise (ValueError(3) if failing == "thread_exception"
                        else KeyboardInterrupt(3))
             return i
 
-        threads_before = threading.active_count()
         with pytest.raises(type(expected)) as exc:
-            with simulation.WorkerThreads(8) as threads:
-                assert threading.active_count() == threads_before + 1
-                threads.map(task, range(4))
+            simulation.parallel_map(task, range(4))
         assert exc.value.args == expected.args
         assert sorted(ran_on) == [0, 1, 2, 3]
         assert ran_on[0] != threading.get_ident() == ran_on[3]
         assert threading.active_count() == threads_before
 
     def test_every_item_runs_once_under_contention(self, monkeypatch):
-        # more pool threads than cores and a short switch interval: an item
-        # popped twice, or never, would show in the counts
+        # more threads than cores and a short switch interval: an item
+        # popped twice, or never, would show in the counts, and a thread
+        # that outlived its call in the thread count
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 8)
+        threads_before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with simulation.WorkerThreads(8) as threads:
-                for _ in range(20):
-                    ran = []
-                    assert threads.map(lambda i: ran.append(i) or -i,
-                                       range(300)) == [-i for i in range(300)]
-                    assert sorted(ran) == list(range(300))
+            for _ in range(20):
+                ran = []
+                assert simulation.parallel_map(
+                    lambda i: ran.append(i) or -i,
+                    range(300)) == [-i for i in range(300)]
+                assert sorted(ran) == list(range(300))
+                assert threading.active_count() == threads_before
         finally:
             sys.setswitchinterval(interval)
 

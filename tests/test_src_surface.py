@@ -14,8 +14,9 @@ and the command line's argument checks are the only code that raises a
 Importing the command line stays light: it loads no scipy module, and
 neither does a run of a reference configuration; scipy serves the tests'
 reference implementations only. Importing the configuration loads no part
-of the topology, partition, assignment or sync stack. A run loads neither
-``concurrent.futures`` nor ``logging``, and ``traceback`` only on failure.
+of the topology, partition, assignment or sync stack. A run loads none of
+``concurrent.futures``, ``logging``, ``queue`` and ``heapq``, and
+``traceback`` only on failure.
 """
 import ast
 import os
@@ -162,8 +163,9 @@ def test_cli_import_and_reference_runs_load_no_scipy(tmp_path):
 
 
 def test_cli_run_loads_no_executor_logging_or_traceback(tmp_path):
-    # the worker pool is plain threading, and traceback serves the error
-    # paths only; each module stays out of every run's memory
+    # the worker threads are plain threading, started per call with no job
+    # queue, and traceback serves the error paths only; each module stays
+    # out of every run's memory
     config = tmp_path / "small.ini"
     config.write_text(
         "[topology]\nkind = single\nn_sats = 4\nn_air = 8\n"
@@ -175,7 +177,8 @@ def test_cli_run_loads_no_executor_logging_or_traceback(tmp_path):
         "import sys\nimport saginfl.cli\n"
         "rc = saginfl.cli.main(['run', sys.argv[1]])\n"
         "print(rc, [m for m in ('concurrent.futures', 'logging', "
-        "'traceback') if m in sys.modules])")
+        "'traceback', 'queue', '_queue', 'heapq', '_heapq') "
+        "if m in sys.modules])")
     env = dict(os.environ, SAGINFL_OUTPUT_ROOT=str(tmp_path),
                PYTHONPATH=os.pathsep.join(
                    [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
