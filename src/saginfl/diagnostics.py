@@ -12,13 +12,11 @@ reads only models already recorded in the trace. The tasks run concurrently
 on up to one worker per CPU available to the process, the calling thread
 and one thread fewer started for the call (``simulation.parallel_map``,
 which also runs training's device blocks; numpy and BLAS release the GIL).
-Against a pool of one thread per CPU with the caller waiting, the caller's
-share in both phases took the Walker benchmark's peak RSS from 50.92 to
-49.53 MB on 2 cores (``BENCH_31.json``). Results are collected and folded
-in interval order, and the only cross-interval steps are maxima, so every
-output is bit-identical whatever the worker count. The check computes only
-what it reports, and each loss it reads comes out of the float64 gradient
-pass it makes at the same model (``SoftmaxLearner.loss_and_grad``).
+Results are collected and folded in interval order, and the only
+cross-interval steps are maxima, so every output is bit-identical whatever
+the worker count. The check computes only what it reports, and each loss it
+reads comes out of the float64 gradient pass it makes at the same model
+(``SoftmaxLearner.loss_and_grad``).
 
 Every computation takes the dtype of its data. The satellite-aggregate
 probes are 2,400 of the 2,520 models the check takes gradients at on the

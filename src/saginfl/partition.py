@@ -6,10 +6,10 @@ sub-graph of the residual graph from a randomly picked satellite and grows
 it breadth-first. A candidate joins only if its distance to every current
 member stays below n_geo both on the residual graph and within the induced
 sub-graph, so every emitted part certifies induced-sub-graph diameter <
-n_geo. Residual distances are searched from the members only, one search
-of at most n_geo - 1 hops as each joins. The CDO baseline uses one arc of
-every satellite. Air nodes are attached to parts afterwards, by
-with_air_parts, from the access array.
+n_geo. Residual distances are searched from the members only, one
+``topology.hops_from`` of at most n_geo - 1 hops as each joins. The CDO
+baseline uses one arc of every satellite. Air nodes are attached to parts
+afterwards, by with_air_parts, from the access array.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .topology import IslGraph, NetworkTopology
+from .topology import IslGraph, NetworkTopology, hops_from
 
 
 @dataclass(frozen=True)
@@ -49,23 +49,6 @@ def arc_partition(topology: NetworkTopology, n_geo: int) -> PartitionSet:
     return PartitionSet(parts=parts, air_parts=())
 
 
-def _ball(source: int, neighbors: list[list[int]], allowed,
-          radius: int) -> set[int]:
-    """Nodes within ``radius`` hops of ``source`` by breadth-first search
-    through the ``allowed`` nodes only."""
-    seen = {source}
-    frontier = [source]
-    for _ in range(radius):
-        reached = []
-        for u in frontier:
-            for v in neighbors[u]:
-                if v in allowed and v not in seen:
-                    seen.add(v)
-                    reached.append(v)
-        frontier = reached
-    return seen
-
-
 def graph_partition(graph: IslGraph, n_geo: int,
                     rng: np.random.Generator) -> PartitionSet:
     """Greedy diameter-bounded partition of the ISL graph.
@@ -73,7 +56,7 @@ def graph_partition(graph: IslGraph, n_geo: int,
     Deterministic for a fixed rng seed. Air parts are left empty; attach them
     with with_air_parts once the access array exists.
     """
-    neighbors = [np.flatnonzero(row).tolist() for row in graph.adjacency]
+    neighbors = graph.neighbors
     live = set(range(len(neighbors)))
     parts: list[tuple[int, ...]] = []
     while live:
@@ -82,18 +65,18 @@ def graph_partition(graph: IslGraph, n_geo: int,
         members: list[int] = [seed]
         member_set = {seed}
         # the live nodes within n_geo - 1 residual hops of every member
-        near = _ball(seed, neighbors, live, n_geo - 1)
+        near = set(hops_from(seed, neighbors, n_geo - 1, live))
         i = 0
         while i < len(members):
             for v in neighbors[members[i]]:
                 if v in member_set or v not in near:
                     continue
-                induced = _ball(v, neighbors, member_set | {v}, n_geo - 1)
-                if not member_set <= induced:
+                induced = hops_from(v, neighbors, n_geo - 1, member_set | {v})
+                if not member_set <= induced.keys():
                     continue
                 members.append(v)
                 member_set.add(v)
-                near &= _ball(v, neighbors, live, n_geo - 1)
+                near &= hops_from(v, neighbors, n_geo - 1, live).keys()
             i += 1
         parts.append(tuple(sorted(member_set)))
         live -= member_set

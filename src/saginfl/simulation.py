@@ -20,15 +20,10 @@ intervals, on the calling thread plus threads it starts for that one call,
 one fewer than the workers, so N CPUs start N - 1 threads a call and a
 single CPU none. The threads are plain ``threading`` threads that take items
 from the front of a deque while the caller takes them from the back, and
-each call joins its own. With the caller idle behind a pool of N, each
-pool thread grew a malloc arena of its own; on a shared 2-core x86-64 box
-the caller's share took the Walker benchmark's peak RSS from 50.92 to
-49.53 MB and the single orbit's from 45.80 to 45.24 MB, wall time unchanged
-(``BENCH_31.json``). Dropping ``concurrent.futures``, and so the
-``logging`` it loads, with ``cli`` importing ``traceback`` only on failure,
-took about 0.5 MB more off the single orbit's (``BENCH_33.json``), and
-starting threads per call, with no job queue, keeps ``queue`` and
-``heapq`` out of a run (``BENCH_35.json``).
+each call joins its own. The caller takes a share rather than wait, so one
+thread fewer grows a malloc arena of its own, and with no executor and no
+job queue a run loads none of ``concurrent.futures``, ``logging``,
+``queue`` and ``heapq``; ``cli`` imports ``traceback`` only on failure.
 Each device's gradient is its own GEMMs and its own per-sample softmax, and
 the mini-batches are drawn in the main thread in step order, so the trace
 is bit-identical whatever the block count and fully determined by the seed.
@@ -240,7 +235,8 @@ def parallel_map(fn, *iterables) -> list:
 
     The call starts ``worker_count(len(items)) - 1`` threads, none for one
     worker, that take items from the front while the caller takes them from
-    the back; with no thread the caller runs them all, in order. The threads
+    the back, the last claimed before any thread starts, so the caller runs
+    at least one; with no thread it runs them all, in order. The threads
     are joined before the call returns or raises. Every item runs in a fresh
     context, as on a new thread, so under numpy's default error state.
     """
@@ -248,6 +244,7 @@ def parallel_map(fn, *iterables) -> list:
     results = [None] * len(items)
     errors = {}
     todo = deque(range(len(items)))
+    mine = deque([todo.pop()] if worker_count(len(items)) > 1 else [])
 
     def run(pop) -> None:
         while True:
@@ -267,7 +264,7 @@ def parallel_map(fn, *iterables) -> list:
                                       daemon=True)
             thread.start()
             threads.append(thread)
-        run(todo.pop if threads else todo.popleft)
+        run((lambda: (mine or todo).pop()) if threads else todo.popleft)
     finally:
         for thread in threads:
             thread.join()
@@ -331,7 +328,11 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
 
     topology = build_topology(cfg)
     graph = derive_isl_graph(topology)
-    hops = hop_distances(graph)
+    # hops as far as the policy reads: CNASA's parts have induced diameter
+    # below n_geo, GDO reads only 0-hop pairs, CDO's one part reads them all
+    n_geo = cfg.policy.n_geo
+    radius = {"cnasa": n_geo - 1, "gdo": 0}.get(cfg.policy.name)
+    hops = hop_distances(graph, radius)
     access = compute_coverage(topology)
 
     features, labels, test_x, test_y = generate_data(cfg.data, topology,
@@ -345,11 +346,12 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     assignment, pset = select_assignment(
         cfg, topology, graph, hops, access, samples.class_counts, m,
         policy_rng, partition_rng)
-    relay_hops = assignment.relay_hops()
-    if cfg.policy.name == "cnasa" and relay_hops >= cfg.policy.n_geo:
-        # assignment must stay inside its diameter-bounded partition
-        raise TopologyError(
-            f"CNASA relay hops {relay_hops} not below n_geo {cfg.policy.n_geo}")
+    low, relay_hops = assignment.hops.min(initial=0), assignment.relay_hops()
+    if cfg.policy.name == "cnasa" and not 0 <= low <= relay_hops < n_geo:
+        # assignment must stay inside its diameter-bounded partition, and
+        # so inside the radius its hop counts were searched to (-1 past it)
+        raise TopologyError(f"CNASA relay hops {relay_hops} (least {low}) "
+                            f"not in [0, n_geo {n_geo})")
 
     n_sats, n_devices = topology.n_satellites, topology.n_devices
     plan = plan_multi_orbit(graph, m)
@@ -381,9 +383,7 @@ def run_obl(cfg: ExperimentConfig) -> TrainingTrace:
     n_samples = samples.x.shape[2]
     # the pre-sync aggregates of every global round, in one block made
     # before the rounds start, so it sits outside the heap their
-    # temporaries churn; with ProbeSamples' one feature array this lowers
-    # the check's peak RSS on both configs, where the block alone raised
-    # the single orbit's (BENCH_34.json)
+    # temporaries churn
     record = np.empty((cfg.training.global_rounds, n_sats, m))
     n_blocks = worker_count(n_devices)
     cuts = [n_devices * k // n_blocks for k in range(n_blocks + 1)]

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import TopologyError
+
 if TYPE_CHECKING:  # config imports this module to validate the time keys
     from .allreduce import SyncPlan
     from .assignment import AssignmentMap
@@ -142,7 +144,8 @@ class DeliveryTimeModel:
     """Model delivery time from an air node to a target satellite.
 
     One model upload over the air-satellite link plus one inter-satellite
-    forward per hop separating the access satellite from the target.
+    forward per hop separating the access satellite from the target. A pair
+    past the radius ``hops`` was searched to (-1) raises, naming both ends.
     """
 
     hops: np.ndarray
@@ -151,8 +154,11 @@ class DeliveryTimeModel:
     t_ss_s: float
 
     def delivery_time(self, air_id: int, target_sat: int) -> float:
-        src = self.access[air_id]
-        return self.t_as_s + int(self.hops[src, target_sat]) * self.t_ss_s
+        hops = int(self.hops[self.access[air_id], target_sat])
+        if hops < 0:
+            raise TopologyError(f"no hop count from air node {air_id} to "
+                                f"satellite {target_sat}: past the radius")
+        return self.t_as_s + hops * self.t_ss_s
 
 
 # one air node uploads at a time: the air-satellite rate is not shared

@@ -7,7 +7,8 @@ cycle of intra-orbit edges per plane plus inter-orbit edges placed at the two
 intersection regions of every plane pair. An air node's access satellite is
 the one whose ground projection is nearest (its Voronoi cell, queried
 pointwise). Every layer is a set of arrays indexed by id; satellite ids run
-plane by plane in slot order.
+plane by plane in slot order. Hop counts come from one breadth-first search,
+``hops_from``, which the graph partition also runs.
 
 numpy's ``sin``, ``cos`` and ``radians`` return ``math``'s bits, but its
 ``arcsin`` and ``arctan2`` differ in the last bit on some inputs, so the
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +36,11 @@ class IslGraph:
 
     adjacency: np.ndarray                         # (N_S, N_S) bool, symmetric
     orbits: tuple[tuple[int, ...], ...]           # satellite ids per plane, ring order
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Each satellite's linked satellites, ascending, indexed by id."""
+        return [np.flatnonzero(row).tolist() for row in self.adjacency]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,41 +213,36 @@ def derive_isl_graph(topology: NetworkTopology) -> IslGraph:
     return IslGraph(adjacency=adj, orbits=tuple(map(tuple, orbits.tolist())))
 
 
-def _hop_matrix(adj: np.ndarray) -> np.ndarray:
-    """All-pairs hop counts of a symmetric adjacency matrix, -1 if
-    unreachable, by breadth-first search from every node at once."""
-    n = len(adj)
-    width = max(int(adj.sum(axis=1).max(initial=0)), 1)
-    # each row's neighbours first, padded with the node itself, which is
-    # already seen by the time it could be gathered
-    order = np.argsort(~adj, axis=1, kind="stable")[:, :width]
-    nbr = np.where(np.take_along_axis(adj, order, axis=1), order,
-                   np.arange(n)[:, None])
-    dist = np.full((n, n), -1, dtype=np.int64)
-    frontier = np.eye(n, dtype=bool)
-    seen = frontier.copy()
-    hops = 0
-    while frontier.any():
-        dist[frontier] = hops
-        frontier = frontier[:, nbr].any(axis=2) & ~seen
-        seen |= frontier
-        hops += 1
-    return dist
+def hops_from(source: int, neighbors: list[list[int]], radius: int | None = None,
+              allowed=None) -> dict[int, int]:
+    """Hop count of each node within ``radius`` (None: no limit) hops of
+    ``source`` in breadth-first order, passing only ``allowed`` nodes."""
+    hops, queue = {source: 0}, [source]
+    for u in queue:
+        if hops[u] == radius:
+            break
+        for v in neighbors[u]:
+            if v not in hops and (allowed is None or v in allowed):
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
-def connected_components(dist: np.ndarray) -> list[list[int]]:
-    """Sorted member lists, ordered by their lowest id, read from the
-    reachable entries of a hop matrix."""
-    return [list(c) for c in sorted(
-        {tuple(np.flatnonzero(row >= 0).tolist()) for row in dist})]
-
-
-def hop_distances(graph: IslGraph) -> np.ndarray:
-    """Symmetric matrix of shortest-path hop counts over the ISL graph."""
-    dist = _hop_matrix(graph.adjacency)
-    if (dist < 0).any():
-        comps = connected_components(dist)
+def hop_distances(graph: IslGraph, radius: int | None = None) -> np.ndarray:
+    """Symmetric ``(N_S, N_S)`` shortest-path hop counts over the ISL graph,
+    -1 past ``radius``; a disconnected graph raises, naming its components."""
+    neighbors, n = graph.neighbors, len(graph.adjacency)
+    comps, placed = [], set()
+    for node in range(n):
+        if node not in placed:
+            comps.append(sorted(hops_from(node, neighbors)))
+            placed.update(comps[-1])
+    if len(comps) > 1:
         raise TopologyError(f"ISL graph is disconnected; components: {comps}")
+    dist = np.full((n, n), -1, dtype=np.int64)
+    for src in range(n):
+        row = hops_from(src, neighbors, radius)
+        dist[src, list(row)] = list(row.values())
     return dist
 
 

@@ -17,7 +17,12 @@ from saginfl.assignment import (
 )
 from saginfl.config import ExperimentConfig, PolicyConfig
 from saginfl.errors import InputError, TopologyError
-from saginfl.partition import PartitionSet, arc_partition, with_air_parts
+from saginfl.partition import (
+    PartitionSet,
+    arc_partition,
+    graph_partition,
+    with_air_parts,
+)
 from saginfl.simulation import select_assignment
 from saginfl.timecost import DeliveryTimeModel, make_delivery_model
 from saginfl.topology import (
@@ -327,6 +332,53 @@ class TestCnasa:
         for air, sat in enumerate(out.f):
             loads[sat] = loads.get(sat, 0) + 1
         assert max(loads.values()) - min(loads.values()) <= 1
+
+
+class TestBoundedHops:
+    @pytest.mark.parametrize("kind", ["single", "walker"])
+    def test_cnasa_reads_nothing_past_n_geo_minus_one(self, kind):
+        # the run searches hops only to n_geo - 1 under CNASA; the parts'
+        # induced diameter keeps every read inside that radius, so the
+        # assignment equals the one built on the full table
+        if kind == "single":
+            topology = build_single_orbit(8, 330.0, 16, 2)
+        else:
+            topology = build_walker(3, 6, 85.0, 330.0, 2, 1)
+        access = compute_coverage(topology)
+        graph = derive_isl_graph(topology)
+        full = hop_distances(graph)
+        for n_geo, seed in itertools.product(range(1, 6), range(3)):
+            counts = np.random.default_rng(seed).integers(
+                1, 6, (topology.n_devices, 4)).astype(float)
+            if kind == "single":
+                parts = arc_partition(topology, n_geo)
+            else:
+                parts = graph_partition(graph, n_geo,
+                                        np.random.default_rng(seed))
+            pset = with_air_parts(parts, access)
+            bounded = hop_distances(graph, n_geo - 1)
+            assert np.array_equal(bounded,
+                                  np.where(full < n_geo, full, -1))
+            a, b = (cnasa(topology, access, pset, counts,
+                          np.random.default_rng(seed),
+                          DeliveryTimeModel(hops=hops, access=access,
+                                            t_as_s=1.0, t_ss_s=0.25))
+                    for hops in (bounded, full))
+            assert np.array_equal(a.f, b.f)
+            assert np.array_equal(a.hops, b.hops)
+
+    def test_delivery_time_past_radius_raises(self):
+        topology = build_single_orbit(8, 330.0, 8, 1)
+        access = compute_coverage(topology)
+        hops = hop_distances(derive_isl_graph(topology), 1)
+        model = DeliveryTimeModel(hops=hops, access=access, t_as_s=1.0,
+                                  t_ss_s=0.25)
+        air = int(np.flatnonzero(access == 0)[0])
+        assert model.delivery_time(air, 1) == 1.25
+        assert model.delivery_time(air, 7) == 1.25
+        with pytest.raises(TopologyError,
+                           match=rf"air node {air} to satellite 2\b"):
+            model.delivery_time(air, 2)
 
 
 class TestBaselines:

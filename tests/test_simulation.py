@@ -309,6 +309,23 @@ class TestParallelMap:
         assert simulation.parallel_map(task, range(6)) == list(range(6))
         assert {ran_on[i] for i in range(1, 6)} == {threading.get_ident()}
 
+    def test_caller_claims_an_item_before_threads_start(self, monkeypatch):
+        # a started thread that drains the queue before the caller gets
+        # back still leaves the caller the last item
+        monkeypatch.setattr(simulation, "_available_cpus", lambda: 2)
+        start = threading.Thread.start
+
+        def start_and_finish(thread):
+            start(thread)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+        monkeypatch.setattr(threading.Thread, "start", start_and_finish)
+        ran_on = simulation.parallel_map(lambda i: threading.get_ident(),
+                                         range(3))
+        assert ran_on[2] == threading.get_ident()
+        assert threading.get_ident() not in ran_on[:2]
+
     def test_one_worker_runs_every_item_on_the_caller(self, monkeypatch):
         # no thread is started: the items run in order on the caller
         monkeypatch.setattr(simulation, "_available_cpus", lambda: 1)
@@ -576,6 +593,21 @@ class TestTimeAccounting:
 
         monkeypatch.setattr(simulation, "cnasa", overlong)
         with pytest.raises(TopologyError, match="relay hops 2"):
+            run_obl(make_config(policy="cnasa", n_geo=2))
+
+    def test_unsearched_relay_hops_raise_topology_error(self, monkeypatch):
+        # a -1 in the radius-bounded hop table is a pair never searched;
+        # the relay check must not read it as a short path
+        real_cnasa = simulation.cnasa
+
+        def unsearched(*args):
+            assignment = real_cnasa(*args)
+            hops = assignment.hops.copy()
+            hops[0] = -1
+            return dataclasses.replace(assignment, hops=hops)
+
+        monkeypatch.setattr(simulation, "cnasa", unsearched)
+        with pytest.raises(TopologyError, match=r"least -1"):
             run_obl(make_config(policy="cnasa", n_geo=2))
 
     def test_policy_inconsistency_rejected(self):

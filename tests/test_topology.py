@@ -19,14 +19,14 @@ from scipy.sparse import csgraph
 
 from saginfl.errors import TopologyError
 from saginfl.topology import (
-    _hop_matrix,
+    IslGraph,
     build_single_orbit,
     build_walker,
     compute_coverage,
-    connected_components,
     derive_isl_graph,
     great_circle_angles,
     hop_distances,
+    hops_from,
     nearest_satellite,
     write_topology_table,
 )
@@ -230,22 +230,38 @@ class TestHopDistances:
         for c in range(0, n, 7):
             assert (hops <= hops[:, [c]] + hops[[c], :]).all()
 
-    def test_hop_matrix_matches_csgraph_on_random_graphs(self):
+    def test_hops_from_matches_csgraph_on_random_graphs(self):
         rng = np.random.default_rng(3)
         disconnected = 0
         for _ in range(200):
             n = int(rng.integers(1, 40))
             upper = np.triu(rng.random((n, n)) < 0.2 * rng.random(), 1)
             adj = upper | upper.T
+            graph = IslGraph(adjacency=adj, orbits=(tuple(range(n)),))
             ref = csgraph.shortest_path(sparse.csr_matrix(adj, dtype=float),
                                         unweighted=True)
-            hops = _hop_matrix(adj)
-            assert hops.dtype == np.int64
-            assert np.array_equal(hops, np.where(np.isinf(ref), -1, ref))
+            ref = np.where(np.isinf(ref), -1, ref)
+            for src in range(n):
+                hops = hops_from(src, graph.neighbors)
+                assert sorted(hops) == np.flatnonzero(ref[src] >= 0).tolist()
+                assert all(hops[v] == ref[src, v] for v in hops)
+                # breadth-first order: hop counts never decrease
+                assert list(hops.values()) == sorted(hops.values())
             n_comps, labels = csgraph.connected_components(adj, directed=False)
-            assert connected_components(hops) == sorted(
-                np.flatnonzero(labels == k).tolist() for k in range(n_comps))
-            disconnected += n_comps > 1
+            if n_comps > 1:
+                comps = sorted(np.flatnonzero(labels == k).tolist()
+                               for k in range(n_comps))
+                with pytest.raises(TopologyError) as exc:
+                    hop_distances(graph)
+                assert str(exc.value) == ("ISL graph is disconnected; "
+                                          f"components: {comps}")
+                disconnected += 1
+                continue
+            for radius in (0, 1, 2, 3, None):
+                hops = hop_distances(graph, radius)
+                assert hops.dtype == np.int64
+                limit = np.inf if radius is None else radius
+                assert np.array_equal(hops, np.where(ref <= limit, ref, -1))
         assert disconnected > 50
 
     def test_disconnected_graph_names_components(self):
